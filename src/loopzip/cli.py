@@ -12,7 +12,7 @@ import io
 import json
 import sys
 
-from .coset import ClassContext
+from .coset import class_census
 from .errors import BudgetExceeded, LoopZipError
 from .gf import FieldSpec
 from .grpdata import Cocharacter
@@ -31,6 +31,13 @@ def _parse_mu(text: str) -> Cocharacter:
     except ValueError as exc:
         raise ValueError(f"bad weight list {text!r}") from exc
     return Cocharacter(weights)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -63,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.add_argument("--suite", required=True,
                     choices=tuple(SUITES) + ("all",))
-    pv.add_argument("--samples", type=int, default=100)
+    pv.add_argument("--samples", type=_positive_int, default=100)
 
     po = sub.add_parser("orbits", help="orbit census as CSV")
     common(po)
@@ -83,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw = sub.add_parser("witt-selftest", help="ghost-oracle pass rate")
     pw.add_argument("--q", type=int, default=2, help="prime p of the Witt ring")
     pw.add_argument("--prec", type=int, default=4, help="Witt length N")
-    pw.add_argument("--samples", type=int, default=500)
+    pw.add_argument("--samples", type=_positive_int, default=500)
     pw.add_argument("--seed", type=int, default=0)
     pw.add_argument("--out", default=None)
     return ap
@@ -132,12 +139,11 @@ def cmd_orbits(args) -> int:
     mu = _parse_mu(args.mu)
     _check_n(args, mu)
     if args.action == "class-census":
-        spec = FieldSpec.for_q(args.q)
-        ctx = ClassContext.get(mu, spec)
+        census = class_census(mu, FieldSpec.for_q(args.q))
         rows = [
             {"mu": list(mu.weights), "q": args.q, "rep_g": list(g),
              "rep_h": list(h), "orbit_size": size}
-            for (g, h), size in sorted(ctx.orbits.items())
+            for (g, h), size in census.items()
         ]
         if args.format == "json":
             _write_out(json.dumps({"schema": 1, "census": rows}, sort_keys=True,
@@ -207,7 +213,7 @@ def cmd_witt_selftest(args) -> int:
     if args.q not in (2, 3, 5):
         raise ValueError("Witt selftest needs a prime --q")
     rep = ghost_selftest(args.q, args.prec, args.samples, args.seed)
-    rate = rep["passed_samples"] / rep["samples"] if rep["samples"] else 1.0
+    rate = rep["passed_samples"] / rep["samples"]
     text = (
         f"ghost oracle p={rep['p']} N={rep['N']}: "
         f"{rep['passed_samples']}/{rep['samples']} passed ({rate:.1%})\n"

@@ -11,6 +11,7 @@ decomposition.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .errors import BudgetExceeded, InsufficientPrecision, WrongCell
 from .gf import FieldSpec
@@ -18,6 +19,8 @@ from .grpdata import (
     Cocharacter,
     conj_by_mu,
     enumerate_gl_flat,
+    enumerate_levi_flat,
+    enumerate_unipotent_flat,
     gl_order,
     group_order,
     mu_matrix,
@@ -25,18 +28,15 @@ from .grpdata import (
     random_k1_mat,
     random_left_h_mat,
     random_witt_k1_mat,
-    zip_pair_generators,
     SubgroupTag,
 )
 from .matring import (
-    FQ,
     LAURENT,
     WITTFRAC,
     Mat,
     assert_cartan_precision,
     cartan_precision_floor,
     flat_identity,
-    flat_inverse,
     flat_mul,
     mat_decode,
     mat_encode,
@@ -60,13 +60,6 @@ class DoubleCosetClass:
         self.spec = spec
         self.rep = rep  # (g_flat, h_flat), lex-minimal in its orbit
 
-    def rep_mats(self):
-        n = self.mu.n
-        return (
-            mat_decode(self.spec, n, self.rep[0]),
-            mat_decode(self.spec, n, self.rep[1]),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, DoubleCosetClass)
@@ -82,71 +75,37 @@ class DoubleCosetClass:
         return f"Class(mu={self.mu.weights}, rep={self.rep})"
 
 
-class ClassContext:
-    """Orbit partition of G(F_q)^2 under the zip group, with canonical reps.
+@lru_cache(maxsize=None)
+def _one_sided_groups(p: int, m: int, mu: Cocharacter) -> tuple:
+    """P_- as (element, Levi part) pairs, and U_+, keyed by value."""
+    spec = FieldSpec.get(p, m)
+    n = mu.n
+    levi = enumerate_levi_flat(spec, mu)
+    pminus = tuple(
+        (flat_mul(spec, n, u, lev), lev)
+        for u in enumerate_unipotent_flat(spec, mu, -1)
+        for lev in levi
+    )
+    return pminus, tuple(enumerate_unipotent_flat(spec, mu, +1))
 
-    Depends on mu only through its block sizes, so contexts are shared
-    between mu and its rescalings.
+
+def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
+    """Lex-least pair in the zip-group orbit of (g, h).
+
+    The zip group is {(u_- m, u_+ m)}.  Its first components run over P_-,
+    which acts freely, so g' = min p g is reached by a unique p; the pairs
+    with first component g' then have second components u_+ Levi(p) h.
     """
-
-    _cache: dict = {}
-
-    def __init__(self, mu: Cocharacter, spec: FieldSpec):
-        n = mu.n
-        self.spec = spec
-        self.n = n
-        gl = enumerate_gl_flat(spec, n)
-        if len(gl) ** 2 > 2_000_000:
-            raise BudgetExceeded(f"{len(gl)}^2 pairs exceed the pair budget")
-        gens = zip_pair_generators(spec, mu)
-        acts = [
-            (flat_inverse(spec, n, pm), flat_inverse(spec, n, pp))
-            for pm, pp in gens
-        ]
-        canon: dict = {}
-        orbits: dict = {}
-        for g0 in gl:
-            for h0 in gl:
-                seed = (g0, h0)
-                if seed in canon:
-                    continue
-                members = [seed]
-                seen = {seed}
-                i = 0
-                while i < len(members):
-                    g, h = members[i]
-                    i += 1
-                    for pmi, ppi in acts:
-                        nxt = (flat_mul(spec, n, pmi, g), flat_mul(spec, n, ppi, h))
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            members.append(nxt)
-                rep = min(seen)
-                for pair in seen:
-                    canon[pair] = rep
-                orbits[rep] = len(seen)
-        self.canon = canon
-        self.orbits = orbits
-        self.zip_order = group_order(SubgroupTag.ZipNormal, mu, spec.q)
-
-    @staticmethod
-    def get(mu: Cocharacter, spec: FieldSpec) -> "ClassContext":
-        sizes = tuple(s for _, s in mu.blocks)
-        key = (mu.n, sizes, id(spec))
-        ctx = ClassContext._cache.get(key)
-        if ctx is None:
-            ctx = ClassContext(mu, spec)
-            ClassContext._cache[key] = ctx
-        return ctx
-
-    def canonical(self, g_flat, h_flat):
-        return self.canon[(g_flat, h_flat)]
+    n = mu.n
+    pminus, uplus = _one_sided_groups(spec.p, spec.m, mu)
+    g_min, lev = min((flat_mul(spec, n, p, g_flat), lev) for p, lev in pminus)
+    mh = flat_mul(spec, n, lev, h_flat)
+    return g_min, min(flat_mul(spec, n, u, mh) for u in uplus)
 
 
 def canonical_pair(g: Mat, h: Mat, mu: Cocharacter) -> DoubleCosetClass:
     spec = g.rows[0][0].spec
-    ctx = ClassContext.get(mu, spec)
-    rep = ctx.canonical(mat_encode(g), mat_encode(h))
+    rep = canonical_flat(spec, mu, mat_encode(g), mat_encode(h))
     return DoubleCosetClass(mu, spec, rep)
 
 
@@ -193,16 +152,7 @@ def class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
     if x.ring != LAURENT:
         raise ValueError("class_of expects a Laurent matrix")
     assert_cartan_precision(mu.weights, x.min_precision())
-    a, d, b = snf_dvr(x)
-    if tuple(d) != mu.weights:
-        raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    spec = x.rows[0][0].spec
-    abar = a.reduce()
-    bbar = b.reduce()
-    ctx = ClassContext.get(mu, spec)
-    ga = mat_encode(abar.inverse())
-    hb = mat_encode(bbar)
-    return DoubleCosetClass(mu, spec, ctx.canonical(ga, hb))
+    return _class_of_decomposition(x, mu)
 
 
 def witt_class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
@@ -214,16 +164,16 @@ def witt_class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
         raise InsufficientPrecision("mixed pipeline needs p in {2,3} and length >= 3")
     if max(abs(w) for w in mu.weights) > 1:
         raise InsufficientPrecision("mixed pipeline supports weights |d| <= 1")
+    return _class_of_decomposition(x, mu)
+
+
+def _class_of_decomposition(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
+    """Shared tail of both pipelines: x = a diag b, class of (abar^(-1), bbar)."""
     a, d, b = snf_dvr(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    spec = wctx.spec
     abar = a.reduce()
-    bbar = b.reduce()
-    ctx = ClassContext.get(mu, spec)
-    ga = mat_encode(abar.inverse())
-    hb = mat_encode(bbar)
-    return DoubleCosetClass(mu, spec, ctx.canonical(ga, hb))
+    return canonical_pair(abar.inverse(), b.reduce(), mu)
 
 
 def rescale_class(c: DoubleCosetClass, k: int) -> DoubleCosetClass:
@@ -251,18 +201,18 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
     """Exhaustive check that zip orbits on pairs biject with classes."""
     if mu.n > 3 or spec.q > 3:
         raise BudgetExceeded("class bijection census limited to n <= 3, q <= 3")
-    ctx = ClassContext.get(mu, spec)
+    census = class_census(mu, spec)
     n = mu.n
     roundtrip = True
     classes = set()
-    for rep in sorted(ctx.orbits):
+    for rep in census:
         g = mat_decode(spec, n, rep[0])
         h = mat_decode(spec, n, rep[1])
         c = class_of(pair_matrix(g, h, mu, prec), mu)
         classes.add(c.rep)
         if c.rep != rep:
             roundtrip = False
-    orbit_count = len(ctx.orbits)
+    orbit_count = len(census)
     class_count = len(classes)
     return {
         "mu": list(mu.weights),
@@ -273,14 +223,26 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
         "class_count": class_count,
         "round_trip": roundtrip,
         "injective": class_count == orbit_count and roundtrip,
-        "surjective": classes == set(ctx.orbits),
+        "surjective": classes == set(census),
     }
 
 
-def class_census(mu: Cocharacter, spec: FieldSpec):
-    """Canonical class representatives with their orbit sizes."""
-    ctx = ClassContext.get(mu, spec)
-    return dict(sorted(ctx.orbits.items()))
+def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
+    """Canonical class representatives, in order, with their orbit sizes.
+
+    The zip group E acts freely, so every orbit has |E| pairs; fixing the
+    first component g' leaves U_+ acting alone on the second, so the
+    representatives are all pairs (min of P_- g, min of U_+ h) over g, h in G.
+    """
+    n = mu.n
+    gl = enumerate_gl_flat(spec, n)
+    if len(gl) ** 2 > 2_000_000:
+        raise BudgetExceeded(f"{len(gl)}^2 pairs exceed the pair budget")
+    pminus, uplus = _one_sided_groups(spec.p, spec.m, mu)
+    left = sorted({min(flat_mul(spec, n, p, g) for p, _ in pminus) for g in gl})
+    right = sorted({min(flat_mul(spec, n, u, h) for u in uplus) for h in gl})
+    size = len(pminus) * len(uplus)
+    return {(a, b): size for a in left for b in right}
 
 
 def kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,

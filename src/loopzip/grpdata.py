@@ -281,7 +281,7 @@ _GL_CACHE: dict = {}
 
 def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     """All invertible n x n matrices over F_q, encoded, in lexicographic order."""
-    key = (id(spec), n)
+    key = (spec.p, spec.m, n)
     if key not in _GL_CACHE:
         _budget_check(spec, n, spec.q ** (n * n))
         out = tuple(

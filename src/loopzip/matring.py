@@ -105,9 +105,6 @@ class Mat:
     def __neg__(self) -> "Mat":
         return Mat(self.ring, [[-a for a in r] for r in self.rows])
 
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, list(zip(*self.rows)))
-
     # -- entry inspection --------------------------------------------------------
 
     def _val(self, x):

@@ -11,7 +11,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .coset import ClassContext, class_of, mu_matrix
+from .coset import canonical_flat, class_census, class_of, mu_matrix
 from .errors import BudgetExceeded
 from .gf import FieldSpec
 from .grpdata import (
@@ -77,23 +77,28 @@ def _budget(aspec: ActionSpec) -> None:
         raise BudgetExceeded("orbit engines limited to n <= 3, q <= 4")
 
 
+def _sigma_conj_action(spec: FieldSpec, mu: Cocharacter, tau: int):
+    """G acting on class representatives: (g1, g2).g = class of (g1 g, g2 tau(g))."""
+    n = mu.n
+
+    def act(pair, g):
+        return canonical_flat(
+            spec, mu,
+            flat_mul(spec, n, pair[0], g),
+            flat_mul(spec, n, pair[1], flat_frobenius(spec, g, tau)),
+        )
+
+    return act
+
+
 def _acted_set_and_action(aspec: ActionSpec):
     spec = FieldSpec.for_q(aspec.q)
     mu = aspec.mu
     n = mu.n
     if aspec.kind == "sigma-conj":
-        ctx = ClassContext.get(mu, spec)
-        points = sorted(ctx.orbits)
-        gens = gl_generators(spec, n)
-        tau = aspec.tau_power
-
-        def act(pair, g):
-            return ctx.canonical(
-                flat_mul(spec, n, pair[0], g),
-                flat_mul(spec, n, pair[1], flat_frobenius(spec, g, tau)),
-            )
-
-        return points, gens, act, gl_order(n, aspec.q)
+        points = list(class_census(mu, spec))
+        act = _sigma_conj_action(spec, mu, aspec.tau_power)
+        return points, gl_generators(spec, n), act, gl_order(n, aspec.q)
 
     points = list(enumerate_gl_flat(spec, n))
     if aspec.kind == "zip-normal":
@@ -147,6 +152,16 @@ def partition_blocks(part: OrbitPartition) -> frozenset:
     return part.blocks
 
 
+def _root_of_class(part: OrbitPartition) -> dict:
+    """Each acted point mapped to the least member of its orbit."""
+    roots = {}
+    for blk in partition_blocks(part):
+        rep = min(blk)
+        for member in blk:
+            roots[member] = rep
+    return roots
+
+
 def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> bool:
     """Spot-check: identity acts trivially; (x.g).h = x.(g h) on random triples."""
     _budget(aspec)
@@ -159,15 +174,8 @@ def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> 
     tau = aspec.tau_power
 
     if aspec.kind == "sigma-conj":
-        ctx = ClassContext.get(mu, spec)
-        points = sorted(ctx.orbits)
-
-        def act(pair, g):
-            return ctx.canonical(
-                flat_mul(spec, n, pair[0], g),
-                flat_mul(spec, n, pair[1], flat_frobenius(spec, g, tau)),
-            )
-
+        points = list(class_census(mu, spec))
+        act = _sigma_conj_action(spec, mu, tau)
         for _ in range(samples):
             x = points[rng.randrange(len(points))]
             g = gl[rng.randrange(len(gl))]
@@ -257,23 +265,16 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     """g -> class of mu(t) g matches twisted orbits with conjugacy orbits."""
     spec = FieldSpec.for_q(q)
     n = mu.n
-    ctx = ClassContext.get(mu, spec)
     ident = flat_identity(n)
 
-    part_r = enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m))
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
-    root_of_class: dict = {}
-    for rep, _, _ in sigma_part.orbits:
-        root_of_class[rep] = rep
-    for blk in partition_blocks(sigma_part):
-        rep = min(blk)
-        for member in blk:
-            root_of_class[member] = rep
+    part_r = enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m))
+    root_of_class = _root_of_class(sigma_part)
 
     image_roots = []
     well_defined = True
     for blk in sorted(partition_blocks(part_r), key=min):
-        roots = {root_of_class[ctx.canonical(ident, g)] for g in blk}
+        roots = {root_of_class[canonical_flat(spec, mu, ident, g)] for g in blk}
         if len(roots) != 1:
             well_defined = False
         image_roots.append(min(roots))
@@ -295,8 +296,8 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
         mf = mat_encode(levi_component(p, mu))
         minv = flat_inverse(spec, n, mf)
         tg = flat_mul(spec, n, g, flat_frobenius(spec, pf, m))
-        lhs = ctx.canonical(ident, flat_mul(spec, n, minv, tg))
-        rhs = ctx.canonical(pf, tg)
+        lhs = canonical_flat(spec, mu, ident, flat_mul(spec, n, minv, tg))
+        rhs = canonical_flat(spec, mu, pf, tg)
         if lhs != rhs:
             equivariant = False
     return {
@@ -327,11 +328,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     w0 = longest_element(n)
     w0j = longest_element(n, mu.type_J)
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
-    root_of_class: dict = {}
-    for blk in partition_blocks(sigma_part):
-        rep = min(blk)
-        for member in blk:
-            root_of_class[member] = rep
+    root_of_class = _root_of_class(sigma_part)
 
     mu_t = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
     roots = []

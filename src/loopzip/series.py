@@ -96,9 +96,6 @@ class LaurentElt:
                 return self.v + i
         return None
 
-    def is_zero_in_window(self) -> bool:
-        return self.valuation() is None
-
     def is_integral(self) -> bool:
         """No nonzero stored coefficient at a negative exponent."""
         val = self.valuation()

@@ -12,6 +12,7 @@ import random
 
 from .coset import (
     canonical_pair,
+    class_census,
     class_of,
     default_precision,
     embedding_fiber_report,
@@ -334,14 +335,12 @@ def suite_psi(cfg: dict) -> list:
     fib["passed"] = fib["alpha_ok"] and fib["beta_ok"]
     checks.append(fib)
     # rescaling consistency on every class representative
-    from .coset import ClassContext
-
-    ctx = ClassContext.get(mu, spec)
+    census = class_census(mu, spec)
     ok = True
     for factor in (2, 3):
         mu2 = mu.scaled(factor)
         prec2 = default_precision(mu2)
-        for rep_pair in sorted(ctx.orbits):
+        for rep_pair in census:
             g = mat_decode(spec, mu.n, rep_pair[0])
             h = mat_decode(spec, mu.n, rep_pair[1])
             c1 = rescale_class(canonical_pair(g, h, mu), factor)

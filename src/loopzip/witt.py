@@ -186,9 +186,9 @@ class WittCtx:
 
     @staticmethod
     def get(spec: FieldSpec, length: int) -> "WittCtx":
-        key = (id(spec), length)
+        key = (spec.p, spec.m, length)
         ctx = WittCtx._cache.get(key)
-        if ctx is None:
+        if ctx is None or ctx.spec is not spec:
             ctx = WittCtx(spec, length)
             WittCtx._cache[key] = ctx
         return ctx
@@ -425,10 +425,6 @@ class WittFraction:
             return None
         return j - self.e
 
-    def value_bound(self) -> int:
-        """Lower bound for the valuation when `valuation()` is None."""
-        return self.known
-
     def stripped(self) -> "WittFraction":
         """Canonical representative: remove detectable p-factors from num.
 
@@ -597,16 +593,6 @@ def int_to_coords(n: int, p: int, length: int) -> tuple:
         coords.append(a)
         rem = (rem - teichmuller_int(a, p, length - i)) // p
     return tuple(coords)
-
-
-def coords_to_int(coords, p: int) -> int:
-    """Inverse of int_to_coords: sum of p^i * Teichmuller(a_i)."""
-    length = len(coords)
-    mod = p**length
-    acc = 0
-    for i, a in enumerate(coords):
-        acc = (acc + pow(p, i) * teichmuller_int(a, p, length)) % mod
-    return acc
 
 
 def ghost_selftest(p: int, length: int, samples: int, seed: int = 0) -> dict:

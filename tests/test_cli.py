@@ -139,6 +139,19 @@ def test_witt_selftest(capsys):
     assert code == 2  # p must be prime
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "prozip", "--mu", "1,0"],
+    ["witt-selftest", "--q", "2"],
+], ids=["verify", "witt-selftest"])
+def test_non_positive_samples_exit_2(capsys, argv, samples):
+    # zero samples would pass vacuously, a negative count is meaningless
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--samples", samples])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_failed_check_exits_1(capsys, monkeypatch):
     import loopzip.cli as cli
 

@@ -13,7 +13,7 @@ from loopzip.grpdata import (
     random_k1_mat,
 )
 from loopzip.coset import (
-    ClassContext,
+    canonical_flat,
     canonical_pair,
     class_census,
     class_of,
@@ -97,36 +97,70 @@ def test_round_trip_all_pairs_gl2_f2():
 
 
 def test_canonicalization_reproducible():
-    ctx = ClassContext.get(MU, F2)
-    rng = random.Random(6)
     pairs = enumerate_points(SubgroupTag.ZipNormal, MU, F2)
-    for (gf, hf) in list(ctx.canon)[:10]:
-        rep = ctx.canonical(gf, hf)
+    gl = enumerate_gl_flat(F2, 2)
+    for gf, hf in [(g, h) for g in gl for h in gl][:10]:
+        rep = canonical_flat(F2, MU, gf, hf)
         for pm, pp in pairs:
             moved = (
                 mat_encode(pm.inverse() * mat_decode(F2, 2, gf)),
                 mat_encode(pp.inverse() * mat_decode(F2, 2, hf)),
             )
-            assert ctx.canonical(*moved) == rep
+            assert canonical_flat(F2, MU, *moved) == rep
 
 
-def test_canonicalization_matches_full_group_orbit():
-    """The generator-driven partition agrees with orbits computed by acting
-    with every zip-group element directly."""
+# (q, weights, sampled pairs or None for every pair)
+FULL_ORBIT_CASES = [
+    (2, (1, 0), None),
+    (2, (0, 0), None),
+    (3, (1, 0), None),
+    (4, (1, 0), 300),
+    (2, (1, 1, 0), 300),
+    (2, (2, 1, 0), 300),
+]
+
+
+@pytest.mark.parametrize(
+    "q,weights,samples", FULL_ORBIT_CASES,
+    ids=[f"q{q}-mu{''.join(map(str, w))}" for q, w, _ in FULL_ORBIT_CASES],
+)
+def test_canonicalization_matches_full_group_orbit(q, weights, samples):
+    """The canonical pair is the definition: the least pair over the orbit
+    under every element of the enumerated zip group."""
     from loopzip.grpdata import enumerate_zip_pairs_flat
-    from loopzip.matring import flat_inverse, flat_mul
+    from loopzip.matring import flat_mul
 
-    ctx = ClassContext.get(MU, F2)
-    full = enumerate_zip_pairs_flat(F2, MU)
-    acts = [(flat_inverse(F2, 2, pm), flat_inverse(F2, 2, pp)) for pm, pp in full]
-    for gf in enumerate_gl_flat(F2, 2):
-        for hf in enumerate_gl_flat(F2, 2):
-            orbit = {
-                (flat_mul(F2, 2, pmi, gf), flat_mul(F2, 2, ppi, hf))
-                for pmi, ppi in acts
-            }
-            assert min(orbit) == ctx.canonical(gf, hf)
-            assert len(orbit) == ctx.orbits[ctx.canonical(gf, hf)]
+    spec = FieldSpec.for_q(q)
+    mu = Cocharacter(weights)
+    n = mu.n
+    full = enumerate_zip_pairs_flat(spec, mu)
+    gl = enumerate_gl_flat(spec, n)
+    if samples is None:
+        pairs = [(g, h) for g in gl for h in gl]
+    else:
+        rng = random.Random(q * 100 + n)
+        pairs = [(rng.choice(gl), rng.choice(gl)) for _ in range(samples)]
+    for gf, hf in pairs:
+        orbit = {(flat_mul(spec, n, pm, gf), flat_mul(spec, n, pp, hf)) for pm, pp in full}
+        assert len(orbit) == len(full)  # the zip group acts freely
+        assert min(orbit) == canonical_flat(spec, mu, gf, hf)
+
+
+@pytest.mark.parametrize(
+    "q,weights", [(2, (1, 0)), (3, (1, 0)), (2, (1, 1, 0))],
+    ids=["q2-mu10", "q3-mu10", "q2-mu110"],
+)
+def test_class_census_is_the_orbit_set(q, weights):
+    from loopzip.grpdata import group_order
+
+    spec = FieldSpec.for_q(q)
+    mu = Cocharacter(weights)
+    census = class_census(mu, spec)
+    zip_order = group_order(SubgroupTag.ZipNormal, mu, q)
+    assert list(census) == sorted(set(census))
+    assert all(canonical_flat(spec, mu, g, h) == (g, h) for g, h in census)
+    assert len(census) == len(enumerate_gl_flat(spec, mu.n)) ** 2 // zip_order
+    assert set(census.values()) == {zip_order}
 
 
 def test_zip_pair_enumeration_size_gl3():

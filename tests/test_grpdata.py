@@ -189,3 +189,16 @@ def test_minuscule_dichotomy():
     rep = minuscule_check(F2, Cocharacter((2, 0)), 6, 60, 0)
     assert not rep["minuscule"]
     assert rep["witness_in_kernel"] and rep["witness_escapes"] and rep["passed"]
+
+
+def test_gl_cache_does_not_alias_dead_specs():
+    # a cache keyed by object identity hands a dead field's entry to a new
+    # field that reuses its address
+    import gc
+
+    for _ in range(50):
+        for p, order in ((2, 6), (3, 48)):
+            spec = FieldSpec(p, 1)
+            assert len(enumerate_gl_flat(spec, 2)) == order
+            del spec
+            gc.collect()

@@ -98,19 +98,19 @@ def test_sigma_conj_action_matches_class_pipeline():
     matrix and re-running the decomposition pipeline."""
     import random
 
-    from loopzip.coset import ClassContext, class_of, laurent_lift, pair_matrix
+    from loopzip.coset import canonical_flat, class_of, laurent_lift, pair_matrix
     from loopzip.grpdata import enumerate_gl_flat
     from loopzip.matring import flat_frobenius, flat_mul, mat_decode
 
     spec = FieldSpec.for_q(4)
-    ctx = ClassContext.get(MU, spec)
     gl = enumerate_gl_flat(spec, 2)
     rng = random.Random(3)
     for _ in range(15):
         g1 = gl[rng.randrange(len(gl))]
         g2 = gl[rng.randrange(len(gl))]
         g = gl[rng.randrange(len(gl))]
-        shortcut = ctx.canonical(
+        shortcut = canonical_flat(
+            spec, MU,
             flat_mul(spec, 2, g1, g),
             flat_mul(spec, 2, g2, flat_frobenius(spec, g, 1)),
         )
