@@ -41,6 +41,27 @@ def _check_irreducible(p: int, modulus: tuple[int, ...]) -> None:
             raise ValueError(f"modulus {modulus} has root {x} mod {p}")
 
 
+def poly_mul_reduce(a, b, modulus, n: int) -> list[int]:
+    """a * b modulo the monic `modulus` and the integer n.
+
+    a and b are little-endian coefficient lists of degree below that of
+    the modulus; the result has the same length, entries in [0, n).
+    """
+    m = len(modulus) - 1
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+    # reduce degrees >= m using the monic modulus
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        if c:
+            for i in range(m):
+                prod[k - m + i] -= c * modulus[i]
+    return [c % n for c in prod[:m]]
+
+
 class FieldSpec:
     """A fixed model of F_{p^m}, q = p^m <= 25, with precomputed op tables."""
 
@@ -86,22 +107,6 @@ class FieldSpec:
             code = code * self.p + (c % self.p)
         return code
 
-    def _poly_mul_reduce(self, a: list[int], b: list[int]) -> list[int]:
-        p, m = self.p, self.m
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce degrees >= m using the monic modulus
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for i in range(m):
-                    prod[k - m + i] = (prod[k - m + i] - c * self.modulus[i]) % p
-        return prod[:m]
-
     def _build_tables(self) -> None:
         q = self.q
         vecs = [self._code_to_vec(c) for c in range(q)]
@@ -113,7 +118,8 @@ class FieldSpec:
             for a in range(q)
         ]
         self.mul_table = [
-            [self._vec_to_code(self._poly_mul_reduce(vecs[a], vecs[b])) for b in range(q)]
+            [self._vec_to_code(poly_mul_reduce(vecs[a], vecs[b], self.modulus, self.p))
+             for b in range(q)]
             for a in range(q)
         ]
         self.neg_table = [
@@ -149,6 +155,9 @@ class FieldSpec:
     def from_coeffs(self, coeffs) -> "FqElem":
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients")
+        for c in coeffs:
+            if not isinstance(c, int) or not 0 <= c < self.p:
+                raise ValueError(f"coefficient {c!r} outside 0..{self.p - 1}")
         return FqElem(self, self._vec_to_code(list(coeffs)))
 
     def from_int(self, n: int) -> "FqElem":

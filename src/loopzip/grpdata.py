@@ -288,7 +288,10 @@ def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
             flat for flat in itertools.product(range(spec.q), repeat=n * n)
             if flat_det(spec, n, flat) != 0
         )
-        assert len(out) == gl_order(n, spec.q)
+        if len(out) != gl_order(n, spec.q):
+            raise AssertionError(
+                f"enumerated {len(out)} matrices, |GL_{n}(F_{spec.q})| = {gl_order(n, spec.q)}"
+            )
         _GL_CACHE[key] = out
     return _GL_CACHE[key]
 
@@ -493,7 +496,8 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
         if flat_det(spec, n, flat) == 0:
             continue
         g = conj_by_mu(k, mu, +1)
-        assert g.is_integral()
+        if not g.is_integral():
+            raise AssertionError("mu-conjugate of a block-divisible matrix is not integral")
         return g
 
 

@@ -222,12 +222,23 @@ class Mat:
         return {"n": self.n, "ring": ring, "entries": entries}
 
     @staticmethod
-    def from_json(data: dict) -> "Mat":
-        ring = data["ring"]
-        spec = FieldSpec.get(ring["p"], ring.get("m", 1))
-        tag = ring["tag"]
+    def from_json(data) -> "Mat":
+        """Parse the `to_json` format; malformed input raises ValueError."""
+        try:
+            ring, n, entries = data["ring"], data["n"], data["entries"]
+            tag = ring["tag"]
+            spec = FieldSpec.get(ring["p"], ring.get("m", 1))
+            wctx = WittCtx.get(spec, ring["N"]) if tag == WITTFRAC else None
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed matrix header: {exc!r}") from exc
+        if tag not in (FQ, LAURENT, WITTFRAC):
+            raise ValueError(f"unknown ring tag {tag!r}")
+        if not isinstance(entries, list) or len(entries) != n:
+            raise ValueError(f"declared n={n!r} does not match the entry rows")
         rows = []
-        for i, row in enumerate(data["entries"]):
+        for i, row in enumerate(entries):
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError(f"row {i + 1}: expected {n} entries")
             out = []
             for j, cell in enumerate(row):
                 try:
@@ -236,10 +247,9 @@ class Mat:
                     elif tag == LAURENT:
                         out.append(LaurentElt.from_json(spec, cell))
                     else:
-                        wctx = WittCtx.get(spec, ring["N"])
                         num = wctx.from_coords([spec.from_coeffs(c) for c in cell["coords"]])
                         out.append(WittFraction(wctx, cell.get("e", 0), num))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
                     raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc
             rows.append(out)
         return Mat(tag, rows)

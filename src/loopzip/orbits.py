@@ -143,8 +143,10 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
         blocks.append(frozenset(members))
     orbits.sort(key=lambda o: o[0])
     total = len(points)
-    assert sum(o[1] for o in orbits) == total
-    assert all(order % o[1] == 0 for o in orbits), "orbit size must divide group order"
+    if sum(o[1] for o in orbits) != total:
+        raise AssertionError("orbit sizes do not sum to the number of points")
+    if any(order % o[1] for o in orbits):
+        raise AssertionError("orbit size must divide group order")
     return OrbitPartition(aspec, orbits, total, order, frozenset(blocks))
 
 

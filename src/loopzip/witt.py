@@ -1,8 +1,11 @@
 """Length-N p-typical Witt vectors over F_q and p-inverted Witt fractions.
 
-The structure polynomials are generated once per (p, N) by the exact
-integer ghost recursion and cached.  Evaluation happens on the mod-p
-reductions, which collapse to a handful of monomials.
+W_N(F_q) is computed as the Galois ring GR(p^N, m) = (Z/p^N)[w]/(f), with
+f the F_q modulus read as a monic integer polynomial (Serre, Local
+Fields, II.5-6).  An element is stored as its m coefficients mod p^N, so
+ring operations are integer arithmetic.  The Witt vector (a_0, ..., a_{N-1})
+is sum_i p^i [a_i^(1/p^i)], [b] being the Teichmuller lift; coordinates
+appear only at the edges, read back by peeling Teichmuller digits.
 
 A WittFraction stores p^(-e) * w for a WittElt w, together with the
 exponent `known` of the modulus it is provably correct to.  Stripping a
@@ -12,175 +15,23 @@ without ever raising `known`, so canonical forms stay honest.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
-from .gf import FieldSpec, FqElem
-
-
-# -- exact multivariate integer polynomials ------------------------------------
-
-
-class IntPoly:
-    """Immutable integer polynomial in a fixed number of variables."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @staticmethod
-    def var(nvars: int, i: int) -> "IntPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return IntPoly(nvars, {tuple(e): 1})
-
-    @staticmethod
-    def const(nvars: int, c: int) -> "IntPoly":
-        return IntPoly(nvars, {(0,) * nvars: c})
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return IntPoly(self.nvars, out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return IntPoly(self.nvars, out)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "IntPoly") -> "IntPoly":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(self.nvars, out)
-
-    def scaled(self, k: int) -> "IntPoly":
-        return IntPoly(self.nvars, {e: k * c for e, c in self.terms.items()})
-
-    def power(self, n: int) -> "IntPoly":
-        acc = IntPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
-
-    def exact_div(self, k: int) -> "IntPoly":
-        out = {}
-        for e, c in self.terms.items():
-            if c % k:
-                raise ArithmeticError(f"coefficient {c} not divisible by {k}")
-            out[e] = c // k
-        return IntPoly(self.nvars, out)
-
-    def reduce_mod(self, p: int) -> list:
-        """Nonzero monomials mod p as (coeff, exponent tuple) pairs, sorted."""
-        out = []
-        for e, c in self.terms.items():
-            cp = c % p
-            if cp:
-                out.append((cp, e))
-        out.sort(key=lambda t: t[1])
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IntPoly)
-            and other.nvars == self.nvars
-            and other.terms == self.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        def mono(e):
-            parts = []
-            for i, k in enumerate(e):
-                if k:
-                    name = f"X{i}" if i < self.nvars // 2 else f"Y{i - self.nvars // 2}"
-                    parts.append(name if k == 1 else f"{name}^{k}")
-            return "*".join(parts) or "1"
-
-        items = sorted(self.terms.items(), key=lambda t: t[0])
-        return " + ".join(f"{c}*{mono(e)}" for e, c in items) or "0"
-
-
-def ghost_poly(p: int, n: int, nvars: int, offset: int) -> IntPoly:
-    """n-th ghost polynomial sum_{i<=n} p^i Z_i^(p^(n-i)) in slots offset+i."""
-    acc = IntPoly(nvars, {})
-    for i in range(n + 1):
-        acc = acc + IntPoly.var(nvars, offset + i).power(p ** (n - i)).scaled(p**i)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def witt_structure_polys(p: int, length: int):
-    """Sum and product structure polynomials S_0..S_{N-1}, P_0..P_{N-1}.
-
-    2N variables: X_0..X_{N-1} then Y_0..Y_{N-1}.  Each polynomial is
-    solved from the ghost identity; every division by p^n is exact.
-    """
-    if length > 4:
-        raise ValueError("Witt length capped at 4")
-    if p > 3 and length > 2:
-        # the exact expansion of S_2^p is already enormous for p = 5
-        raise ValueError(f"p={p} supported only to length 2")
-    nv = 2 * length
-    sums, prods = [], []
-    for n in range(length):
-        gx = ghost_poly(p, n, nv, 0)
-        gy = ghost_poly(p, n, nv, length)
-        target_s = gx + gy
-        target_p = gx * gy
-        for i in range(n):
-            target_s = target_s - sums[i].power(p ** (n - i)).scaled(p**i)
-            target_p = target_p - prods[i].power(p ** (n - i)).scaled(p**i)
-        sums.append(target_s.exact_div(p**n))
-        prods.append(target_p.exact_div(p**n))
-    return tuple(sums), tuple(prods)
-
-
-@lru_cache(maxsize=None)
-def witt_neg_polys(p: int, length: int):
-    """Negation polynomials in N variables: ghost(I(X)) = -ghost(X)."""
-    negs = []
-    for n in range(length):
-        target = -ghost_poly(p, n, length, 0)
-        for i in range(n):
-            target = target - negs[i].power(p ** (n - i)).scaled(p**i)
-        negs.append(target.exact_div(p**n))
-    return tuple(negs)
-
-
-# -- evaluation context ----------------------------------------------------------
+from .gf import FieldSpec, FqElem, poly_mul_reduce
 
 
 class WittCtx:
-    """Shared data for W_N(F_q): structure polynomials and mod-p reductions."""
+    """W_N(F_q) as GR(p^N, m); elements are tuples of m ints in [0, p^N)."""
 
     def __init__(self, spec: FieldSpec, length: int):
         if not 1 <= length <= 4:
             raise ValueError("length must be 1..4")
+        if spec.p > 3 and length > 2:
+            raise ValueError(f"p={spec.p} supported only to length 2")
         self.spec = spec
         self.p = spec.p
         self.length = length
-        self.sum_polys, self.prod_polys = witt_structure_polys(spec.p, length)
-        self.neg_polys = witt_neg_polys(spec.p, length)
-        self._sum_red = [poly.reduce_mod(spec.p) for poly in self.sum_polys]
-        self._prod_red = [poly.reduce_mod(spec.p) for poly in self.prod_polys]
-        self._neg_red = [poly.reduce_mod(spec.p) for poly in self.neg_polys]
+        self.mod = spec.p**length
+        self._teich = tuple(self._teichmuller_lift(a) for a in range(spec.q))
 
     _cache: dict = {}
 
@@ -193,33 +44,46 @@ class WittCtx:
             WittCtx._cache[key] = ctx
         return ctx
 
-    def _eval_reduced(self, reduced, args) -> FqElem:
-        """Evaluate a mod-p-reduced polynomial at a tuple of FqElem codes."""
-        spec = self.spec
-        mul, add = spec.mul_table, spec.add_table
-        one = 1
-        acc = 0
-        # cache powers of each argument on demand
-        pows: dict = {}
-        for c, e in reduced:
-            term = spec.from_int(c).code
-            for i, k in enumerate(e):
-                if k:
-                    key = (i, k)
-                    pk = pows.get(key)
-                    if pk is None:
-                        pk = one
-                        base = args[i]
-                        kk = k
-                        while kk:
-                            if kk & 1:
-                                pk = mul[pk][base]
-                            base = mul[base][base]
-                            kk >>= 1
-                        pows[key] = pk
-                    term = mul[term][pk]
-            acc = add[acc][term]
-        return FqElem(spec, acc)
+    # -- Galois-ring arithmetic on coefficient tuples ---------------------------
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        # over a prime field the ring is Z/p^N and needs no reduction by f
+        if len(a) == 1:
+            return (a[0] * b[0] % self.mod,)
+        return tuple(poly_mul_reduce(a, b, self.spec.modulus, self.mod))
+
+    def _teichmuller_lift(self, code: int) -> tuple:
+        """[a] = x^(q^(N-1)) for the lift x of a with coefficients in [0, p)."""
+        acc = (1,) + (0,) * (self.spec.m - 1)
+        base = tuple(self.spec._code_to_vec(code))
+        e = self.spec.q ** (self.length - 1)
+        while e:
+            if e & 1:
+                acc = self._mul(acc, base)
+            base = self._mul(base, base)
+            e >>= 1
+        return acc
+
+    def _residue(self, v: tuple) -> int:
+        """F_q code of v mod p."""
+        return self.spec._vec_to_code(v)
+
+    def _digits(self, v: tuple) -> list:
+        """Teichmuller digits: the codes b_i with v = sum_i p^i [b_i]."""
+        p, mod = self.p, self.mod
+        out = []
+        for _ in range(self.length):
+            b = self._residue(v)
+            out.append(b)
+            v = tuple((x - t) % mod // p for x, t in zip(v, self._teich[b]))
+        return out
+
+    def _from_digits(self, digits) -> tuple:
+        acc = [0] * self.spec.m
+        for i, b in enumerate(digits):
+            for k, t in enumerate(self._teich[b]):
+                acc[k] += self.p**i * t
+        return tuple(c % self.mod for c in acc)
 
     # element constructors
 
@@ -227,46 +91,36 @@ class WittCtx:
         coords = tuple(coords)
         if len(coords) != self.length:
             raise ValueError(f"need {self.length} coordinates")
-        return WittElt(self, coords)
+        return WittElt(self, self._from_digits(
+            [a.frobenius(-i).code for i, a in enumerate(coords)]
+        ))
 
     def zero(self) -> "WittElt":
-        return WittElt(self, (self.spec.zero(),) * self.length)
+        return self.from_int(0)
 
     def one(self) -> "WittElt":
-        return WittElt(
-            self, (self.spec.one(),) + (self.spec.zero(),) * (self.length - 1)
-        )
+        return self.from_int(1)
 
     def teichmuller(self, a: FqElem) -> "WittElt":
-        return WittElt(self, (a,) + (self.spec.zero(),) * (self.length - 1))
+        return WittElt(self, self._teich[a.code])
 
     def from_int(self, n: int) -> "WittElt":
-        """Image of the integer n, computed by repeated addition of 1."""
-        acc = self.zero()
-        one = self.one()
-        for _ in range(n % (self.p**self.length)):
-            acc = acc + one
-        return acc
+        """Image of the integer n: n mod p^N in the constant coefficient."""
+        return WittElt(self, (n % self.mod,) + (0,) * (self.spec.m - 1))
 
     def p_elt(self, k: int = 1) -> "WittElt":
         """The element p^k."""
-        acc = self.one()
-        for _ in range(k):
-            acc = acc.times_p()
-        return acc
+        return self.from_int(self.p**k)
 
 
 class WittElt:
-    """Element of W_N(F_q), stored by its N Witt coordinates."""
+    """Element of W_N(F_q), stored by its Galois-ring coefficient tuple v."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "v")
 
-    def __init__(self, ctx: WittCtx, coords):
+    def __init__(self, ctx: WittCtx, v: tuple):
         self.ctx = ctx
-        self.coords = tuple(coords)
-
-    def _codes(self):
-        return tuple(c.code for c in self.coords)
+        self.v = v
 
     def _coerce(self, other: "WittElt") -> None:
         if other.ctx is not self.ctx:
@@ -274,50 +128,47 @@ class WittElt:
 
     def __add__(self, other: "WittElt") -> "WittElt":
         self._coerce(other)
-        args = self._codes() + other._codes()
-        ctx = self.ctx
-        return WittElt(ctx, [ctx._eval_reduced(r, args) for r in ctx._sum_red])
+        mod = self.ctx.mod
+        return WittElt(self.ctx, tuple((x + y) % mod for x, y in zip(self.v, other.v)))
 
     def __mul__(self, other: "WittElt") -> "WittElt":
         self._coerce(other)
-        args = self._codes() + other._codes()
-        ctx = self.ctx
-        return WittElt(ctx, [ctx._eval_reduced(r, args) for r in ctx._prod_red])
+        return WittElt(self.ctx, self.ctx._mul(self.v, other.v))
 
     def __neg__(self) -> "WittElt":
-        ctx = self.ctx
-        args = self._codes()
-        return WittElt(ctx, [ctx._eval_reduced(r, args) for r in ctx._neg_red])
+        mod = self.ctx.mod
+        return WittElt(self.ctx, tuple(-x % mod for x in self.v))
 
     def __sub__(self, other: "WittElt") -> "WittElt":
         return self + (-other)
 
+    def is_unit(self) -> bool:
+        """Units are the elements with nonzero first coordinate (residue)."""
+        p = self.ctx.p
+        return any(x % p for x in self.v)
+
     def inverse(self) -> "WittElt":
-        """Coordinatewise Hensel solve of self * x = 1; unit iff coords[0] != 0."""
+        """Newton lift x -> 2x - a x^2 of the residue inverse."""
         ctx = self.ctx
-        if self.coords[0].is_zero():
+        r = ctx._residue(self.v)
+        if r == 0:
             raise NotAUnit("Witt vector with zero first coordinate")
-        x = [self.coords[0].inverse()]
-        target = ctx.one().coords
-        a = self._codes()
-        for n in range(1, ctx.length):
-            partial = tuple(c.code for c in x) + (0,) * (ctx.length - n)
-            c = ctx._eval_reduced(ctx._prod_red[n], a + partial)
-            # P_n is linear in the unknown with unit coefficient a_0^(p^n)
-            lead = self.coords[0] ** (ctx.p**n)
-            x.append((target[n] - c) * lead.inverse())
+        x = tuple(ctx.spec._code_to_vec(ctx.spec.inv_table[r]))
+        prec = 1
+        while prec < ctx.length:
+            axx = ctx._mul(ctx._mul(self.v, x), x)
+            x = tuple((2 * y - z) % ctx.mod for y, z in zip(x, axx))
+            prec *= 2
         return WittElt(ctx, x)
 
     def frobenius(self, times: int = 1) -> "WittElt":
-        return WittElt(self.ctx, [c.frobenius(times) for c in self.coords])
+        ctx = self.ctx
+        digits = [FqElem(ctx.spec, b).frobenius(times).code for b in ctx._digits(self.v)]
+        return WittElt(ctx, ctx._from_digits(digits))
 
     def times_p(self) -> "WittElt":
-        """Multiply by p: shift Frobenius'd coordinates right by one."""
         ctx = self.ctx
-        shifted = (ctx.spec.zero(),) + tuple(
-            c.frobenius() for c in self.coords[: ctx.length - 1]
-        )
-        return WittElt(ctx, shifted)
+        return WittElt(ctx, tuple(ctx.p * x % ctx.mod for x in self.v))
 
     def unshift_p(self) -> "WittElt":
         """Inverse of times_p on elements with zero first coordinate.
@@ -326,37 +177,48 @@ class WittElt:
         convention it is set to zero, which changes the value only by a
         multiple of p^(N-1).
         """
-        ctx = self.ctx
-        if not self.coords[0].is_zero():
+        if self.is_unit():
             raise NotIntegral("not divisible by p")
-        quot = tuple(c.frobenius(-1) for c in self.coords[1:]) + (ctx.spec.zero(),)
-        return WittElt(ctx, quot)
+        ctx = self.ctx
+        digits = ctx._digits(self.v)
+        return WittElt(ctx, ctx._from_digits(digits[1:] + [0]))
 
     def valuation(self):
-        """Index of the first nonzero coordinate, or None if all are zero."""
-        for i, c in enumerate(self.coords):
-            if not c.is_zero():
-                return i
-        return None
+        """p-adic valuation (index of the first nonzero coordinate), or None."""
+        if not any(self.v):
+            return None
+        p = self.ctx.p
+        j, pj = 0, p
+        while not any(x % pj for x in self.v):
+            j, pj = j + 1, pj * p
+        return j
 
     def congruent_mod(self, other: "WittElt", j: int) -> bool:
         """Agreement modulo p^j: the first j coordinates coincide."""
         self._coerce(other)
-        j = min(j, self.ctx.length)
-        return self.coords[:j] == other.coords[:j]
+        pj = self.ctx.p ** min(j, self.ctx.length)
+        return not any((x - y) % pj for x, y in zip(self.v, other.v))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.v)
+
+    @property
+    def coords(self) -> tuple:
+        """Witt coordinates a_i = b_i^(p^i) from the Teichmuller digits b_i."""
+        spec = self.ctx.spec
+        return tuple(
+            FqElem(spec, b).frobenius(i) for i, b in enumerate(self.ctx._digits(self.v))
+        )
 
     def __eq__(self, other):
         return (
             isinstance(other, WittElt)
             and other.ctx is self.ctx
-            and other.coords == self.coords
+            and other.v == self.v
         )
 
     def __hash__(self):
-        return hash((id(self.ctx),) + self._codes())
+        return hash((id(self.ctx),) + self.v)
 
     def to_json(self) -> dict:
         return {
@@ -432,7 +294,7 @@ class WittFraction:
         promises is preserved.
         """
         e, num = self.e, self.num
-        while e > 0 and num.coords[0].is_zero():
+        while e > 0 and not num.is_unit():
             e -= 1
             num = num.unshift_p()
         if e == self.e:
@@ -479,7 +341,7 @@ class WittFraction:
         num = self.num * other.num
         # the raw exponent may exceed the length cap; p-factors contributed
         # by positive-valuation operands can be stripped to repair it
-        while e > 0 and num.coords[0].is_zero():
+        while e > 0 and not num.is_unit():
             num = num.unshift_p()
             e -= 1
         if e >= self.ctx.length:
@@ -529,7 +391,7 @@ class WittFraction:
         s = self.stripped()
         if s.e > 0:
             raise NotIntegral(f"denominator p^{s.e} remains")
-        return s.num.coords[0]
+        return FqElem(self.ctx.spec, self.ctx._residue(s.num.v))
 
     # -- comparisons ----------------------------------------------------------------
 

@@ -121,6 +121,85 @@ def test_cartan_bad_input_exit_2(capsys, monkeypatch):
     assert "entry (1,1)" in err
 
 
+_FQ_F2 = {"tag": "fq", "p": 2, "m": 1}
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1]],
+    {"n": 1, "ring": _FQ_F2, "entries": [[[7]]]},
+    {"n": 1, "ring": _FQ_F2, "entries": [[[-1]]]},
+    {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
+     "entries": [[{"coords": [[5], [0]]}]]},
+    {"n": 3, "ring": _FQ_F2, "entries": [[[1], [0]], [[0], [1]]]},
+    {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
+     "entries": [[{"coords": [[1], [0]], "e": 2}]]},
+], ids=["top-level-list", "fq-coefficient-7", "fq-coefficient-negative",
+        "witt-coordinate-5", "declared-n-mismatch", "witt-denominator-beyond-length"])
+def test_cartan_rejects_malformed_input(capsys, monkeypatch, matrix):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
+    code, out, err = run_cli(["cartan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad matrix input")
+
+
+def _witt_json(p, m, length, cells):
+    return {
+        "n": len(cells),
+        "ring": {"tag": "wittfrac", "p": p, "m": m, "N": length},
+        "entries": [[{"N": length, "coords": coords, "e": e, "p": p}
+                     for e, coords in row] for row in cells],
+    }
+
+
+# Inputs with p-factors in their denominators, and the decomposition the
+# structure-polynomial implementation printed for them; the top
+# coordinates zeroed by unshift_p are part of the pinned bytes.
+_WITT_CARTAN_CASES = {
+    "F4-N3": (
+        (2, 2, 3),
+        [[(2, [[0, 0], [1, 1], [0, 1]]), (0, [[0, 1], [0, 1], [1, 1]])],
+         [(0, [[1, 1], [1, 0], [1, 1]]), (1, [[0, 0], [0, 1], [1, 0]])]],
+        [[(0, [[0, 0], [0, 0], [0, 0]]), (0, [[0, 1], [1, 1], [0, 0]])],
+         [(0, [[1, 1], [1, 1], [0, 0]]), (0, [[0, 0], [0, 1], [1, 0]])]],
+        [0, -1],
+        [[(0, [[0, 0], [0, 0], [0, 0]]), (0, [[1, 0], [0, 0], [0, 0]])],
+         [(0, [[1, 0], [0, 0], [0, 0]]), (0, [[0, 0], [1, 0], [1, 1]])]],
+    ),
+    "F3-N4": (
+        (3, 1, 4),
+        [[(2, [[0], [2], [1], [2]]), (0, [[1], [1], [0], [2]])],
+         [(1, [[2], [0], [1], [1]]), (0, [[0], [0], [2], [1]])]],
+        [[(0, [[0], [0], [0], [0]]), (0, [[2], [1], [2], [0]])],
+         [(0, [[2], [1], [1], [2]]), (0, [[2], [0], [1], [1]])]],
+        [0, -1],
+        [[(0, [[0], [0], [0], [0]]), (0, [[1], [0], [0], [0]])],
+         [(0, [[1], [0], [0], [0]]), (0, [[0], [2], [1], [1]])]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITT_CARTAN_CASES))
+def test_cartan_witt_bytes_pinned(capsys, monkeypatch, case):
+    from loopzip.witt import WittElt
+
+    ring, cells, a, d, b = _WITT_CARTAN_CASES[case]
+    unshifts = []
+    unshift_p = WittElt.unshift_p
+
+    def counted(self):
+        unshifts.append(1)
+        return unshift_p(self)
+
+    monkeypatch.setattr(WittElt, "unshift_p", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_witt_json(*ring, cells))))
+    code, out, _ = run_cli(["cartan"], capsys)
+    assert code == 0
+    assert unshifts
+    expected = {"a": _witt_json(*ring, a), "d": d, "b": _witt_json(*ring, b)}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_poset_dot(capsys):
     code, out, _ = run_cli(["poset", "--n", "3", "--mu", "1,1,0"], capsys)
     assert code == 0

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+from loopzip.cli import main
 from loopzip.errors import InsufficientPrecision, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
-from loopzip.witt import (
+from loopzip.witt import WittCtx, WittFraction, ghost_selftest
+from witt_oracle import (
     IntPoly,
-    WittCtx,
-    WittFraction,
+    PolyWitt,
     ghost_poly,
-    ghost_selftest,
     witt_neg_polys,
     witt_structure_polys,
 )
@@ -98,11 +98,87 @@ def test_length_cap():
         witt_structure_polys(2, 5)
     with pytest.raises(ValueError):
         witt_structure_polys(5, 3)
+    for length in (0, 5):
+        with pytest.raises(ValueError, match="length must be 1..4"):
+            WittCtx.get(F2, length)
+    with pytest.raises(ValueError, match="p=5 supported only to length 2"):
+        WittCtx.get(FieldSpec.get(5, 1), 3)
 
 
 def test_p5_short_length():
     rep = ghost_selftest(5, 2, 200, seed=0)
     assert rep["passed_samples"] == 200
+
+
+# -- Galois ring against the structure polynomials ------------------------------
+
+ORACLE_CONFIGS = [
+    (q, length)
+    for q in (2, 3, 4, 5, 8, 9, 25)
+    for length in (1, 2, 3, 4)
+    if q % 5 or length <= 2
+]
+
+
+@pytest.mark.parametrize("q,length", ORACLE_CONFIGS)
+def test_galois_ring_matches_structure_polys(q, length):
+    spec = FieldSpec.for_q(q)
+    ctx = WittCtx.get(spec, length)
+    ref = PolyWitt(spec, length)
+    rng = random.Random(100 * q + length)
+
+    def elt(codes):
+        return ctx.from_coords([spec.element(c) for c in codes])
+
+    def codes(w):
+        return tuple(c.code for c in w.coords)
+
+    for _ in range(300):
+        a = tuple(rng.randrange(q) for _ in range(length))
+        b = tuple(rng.randrange(q) for _ in range(length))
+        wa, wb = elt(a), elt(b)
+        assert codes(wa) == a
+        assert wa.is_unit() == (a[0] != 0)
+        assert wa.valuation() == next((i for i, c in enumerate(a) if c), None)
+        assert all(
+            wa.congruent_mod(wb, j) == (a[:j] == b[:j]) for j in range(length + 1)
+        )
+        assert codes(wa + wb) == ref.add(a, b)
+        assert codes(wa * wb) == ref.mul(a, b)
+        assert codes(-wa) == ref.neg(a)
+        assert codes(wa.times_p()) == ref.times_p(a)
+        assert codes(wa.times_p().unshift_p()) == ref.unshift_p(ref.times_p(a))
+        assert codes(wa.frobenius()) == ref.frobenius(a)
+        assert codes(wa.frobenius(-1)) == ref.frobenius(a, -1)
+        if a[0]:
+            assert codes(wa.inverse()) == ref.inverse(a)
+        else:
+            with pytest.raises(NotAUnit):
+                wa.inverse()
+            assert codes(wa.unshift_p()) == ref.unshift_p(a)
+    acc = (0,) * length
+    for n in range(spec.p**length + 1):
+        assert codes(ctx.from_int(n)) == acc
+        assert codes(ctx.from_int(-n)) == ref.neg(acc)
+        acc = ref.add(acc, ref.one())
+    for k in range(length + 1):
+        assert codes(ctx.p_elt(k)) == ref.p_elt(k)
+
+
+def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys):
+    # the plain digit lift skips the power x^(q^(N-1)); it is the
+    # Teichmuller lift over F_2 but not over F_3
+    monkeypatch.setattr(
+        WittCtx, "_teichmuller_lift",
+        lambda self, code: tuple(self.spec._code_to_vec(code)),
+    )
+    monkeypatch.setattr(WittCtx, "_cache", {})
+    rep = ghost_selftest(3, 3, 100, seed=0)
+    assert rep["passed_samples"] < rep["samples"]
+    code = main(["verify", "--suite", "witt", "--mu", "1,0", "--q", "2",
+                 "--samples", "20"])
+    capsys.readouterr()
+    assert code == 1
 
 
 # -- arithmetic against the integer oracle ----------------------------------------
