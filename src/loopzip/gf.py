@@ -139,6 +139,13 @@ class FieldSpec:
         for a in range(q):
             self.frob_inv_table[self.frob_table[a]] = a
 
+    def frob_code(self, code: int, times: int = 1) -> int:
+        """Code of the `times`-fold p-power Frobenius image (negative for roots)."""
+        table = self.frob_table if times >= 0 else self.frob_inv_table
+        for _ in range(abs(times)):
+            code = table[code]
+        return code
+
     def _pow_code(self, a: int, e: int) -> int:
         acc = 1
         for _ in range(e):
@@ -219,11 +226,7 @@ class FqElem:
 
     def frobenius(self, times: int = 1) -> "FqElem":
         """Apply the p-power Frobenius `times` times (negative for roots)."""
-        code = self.code
-        table = self.spec.frob_table if times >= 0 else self.spec.frob_inv_table
-        for _ in range(abs(times)):
-            code = table[code]
-        return FqElem(self.spec, code)
+        return FqElem(self.spec, self.spec.frob_code(self.code, times))
 
     def __pow__(self, e: int) -> "FqElem":
         if e < 0:

@@ -233,6 +233,8 @@ class Mat:
             raise ValueError(f"malformed matrix header: {exc!r}") from exc
         if tag not in (FQ, LAURENT, WITTFRAC):
             raise ValueError(f"unknown ring tag {tag!r}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"declared n={n!r} is not a positive integer")
         if not isinstance(entries, list) or len(entries) != n:
             raise ValueError(f"declared n={n!r} does not match the entry rows")
         rows = []

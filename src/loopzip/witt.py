@@ -47,9 +47,6 @@ class WittCtx:
     # -- Galois-ring arithmetic on coefficient tuples ---------------------------
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
-        # over a prime field the ring is Z/p^N and needs no reduction by f
-        if len(a) == 1:
-            return (a[0] * b[0] % self.mod,)
         return tuple(poly_mul_reduce(a, b, self.spec.modulus, self.mod))
 
     def _teichmuller_lift(self, code: int) -> tuple:
@@ -64,16 +61,12 @@ class WittCtx:
             e >>= 1
         return acc
 
-    def _residue(self, v: tuple) -> int:
-        """F_q code of v mod p."""
-        return self.spec._vec_to_code(v)
-
     def _digits(self, v: tuple) -> list:
         """Teichmuller digits: the codes b_i with v = sum_i p^i [b_i]."""
         p, mod = self.p, self.mod
         out = []
         for _ in range(self.length):
-            b = self._residue(v)
+            b = self.spec._vec_to_code(v)
             out.append(b)
             v = tuple((x - t) % mod // p for x, t in zip(v, self._teich[b]))
         return out
@@ -92,7 +85,7 @@ class WittCtx:
         if len(coords) != self.length:
             raise ValueError(f"need {self.length} coordinates")
         return WittElt(self, self._from_digits(
-            [a.frobenius(-i).code for i, a in enumerate(coords)]
+            [self.spec.frob_code(a.code, -i) for i, a in enumerate(coords)]
         ))
 
     def zero(self) -> "WittElt":
@@ -149,11 +142,11 @@ class WittElt:
 
     def inverse(self) -> "WittElt":
         """Newton lift x -> 2x - a x^2 of the residue inverse."""
-        ctx = self.ctx
-        r = ctx._residue(self.v)
-        if r == 0:
+        if not self.is_unit():
             raise NotAUnit("Witt vector with zero first coordinate")
-        x = tuple(ctx.spec._code_to_vec(ctx.spec.inv_table[r]))
+        ctx = self.ctx
+        spec = ctx.spec
+        x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(self.v)]))
         prec = 1
         while prec < ctx.length:
             axx = ctx._mul(ctx._mul(self.v, x), x)
@@ -163,7 +156,7 @@ class WittElt:
 
     def frobenius(self, times: int = 1) -> "WittElt":
         ctx = self.ctx
-        digits = [FqElem(ctx.spec, b).frobenius(times).code for b in ctx._digits(self.v)]
+        digits = [ctx.spec.frob_code(b, times) for b in ctx._digits(self.v)]
         return WittElt(ctx, ctx._from_digits(digits))
 
     def times_p(self) -> "WittElt":
@@ -207,7 +200,7 @@ class WittElt:
         """Witt coordinates a_i = b_i^(p^i) from the Teichmuller digits b_i."""
         spec = self.ctx.spec
         return tuple(
-            FqElem(spec, b).frobenius(i) for i, b in enumerate(self.ctx._digits(self.v))
+            FqElem(spec, spec.frob_code(b, i)) for i, b in enumerate(self.ctx._digits(self.v))
         )
 
     def __eq__(self, other):
@@ -391,7 +384,7 @@ class WittFraction:
         s = self.stripped()
         if s.e > 0:
             raise NotIntegral(f"denominator p^{s.e} remains")
-        return FqElem(self.ctx.spec, self.ctx._residue(s.num.v))
+        return FqElem(self.ctx.spec, self.ctx.spec._vec_to_code(s.num.v))
 
     # -- comparisons ----------------------------------------------------------------
 

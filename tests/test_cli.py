@@ -133,8 +133,11 @@ _FQ_F2 = {"tag": "fq", "p": 2, "m": 1}
     {"n": 3, "ring": _FQ_F2, "entries": [[[1], [0]], [[0], [1]]]},
     {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
      "entries": [[{"coords": [[1], [0]], "e": 2}]]},
+    {"n": 0, "ring": {"tag": "laurent", "p": 2, "m": 1}, "entries": []},
+    {"n": 0, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2}, "entries": []},
 ], ids=["top-level-list", "fq-coefficient-7", "fq-coefficient-negative",
-        "witt-coordinate-5", "declared-n-mismatch", "witt-denominator-beyond-length"])
+        "witt-coordinate-5", "declared-n-mismatch", "witt-denominator-beyond-length",
+        "n-zero-laurent", "n-zero-witt"])
 def test_cartan_rejects_malformed_input(capsys, monkeypatch, matrix):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
     code, out, err = run_cli(["cartan"], capsys)
