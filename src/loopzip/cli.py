@@ -1,7 +1,11 @@
 """Batch front door: verification suites, censuses, posets, decompositions.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or budget error.
-All output is deterministic given the flags and the seed.
+Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage,
+input, precision or budget error.  Input errors include a `verify
+--prec` at or below the largest weight of `--mu` (t^mu is not
+representable, so no suite runs) and a `cartan` matrix that is singular
+or whose pivots cannot be decided within its precision.  All output is
+deterministic given the flags and the seed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import sys
 
 from .coset import class_census
-from .errors import BudgetExceeded, LoopZipError
+from .errors import BudgetExceeded, InsufficientPrecision, LoopZipError, NotInvertible
 from .gf import FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
@@ -110,6 +114,8 @@ def cmd_verify(args) -> int:
         raise ValueError("verify reports are json or csv")
     mu = _parse_mu(args.mu)
     _check_n(args, mu)
+    if args.prec <= max(mu.weights):
+        raise ValueError(f"--prec {args.prec} cannot represent t^{max(mu.weights)}")
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     cfg = {
         "n": mu.n,
@@ -191,7 +197,12 @@ def cmd_cartan(args) -> int:
     except (json.JSONDecodeError, ValueError, KeyError) as exc:
         sys.stderr.write(f"bad matrix input: {exc}\n")
         return 2
-    a, d, b = snf_dvr(x)
+    try:
+        a, d, b = snf_dvr(x)
+    except (NotInvertible, InsufficientPrecision) as exc:
+        # cartan checks nothing, so an undecomposable matrix is bad input
+        sys.stderr.write(f"bad matrix input: {exc}\n")
+        return 2
     out = {"a": a.to_json(), "d": list(d), "b": b.to_json()}
     _write_out(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
     return 0

@@ -269,10 +269,11 @@ def group_order(tag: SubgroupTag, mu: Cocharacter, q: int) -> int:
     raise ValueError(f"no finite order for {tag}")
 
 
-def _budget_check(spec: FieldSpec, n: int, candidates: int) -> None:
+def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None:
     if n > 3 or spec.q > 9 or candidates > _ENUM_CAP:
         raise BudgetExceeded(
-            f"enumeration of {candidates} candidates at n={n}, q={spec.q}"
+            f"{engine} enumeration at n={n}, q={spec.q} scans {candidates:,} candidates;"
+            f" the caps are n <= 3, q <= 9 and {_ENUM_CAP:,} candidates"
         )
 
 
@@ -283,7 +284,7 @@ def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     """All invertible n x n matrices over F_q, encoded, in lexicographic order."""
     key = (spec.p, spec.m, n)
     if key not in _GL_CACHE:
-        _budget_check(spec, n, spec.q ** (n * n))
+        _budget_check(f"GL_{n}", spec, n, spec.q ** (n * n))
         out = tuple(
             flat for flat in itertools.product(range(spec.q), repeat=n * n)
             if flat_det(spec, n, flat) != 0
@@ -311,7 +312,8 @@ def enumerate_unipotent_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> lis
     positions = upper_block_positions(mu)
     if sign < 0:
         positions = [(j, i) for i, j in positions]
-    _budget_check(spec, n, spec.q ** len(positions))
+    _budget_check("unipotent U_+" if sign > 0 else "unipotent U_-", spec, n,
+                  spec.q ** len(positions))
     out = []
     base = list(flat_identity(n))
     for vals in itertools.product(range(spec.q), repeat=len(positions)):
@@ -445,9 +447,12 @@ def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, *,
 
 
 def random_laurent(spec: FieldSpec, rng, v: int, prec: int) -> LaurentElt:
-    return LaurentElt(
-        spec, v, prec, [spec.element(rng.randrange(spec.q)) for _ in range(prec - v)]
-    )
+    return LaurentElt(spec, v, prec, [rng.randrange(spec.q) for _ in range(prec - v)])
+
+
+def _residue_codes(m: Mat) -> tuple:
+    """Flat codes of the reduction mod t of an integral Laurent matrix."""
+    return tuple(x.residue_code() for r in m.rows for x in r)
 
 
 def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
@@ -456,11 +461,7 @@ def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
     while True:
         rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
         m = Mat(LAURENT, rows)
-        if not unit:
-            return m
-        red = m.reduce()
-        flat = tuple(x.code for r in red.rows for x in r)
-        if flat_det(spec, n, flat) != 0:
+        if not unit or flat_det(spec, n, _residue_codes(m)) != 0:
             return m
 
 
@@ -491,9 +492,7 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
                 row.append(random_laurent(spec, rng, max(gap, 0), prec))
             rows.append(row)
         k = Mat(LAURENT, rows)
-        red = k.reduce()
-        flat = tuple(x.code for r in red.rows for x in r)
-        if flat_det(spec, n, flat) == 0:
+        if flat_det(spec, n, _residue_codes(k)) == 0:
             continue
         g = conj_by_mu(k, mu, +1)
         if not g.is_integral():

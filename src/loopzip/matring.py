@@ -335,7 +335,22 @@ def flat_det(spec: FieldSpec, n: int, a) -> int:
 
 
 def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
-    return mat_encode(mat_decode(spec, n, a).inverse())
+    """Gauss-Jordan on codes over the field tables; NotInvertible if singular."""
+    mul, add, neg, inv = spec.mul_table, spec.add_table, spec.neg_table, spec.inv_table
+    w = [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if w[r][col]), None)
+        if piv is None:
+            raise NotInvertible(f"no usable pivot in column {col}")
+        w[col], w[piv] = w[piv], w[col]
+        scale = mul[inv[w[col][col]]]
+        w[col] = [scale[x] for x in w[col]]
+        for r in range(n):
+            c = w[r][col]
+            if r != col and c:
+                by_c = mul[neg[c]]
+                w[r] = [add[x][by_c[y]] for x, y in zip(w[r], w[col])]
+    return tuple(x for r in w for x in r[n:])
 
 
 # -- diagonal decomposition over a DVR ------------------------------------------

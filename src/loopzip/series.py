@@ -5,6 +5,11 @@ with the promise that nothing is known at exponent prec and above.  Two
 Frobenii act on such series: the coefficient Frobenius (p-th power on
 coefficients, t fixed) and the full ring Frobenius (p-th power on
 coefficients and t -> t^p).
+
+Coefficients are stored as the field's int codes 0..q-1 and every ring
+operation indexes the `FieldSpec` tables directly.  `FqElem` appears
+only at the edges: `coeff`, `reduce_mod_t`, `scale`, `const` and the
+text and JSON forms; `residue_code` is the unboxed reduction.
 """
 
 from __future__ import annotations
@@ -18,21 +23,39 @@ from .errors import (
 from .gf import FieldSpec, FqElem
 
 
+def _checked(spec: FieldSpec, codes) -> tuple:
+    """The codes as a tuple, each an int in 0..q-1, else ValueError."""
+    codes = tuple(codes)
+    for c in codes:
+        if type(c) is not int or not 0 <= c < spec.q:
+            raise ValueError(f"coefficient code {c!r} is not an int in 0..{spec.q - 1}")
+    return codes
+
+
+def _leading_zeros(codes) -> int:
+    """Number of stored zero codes before the first nonzero one."""
+    i = 0
+    n = len(codes)
+    while i < n and not codes[i]:
+        i += 1
+    return i
+
+
 class LaurentElt:
-    """Truncated Laurent series: coefficients for exponents v..prec-1."""
+    """Truncated Laurent series: coefficient codes for exponents v..prec-1."""
 
-    __slots__ = ("spec", "v", "prec", "coeffs")
+    __slots__ = ("spec", "v", "prec", "codes")
 
-    def __init__(self, spec: FieldSpec, v: int, prec: int, coeffs):
+    def __init__(self, spec: FieldSpec, v: int, prec: int, codes):
         if v > prec:
             raise ValueError(f"v={v} exceeds prec={prec}")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != prec - v:
-            raise ValueError(f"need {prec - v} coefficients, got {len(coeffs)}")
+        codes = _checked(spec, codes)
+        if len(codes) != prec - v:
+            raise ValueError(f"need {prec - v} coefficients, got {len(codes)}")
         self.spec = spec
         self.v = v
         self.prec = prec
-        self.coeffs = coeffs
+        self.codes = codes
 
     # -- constructors --------------------------------------------------------
 
@@ -40,13 +63,13 @@ class LaurentElt:
     def zero(spec: FieldSpec, prec: int) -> "LaurentElt":
         """0 + O(t^prec), stored as a full window of zero coefficients."""
         v = min(0, prec)
-        return LaurentElt(spec, v, prec, (spec.zero(),) * (prec - v))
+        return _raw(spec, v, prec, (0,) * (prec - v))
 
     @staticmethod
     def const(c: FqElem, prec: int) -> "LaurentElt":
         if prec <= 0:
             raise InsufficientPrecision("constant needs prec >= 1")
-        return LaurentElt(c.spec, 0, prec, (c,) + (c.spec.zero(),) * (prec - 1))
+        return _raw(c.spec, 0, prec, (c.code,) + (0,) * (prec - 1))
 
     @staticmethod
     def one(spec: FieldSpec, prec: int) -> "LaurentElt":
@@ -57,18 +80,15 @@ class LaurentElt:
         """t^d known modulo t^prec; requires d < prec."""
         if d >= prec:
             raise InsufficientPrecision(f"t^{d} not representable at prec {prec}")
-        return LaurentElt(
-            spec, d, prec, (spec.one(),) + (spec.zero(),) * (prec - d - 1)
-        )
+        return _raw(spec, d, prec, (1,) + (0,) * (prec - d - 1))
 
     @staticmethod
     def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> "LaurentElt":
         """Coefficients given as integer codes starting at exponent v."""
-        coeffs = [spec.element(c) for c in codes]
-        if v + len(coeffs) > prec:
-            coeffs = coeffs[: prec - v]
-        coeffs += [spec.zero()] * (prec - v - len(coeffs))
-        return LaurentElt(spec, v, prec, coeffs)
+        codes = _checked(spec, codes)
+        if v + len(codes) > prec:
+            codes = codes[: prec - v]
+        return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))
 
     # -- basic queries ---------------------------------------------------------
 
@@ -76,30 +96,29 @@ class LaurentElt:
         """Formal coefficient at exponent e < prec (zero outside the window)."""
         if e >= self.prec:
             raise InsufficientPrecision(f"coefficient at t^{e} beyond prec {self.prec}")
-        if e < self.v:
-            return self.spec.zero()
-        return self.coeffs[e - self.v]
+        return FqElem(self.spec, self.codes[e - self.v] if e >= self.v else 0)
 
     def trimmed(self) -> "LaurentElt":
         """Advance v past stored leading zeros (value unchanged)."""
-        i = 0
-        while i < len(self.coeffs) and self.coeffs[i].is_zero():
-            i += 1
+        i = _leading_zeros(self.codes)
         if i == 0:
             return self
-        return LaurentElt(self.spec, self.v + i, self.prec, self.coeffs[i:])
+        return _raw(self.spec, self.v + i, self.prec, self.codes[i:])
 
     def valuation(self):
         """Exponent of the leading nonzero term, or None if zero in-window."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return self.v + i
-        return None
+        i = _leading_zeros(self.codes)
+        return self.v + i if i < len(self.codes) else None
 
     def is_integral(self) -> bool:
         """No nonzero stored coefficient at a negative exponent."""
         val = self.valuation()
         return self.prec >= 0 and (val is None or val >= 0)
+
+    def _window(self, v: int, prec: int) -> tuple:
+        """Codes for exponents v..prec-1; needs v <= self.v and prec <= self.prec."""
+        k = min(self.v, prec) - v
+        return (0,) * k + self.codes[: prec - v - k]
 
     # -- ring operations -------------------------------------------------------
 
@@ -111,19 +130,25 @@ class LaurentElt:
         self._coerce(other)
         prec = min(self.prec, other.prec)
         v = min(self.v, other.v, prec)
-        coeffs = []
-        zero = self.spec.zero()
-        for e in range(v, prec):
-            a = self.coeffs[e - self.v] if self.v <= e < self.prec else zero
-            b = other.coeffs[e - other.v] if other.v <= e < other.prec else zero
-            coeffs.append(a + b)
-        return LaurentElt(self.spec, v, prec, coeffs)
+        add = self.spec.add_table
+        return _raw(self.spec, v, prec, tuple([
+            add[a][b] for a, b in zip(self._window(v, prec), other._window(v, prec))
+        ]))
 
     def __neg__(self) -> "LaurentElt":
-        return LaurentElt(self.spec, self.v, self.prec, [-c for c in self.coeffs])
+        neg = self.spec.neg_table
+        return _raw(
+            self.spec, self.v, self.prec, tuple([neg[c] for c in self.codes])
+        )
 
     def __sub__(self, other: "LaurentElt") -> "LaurentElt":
-        return self + (-other)
+        self._coerce(other)
+        prec = min(self.prec, other.prec)
+        v = min(self.v, other.v, prec)
+        add, neg = self.spec.add_table, self.spec.neg_table
+        return _raw(self.spec, v, prec, tuple([
+            add[a][neg[b]] for a, b in zip(self._window(v, prec), other._window(v, prec))
+        ]))
 
     def __mul__(self, other: "LaurentElt") -> "LaurentElt":
         """Exact convolution; the window follows the min-rule on trimmed
@@ -131,89 +156,101 @@ class LaurentElt:
         self._coerce(other)
         if self.v == self.prec or other.v == other.prec:
             raise InsufficientPrecision("multiplication of an empty window")
-        at = self.trimmed()
-        bt = other.trimmed()
-        prec = min(self.prec + bt.v, other.prec + at.v)
+        a, b = self.codes, other.codes
+        za, zb = _leading_zeros(a), _leading_zeros(b)
+        prec = min(self.prec + other.v + zb, other.prec + self.v + za)
         v = min(self.v + other.v, prec)
         n = prec - v
+        out = [0] * n
         mul = self.spec.mul_table
         add = self.spec.add_table
-        out = [0] * n
-        a = [c.code for c in at.coeffs]
-        b = [c.code for c in bt.coeffs]
-        base = at.v + bt.v - v
-        for i, ai in enumerate(a):
-            if ai == 0 or base + i >= n:
-                continue
-            row = mul[ai]
-            top = min(len(b), n - base - i)
-            for j in range(top):
-                bj = b[j]
-                if bj:
-                    out[base + i + j] = add[out[base + i + j]][row[bj]]
-        return LaurentElt(self.spec, v, prec, [self.spec.element(c) for c in out])
+        # out index of a[za] * b[zb]; only the first m terms of each reach the window
+        base = self.v + za + other.v + zb - v
+        m = n - base
+        if m > 0:
+            bw = b[zb:zb + m]
+            for i, ai in enumerate(a[za:za + m]):
+                if ai:
+                    row = mul[ai]
+                    for k, bj in enumerate(bw[:m - i], base + i):
+                        if bj:
+                            out[k] = add[out[k]][row[bj]]
+        return _raw(self.spec, v, prec, tuple(out))
 
     def scale(self, c: FqElem) -> "LaurentElt":
-        return LaurentElt(self.spec, self.v, self.prec, [c * x for x in self.coeffs])
+        if c.spec is not self.spec:
+            raise SpecMismatch(f"{c.spec} vs {self.spec}")
+        row = self.spec.mul_table[c.code]
+        return _raw(
+            self.spec, self.v, self.prec, tuple([row[x] for x in self.codes])
+        )
 
     def shifted(self, k: int) -> "LaurentElt":
         """Multiply by t^k exactly (window slides by k)."""
-        return LaurentElt(self.spec, self.v + k, self.prec + k, self.coeffs)
+        return _raw(self.spec, self.v + k, self.prec + k, self.codes)
 
     def inverse(self) -> "LaurentElt":
         """Unit inversion: leading coefficient inverted, then the geometric tail."""
-        a = self.trimmed()
         if self.v >= self.prec:
             raise InsufficientPrecision("empty window cannot be inverted")
-        if a.v >= a.prec or not a.coeffs:
+        z = _leading_zeros(self.codes)
+        a = self.codes[z:]
+        if not a:
             raise NotAUnit("all stored coefficients are zero")
-        w = a.v
-        n = a.prec - w
-        c0inv = a.coeffs[0].inverse()
+        spec = self.spec
+        mul, add, neg = spec.mul_table, spec.add_table, spec.neg_table
+        w = self.v + z
+        n = len(a)
+        c0inv = spec.inv_table[a[0]]
+        by_c0inv = mul[c0inv]
         out = [c0inv]
-        zero = self.spec.zero()
         for k in range(1, n):
-            acc = zero
+            acc = 0
             for i in range(1, k + 1):
-                ci = a.coeffs[i] if i < n else zero
-                acc = acc + ci * out[k - i]
-            out.append(-(c0inv * acc))
-        return LaurentElt(self.spec, -w, a.prec - 2 * w, out)
+                ai = a[i]
+                if ai:
+                    acc = add[acc][mul[ai][out[k - i]]]
+            out.append(neg[by_c0inv[acc]])
+        return _raw(spec, -w, self.prec - 2 * w, tuple(out))
 
     # -- Frobenii ----------------------------------------------------------------
 
     def sigma(self, times: int = 1) -> "LaurentElt":
         """Coefficientwise p-power Frobenius; exponents and precision unchanged."""
-        return LaurentElt(
-            self.spec, self.v, self.prec, [c.frobenius(times) for c in self.coeffs]
+        spec = self.spec
+        # the m-th power of Frobenius is the identity on F_{p^m}
+        table = [spec.frob_code(c, times % spec.m) for c in range(spec.q)]
+        return _raw(
+            spec, self.v, self.prec, tuple([table[c] for c in self.codes])
         )
 
     def phi(self) -> "LaurentElt":
         """Full Frobenius a_i t^i -> a_i^p t^(p i); precision multiplies by p."""
         p = self.spec.p
-        zero = self.spec.zero()
-        out = [zero] * (p * self.prec - p * self.v)
-        for i, c in enumerate(self.coeffs):
-            out[p * i] = c.frobenius()
-        return LaurentElt(self.spec, p * self.v, p * self.prec, out)
+        frob = self.spec.frob_table
+        out = [0] * (p * (self.prec - self.v))
+        out[::p] = [frob[c] for c in self.codes]
+        return _raw(self.spec, p * self.v, p * self.prec, tuple(out))
 
     # -- projections ---------------------------------------------------------------
 
-    def reduce_mod_t(self) -> FqElem:
-        """Constant coefficient of an integral element."""
+    def residue_code(self) -> int:
+        """Code of the constant coefficient of an integral element."""
         if self.prec < 1:
             raise InsufficientPrecision("prec < 1, constant term unknown")
         val = self.valuation()
         if val is not None and val < 0:
             raise NotIntegral(f"pole of order {-val}")
-        return self.coeff(0)
+        return self.codes[-self.v] if self.v <= 0 else 0
+
+    def reduce_mod_t(self) -> FqElem:
+        """Constant coefficient of an integral element."""
+        return FqElem(self.spec, self.residue_code())
 
     # -- comparisons ------------------------------------------------------------------
 
     def _normal_form(self):
-        nz = tuple(
-            (self.v + i, c.code) for i, c in enumerate(self.coeffs) if not c.is_zero()
-        )
+        nz = tuple((self.v + i, c) for i, c in enumerate(self.codes) if c)
         return (self.prec, nz)
 
     def __eq__(self, other):
@@ -233,7 +270,7 @@ class LaurentElt:
                 f"congruence mod t^{n} needs prec >= {n} on both sides"
             )
         lo = min(self.v, other.v)
-        return all(self.coeff(e) == other.coeff(e) for e in range(lo, n))
+        return self._window(lo, n) == other._window(lo, n)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -241,21 +278,21 @@ class LaurentElt:
         return {
             "v": self.v,
             "prec": self.prec,
-            "coeffs": [list(c.coeffs) for c in self.coeffs],
+            "coeffs": [self.spec._code_to_vec(c) for c in self.codes],
         }
 
     @staticmethod
     def from_json(spec: FieldSpec, data: dict) -> "LaurentElt":
-        coeffs = [spec.from_coeffs(c) for c in data["coeffs"]]
-        return LaurentElt(spec, data["v"], data["prec"], coeffs)
+        codes = [spec.from_coeffs(c).code for c in data["coeffs"]]
+        return LaurentElt(spec, data["v"], data["prec"], codes)
 
     def __repr__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for i, c in enumerate(self.codes):
+            if not c:
                 continue
             e = self.v + i
-            cs = repr(c)
+            cs = repr(FqElem(self.spec, c))
             if "+" in cs:
                 cs = f"({cs})"
             if e == 0:
@@ -266,3 +303,16 @@ class LaurentElt:
                 terms.append(f"{cs}*t^{e}" if cs != "1" else f"t^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.prec})"
+
+
+def _raw(spec: FieldSpec, v: int, prec: int, codes: tuple) -> LaurentElt:
+    """Unchecked constructor for results whose codes are in range by construction."""
+    x = _new(LaurentElt)
+    x.spec = spec
+    x.v = v
+    x.prec = prec
+    x.codes = codes
+    return x
+
+
+_new = object.__new__

@@ -125,7 +125,7 @@ def _random_parabolic_series(spec, mu, sign, prec, rng):
             from .matring import flat_det
 
             blk = [[random_laurent(spec, rng, 0, prec) for _ in range(s)] for _ in range(s)]
-            red = tuple(x.reduce_mod_t().code for r in blk for x in r)
+            red = tuple(x.residue_code() for r in blk for x in r)
             if flat_det(spec, s, red) == 0:
                 ok = False
                 break

@@ -1,0 +1,268 @@
+"""Reference truncated Laurent series with every coefficient boxed as FqElem.
+
+This is the coefficient-object implementation that `loopzip.series`
+replaced with int codes indexed straight into the field tables.  Its
+arithmetic goes through `FqElem` one coefficient at a time, so it is
+slow but plainly correct; the tests compare the code-based `LaurentElt`
+against it.
+"""
+
+from __future__ import annotations
+
+from loopzip.errors import (
+    InsufficientPrecision,
+    NotAUnit,
+    NotIntegral,
+    SpecMismatch,
+)
+from loopzip.gf import FieldSpec, FqElem
+
+
+class BoxedLaurent:
+    """Truncated Laurent series: FqElem coefficients for exponents v..prec-1."""
+
+    __slots__ = ("spec", "v", "prec", "coeffs")
+
+    def __init__(self, spec: FieldSpec, v: int, prec: int, coeffs):
+        if v > prec:
+            raise ValueError(f"v={v} exceeds prec={prec}")
+        coeffs = tuple(coeffs)
+        if len(coeffs) != prec - v:
+            raise ValueError(f"need {prec - v} coefficients, got {len(coeffs)}")
+        self.spec = spec
+        self.v = v
+        self.prec = prec
+        self.coeffs = coeffs
+
+    # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def zero(spec: FieldSpec, prec: int) -> "BoxedLaurent":
+        """0 + O(t^prec), stored as a full window of zero coefficients."""
+        v = min(0, prec)
+        return BoxedLaurent(spec, v, prec, (spec.zero(),) * (prec - v))
+
+    @staticmethod
+    def const(c: FqElem, prec: int) -> "BoxedLaurent":
+        if prec <= 0:
+            raise InsufficientPrecision("constant needs prec >= 1")
+        return BoxedLaurent(c.spec, 0, prec, (c,) + (c.spec.zero(),) * (prec - 1))
+
+    @staticmethod
+    def one(spec: FieldSpec, prec: int) -> "BoxedLaurent":
+        return BoxedLaurent.const(spec.one(), prec)
+
+    @staticmethod
+    def t_power(spec: FieldSpec, d: int, prec: int) -> "BoxedLaurent":
+        """t^d known modulo t^prec; requires d < prec."""
+        if d >= prec:
+            raise InsufficientPrecision(f"t^{d} not representable at prec {prec}")
+        return BoxedLaurent(
+            spec, d, prec, (spec.one(),) + (spec.zero(),) * (prec - d - 1)
+        )
+
+    @staticmethod
+    def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> "BoxedLaurent":
+        """Coefficients given as integer codes starting at exponent v."""
+        coeffs = [spec.element(c) for c in codes]
+        if v + len(coeffs) > prec:
+            coeffs = coeffs[: prec - v]
+        coeffs += [spec.zero()] * (prec - v - len(coeffs))
+        return BoxedLaurent(spec, v, prec, coeffs)
+
+    # -- basic queries ---------------------------------------------------------
+
+    def coeff(self, e: int) -> FqElem:
+        """Formal coefficient at exponent e < prec (zero outside the window)."""
+        if e >= self.prec:
+            raise InsufficientPrecision(f"coefficient at t^{e} beyond prec {self.prec}")
+        if e < self.v:
+            return self.spec.zero()
+        return self.coeffs[e - self.v]
+
+    def trimmed(self) -> "BoxedLaurent":
+        """Advance v past stored leading zeros (value unchanged)."""
+        i = 0
+        while i < len(self.coeffs) and self.coeffs[i].is_zero():
+            i += 1
+        if i == 0:
+            return self
+        return BoxedLaurent(self.spec, self.v + i, self.prec, self.coeffs[i:])
+
+    def valuation(self):
+        """Exponent of the leading nonzero term, or None if zero in-window."""
+        for i, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                return self.v + i
+        return None
+
+    def is_integral(self) -> bool:
+        """No nonzero stored coefficient at a negative exponent."""
+        val = self.valuation()
+        return self.prec >= 0 and (val is None or val >= 0)
+
+    # -- ring operations -------------------------------------------------------
+
+    def _coerce(self, other: "BoxedLaurent") -> None:
+        if other.spec is not self.spec:
+            raise SpecMismatch("mixed field specifications")
+
+    def __add__(self, other: "BoxedLaurent") -> "BoxedLaurent":
+        self._coerce(other)
+        prec = min(self.prec, other.prec)
+        v = min(self.v, other.v, prec)
+        coeffs = []
+        zero = self.spec.zero()
+        for e in range(v, prec):
+            a = self.coeffs[e - self.v] if self.v <= e < self.prec else zero
+            b = other.coeffs[e - other.v] if other.v <= e < other.prec else zero
+            coeffs.append(a + b)
+        return BoxedLaurent(self.spec, v, prec, coeffs)
+
+    def __neg__(self) -> "BoxedLaurent":
+        return BoxedLaurent(self.spec, self.v, self.prec, [-c for c in self.coeffs])
+
+    def __sub__(self, other: "BoxedLaurent") -> "BoxedLaurent":
+        return self + (-other)
+
+    def __mul__(self, other: "BoxedLaurent") -> "BoxedLaurent":
+        """Exact convolution; the window follows the min-rule on trimmed
+        operands, since stored leading zeros are exact and cost nothing."""
+        self._coerce(other)
+        if self.v == self.prec or other.v == other.prec:
+            raise InsufficientPrecision("multiplication of an empty window")
+        at = self.trimmed()
+        bt = other.trimmed()
+        prec = min(self.prec + bt.v, other.prec + at.v)
+        v = min(self.v + other.v, prec)
+        n = prec - v
+        mul = self.spec.mul_table
+        add = self.spec.add_table
+        out = [0] * n
+        a = [c.code for c in at.coeffs]
+        b = [c.code for c in bt.coeffs]
+        base = at.v + bt.v - v
+        for i, ai in enumerate(a):
+            if ai == 0 or base + i >= n:
+                continue
+            row = mul[ai]
+            top = min(len(b), n - base - i)
+            for j in range(top):
+                bj = b[j]
+                if bj:
+                    out[base + i + j] = add[out[base + i + j]][row[bj]]
+        return BoxedLaurent(self.spec, v, prec, [self.spec.element(c) for c in out])
+
+    def scale(self, c: FqElem) -> "BoxedLaurent":
+        return BoxedLaurent(self.spec, self.v, self.prec, [c * x for x in self.coeffs])
+
+    def shifted(self, k: int) -> "BoxedLaurent":
+        """Multiply by t^k exactly (window slides by k)."""
+        return BoxedLaurent(self.spec, self.v + k, self.prec + k, self.coeffs)
+
+    def inverse(self) -> "BoxedLaurent":
+        """Unit inversion: leading coefficient inverted, then the geometric tail."""
+        a = self.trimmed()
+        if self.v >= self.prec:
+            raise InsufficientPrecision("empty window cannot be inverted")
+        if a.v >= a.prec or not a.coeffs:
+            raise NotAUnit("all stored coefficients are zero")
+        w = a.v
+        n = a.prec - w
+        c0inv = a.coeffs[0].inverse()
+        out = [c0inv]
+        zero = self.spec.zero()
+        for k in range(1, n):
+            acc = zero
+            for i in range(1, k + 1):
+                ci = a.coeffs[i] if i < n else zero
+                acc = acc + ci * out[k - i]
+            out.append(-(c0inv * acc))
+        return BoxedLaurent(self.spec, -w, a.prec - 2 * w, out)
+
+    # -- Frobenii ----------------------------------------------------------------
+
+    def sigma(self, times: int = 1) -> "BoxedLaurent":
+        """Coefficientwise p-power Frobenius; exponents and precision unchanged."""
+        return BoxedLaurent(
+            self.spec, self.v, self.prec, [c.frobenius(times) for c in self.coeffs]
+        )
+
+    def phi(self) -> "BoxedLaurent":
+        """Full Frobenius a_i t^i -> a_i^p t^(p i); precision multiplies by p."""
+        p = self.spec.p
+        zero = self.spec.zero()
+        out = [zero] * (p * self.prec - p * self.v)
+        for i, c in enumerate(self.coeffs):
+            out[p * i] = c.frobenius()
+        return BoxedLaurent(self.spec, p * self.v, p * self.prec, out)
+
+    # -- projections ---------------------------------------------------------------
+
+    def reduce_mod_t(self) -> FqElem:
+        """Constant coefficient of an integral element."""
+        if self.prec < 1:
+            raise InsufficientPrecision("prec < 1, constant term unknown")
+        val = self.valuation()
+        if val is not None and val < 0:
+            raise NotIntegral(f"pole of order {-val}")
+        return self.coeff(0)
+
+    # -- comparisons ------------------------------------------------------------------
+
+    def _normal_form(self):
+        nz = tuple(
+            (self.v + i, c.code) for i, c in enumerate(self.coeffs) if not c.is_zero()
+        )
+        return (self.prec, nz)
+
+    def __eq__(self, other):
+        """Strict equality: same prec and same formal coefficients below it."""
+        if not isinstance(other, BoxedLaurent) or other.spec is not self.spec:
+            return NotImplemented
+        return self._normal_form() == other._normal_form()
+
+    def __hash__(self):
+        return hash((id(self.spec),) + self._normal_form())
+
+    def congruent_mod(self, other: "BoxedLaurent", n: int) -> bool:
+        """Agreement of coefficients below t^n; both windows must reach n."""
+        self._coerce(other)
+        if self.prec < n or other.prec < n:
+            raise InsufficientPrecision(
+                f"congruence mod t^{n} needs prec >= {n} on both sides"
+            )
+        lo = min(self.v, other.v)
+        return all(self.coeff(e) == other.coeff(e) for e in range(lo, n))
+
+    # -- serialization ------------------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {
+            "v": self.v,
+            "prec": self.prec,
+            "coeffs": [list(c.coeffs) for c in self.coeffs],
+        }
+
+    @staticmethod
+    def from_json(spec: FieldSpec, data: dict) -> "BoxedLaurent":
+        coeffs = [spec.from_coeffs(c) for c in data["coeffs"]]
+        return BoxedLaurent(spec, data["v"], data["prec"], coeffs)
+
+    def __repr__(self):
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            e = self.v + i
+            cs = repr(c)
+            if "+" in cs:
+                cs = f"({cs})"
+            if e == 0:
+                terms.append(cs)
+            elif e == 1:
+                terms.append(f"{cs}*t" if cs != "1" else "t")
+            else:
+                terms.append(f"{cs}*t^{e}" if cs != "1" else f"t^{e}")
+        body = " + ".join(terms) if terms else "0"
+        return f"{body} + O(t^{self.prec})"

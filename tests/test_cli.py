@@ -203,6 +203,58 @@ def test_cartan_witt_bytes_pinned(capsys, monkeypatch, case):
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+_LAURENT_F2 = {"tag": "laurent", "p": 2, "m": 1}
+
+
+def _lau_cell(v, prec, codes):
+    return {"v": v, "prec": prec, "coeffs": [[c] for c in codes]}
+
+
+@pytest.mark.parametrize("matrix", [
+    # equal rows: singular
+    {"n": 2, "ring": _LAURENT_F2,
+     "entries": [[_lau_cell(0, 3, [1, 0, 0]), _lau_cell(0, 3, [1, 0, 0])]] * 2},
+    # zero known to t^1 only, beside entries of valuation 2: no provable pivot
+    {"n": 2, "ring": _LAURENT_F2,
+     "entries": [[_lau_cell(0, 1, [0]), _lau_cell(2, 3, [1])],
+                 [_lau_cell(2, 3, [1]), _lau_cell(0, 1, [0])]]},
+    # over F4 with N=3 the determinant is not provably a unit in the known digits
+    _witt_json(2, 2, 3, [[(1, [[0, 0], [1, 1], [0, 1]]), (0, [[1, 0], [0, 1], [1, 1]])],
+                         [(0, [[0, 1], [1, 0], [1, 1]]), (2, [[0, 0], [0, 0], [1, 0]])]]),
+], ids=["laurent-singular", "laurent-precision", "witt-F4-N3-minor"])
+def test_cartan_undecomposable_matrix_exit_2(capsys, monkeypatch, matrix):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
+    code, out, err = run_cli(["cartan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("bad matrix input: ")
+
+
+def test_verify_prec_below_mu_exit_2_before_suites(capsys, monkeypatch):
+    import loopzip.cli as cli
+
+    def no_suites(names, cfg):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suites", no_suites)
+    for argv in (["--suite", "prozip", "--mu", "1,0", "--prec", "1"],
+                 ["--suite", "all", "--mu", "2,1,0", "--prec", "2"]):
+        code, out, err = run_cli(["verify"] + argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot represent t^" in err
+
+
+def test_budget_message_names_engine_and_caps(capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "lemmas", "--mu", "1,0", "--q", "25"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "unipotent U_+ enumeration at n=2, q=25" in err
+    assert "n <= 3, q <= 9 and 600,000 candidates" in err
+
+
 def test_poset_dot(capsys):
     code, out, _ = run_cli(["poset", "--n", "3", "--mu", "1,1,0"], capsys)
     assert code == 0

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from loopzip.errors import InsufficientPrecision, NotInvertible
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import random_integral_mat, random_witt_k1_mat
+from loopzip.grpdata import enumerate_gl_flat, random_integral_mat, random_witt_k1_mat
 from loopzip.matring import (
     FQ,
     LAURENT,
@@ -270,6 +271,23 @@ def test_flat_helpers_match_objects():
         ma, mb = mat_decode(F3, 3, fa), mat_decode(F3, 3, fb)
         assert flat_mul(F3, 3, fa, fb) == mat_encode(ma * mb)
         assert flat_inverse(F3, 3, fa) == mat_encode(ma.inverse())
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def test_flat_inverse_matches_decode_path_exhaustively(q, n):
+    spec = FieldSpec.for_q(q)
+    singular = 0
+    for flat in itertools.product(range(q), repeat=n * n):
+        try:
+            expect = mat_encode(mat_decode(spec, n, flat).inverse())
+        except NotInvertible:
+            singular += 1
+            with pytest.raises(NotInvertible):
+                flat_inverse(spec, n, flat)
+            continue
+        assert flat_inverse(spec, n, flat) == expect
+        assert flat_mul(spec, n, flat, expect) == flat_identity(n)
+    assert q ** (n * n) - singular == len(enumerate_gl_flat(spec, n))
 
 
 def test_json_roundtrip():

@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from loopzip.errors import InsufficientPrecision, NotAUnit, NotIntegral
+from laurent_oracle import BoxedLaurent
+from loopzip import matring
+from loopzip.errors import InsufficientPrecision, LoopZipError, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
+from loopzip.grpdata import Cocharacter, mu_matrix, random_integral_mat, random_laurent
+from loopzip.matring import LAURENT, Mat, snf_dvr
 from loopzip.series import LaurentElt
 
 F2 = FieldSpec.get(2, 1)
@@ -14,9 +18,7 @@ F4 = FieldSpec.get(2, 2)
 def rand_elt(spec, rng, vmin=-3, prec_max=8):
     v = rng.randrange(vmin, 3)
     prec = rng.randrange(v + 1, v + prec_max)
-    return LaurentElt(
-        spec, v, prec, [spec.element(rng.randrange(spec.q)) for _ in range(prec - v)]
-    )
+    return LaurentElt(spec, v, prec, [rng.randrange(spec.q) for _ in range(prec - v)])
 
 
 def test_mul_shifts_precision_window():
@@ -75,9 +77,9 @@ def test_inverse_errors():
 
 
 def test_sigma_examples():
-    w = F4.gen()
-    f = LaurentElt(F4, 0, 3, [F4.one(), w, F4.zero()])  # 1 + w t
-    assert f.sigma() == LaurentElt(F4, 0, 3, [F4.one(), w + F4.one(), F4.zero()])
+    w = F4.gen().code
+    f = LaurentElt(F4, 0, 3, [1, w, 0])  # 1 + w t
+    assert f.sigma() == LaurentElt(F4, 0, 3, [1, (F4.gen() + F4.one()).code, 0])
     t = LaurentElt.t_power(F4, 1, 4)
     assert t.sigma() == t
     g = LaurentElt.from_coeff_list(F3, 0, [2, 1, 2], 4)
@@ -97,7 +99,7 @@ def test_phi_examples():
     assert ph.coeff(2) == F2.one() and ph.valuation() == 2
     assert ph.prec == 8
     w = F4.gen()
-    f = LaurentElt(F4, 0, 2, [w, F4.one()])  # w + t
+    f = LaurentElt(F4, 0, 2, [w.code, 1])  # w + t
     fp = f.phi()
     assert fp.coeff(0) == w + F4.one() and fp.coeff(2) == F4.one()
     one = LaurentElt.one(F2, 3)
@@ -137,7 +139,7 @@ def test_reduce_examples():
     assert f.reduce_mod_t() == F2.one()
     t = LaurentElt.t_power(F2, 1, 3)
     assert t.reduce_mod_t() == F2.zero()
-    pole = LaurentElt(F2, -1, 2, [F2.one(), F2.one(), F2.zero()])
+    pole = LaurentElt(F2, -1, 2, [1, 1, 0])
     with pytest.raises(NotIntegral):
         pole.reduce_mod_t()
     shallow = LaurentElt.zero(F2, 0)
@@ -182,3 +184,134 @@ def test_json_roundtrip():
 def test_text_form():
     f = LaurentElt.from_coeff_list(F3, -1, [2, 0, 1], 2)
     assert repr(f) == "2*t^-1 + t + O(t^2)"
+
+
+def test_constructor_rejects_non_codes():
+    with pytest.raises(ValueError):
+        LaurentElt(F2, 0, 2, [F2.one(), F2.zero()])  # boxed elements, not codes
+    with pytest.raises(ValueError):
+        LaurentElt(F3, 0, 2, [1, 3])
+    with pytest.raises(ValueError):
+        LaurentElt(F3, 0, 2, [-1, 0])
+    with pytest.raises(ValueError):
+        LaurentElt(F3, 0, 1, [True])
+    with pytest.raises(ValueError):
+        LaurentElt.from_coeff_list(F4, 0, [1, 4], 3)
+
+
+# -- the int-code series against the FqElem-boxed oracle -----------------------
+
+
+def boxed(x):
+    return BoxedLaurent(x.spec, x.v, x.prec, [x.spec.element(c) for c in x.codes])
+
+
+def outcome(fn):
+    """What fn() gives: the JSON form of a series, a plain value, or the error class."""
+    try:
+        out = fn()
+    except (LoopZipError, ValueError) as exc:
+        return type(exc)
+    return out.to_json() if isinstance(out, (LaurentElt, BoxedLaurent)) else out
+
+
+def oracle_sample(spec, rng):
+    """Random series with negative v, stored leading zeros and empty windows."""
+    v = rng.randrange(-4, 4)
+    n = rng.choice((0, 1, 2, 3, 5, 8, 11))
+    codes = [rng.randrange(spec.q) for _ in range(n)]
+    shape = rng.randrange(4)
+    if shape == 1:
+        zeros = rng.randrange(n + 1)
+        codes[:zeros] = [0] * zeros
+    elif shape == 2:
+        codes = [0] * n
+    return LaurentElt(spec, v, v + n, codes)
+
+
+def mismatches(a, b):
+    A, B = boxed(a), boxed(b)
+    cases = [
+        (lambda: a + b, lambda: A + B),
+        (lambda: a - b, lambda: A - B),
+        (lambda: -a, lambda: -A),
+        (lambda: a * b, lambda: A * B),
+        (lambda: a.inverse(), lambda: A.inverse()),
+        (lambda: a.phi(), lambda: A.phi()),
+        (lambda: a.trimmed(), lambda: A.trimmed()),
+        (lambda: a.valuation(), lambda: A.valuation()),
+        (lambda: a.is_integral(), lambda: A.is_integral()),
+        (lambda: a.reduce_mod_t(), lambda: A.reduce_mod_t()),
+        (lambda: a == b, lambda: A == B),
+        (lambda: hash(a), lambda: hash(A)),
+        (lambda: repr(a), lambda: repr(A)),
+    ]
+    for k in (1, -1, 2, -3):
+        cases.append((lambda k=k: a.sigma(k), lambda k=k: A.sigma(k)))
+    for e in range(a.v - 1, a.prec + 1):
+        cases.append((lambda e=e: a.coeff(e), lambda e=e: A.coeff(e)))
+    for n in range(min(a.v, b.v) - 1, max(a.prec, b.prec) + 2):
+        cases.append((lambda n=n: a.congruent_mod(b, n), lambda n=n: A.congruent_mod(B, n)))
+    bad = [i for i, (f, g) in enumerate(cases) if outcome(f) != outcome(g)]
+    if a == b and hash(a) != hash(b):
+        bad.append("hash")
+    return bad
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
+def test_codes_match_boxed_oracle(q):
+    spec = FieldSpec.for_q(q)
+    rng = random.Random(1000 + q)
+    pairs = [(oracle_sample(spec, rng), oracle_sample(spec, rng)) for _ in range(400)]
+    # equal values stored with different windows, and the same element twice
+    pairs += [(a, LaurentElt.from_coeff_list(spec, a.v - 2, (0, 0) + a.codes, a.prec))
+              for a, _ in pairs[:40]]
+    pairs += [(a, a) for a, _ in pairs[:40]]
+    bad = [(a, b, m) for a, b in pairs if (m := mismatches(a, b))]
+    assert bad == []
+    assert all(boxed(a) == BoxedLaurent.from_json(spec, a.to_json()) for a, _ in pairs)
+
+
+def _boxed_mat(x):
+    return Mat(LAURENT, [[boxed(e) for e in r] for r in x.rows])
+
+
+def _mat_outcome(fn):
+    try:
+        out = fn()
+    except LoopZipError as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        a, d, b = out
+        return a.to_json(), d, b.to_json()
+    return out.to_json()
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_mat_ops_match_boxed_oracle(monkeypatch, q, n):
+    spec = FieldSpec.for_q(q)
+    rng = random.Random(50 * q + n)
+    mu = Cocharacter((1,) + (0,) * (n - 1))
+    cases = []
+    for _ in range(30):
+        prec = rng.randrange(5, 9)
+        x = random_integral_mat(spec, n, prec, rng)
+        y = random_integral_mat(spec, n, prec, rng)
+        cases.append(x)
+        cases.append(x * mu_matrix(mu, LAURENT, spec=spec, prec=prec) * y)
+        # poles, stored zeros and short windows: some of these raise
+        cases.append(Mat(LAURENT, [
+            [random_laurent(spec, rng, rng.randrange(-2, 2), rng.randrange(2, 6))
+             for _ in range(n)] for _ in range(n)
+        ]))
+        cases.append(Mat(LAURENT, [x.rows[0]] * n))  # singular
+    fast = [(_mat_outcome(x.inverse), _mat_outcome(lambda x=x: snf_dvr(x)))
+            for x in cases]
+    monkeypatch.setattr(matring, "LaurentElt", BoxedLaurent)
+    slow = [(_mat_outcome(_boxed_mat(x).inverse),
+             _mat_outcome(lambda x=x: snf_dvr(_boxed_mat(x))))
+            for x in cases]
+    assert [i for i in range(len(cases)) if fast[i] != slow[i]] == []
+    # the samples reach both the decomposition and its refusals
+    assert any(isinstance(s, tuple) for _, s in fast)
+    assert any(isinstance(s, type) for _, s in fast)
