@@ -19,7 +19,7 @@ from .grpdata import (
     Cocharacter,
     conj_by_mu,
     enumerate_gl_flat,
-    enumerate_levi_flat,
+    enumerate_parabolic_flat,
     enumerate_unipotent_flat,
     gl_order,
     group_order,
@@ -36,10 +36,11 @@ from .matring import (
     Mat,
     assert_cartan_precision,
     cartan_precision_floor,
+    field_of,
     flat_identity,
+    flat_inverse,
     flat_mul,
-    mat_decode,
-    mat_encode,
+    flat_residue,
     snf_dvr,
 )
 from .series import LaurentElt
@@ -75,18 +76,55 @@ class DoubleCosetClass:
         return f"Class(mu={self.mu.weights}, rep={self.rep})"
 
 
+def _row_trie(items, n: int, depth: int = 0):
+    """Nested ((row, subtrie), ...) over the rows of (flat, payload) items.
+
+    Rows are keyed from the top; a node at depth n is the payload of the
+    one flat that reaches it.
+    """
+    if depth == n:
+        return items[0][1]
+    children: dict = {}
+    for flat, payload in items:
+        children.setdefault(flat[depth * n:(depth + 1) * n], []).append((flat, payload))
+    return tuple((row, _row_trie(sub, n, depth + 1)) for row, sub in children.items())
+
+
 @lru_cache(maxsize=None)
-def _one_sided_groups(p: int, m: int, mu: Cocharacter) -> tuple:
-    """P_- as (element, Levi part) pairs, and U_+, keyed by value."""
+def _row_tries(p: int, m: int, mu: Cocharacter) -> tuple:
+    """Row tries of P_- (leaves: Levi parts) and of U_+, keyed by value."""
     spec = FieldSpec.get(p, m)
-    n = mu.n
-    levi = enumerate_levi_flat(spec, mu)
-    pminus = tuple(
-        (flat_mul(spec, n, u, lev), lev)
-        for u in enumerate_unipotent_flat(spec, mu, -1)
-        for lev in levi
-    )
-    return pminus, tuple(enumerate_unipotent_flat(spec, mu, +1))
+    uplus = [(u, None) for u in enumerate_unipotent_flat(spec, mu, +1)]
+    return _row_trie(enumerate_parabolic_flat(spec, mu, -1), mu.n), _row_trie(uplus, mu.n)
+
+
+def _descend(spec: FieldSpec, n: int, trie, g) -> tuple:
+    """Least a g over the matrices a of a row trie, and the leaf of that a.
+
+    Row i of a g is (row i of a) g, and an invertible g sends distinct
+    rows to distinct images, so the least product is reached row by row,
+    stepping each time to the one child whose image is least.
+    """
+    mul, add = spec.mul_table, spec.add_table
+    g_rows = [g[k * n:(k + 1) * n] for k in range(n)]
+    out = ()
+    node = trie
+    for _ in range(n):
+        best = None
+        for row, child in node:
+            img = None
+            for c, g_row in zip(row, g_rows):
+                if c:
+                    by_c = mul[c]
+                    if img is None:
+                        img = [by_c[y] for y in g_row]
+                    else:
+                        img = [add[x][by_c[y]] for x, y in zip(img, g_row)]
+            if best is None or img < best:
+                best, nxt = img, child
+        out += tuple(best)
+        node = nxt
+    return out, node
 
 
 def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
@@ -97,49 +135,47 @@ def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
     with first component g' then have second components u_+ Levi(p) h.
     """
     n = mu.n
-    pminus, uplus = _one_sided_groups(spec.p, spec.m, mu)
-    g_min, lev = min((flat_mul(spec, n, p, g_flat), lev) for p, lev in pminus)
-    mh = flat_mul(spec, n, lev, h_flat)
-    return g_min, min(flat_mul(spec, n, u, mh) for u in uplus)
-
-
-def canonical_pair(g: Mat, h: Mat, mu: Cocharacter) -> DoubleCosetClass:
-    spec = g.rows[0][0].spec
-    rep = canonical_flat(spec, mu, mat_encode(g), mat_encode(h))
-    return DoubleCosetClass(mu, spec, rep)
+    pminus, uplus = _row_tries(spec.p, spec.m, mu)
+    g_min, lev = _descend(spec, n, pminus, g_flat)
+    return g_min, _descend(spec, n, uplus, flat_mul(spec, n, lev, h_flat))[0]
 
 
 # -- the cell map and its inverse -------------------------------------------------
 
 
-def laurent_lift(m: Mat, prec: int) -> Mat:
-    """Constant-coefficient lift of an F_q matrix into the integral loop group."""
-    spec = m.rows[0][0].spec
+def laurent_lift(spec: FieldSpec, n: int, flat, prec: int) -> Mat:
+    """Constant-coefficient lift of a flat F_q matrix into the integral loop group."""
+    if prec <= 0:
+        raise InsufficientPrecision("constant needs prec >= 1")
+    pad = (0,) * (prec - 1)
     return Mat(LAURENT, [
-        [LaurentElt.const(x, prec) if not x.is_zero() else LaurentElt.zero(spec, prec)
-         for x in r]
-        for r in m.rows
+        [LaurentElt(spec, 0, prec, (c,) + pad) for c in flat[i * n:(i + 1) * n]]
+        for i in range(n)
     ])
 
 
-def teichmuller_lift(m: Mat, wctx: WittCtx) -> Mat:
-    """Entrywise Teichmuller lift of an F_q matrix into Witt fractions."""
+def teichmuller_lift(wctx: WittCtx, n: int, flat) -> Mat:
+    """Entrywise Teichmuller lift of a flat F_q matrix into Witt fractions."""
     return Mat(WITTFRAC, [
-        [WittFraction.integral(wctx.teichmuller(x)) for x in r] for r in m.rows
+        [WittFraction.integral(wctx.teichmuller_code(c)) for c in flat[i * n:(i + 1) * n]]
+        for i in range(n)
     ])
 
 
-def pair_matrix(g: Mat, h: Mat, mu: Cocharacter, prec: int) -> Mat:
+def pair_matrix(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat, prec: int) -> Mat:
     """The truncated Laurent matrix g^(-1) mu(t) h."""
-    spec = g.rows[0][0].spec
+    n = mu.n
     mt = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
-    return laurent_lift(g.inverse(), prec) * mt * laurent_lift(h, prec)
+    ginv = flat_inverse(spec, n, g_flat)
+    return laurent_lift(spec, n, ginv, prec) * mt * laurent_lift(spec, n, h_flat, prec)
 
 
-def witt_pair_matrix(g: Mat, h: Mat, mu: Cocharacter, wctx: WittCtx) -> Mat:
+def witt_pair_matrix(wctx: WittCtx, mu: Cocharacter, g_flat, h_flat) -> Mat:
     """Teichmuller-lifted analogue over Witt fractions: g~^(-1) p^mu h~."""
+    n = mu.n
     mt = mu_matrix(mu, WITTFRAC, wctx=wctx)
-    return teichmuller_lift(g.inverse(), wctx) * mt * teichmuller_lift(h, wctx)
+    ginv = flat_inverse(wctx.spec, n, g_flat)
+    return teichmuller_lift(wctx, n, ginv) * mt * teichmuller_lift(wctx, n, h_flat)
 
 
 def class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
@@ -172,8 +208,9 @@ def _class_of_decomposition(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
     a, d, b = snf_dvr(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    abar = a.reduce()
-    return canonical_pair(abar.inverse(), b.reduce(), mu)
+    spec = field_of(x)
+    g = flat_inverse(spec, mu.n, flat_residue(a))
+    return DoubleCosetClass(mu, spec, canonical_flat(spec, mu, g, flat_residue(b)))
 
 
 def rescale_class(c: DoubleCosetClass, k: int) -> DoubleCosetClass:
@@ -181,17 +218,14 @@ def rescale_class(c: DoubleCosetClass, k: int) -> DoubleCosetClass:
     return DoubleCosetClass(c.mu.scaled(k), c.spec, c.rep)
 
 
-def embed_before_mu(g: Mat, mu: Cocharacter) -> DoubleCosetClass:
-    """Class of g mu(t): the pair (g^(-1), 1)."""
-    spec = g.rows[0][0].spec
-    ident = mat_decode(spec, mu.n, flat_identity(mu.n))
-    return canonical_pair(g.inverse(), ident, mu)
+def embed_before_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
+    """Canonical pair of g mu(t): the class of (g^(-1), 1)."""
+    return canonical_flat(spec, mu, flat_inverse(spec, mu.n, g_flat), flat_identity(mu.n))
 
-def embed_after_mu(g: Mat, mu: Cocharacter) -> DoubleCosetClass:
-    """Class of mu(t) g: the pair (1, g)."""
-    spec = g.rows[0][0].spec
-    ident = mat_decode(spec, mu.n, flat_identity(mu.n))
-    return canonical_pair(ident, g, mu)
+
+def embed_after_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
+    """Canonical pair of mu(t) g: the class of (1, g)."""
+    return canonical_flat(spec, mu, flat_identity(mu.n), g_flat)
 
 
 # -- verification reports ------------------------------------------------------------
@@ -206,9 +240,7 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
     roundtrip = True
     classes = set()
     for rep in census:
-        g = mat_decode(spec, n, rep[0])
-        h = mat_decode(spec, n, rep[1])
-        c = class_of(pair_matrix(g, h, mu, prec), mu)
+        c = class_of(pair_matrix(spec, mu, rep[0], rep[1], prec), mu)
         classes.add(c.rep)
         if c.rep != rep:
             roundtrip = False
@@ -238,10 +270,10 @@ def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     gl = enumerate_gl_flat(spec, n)
     if len(gl) ** 2 > 2_000_000:
         raise BudgetExceeded(f"{len(gl)}^2 pairs exceed the pair budget")
-    pminus, uplus = _one_sided_groups(spec.p, spec.m, mu)
-    left = sorted({min(flat_mul(spec, n, p, g) for p, _ in pminus) for g in gl})
-    right = sorted({min(flat_mul(spec, n, u, h) for u in uplus) for h in gl})
-    size = len(pminus) * len(uplus)
+    pminus, uplus = _row_tries(spec.p, spec.m, mu)
+    left = sorted({_descend(spec, n, pminus, g)[0] for g in gl})
+    right = sorted({_descend(spec, n, uplus, h)[0] for h in gl})
+    size = group_order(SubgroupTag.ZipNormal, mu, spec.q)
     return {(a, b): size for a in left for b in right}
 
 
@@ -253,14 +285,13 @@ def kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
     n = mu.n
     passed = 0
     for _ in range(samples):
-        g = mat_decode(spec, n, gl[rng.randrange(len(gl))])
-        h = mat_decode(spec, n, gl[rng.randrange(len(gl))])
-        x = pair_matrix(g, h, mu, prec)
-        expect = canonical_pair(g, h, mu)
+        g = gl[rng.randrange(len(gl))]
+        h = gl[rng.randrange(len(gl))]
+        x = pair_matrix(spec, mu, g, h, prec)
         k1 = random_k1_mat(spec, n, prec, rng)
         k2 = random_k1_mat(spec, n, prec, rng)
         got = class_of(k1 * x * k2, mu)
-        passed += got == expect
+        passed += got.rep == canonical_flat(spec, mu, g, h)
     return {
         "mu": list(mu.weights),
         "q": spec.q,
@@ -275,12 +306,11 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
     n = mu.n
     fibers_a: dict = {}
     fibers_b: dict = {}
-    for flat in enumerate_gl_flat(spec, n):
-        g = mat_decode(spec, n, flat)
-        ca = embed_before_mu(g, mu)
-        cb = embed_after_mu(g, mu)
-        fibers_a[ca.rep] = fibers_a.get(ca.rep, 0) + 1
-        fibers_b[cb.rep] = fibers_b.get(cb.rep, 0) + 1
+    for g in enumerate_gl_flat(spec, n):
+        ca = embed_before_mu(spec, mu, g)
+        cb = embed_after_mu(spec, mu, g)
+        fibers_a[ca] = fibers_a.get(ca, 0) + 1
+        fibers_b[cb] = fibers_b.get(cb, 0) + 1
     u_minus = group_order(SubgroupTag.Uminus, mu, spec.q)
     u_plus = group_order(SubgroupTag.Uplus, mu, spec.q)
     return {
@@ -303,15 +333,21 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
     wctx = WittCtx.get(spec, length)
     n = mu.n
     gl = enumerate_gl_flat(spec, n)
+    mt = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
+    mw = mu_matrix(mu, WITTFRAC, wctx=wctx)
+    right_t = [laurent_lift(spec, n, h, prec) for h in gl]
+    right_w = [teichmuller_lift(wctx, n, h) for h in gl]
     laurent_classes = set()
     witt_classes = set()
     pointwise = True
-    for gf in gl:
-        for hf in gl:
-            g = mat_decode(spec, n, gf)
-            h = mat_decode(spec, n, hf)
-            ct = class_of(pair_matrix(g, h, mu, prec), mu)
-            cw = witt_class_of(witt_pair_matrix(g, h, mu, wctx), mu)
+    for g in gl:
+        # the left factor of pair_matrix and witt_pair_matrix, once per g
+        ginv = flat_inverse(spec, n, g)
+        left_t = laurent_lift(spec, n, ginv, prec) * mt
+        left_w = teichmuller_lift(wctx, n, ginv) * mw
+        for ht, hw in zip(right_t, right_w):
+            ct = class_of(left_t * ht, mu)
+            cw = witt_class_of(left_w * hw, mu)
             laurent_classes.add(ct.rep)
             witt_classes.add(cw.rep)
             if ct.rep != cw.rep:
@@ -337,14 +373,13 @@ def witt_kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, length: int,
     n = mu.n
     passed = 0
     for _ in range(samples):
-        g = mat_decode(spec, n, gl[rng.randrange(len(gl))])
-        h = mat_decode(spec, n, gl[rng.randrange(len(gl))])
-        x = witt_pair_matrix(g, h, mu, wctx)
-        expect = canonical_pair(g, h, mu)
+        g = gl[rng.randrange(len(gl))]
+        h = gl[rng.randrange(len(gl))]
+        x = witt_pair_matrix(wctx, mu, g, h)
         k1 = random_witt_k1_mat(wctx, n, rng)
         k2 = random_witt_k1_mat(wctx, n, rng)
         got = witt_class_of(k1 * x * k2, mu)
-        passed += got == expect
+        passed += got.rep == canonical_flat(spec, mu, g, h)
     return {
         "mu": list(mu.weights),
         "q": spec.q,

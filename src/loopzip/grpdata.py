@@ -20,6 +20,7 @@ from .matring import (
     Mat,
     flat_det,
     flat_identity,
+    flat_residue,
     mat_decode,
 )
 from .series import LaurentElt
@@ -344,6 +345,19 @@ def enumerate_levi_flat(spec: FieldSpec, mu: Cocharacter) -> list:
     return out
 
 
+def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> list:
+    """P_+ (sign=+1) or P_- (sign=-1) as pairs (u m, m): each element with its Levi part."""
+    from .matring import flat_mul
+
+    n = mu.n
+    levi = enumerate_levi_flat(spec, mu)
+    return [
+        (flat_mul(spec, n, u, m), m)
+        for u in enumerate_unipotent_flat(spec, mu, sign)
+        for m in levi
+    ]
+
+
 def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, *,
                              frobenius: bool = False, tau_power: int = 0) -> list:
     """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau(m) if twisted."""
@@ -375,14 +389,8 @@ def enumerate_points(tag, mu: Cocharacter, spec: FieldSpec, tau_power: int = 0):
     if tag == SubgroupTag.M:
         return [mat_decode(spec, n, f) for f in enumerate_levi_flat(spec, mu)]
     if tag in (SubgroupTag.Pplus, SubgroupTag.Pminus):
-        from .matring import flat_mul
-
         sign = +1 if tag == SubgroupTag.Pplus else -1
-        out = []
-        for u in enumerate_unipotent_flat(spec, mu, sign):
-            for m in enumerate_levi_flat(spec, mu):
-                out.append(mat_decode(spec, n, flat_mul(spec, n, u, m)))
-        return out
+        return [mat_decode(spec, n, p) for p, _ in enumerate_parabolic_flat(spec, mu, sign)]
     if tag == SubgroupTag.ZipNormal:
         pairs = enumerate_zip_pairs_flat(spec, mu)
         return [(mat_decode(spec, n, a), mat_decode(spec, n, b)) for a, b in pairs]
@@ -450,18 +458,13 @@ def random_laurent(spec: FieldSpec, rng, v: int, prec: int) -> LaurentElt:
     return LaurentElt(spec, v, prec, [rng.randrange(spec.q) for _ in range(prec - v)])
 
 
-def _residue_codes(m: Mat) -> tuple:
-    """Flat codes of the reduction mod t of an integral Laurent matrix."""
-    return tuple(x.residue_code() for r in m.rows for x in r)
-
-
 def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
                         unit: bool = True) -> Mat:
     """Random element of the integral loop group at the given precision."""
     while True:
         rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
         m = Mat(LAURENT, rows)
-        if not unit or flat_det(spec, n, _residue_codes(m)) != 0:
+        if not unit or flat_det(spec, n, flat_residue(m)) != 0:
             return m
 
 
@@ -492,7 +495,7 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
                 row.append(random_laurent(spec, rng, max(gap, 0), prec))
             rows.append(row)
         k = Mat(LAURENT, rows)
-        if flat_det(spec, n, _residue_codes(k)) == 0:
+        if flat_det(spec, n, flat_residue(k)) == 0:
             continue
         g = conj_by_mu(k, mu, +1)
         if not g.is_integral():

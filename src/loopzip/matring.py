@@ -153,7 +153,7 @@ class Mat:
     def inverse(self) -> "Mat":
         """Gauss-Jordan with minimal-valuation pivot selection."""
         n = self.n
-        spec = _field_of(self)
+        spec = field_of(self)
         w = [list(r) for r in self.rows]
         if self.ring == FQ:
             aug = [list(r) for r in Mat.identity(FQ, n, spec=spec).rows]
@@ -208,11 +208,11 @@ class Mat:
 
     def to_json(self) -> dict:
         if self.ring == FQ:
-            spec = _field_of(self)
+            spec = field_of(self)
             entries = [[list(x.coeffs) for x in r] for r in self.rows]
             ring = {"tag": FQ, "p": spec.p, "m": spec.m}
         elif self.ring == LAURENT:
-            spec = _field_of(self)
+            spec = field_of(self)
             entries = [[x.to_json() for x in r] for r in self.rows]
             ring = {"tag": LAURENT, "p": spec.p, "m": spec.m}
         else:
@@ -271,7 +271,8 @@ class Mat:
         return f"Mat[{body}]"
 
 
-def _field_of(m: Mat) -> FieldSpec:
+def field_of(m: Mat) -> FieldSpec:
+    """The residue field F_q of the matrix's ring."""
     x = m.rows[0][0]
     return x.spec if m.ring != WITTFRAC else x.ctx.spec
 
@@ -285,6 +286,11 @@ def _wctx_of(m: Mat) -> WittCtx:
 
 def mat_encode(m: Mat) -> tuple:
     return tuple(x.code for r in m.rows for x in r)
+
+
+def flat_residue(m: Mat) -> tuple:
+    """Flat codes of the reduction of an integral Laurent or Witt matrix."""
+    return tuple(x.residue_code() for r in m.rows for x in r)
 
 
 def mat_decode(spec: FieldSpec, n: int, flat) -> Mat:
@@ -368,7 +374,7 @@ def snf_dvr(x: Mat):
     n = x.n
     w = [list(r) for r in x.rows]
     if x.ring == LAURENT:
-        spec = _field_of(x)
+        spec = field_of(x)
         prec = x.min_precision()
         ident = Mat.identity(LAURENT, n, spec=spec, prec=prec)
     else:

@@ -18,6 +18,7 @@ from .grpdata import (
     Cocharacter,
     SubgroupTag,
     enumerate_gl_flat,
+    enumerate_parabolic_flat,
     gl_generators,
     gl_order,
     group_order,
@@ -284,18 +285,13 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     surjective = set(image_roots) == {rep for rep, _, _ in sigma_part.orbits}
 
     # sampled equivariance of the embedding against the minus-parabolic action
-    from .grpdata import enumerate_points, levi_component
-    from .matring import mat_encode
-
     rng = random.Random(seed)
     gl = enumerate_gl_flat(spec, n)
-    pminus = enumerate_points(SubgroupTag.Pminus, mu, spec)
+    pminus = enumerate_parabolic_flat(spec, mu, -1)
     equivariant = True
     for _ in range(samples):
         g = gl[rng.randrange(len(gl))]
-        p = pminus[rng.randrange(len(pminus))]
-        pf = mat_encode(p)
-        mf = mat_encode(levi_component(p, mu))
+        pf, mf = pminus[rng.randrange(len(pminus))]
         minv = flat_inverse(spec, n, mf)
         tg = flat_mul(spec, n, g, flat_frobenius(spec, pf, m))
         lhs = canonical_flat(spec, mu, ident, flat_mul(spec, n, minv, tg))
@@ -321,7 +317,6 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     """The minimal-coset-representative matrices land in pairwise distinct
     conjugacy orbits of the class set; orbit count is at least their number."""
     from .coset import default_precision, laurent_lift
-    from .matring import mat_decode
 
     spec = FieldSpec.for_q(q)
     n = mu.n
@@ -339,7 +334,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
         flat = [0] * (n * n)
         for j in range(1, n + 1):
             flat[(perm(j) - 1) * n + (j - 1)] = 1
-        pmat = laurent_lift(mat_decode(spec, n, tuple(flat)), prec)
+        pmat = laurent_lift(spec, n, flat, prec)
         c = class_of(pmat * mu_t, mu)
         roots.append(root_of_class[c.rep])
     distinct = len(set(roots)) == len(roots)

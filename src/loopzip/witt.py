@@ -95,7 +95,11 @@ class WittCtx:
         return self.from_int(1)
 
     def teichmuller(self, a: FqElem) -> "WittElt":
-        return WittElt(self, self._teich[a.code])
+        return self.teichmuller_code(a.code)
+
+    def teichmuller_code(self, code: int) -> "WittElt":
+        """[a] for the element a with field code `code`."""
+        return WittElt(self, self._teich[code])
 
     def from_int(self, n: int) -> "WittElt":
         """Image of the integer n: n mod p^N in the constant coefficient."""
@@ -377,14 +381,18 @@ class WittFraction:
 
     # -- projections ------------------------------------------------------------
 
-    def reduce_mod_p(self) -> FqElem:
-        """First Witt coordinate of an integral value."""
+    def residue_code(self) -> int:
+        """Code of the first Witt coordinate of an integral value."""
         if self.known < 1:
             raise InsufficientPrecision("no provable digits")
         s = self.stripped()
         if s.e > 0:
             raise NotIntegral(f"denominator p^{s.e} remains")
-        return FqElem(self.ctx.spec, self.ctx.spec._vec_to_code(s.num.v))
+        return self.ctx.spec._vec_to_code(s.num.v)
+
+    def reduce_mod_p(self) -> FqElem:
+        """First Witt coordinate of an integral value."""
+        return FqElem(self.ctx.spec, self.residue_code())
 
     # -- comparisons ----------------------------------------------------------------
 

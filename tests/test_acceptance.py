@@ -13,7 +13,6 @@ import pytest
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter
 from loopzip.coset import (
-    canonical_pair,
     class_census,
     class_of,
     default_precision,
@@ -23,7 +22,6 @@ from loopzip.coset import (
     verify_class_bijection,
     witt_census_report,
 )
-from loopzip.matring import mat_decode
 from loopzip.orbits import chain_compare, transport_check, weyl_reps_report
 from loopzip.suites import (
     integral_conjugation_checks,
@@ -131,9 +129,7 @@ def test_criterion_4_rescaling():
         other = class_census(mu_k, spec)
         ok = ok and set(base) == set(other)
         for rep_pair in base:
-            g = mat_decode(spec, 2, rep_pair[0])
-            h = mat_decode(spec, 2, rep_pair[1])
-            got = class_of(pair_matrix(g, h, mu_k, prec), mu_k)
+            got = class_of(pair_matrix(spec, mu_k, rep_pair[0], rep_pair[1], prec), mu_k)
             ok = ok and got.rep == rep_pair
     elapsed = time.time() - t0
     _report(4, "rescaling representative-for-representative", ok, elapsed)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -344,3 +345,42 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_file.read_text())["passed"]
+
+
+# stdout SHA-256 of canonical-form reports, pinned so that a change of the
+# canonical pair shows up in the unit tests and not only in benchmark digests
+PINNED_STDOUT = [
+    (["orbits", "--action", "class-census", "--q", "4", "--mu", "1,0"],
+     "70620e4ed2e27784f7f31ebb9256e0c2c675ffee5517775d108e0b3d5611d1eb"),
+    (["orbits", "--action", "class-census", "--q", "2", "--mu", "1,1,0"],
+     "4d6887af46fd643a3edaa4dd3be3680faf2c847617c744d0ba7facd065fbeecb"),
+    (["orbits", "--action", "sigma-conj", "--q", "4", "--mu", "1,0"],
+     "606641e19b6602463055b2fc9d28e2a1afe228fb317daf32914f3e4bb0e8a9ae"),
+    (["orbits", "--action", "sigma-conj", "--q", "2", "--mu", "1,1,0"],
+     "ce75e3624b77dab9d4ddbe8262d56315afaa5fc57442b210397dfa4b7694eac7"),
+    (["verify", "--suite", "chain", "--mu", "1,0", "--q", "4", "--seed", "0"],
+     "f0c8321d5a9c3e5b597972369aea664206b229018bc11936750cffd9c4b39b35"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_STDOUT,
+    ids=[f"{argv[2]}-q{argv[argv.index('--q') + 1]}-mu{argv[argv.index('--mu') + 1]}"
+         for argv, _ in PINNED_STDOUT],
+)
+def test_canonical_report_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mu", ["2,0", "3,0", "1,-1"])
+def test_verify_lemmas_wide_gap_passes(mu, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "lemmas", "--q", "2", "--mu", mu, "--samples", "5"], capsys
+    )
+    assert code == 0, err
+    gap = int(mu.split(",")[0]) - int(mu.split(",")[1])
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert f"integral-conjugation-inclusions-exhaustive-N{gap + 1}" in names
+    assert f"integral-conjugation-inclusions-exhaustive-N{gap + 2}" in names

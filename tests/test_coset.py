@@ -13,8 +13,10 @@ from loopzip.grpdata import (
     random_k1_mat,
 )
 from loopzip.coset import (
+    DoubleCosetClass,
+    _descend,
+    _row_tries,
     canonical_flat,
-    canonical_pair,
     class_census,
     class_of,
     default_precision,
@@ -35,6 +37,8 @@ from loopzip.coset import (
 from loopzip.matring import LAURENT, Mat, flat_identity, mat_decode, mat_encode
 from loopzip.witt import WittCtx
 
+from coset_oracle import oracle_canonical_flat, oracle_class_census, oracle_left, oracle_right
+
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
 MU = Cocharacter((1, 0))
@@ -45,24 +49,24 @@ def ident(spec, n):
 
 
 def test_pair_matrix_identity_pair():
-    x = pair_matrix(ident(F2, 2), ident(F2, 2), MU, 6)
+    x = pair_matrix(F2, MU, mat_encode(ident(F2, 2)), mat_encode(ident(F2, 2)), 6)
     target = mu_matrix(MU, LAURENT, spec=F2, prec=6)
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_levi_pair_commutes():
     m = mat_decode(F3, 2, (2, 0, 0, 1))
-    x = pair_matrix(m, m, MU, 6)
+    x = pair_matrix(F3, MU, mat_encode(m), mat_encode(m), 6)
     target = mu_matrix(MU, LAURENT, spec=F3, prec=6)
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_explicit_product():
     g = mat_decode(F2, 2, (1, 1, 0, 1))
-    x = pair_matrix(g, ident(F2, 2), MU, 6)
+    x = pair_matrix(F2, MU, mat_encode(g), mat_encode(ident(F2, 2)), 6)
     # g^(-1) mu(t): rows of g^(-1) scale the diagonal columns
     gi = g.inverse()
-    expect = laurent_lift(gi, 6) * mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    expect = laurent_lift(F2, 2, mat_encode(gi), 6) * mu_matrix(MU, LAURENT, spec=F2, prec=6)
     assert x == expect
 
 
@@ -91,9 +95,8 @@ def test_kernel_invariance_explicit():
 def test_round_trip_all_pairs_gl2_f2():
     for gf in enumerate_gl_flat(F2, 2):
         for hf in enumerate_gl_flat(F2, 2):
-            g, h = mat_decode(F2, 2, gf), mat_decode(F2, 2, hf)
-            c = class_of(pair_matrix(g, h, MU, 6), MU)
-            assert c == canonical_pair(g, h, MU)
+            c = class_of(pair_matrix(F2, MU, gf, hf, 6), MU)
+            assert c == DoubleCosetClass(MU, F2, canonical_flat(F2, MU, gf, hf))
 
 
 def test_canonicalization_reproducible():
@@ -157,10 +160,44 @@ def test_class_census_is_the_orbit_set(q, weights):
     mu = Cocharacter(weights)
     census = class_census(mu, spec)
     zip_order = group_order(SubgroupTag.ZipNormal, mu, q)
+    assert list(census.items()) == list(oracle_class_census(mu, spec).items())
     assert list(census) == sorted(set(census))
     assert all(canonical_flat(spec, mu, g, h) == (g, h) for g, h in census)
     assert len(census) == len(enumerate_gl_flat(spec, mu.n)) ** 2 // zip_order
     assert set(census.values()) == {zip_order}
+
+
+# (q, weights, seeded sample size or None for every g in G)
+DESCENT_CASES = (
+    [(q, w, None) for q in (2, 3, 4, 5) for w in ((1, 0), (2, 0), (0, 0))]
+    + [(2, w, None) for w in ((1, 1, 0), (1, 0, 0), (2, 1, 0), (0, 0, 0))]
+    + [(3, (1, 1, 0), 300), (3, (2, 1, 0), 300)]
+)
+
+
+@pytest.mark.parametrize(
+    "q,weights,samples", DESCENT_CASES,
+    ids=[f"q{q}-mu{''.join(map(str, w))}" for q, w, _ in DESCENT_CASES],
+)
+def test_row_descent_matches_min_over_products(q, weights, samples):
+    """canonical_flat(g, h) = (left(g), right(Levi(p) h)), so comparing both
+    one-sided descents with the oracle on every g covers every pair."""
+    spec = FieldSpec.for_q(q)
+    mu = Cocharacter(weights)
+    n = mu.n
+    gl = enumerate_gl_flat(spec, n)
+    rng = random.Random(1000 * q + sum(weights))
+    if samples is not None:
+        gl = [rng.choice(gl) for _ in range(samples)]
+    pminus, uplus = _row_tries(spec.p, spec.m, mu)
+    mismatches = sum(_descend(spec, n, pminus, g) != oracle_left(spec, mu, g) for g in gl)
+    mismatches += sum(_descend(spec, n, uplus, g)[0] != oracle_right(spec, mu, g) for g in gl)
+    pairs = [(rng.choice(gl), rng.choice(gl)) for _ in range(100)]
+    mismatches += sum(
+        canonical_flat(spec, mu, g, h) != oracle_canonical_flat(spec, mu, g, h)
+        for g, h in pairs
+    )
+    assert mismatches == 0
 
 
 def test_zip_pair_enumeration_size_gl3():
@@ -193,10 +230,10 @@ def test_precision_stability():
     rng = random.Random(77)
     gl = enumerate_gl_flat(F3, 2)
     for _ in range(20):
-        g = mat_decode(F3, 2, gl[rng.randrange(len(gl))])
-        h = mat_decode(F3, 2, gl[rng.randrange(len(gl))])
-        c1 = class_of(pair_matrix(g, h, MU, 6), MU)
-        c2 = class_of(pair_matrix(g, h, MU, 8), MU)
+        g = gl[rng.randrange(len(gl))]
+        h = gl[rng.randrange(len(gl))]
+        c1 = class_of(pair_matrix(F3, MU, g, h, 6), MU)
+        c2 = class_of(pair_matrix(F3, MU, g, h, 8), MU)
         assert c1 == c2
 
 
@@ -210,10 +247,8 @@ def test_rescaling_classes():
     census2 = class_census(Cocharacter((2, 0)), F2)
     assert set(census1) == set(census2)
     for rep_pair in census1:
-        g = mat_decode(F2, 2, rep_pair[0])
-        h = mat_decode(F2, 2, rep_pair[1])
         mu2 = MU.scaled(2)
-        got = class_of(pair_matrix(g, h, mu2, default_precision(mu2)), mu2)
+        got = class_of(pair_matrix(F2, mu2, *rep_pair, default_precision(mu2)), mu2)
         assert got.rep == rep_pair
 
 
@@ -225,18 +260,16 @@ def test_rescaling_gl3_block_weights():
         prec = default_precision(mu_k)
         sample = sorted(census)[:25]
         for rep_pair in sample:
-            g = mat_decode(F2, 3, rep_pair[0])
-            h = mat_decode(F2, 3, rep_pair[1])
-            got = class_of(pair_matrix(g, h, mu_k, prec), mu_k)
+            got = class_of(pair_matrix(F2, mu_k, *rep_pair, prec), mu_k)
             assert got.rep == rep_pair
 
 
 def test_embeddings():
-    e = ident(F2, 2)
-    ca = embed_before_mu(e, MU)
-    cb = embed_after_mu(e, MU)
+    e = mat_encode(ident(F2, 2))
+    ca = embed_before_mu(F2, MU, e)
+    cb = embed_after_mu(F2, MU, e)
     assert ca == cb
-    assert ca.rep == (flat_identity(2), flat_identity(2))
+    assert ca == (flat_identity(2), flat_identity(2))
     rep = embedding_fiber_report(MU, F2)
     assert rep["alpha_ok"] and rep["beta_ok"]
     assert rep["alpha_fiber_sizes"] == [2] and rep["beta_fiber_sizes"] == [2]
@@ -248,8 +281,7 @@ def test_embedding_fibers_are_unipotent_cosets():
 
     fibers = defaultdict(set)
     for gf in enumerate_gl_flat(F2, 2):
-        g = mat_decode(F2, 2, gf)
-        fibers[embed_before_mu(g, MU).rep].add(gf)
+        fibers[embed_before_mu(F2, MU, gf)].add(gf)
     umin = [mat_encode(u) for u in enumerate_points(SubgroupTag.Uminus, MU, F2)]
     from loopzip.matring import flat_mul
 
@@ -285,8 +317,8 @@ def test_witt_pair_matrix_reduces_to_inputs():
     rng = random.Random(9)
     wctx = WittCtx.get(F2, 3)
     gl = enumerate_gl_flat(F2, 2)
-    g = mat_decode(F2, 2, gl[rng.randrange(len(gl))])
-    x = witt_pair_matrix(g, ident(F2, 2), MU, wctx)
+    g = gl[rng.randrange(len(gl))]
+    x = witt_pair_matrix(wctx, MU, g, flat_identity(2))
     _, d, _ = __import__("loopzip.matring", fromlist=["snf_dvr"]).snf_dvr(x)
     assert d == (1, 0)
 
@@ -302,7 +334,7 @@ def test_prozip_levi_pair_commutes_exactly():
     rng = random.Random(19)
     from loopzip.grpdata import conj_by_mu, random_integral_mat
 
-    m = laurent_lift(mat_decode(F3, 2, (2, 0, 0, 1)), 6)
+    m = laurent_lift(F3, 2, (2, 0, 0, 1), 6)
     mt = mu_matrix(MU, LAURENT, spec=F3, prec=6)
     assert m * mt == mt * m
     h = conj_by_mu(m, MU, -1)

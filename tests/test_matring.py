@@ -172,9 +172,9 @@ def test_snf_wide_gap_on_gl3_minor():
     from loopzip.grpdata import Cocharacter
 
     mu = Cocharacter((2, 2, 0))
-    g = mat_decode(F2, 3, (0, 0, 1, 0, 1, 0, 1, 0, 0))
-    h = mat_decode(F2, 3, (0, 0, 1, 0, 1, 1, 1, 0, 0))
-    x = pair_matrix(g, h, mu, 6)
+    g = (0, 0, 1, 0, 1, 0, 1, 0, 0)
+    h = (0, 0, 1, 0, 1, 1, 1, 0, 0)
+    x = pair_matrix(F2, mu, g, h, 6)
     a, d, b = snf_dvr(x)
     assert d == (2, 2, 0)
     prod = a * t_diag(F2, d, 6) * b
@@ -198,10 +198,10 @@ def test_witt_snf_agrees_with_laurent():
     mu = Cocharacter((1, 0))
     gl = enumerate_gl_flat(F2, 2)
     for _ in range(20):
-        g = mat_decode(F2, 2, gl[rng.randrange(len(gl))])
-        h = mat_decode(F2, 2, gl[rng.randrange(len(gl))])
-        _, d_t, _ = snf_dvr(pair_matrix(g, h, mu, 6))
-        _, d_p, _ = snf_dvr(witt_pair_matrix(g, h, mu, wctx))
+        g = gl[rng.randrange(len(gl))]
+        h = gl[rng.randrange(len(gl))]
+        _, d_t, _ = snf_dvr(pair_matrix(F2, mu, g, h, 6))
+        _, d_p, _ = snf_dvr(witt_pair_matrix(wctx, mu, g, h))
         assert d_t == d_p == (1, 0)
 
 

@@ -100,7 +100,7 @@ def test_sigma_conj_action_matches_class_pipeline():
 
     from loopzip.coset import canonical_flat, class_of, laurent_lift, pair_matrix
     from loopzip.grpdata import enumerate_gl_flat
-    from loopzip.matring import flat_frobenius, flat_mul, mat_decode
+    from loopzip.matring import flat_frobenius, flat_mul
 
     spec = FieldSpec.for_q(4)
     gl = enumerate_gl_flat(spec, 2)
@@ -114,8 +114,8 @@ def test_sigma_conj_action_matches_class_pipeline():
             flat_mul(spec, 2, g1, g),
             flat_mul(spec, 2, g2, flat_frobenius(spec, g, 1)),
         )
-        x = pair_matrix(mat_decode(spec, 2, g1), mat_decode(spec, 2, g2), MU, 6)
-        gm = laurent_lift(mat_decode(spec, 2, g), 6)
-        tgm = laurent_lift(mat_decode(spec, 2, flat_frobenius(spec, g, 1)), 6)
+        x = pair_matrix(spec, MU, g1, g2, 6)
+        gm = laurent_lift(spec, 2, g, 6)
+        tgm = laurent_lift(spec, 2, flat_frobenius(spec, g, 1), 6)
         moved = gm.inverse() * x * tgm
         assert class_of(moved, MU).rep == shortcut

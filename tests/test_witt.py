@@ -368,6 +368,20 @@ def test_fraction_reduce_and_integrality():
     half = WittFraction(ctx, 1, ctx.one())
     with pytest.raises(NotIntegral):
         half.reduce_mod_p()
+    with pytest.raises(NotIntegral):
+        half.residue_code()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_residue_code_is_the_first_coordinate(q):
+    spec = FieldSpec.for_q(q)
+    ctx = WittCtx.get(spec, 2)
+    rng = random.Random(q)
+    for _ in range(50):
+        coords = [spec.element(rng.randrange(q)) for _ in range(2)]
+        w = WittFraction.integral(ctx.from_coords(coords))
+        assert w.residue_code() == coords[0].code == w.reduce_mod_p().code
+        assert w.residue_code() == ctx.teichmuller_code(coords[0].code).coords[0].code
 
 
 def test_fraction_json():
