@@ -31,12 +31,9 @@ from .grpdata import (
     SubgroupTag,
 )
 from .matring import (
-    LAURENT,
-    WITTFRAC,
     Mat,
     assert_cartan_precision,
     cartan_precision_floor,
-    field_of,
     flat_identity,
     flat_inverse,
     flat_mul,
@@ -148,7 +145,7 @@ def laurent_lift(spec: FieldSpec, n: int, flat, prec: int) -> Mat:
     if prec <= 0:
         raise InsufficientPrecision("constant needs prec >= 1")
     pad = (0,) * (prec - 1)
-    return Mat(LAURENT, [
+    return Mat([
         [LaurentElt(spec, 0, prec, (c,) + pad) for c in flat[i * n:(i + 1) * n]]
         for i in range(n)
     ])
@@ -156,7 +153,7 @@ def laurent_lift(spec: FieldSpec, n: int, flat, prec: int) -> Mat:
 
 def teichmuller_lift(wctx: WittCtx, n: int, flat) -> Mat:
     """Entrywise Teichmuller lift of a flat F_q matrix into Witt fractions."""
-    return Mat(WITTFRAC, [
+    return Mat([
         [WittFraction.integral(wctx.teichmuller_code(c)) for c in flat[i * n:(i + 1) * n]]
         for i in range(n)
     ])
@@ -165,7 +162,7 @@ def teichmuller_lift(wctx: WittCtx, n: int, flat) -> Mat:
 def pair_matrix(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat, prec: int) -> Mat:
     """The truncated Laurent matrix g^(-1) mu(t) h."""
     n = mu.n
-    mt = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
+    mt = mu_matrix(mu, LaurentElt.one(spec, prec))
     ginv = flat_inverse(spec, n, g_flat)
     return laurent_lift(spec, n, ginv, prec) * mt * laurent_lift(spec, n, h_flat, prec)
 
@@ -173,7 +170,7 @@ def pair_matrix(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat, prec: int) -> 
 def witt_pair_matrix(wctx: WittCtx, mu: Cocharacter, g_flat, h_flat) -> Mat:
     """Teichmuller-lifted analogue over Witt fractions: g~^(-1) p^mu h~."""
     n = mu.n
-    mt = mu_matrix(mu, WITTFRAC, wctx=wctx)
+    mt = mu_matrix(mu, WittFraction.one(wctx))
     ginv = flat_inverse(wctx.spec, n, g_flat)
     return teichmuller_lift(wctx, n, ginv) * mt * teichmuller_lift(wctx, n, h_flat)
 
@@ -185,30 +182,29 @@ def class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
     the pair (abar^(-1), bbar); replacing a by abar or b by bbar moves x
     only by depth-one kernel factors, which the double coset absorbs.
     """
-    if x.ring != LAURENT:
+    if not isinstance(x.rows[0][0], LaurentElt):
         raise ValueError("class_of expects a Laurent matrix")
     assert_cartan_precision(mu.weights, x.min_precision())
-    return _class_of_decomposition(x, mu)
+    return _class_of_decomposition(x, mu, x.rows[0][0].spec)
 
 
 def witt_class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
     """Same pipeline with uniformizer p over Witt fractions."""
-    if x.ring != WITTFRAC:
+    if not isinstance(x.rows[0][0], WittFraction):
         raise ValueError("witt_class_of expects a Witt-fraction matrix")
     wctx = x.rows[0][0].ctx
     if wctx.p not in (2, 3) or wctx.length < 3:
         raise InsufficientPrecision("mixed pipeline needs p in {2,3} and length >= 3")
     if max(abs(w) for w in mu.weights) > 1:
         raise InsufficientPrecision("mixed pipeline supports weights |d| <= 1")
-    return _class_of_decomposition(x, mu)
+    return _class_of_decomposition(x, mu, wctx.spec)
 
 
-def _class_of_decomposition(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
+def _class_of_decomposition(x: Mat, mu: Cocharacter, spec: FieldSpec) -> DoubleCosetClass:
     """Shared tail of both pipelines: x = a diag b, class of (abar^(-1), bbar)."""
     a, d, b = snf_dvr(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    spec = field_of(x)
     g = flat_inverse(spec, mu.n, flat_residue(a))
     return DoubleCosetClass(mu, spec, canonical_flat(spec, mu, g, flat_residue(b)))
 
@@ -333,8 +329,8 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
     wctx = WittCtx.get(spec, length)
     n = mu.n
     gl = enumerate_gl_flat(spec, n)
-    mt = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
-    mw = mu_matrix(mu, WITTFRAC, wctx=wctx)
+    mt = mu_matrix(mu, LaurentElt.one(spec, prec))
+    mw = mu_matrix(mu, WittFraction.one(wctx))
     right_t = [laurent_lift(spec, n, h, prec) for h in gl]
     right_w = [teichmuller_lift(wctx, n, h) for h in gl]
     laurent_classes = set()
@@ -399,7 +395,7 @@ def prozip_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
     """
     rng = random.Random(seed)
     n = mu.n
-    mu_t = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
+    mu_t = mu_matrix(mu, LaurentElt.one(spec, prec))
     passed = 0
     min_window = None
     for _ in range(samples):

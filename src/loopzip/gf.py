@@ -163,7 +163,7 @@ class FieldSpec:
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients")
         for c in coeffs:
-            if not isinstance(c, int) or not 0 <= c < self.p:
+            if type(c) is not int or not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c!r} outside 0..{self.p - 1}")
         return FqElem(self, self._vec_to_code(list(coeffs)))
 

@@ -14,14 +14,12 @@ from enum import Enum
 from .errors import BudgetExceeded, InsufficientPrecision, NotInParabolic
 from .gf import FieldSpec
 from .matring import (
-    FQ,
-    LAURENT,
-    WITTFRAC,
     Mat,
     flat_det,
+    flat_frobenius,
     flat_identity,
+    flat_mul,
     flat_residue,
-    mat_decode,
 )
 from .series import LaurentElt
 from .witt import WittCtx, WittFraction
@@ -100,24 +98,13 @@ class Cocharacter:
         return f"Cocharacter{self.weights}"
 
 
-def mu_matrix(mu: Cocharacter, ring: str, *, spec: FieldSpec = None,
-              prec: int = None, wctx: WittCtx = None) -> Mat:
-    """diag(pi^{d_1}, ..., pi^{d_n}) over the requested ring."""
-    if ring == LAURENT:
-        if prec <= max(mu.weights):
-            raise InsufficientPrecision(
-                f"prec {prec} cannot represent t^{max(mu.weights)}"
-            )
-        diag = [LaurentElt.t_power(spec, d, prec) for d in mu.weights]
-        return Mat.diagonal(LAURENT, diag, spec=spec, prec=prec)
-    if ring == WITTFRAC:
-        if max(mu.weights) >= wctx.length or -min(mu.weights) >= wctx.length:
-            raise InsufficientPrecision(
-                f"weights {mu.weights} out of range at Witt length {wctx.length}"
-            )
-        diag = [WittFraction.p_power(wctx, d) for d in mu.weights]
-        return Mat.diagonal(WITTFRAC, diag, wctx=wctx)
-    raise ValueError("mu matrix lives over Laurent or Witt entries")
+def mu_matrix(mu: Cocharacter, one) -> Mat:
+    """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
+    prec = one.prec
+    if prec <= max(mu.weights):
+        raise InsufficientPrecision(f"window {prec} cannot represent pi^{max(mu.weights)}")
+    # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
+    return Mat.diagonal([one.one_at(prec - d).shifted(d) for d in mu.weights])
 
 
 def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:
@@ -131,68 +118,57 @@ def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:
         rows.append([
             g.rows[i][j].shifted(sign * (d[j] - d[i])) for j in range(mu.n)
         ])
-    return Mat(g.ring, rows)
+    return Mat(rows)
 
 
-def levi_component(p: Mat, mu: Cocharacter) -> Mat:
-    """Block-diagonal part of an element of P+ or P-."""
-    if not (is_member(p, SubgroupTag.Pplus, mu) or is_member(p, SubgroupTag.Pminus, mu)):
+def levi_component(p, mu: Cocharacter) -> tuple:
+    """Block-diagonal part of a flat element of P+ or P-."""
+    if not (_block_member(p, SubgroupTag.Pplus, mu) or _block_member(p, SubgroupTag.Pminus, mu)):
         raise NotInParabolic("matrix lies in neither parabolic")
-    spec = p.rows[0][0].spec
-    zero = spec.zero()
-    rows = [
-        [p.rows[i][j] if mu.block_of[i] == mu.block_of[j] else zero
-         for j in range(mu.n)]
-        for i in range(mu.n)
-    ]
-    return Mat(FQ, rows)
+    b, n = mu.block_of, mu.n
+    return tuple(
+        p[i * n + j] if b[i] == b[j] else 0 for i in range(n) for j in range(n)
+    )
 
 
-def _tau_mat(g: Mat, times: int) -> Mat:
-    return Mat(FQ, [[x.frobenius(times) for x in r] for r in g.rows])
-
-
-def is_member(g, tag: SubgroupTag, mu: Cocharacter, tau_power: int = 0) -> bool:
+def is_member(g, tag: SubgroupTag, mu: Cocharacter, tau_power: int = 0,
+              spec: FieldSpec = None) -> bool:
     """Membership predicates for the subgroups attached to mu.
 
-    F_q-level tags take a single F_q matrix (or a pair for the zip tags);
-    loop-level tags take truncated Laurent matrices.
+    F_q-level tags take a flat matrix of field codes (a pair for the zip
+    tags; ZipFrobenius also needs the field `spec`); loop-level tags take
+    truncated Laurent matrices.
     """
     if tag in (SubgroupTag.Pplus, SubgroupTag.Pminus, SubgroupTag.Uplus,
                SubgroupTag.Uminus, SubgroupTag.M):
         return _block_member(g, tag, mu)
     if tag == SubgroupTag.K1:
-        return g.is_integral() and _reduces_to_identity(g, mu)
+        return g.is_integral() and flat_residue(g) == flat_identity(g.n)
     if tag == SubgroupTag.Hplus:
-        return g.is_integral() and _block_member(g.reduce(), SubgroupTag.Pplus, mu)
+        return g.is_integral() and _block_member(flat_residue(g), SubgroupTag.Pplus, mu)
     if tag == SubgroupTag.Hminus:
-        return g.is_integral() and _block_member(g.reduce(), SubgroupTag.Pminus, mu)
+        return g.is_integral() and _block_member(flat_residue(g), SubgroupTag.Pminus, mu)
     if tag == SubgroupTag.leftH:
         return g.is_integral() and conj_by_mu(g, mu, -1).is_integral()
     if tag == SubgroupTag.rightH:
         return g.is_integral() and conj_by_mu(g, mu, +1).is_integral()
-    if tag == SubgroupTag.ZipNormal:
+    if tag in (SubgroupTag.ZipNormal, SubgroupTag.ZipFrobenius):
         pm, pp = g
-        return (
-            _block_member(pm, SubgroupTag.Pminus, mu)
-            and _block_member(pp, SubgroupTag.Pplus, mu)
-            and levi_component(pm, mu) == levi_component(pp, mu)
-        )
-    if tag == SubgroupTag.ZipFrobenius:
-        pm, pp = g
-        return (
-            _block_member(pm, SubgroupTag.Pminus, mu)
-            and _block_member(pp, SubgroupTag.Pplus, mu)
-            and levi_component(pm, mu) == _tau_mat(levi_component(pp, mu), tau_power)
-        )
+        if not (_block_member(pm, SubgroupTag.Pminus, mu)
+                and _block_member(pp, SubgroupTag.Pplus, mu)):
+            return False
+        levi = levi_component(pp, mu)
+        if tag == SubgroupTag.ZipFrobenius:
+            if spec is None:
+                raise ValueError("ZipFrobenius membership needs the field spec")
+            levi = flat_frobenius(spec, levi, tau_power)
+        return levi_component(pm, mu) == levi
     if tag == SubgroupTag.ZipLoop:
         hm, hp = g
         if not (is_member(hm, SubgroupTag.Hminus, mu) and
                 is_member(hp, SubgroupTag.Hplus, mu)):
             return False
-        lm = levi_component(hm.reduce(), mu)
-        lp = levi_component(hp.reduce(), mu)
-        return lm == lp
+        return levi_component(flat_residue(hm), mu) == levi_component(flat_residue(hp), mu)
     if tag == SubgroupTag.ZipPro:
         hm, hp = g
         if not (is_member(hp, SubgroupTag.leftH, mu) and
@@ -204,44 +180,28 @@ def is_member(g, tag: SubgroupTag, mu: Cocharacter, tau_power: int = 0) -> bool:
     raise ValueError(f"unknown tag {tag}")
 
 
-def _block_member(g: Mat, tag: SubgroupTag, mu: Cocharacter) -> bool:
+def _block_member(g, tag: SubgroupTag, mu: Cocharacter) -> bool:
+    """Block shape of a flat F_q matrix; U_+ and U_- also need identity blocks."""
     b = mu.block_of
     n = mu.n
-    spec = g.rows[0][0].spec
     for i in range(n):
         for j in range(n):
-            x = g.rows[i][j]
+            x = g[i * n + j]
             if tag in (SubgroupTag.Pplus, SubgroupTag.Uplus):
-                if b[i] > b[j] and not x.is_zero():
+                if b[i] > b[j] and x:
                     return False
             if tag in (SubgroupTag.Pminus, SubgroupTag.Uminus):
-                if b[i] < b[j] and not x.is_zero():
+                if b[i] < b[j] and x:
                     return False
-            if tag == SubgroupTag.M and b[i] != b[j] and not x.is_zero():
+            if tag == SubgroupTag.M and b[i] != b[j] and x:
                 return False
-    if tag in (SubgroupTag.Uplus, SubgroupTag.Uminus):
-        one, zero = spec.one(), spec.zero()
-        for i in range(n):
-            for j in range(n):
-                if b[i] == b[j]:
-                    want = one if i == j else zero
-                    if g.rows[i][j] != want:
-                        return False
+            if tag in (SubgroupTag.Uplus, SubgroupTag.Uminus):
+                if b[i] == b[j] and x != int(i == j):
+                    return False
     return True
 
 
-def _reduces_to_identity(g: Mat, mu: Cocharacter) -> bool:
-    red = g.reduce()
-    spec = red.rows[0][0].spec
-    one, zero = spec.one(), spec.zero()
-    return all(
-        red.rows[i][j] == (one if i == j else zero)
-        for i in range(g.n)
-        for j in range(g.n)
-    )
-
-
-# -- exhaustive point enumeration (flat encodings) -------------------------------
+# -- exhaustive enumeration (flat encodings) -------------------------------
 
 
 def gl_order(n: int, q: int) -> int:
@@ -347,8 +307,6 @@ def enumerate_levi_flat(spec: FieldSpec, mu: Cocharacter) -> list:
 
 def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> list:
     """P_+ (sign=+1) or P_- (sign=-1) as pairs (u m, m): each element with its Levi part."""
-    from .matring import flat_mul
-
     n = mu.n
     levi = enumerate_levi_flat(spec, mu)
     return [
@@ -361,8 +319,6 @@ def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> lis
 def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, *,
                              frobenius: bool = False, tau_power: int = 0) -> list:
     """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau(m) if twisted."""
-    from .matring import flat_mul, flat_frobenius
-
     n = mu.n
     ups = enumerate_unipotent_flat(spec, mu, +1)
     downs = enumerate_unipotent_flat(spec, mu, -1)
@@ -375,29 +331,6 @@ def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, *,
             for up in ups:
                 out.append((pm, flat_mul(spec, n, up, m)))
     return out
-
-
-def enumerate_points(tag, mu: Cocharacter, spec: FieldSpec, tau_power: int = 0):
-    """Exhaustive duplicate-free point list; Mat objects (pairs for zip tags)."""
-    n = mu.n
-    if tag == "G":
-        return [mat_decode(spec, n, f) for f in enumerate_gl_flat(spec, n)]
-    if tag == SubgroupTag.Uplus:
-        return [mat_decode(spec, n, f) for f in enumerate_unipotent_flat(spec, mu, +1)]
-    if tag == SubgroupTag.Uminus:
-        return [mat_decode(spec, n, f) for f in enumerate_unipotent_flat(spec, mu, -1)]
-    if tag == SubgroupTag.M:
-        return [mat_decode(spec, n, f) for f in enumerate_levi_flat(spec, mu)]
-    if tag in (SubgroupTag.Pplus, SubgroupTag.Pminus):
-        sign = +1 if tag == SubgroupTag.Pplus else -1
-        return [mat_decode(spec, n, p) for p, _ in enumerate_parabolic_flat(spec, mu, sign)]
-    if tag == SubgroupTag.ZipNormal:
-        pairs = enumerate_zip_pairs_flat(spec, mu)
-        return [(mat_decode(spec, n, a), mat_decode(spec, n, b)) for a, b in pairs]
-    if tag == SubgroupTag.ZipFrobenius:
-        pairs = enumerate_zip_pairs_flat(spec, mu, frobenius=True, tau_power=tau_power)
-        return [(mat_decode(spec, n, a), mat_decode(spec, n, b)) for a, b in pairs]
-    raise ValueError(f"tag {tag} is not finitely enumerable")
 
 
 # -- generator sets for the orbit engines ------------------------------------------
@@ -433,8 +366,6 @@ def gl_generators(spec: FieldSpec, n: int) -> list:
 def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, *,
                         frobenius: bool = False, tau_power: int = 0) -> list:
     """Pairs generating the zip group: one-sided unipotents and Levi diagonal."""
-    from .matring import flat_frobenius
-
     n = mu.n
     ident = flat_identity(n)
     gens = []
@@ -463,18 +394,18 @@ def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
     """Random element of the integral loop group at the given precision."""
     while True:
         rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
-        m = Mat(LAURENT, rows)
+        m = Mat(rows)
         if not unit or flat_det(spec, n, flat_residue(m)) != 0:
             return m
 
 
 def random_k1_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
     """Random depth-one kernel element: identity plus t * (integral matrix)."""
-    ident = Mat.identity(LAURENT, n, spec=spec, prec=prec)
+    ident = Mat.identity(n, LaurentElt.one(spec, prec))
     rows = [
         [random_laurent(spec, rng, 1, prec) for _ in range(n)] for _ in range(n)
     ]
-    return ident + Mat(LAURENT, rows)
+    return ident + Mat(rows)
 
 
 def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
@@ -494,7 +425,7 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
                 gap = d[i] - d[j]
                 row.append(random_laurent(spec, rng, max(gap, 0), prec))
             rows.append(row)
-        k = Mat(LAURENT, rows)
+        k = Mat(rows)
         if flat_det(spec, n, flat_residue(k)) == 0:
             continue
         g = conj_by_mu(k, mu, +1)
@@ -505,15 +436,13 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
 
 def random_witt_k1_mat(wctx: WittCtx, n: int, rng) -> Mat:
     """Identity plus p * (integral Witt matrix)."""
-    spec = wctx.spec
-    ident = Mat.identity(WITTFRAC, n, wctx=wctx)
+    q = wctx.spec.q
+    ident = Mat.identity(n, WittFraction.one(wctx))
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            coords = [spec.zero()] + [
-                spec.element(rng.randrange(spec.q)) for _ in range(wctx.length - 1)
-            ]
-            row.append(WittFraction.integral(wctx.from_coords(coords)))
+            codes = [0] + [rng.randrange(q) for _ in range(wctx.length - 1)]
+            row.append(WittFraction.integral(wctx.from_coord_codes(codes)))
         rows.append(row)
-    return ident + Mat(WITTFRAC, rows)
+    return ident + Mat(rows)

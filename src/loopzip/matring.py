@@ -1,76 +1,69 @@
-"""Square matrices over F_q, truncated Laurent series, or Witt fractions.
+"""Square matrices over truncated Laurent series or Witt fractions.
 
-Includes Gaussian inversion with valuation-aware pivoting and the
+Both entry types answer one small protocol, and `Mat` is written once
+against it:
+  valuation()        leading exponent, or None when zero within the window;
+  prec               the window: the entry is known modulo pi^prec;
+  residue_code()     field code of the reduction of an integral entry;
+  shifted(k)         multiplication by pi^k;
+  inverse()          inverse of an entry of provable valuation;
+  zero_at(prec), one_at(prec)  the ring's constants at a given window.
+On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), with a and b integral of unit reduction.
+Matrices over F_q itself are flat row-major tuples of field codes, for the
+flat_* functions below.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    InsufficientPrecision,
-    NotIntegral,
-    NotInvertible,
-    SpecMismatch,
-)
+from .errors import InsufficientPrecision, NotInvertible, SpecMismatch
 from .gf import FieldSpec
 from .series import LaurentElt
 from .witt import WittCtx, WittFraction
 
-FQ = "fq"
-LAURENT = "laurent"
-WITTFRAC = "wittfrac"
-
 _INF = 10**9
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; bool and float values are rejected, not rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 class Mat:
-    """Immutable square matrix; entries share one ring context."""
+    """Immutable square matrix of Laurent series or of Witt fractions."""
 
-    __slots__ = ("n", "ring", "rows")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, ring: str, rows):
+    def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
         self.n = n
-        self.ring = ring
         self.rows = rows
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def fq(rows) -> "Mat":
-        return Mat(FQ, rows)
+    def identity(n: int, one) -> "Mat":
+        """The n x n identity in the ring of `one`, at the window of `one`."""
+        zero = one.zero_at(one.prec)
+        return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def identity(ring: str, n: int, *, spec: FieldSpec = None, prec: int = None,
-                 wctx: WittCtx = None) -> "Mat":
-        if ring == FQ:
-            one, zero = spec.one(), spec.zero()
-        elif ring == LAURENT:
-            one, zero = LaurentElt.one(spec, prec), LaurentElt.zero(spec, prec)
-        else:
-            one, zero = WittFraction.one(wctx), WittFraction.zero(wctx)
-        return Mat(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(ring: str, diag, *, spec: FieldSpec = None, prec: int = None,
-                 wctx: WittCtx = None) -> "Mat":
+    def diagonal(diag) -> "Mat":
+        """diag(d_1, ..., d_n); its zeros take the least window of the d_i."""
         n = len(diag)
-        if ring == LAURENT:
-            zero = LaurentElt.zero(spec, prec)
-        elif ring == WITTFRAC:
-            zero = WittFraction.zero(wctx)
-        else:
-            zero = spec.zero()
-        return Mat(ring, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
+        zero = diag[0].zero_at(min(x.prec for x in diag))
+        return Mat([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
 
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "Mat") -> None:
-        if other.ring != self.ring or other.n != self.n:
+        if other.n != self.n or type(other.rows[0][0]) is not type(self.rows[0][0]):
             raise SpecMismatch("matrix size or ring mismatch")
 
     def __mul__(self, other: "Mat") -> "Mat":
@@ -88,60 +81,24 @@ class Mat:
                     acc = acc + row[k] * col[k]
                 orow.append(acc)
             out.append(orow)
-        return Mat(self.ring, out)
+        return Mat(out)
 
     def __add__(self, other: "Mat") -> "Mat":
         self._coerce(other)
-        return Mat(self.ring, [
+        return Mat([
             [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
         ])
 
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._coerce(other)
-        return Mat(self.ring, [
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ])
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.ring, [[-a for a in r] for r in self.rows])
-
     # -- entry inspection --------------------------------------------------------
 
-    def _val(self, x):
-        if self.ring == FQ:
-            return None if x.is_zero() else 0
-        return x.valuation()
-
-    def _val_bound(self, x) -> int:
-        """Lower bound on the valuation of a zero-within-window entry."""
-        if self.ring == FQ:
-            return _INF
-        if self.ring == LAURENT:
-            return x.prec
-        return x.known
-
-    def min_precision(self):
-        if self.ring == FQ:
-            return None
-        if self.ring == LAURENT:
-            return min(x.prec for r in self.rows for x in r)
-        return min(x.known for r in self.rows for x in r)
+    def min_precision(self) -> int:
+        return min(x.prec for r in self.rows for x in r)
 
     def is_integral(self) -> bool:
         return all(x.is_integral() for r in self.rows for x in r)
 
-    def reduce(self) -> "Mat":
-        """Entrywise reduction modulo the uniformizer, as an F_q matrix."""
-        if self.ring == FQ:
-            return self
-        if self.ring == LAURENT:
-            return Mat(FQ, [[x.reduce_mod_t() for x in r] for r in self.rows])
-        return Mat(FQ, [[x.reduce_mod_p() for x in r] for r in self.rows])
-
     def congruent_mod(self, other: "Mat", k: int) -> bool:
         self._coerce(other)
-        if self.ring == FQ:
-            return self.rows == other.rows
         return all(
             a.congruent_mod(b, k)
             for r1, r2 in zip(self.rows, other.rows)
@@ -153,17 +110,11 @@ class Mat:
     def inverse(self) -> "Mat":
         """Gauss-Jordan with minimal-valuation pivot selection."""
         n = self.n
-        spec = field_of(self)
         w = [list(r) for r in self.rows]
-        if self.ring == FQ:
-            aug = [list(r) for r in Mat.identity(FQ, n, spec=spec).rows]
-        elif self.ring == LAURENT:
-            prec = self.min_precision()
-            aug = [list(r) for r in Mat.identity(LAURENT, n, spec=spec, prec=prec).rows]
-        else:
-            aug = [list(r) for r in Mat.identity(WITTFRAC, n, wctx=_wctx_of(self)).rows]
+        one = self.rows[0][0].one_at(self.min_precision())
+        aug = [list(r) for r in Mat.identity(n, one).rows]
         for col in range(n):
-            piv = self._select_pivot(w, col, rows=range(col, n), cols=[col])
+            piv = _select_pivot(w, rows=range(col, n), cols=[col])
             if piv is None:
                 raise NotInvertible(f"no usable pivot in column {col}")
             i, _ = piv
@@ -177,48 +128,21 @@ class Mat:
                 if r == col:
                     continue
                 c = w[r][col]
-                if self._val(c) is None:
+                if c.valuation() is None:
                     continue
                 w[r] = [x - c * y for x, y in zip(w[r], w[col])]
                 aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-        return Mat(self.ring, aug)
-
-    def _select_pivot(self, w, start, rows, cols):
-        """Entry of provably minimal valuation; None if all are zero-in-window."""
-        best = None
-        best_val = None
-        min_bound = _INF
-        for i in rows:
-            for j in cols:
-                v = self._val(w[i][j])
-                if v is None:
-                    min_bound = min(min_bound, self._val_bound(w[i][j]))
-                elif best_val is None or v < best_val:
-                    best_val = v
-                    best = (i, j)
-        if best is None:
-            return None
-        if min_bound < best_val:
-            raise InsufficientPrecision(
-                f"entry window ends at valuation {min_bound}, below pivot {best_val}"
-            )
-        return best
+        return Mat(aug)
 
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.ring == FQ:
-            spec = field_of(self)
-            entries = [[list(x.coeffs) for x in r] for r in self.rows]
-            ring = {"tag": FQ, "p": spec.p, "m": spec.m}
-        elif self.ring == LAURENT:
-            spec = field_of(self)
-            entries = [[x.to_json() for x in r] for r in self.rows]
-            ring = {"tag": LAURENT, "p": spec.p, "m": spec.m}
+        x = self.rows[0][0]
+        if isinstance(x, LaurentElt):
+            ring = {"tag": "laurent", "p": x.spec.p, "m": x.spec.m}
         else:
-            wctx = _wctx_of(self)
-            entries = [[x.to_json() for x in r] for r in self.rows]
-            ring = {"tag": WITTFRAC, "p": wctx.p, "m": wctx.spec.m, "N": wctx.length}
+            ring = {"tag": "wittfrac", "p": x.ctx.p, "m": x.ctx.spec.m, "N": x.ctx.length}
+        entries = [[y.to_json() for y in r] for r in self.rows]
         return {"n": self.n, "ring": ring, "entries": entries}
 
     @staticmethod
@@ -227,11 +151,11 @@ class Mat:
         try:
             ring, n, entries = data["ring"], data["n"], data["entries"]
             tag = ring["tag"]
-            spec = FieldSpec.get(ring["p"], ring.get("m", 1))
-            wctx = WittCtx.get(spec, ring["N"]) if tag == WITTFRAC else None
+            spec = FieldSpec.get(_int(ring["p"], "p"), _int(ring.get("m", 1), "m"))
+            wctx = WittCtx.get(spec, _int(ring["N"], "N")) if tag == "wittfrac" else None
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix header: {exc!r}") from exc
-        if tag not in (FQ, LAURENT, WITTFRAC):
+        if tag not in ("laurent", "wittfrac"):
             raise ValueError(f"unknown ring tag {tag!r}")
         if type(n) is not int or n < 1:
             raise ValueError(f"declared n={n!r} is not a positive integer")
@@ -244,59 +168,55 @@ class Mat:
             out = []
             for j, cell in enumerate(row):
                 try:
-                    if tag == FQ:
-                        out.append(spec.from_coeffs(cell))
-                    elif tag == LAURENT:
+                    if tag == "laurent":
                         out.append(LaurentElt.from_json(spec, cell))
                     else:
                         num = wctx.from_coords([spec.from_coeffs(c) for c in cell["coords"]])
-                        out.append(WittFraction(wctx, cell.get("e", 0), num))
+                        out.append(WittFraction(wctx, _int(cell.get("e", 0), "e"), num))
                 except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
                     raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc
             rows.append(out)
-        return Mat(tag, rows)
+        return Mat(rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and other.ring == self.ring
-            and other.rows == self.rows
-        )
+        return isinstance(other, Mat) and other.rows == self.rows
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in r) for r in self.rows)
         return f"Mat[{body}]"
 
 
-def field_of(m: Mat) -> FieldSpec:
-    """The residue field F_q of the matrix's ring."""
-    x = m.rows[0][0]
-    return x.spec if m.ring != WITTFRAC else x.ctx.spec
-
-
-def _wctx_of(m: Mat) -> WittCtx:
-    return m.rows[0][0].ctx
+def _select_pivot(w, rows, cols):
+    """Entry of provably minimal valuation; None if all are zero-in-window."""
+    best = None
+    best_val = None
+    min_bound = _INF
+    for i in rows:
+        for j in cols:
+            v = w[i][j].valuation()
+            if v is None:
+                min_bound = min(min_bound, w[i][j].prec)
+            elif best_val is None or v < best_val:
+                best_val = v
+                best = (i, j)
+    if best is None:
+        return None
+    if min_bound < best_val:
+        raise InsufficientPrecision(
+            f"entry window ends at valuation {min_bound}, below pivot {best_val}"
+        )
+    return best
 
 
 # -- flat F_q matrices: int-code tuples for the enumeration engines ------------
 
 
-def mat_encode(m: Mat) -> tuple:
-    return tuple(x.code for r in m.rows for x in r)
-
-
 def flat_residue(m: Mat) -> tuple:
     """Flat codes of the reduction of an integral Laurent or Witt matrix."""
     return tuple(x.residue_code() for r in m.rows for x in r)
-
-
-def mat_decode(spec: FieldSpec, n: int, flat) -> Mat:
-    return Mat(FQ, [
-        [spec.element(flat[i * n + j]) for j in range(n)] for i in range(n)
-    ])
 
 
 def flat_identity(n: int) -> tuple:
@@ -369,22 +289,15 @@ def snf_dvr(x: Mat):
     take the smallest row index, then column index.  d is returned sorted
     non-increasing, conjugating a and b by the sorting permutation.
     """
-    if x.ring == FQ:
-        raise ValueError("decomposition requires a Laurent or Witt matrix")
     n = x.n
     w = [list(r) for r in x.rows]
-    if x.ring == LAURENT:
-        spec = field_of(x)
-        prec = x.min_precision()
-        ident = Mat.identity(LAURENT, n, spec=spec, prec=prec)
-    else:
-        ident = Mat.identity(WITTFRAC, n, wctx=_wctx_of(x))
+    ident = Mat.identity(n, x.rows[0][0].one_at(x.min_precision()))
     a = [list(r) for r in ident.rows]
     b = [list(r) for r in ident.rows]
     d = [0] * n
 
     for k in range(n):
-        piv = x._select_pivot(w, k, rows=range(k, n), cols=range(k, n))
+        piv = _select_pivot(w, rows=range(k, n), cols=range(k, n))
         if piv is None:
             raise NotInvertible(
                 "remaining minor is zero within precision; no finite determinant valuation"
@@ -398,7 +311,7 @@ def snf_dvr(x: Mat):
             for r in range(n):
                 w[r][k], w[r][pj] = w[r][pj], w[r][k]
             b[k], b[pj] = b[pj], b[k]
-        v = x._val(w[k][k])
+        v = w[k][k].valuation()
         d[k] = v
         unit = w[k][k].shifted(-v)
         uinv = unit.inverse()
@@ -408,14 +321,14 @@ def snf_dvr(x: Mat):
             a[r][k] = a[r][k] * unit
         # pivot row is now normalized to pi^v, so quotients are plain shifts
         for i in range(n):
-            if i == k or x._val(w[i][k]) is None:
+            if i == k or w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
             w[i] = [p - c * q for p, q in zip(w[i], w[k])]
             for r in range(n):
                 a[r][k] = a[r][k] + a[r][i] * c
         for j in range(n):
-            if j == k or x._val(w[k][j]) is None:
+            if j == k or w[k][j].valuation() is None:
                 continue
             c = w[k][j].shifted(-v)
             for r in range(n):
@@ -427,7 +340,7 @@ def snf_dvr(x: Mat):
     d_sorted = tuple(d[i] for i in order)
     a_sorted = [[a[r][order[c]] for c in range(n)] for r in range(n)]
     b_sorted = [b[order[r]] for r in range(n)]
-    return Mat(x.ring, a_sorted), d_sorted, Mat(x.ring, b_sorted)
+    return Mat(a_sorted), d_sorted, Mat(b_sorted)
 
 
 def cartan_precision_floor(weights) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .coset import canonical_flat, class_census, class_of, mu_matrix
 from .errors import BudgetExceeded
@@ -19,12 +20,14 @@ from .grpdata import (
     SubgroupTag,
     enumerate_gl_flat,
     enumerate_parabolic_flat,
+    enumerate_zip_pairs_flat,
     gl_generators,
     gl_order,
     group_order,
     zip_pair_generators,
 )
-from .matring import LAURENT, flat_frobenius, flat_identity, flat_inverse, flat_mul
+from .matring import flat_frobenius, flat_identity, flat_inverse, flat_mul
+from .series import LaurentElt
 from .weyl import longest_element, min_coset_reps
 
 ACTION_KINDS = ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj")
@@ -78,59 +81,73 @@ def _budget(aspec: ActionSpec) -> None:
         raise BudgetExceeded("orbit engines limited to n <= 3, q <= 4")
 
 
-def _sigma_conj_action(spec: FieldSpec, mu: Cocharacter, tau: int):
-    """G acting on class representatives: (g1, g2).g = class of (g1 g, g2 tau(g))."""
-    n = mu.n
+@dataclass(frozen=True)
+class Action:
+    """One finite right action, as read by the orbit engine and the axioms check.
 
-    def act(pair, g):
-        return canonical_flat(
-            spec, mu,
-            flat_mul(spec, n, pair[0], g),
-            flat_mul(spec, n, pair[1], flat_frobenius(spec, g, tau)),
-        )
+    `act(g)` returns the map x -> x.g, so work that depends on g alone (an
+    inverse, a Frobenius image) is done once per group element.
+    """
 
-    return act
+    points: list  # the acted set, each point a hashable flat encoding
+    gens: list  # a generating set of the acting group
+    law: Callable  # the group multiplication
+    identity: tuple
+    elements: Callable  # () -> every group element, for sampling
+    act: Callable
+    order: int
 
 
-def _acted_set_and_action(aspec: ActionSpec):
+def _action(aspec: ActionSpec) -> Action:
     spec = FieldSpec.for_q(aspec.q)
     mu = aspec.mu
     n = mu.n
+    tau = aspec.tau_power
+    ident = flat_identity(n)
+
+    def mul(a, b):
+        return flat_mul(spec, n, a, b)
+
     if aspec.kind == "sigma-conj":
-        points = list(class_census(mu, spec))
-        act = _sigma_conj_action(spec, mu, aspec.tau_power)
-        return points, gl_generators(spec, n), act, gl_order(n, aspec.q)
+        # G on class representatives: (g1, g2).g = class of (g1 g, g2 tau(g))
+        def act(g):
+            tg = flat_frobenius(spec, g, tau)
+            return lambda pair: canonical_flat(spec, mu, mul(pair[0], g), mul(pair[1], tg))
 
-    points = list(enumerate_gl_flat(spec, n))
-    if aspec.kind == "zip-normal":
-        raw = zip_pair_generators(spec, mu)
-        acts = [(flat_inverse(spec, n, pp), pm) for pm, pp in raw]
-    elif aspec.kind == "zip-frobenius":
-        raw = zip_pair_generators(spec, mu, frobenius=True, tau_power=aspec.tau_power)
-        acts = [(flat_inverse(spec, n, pp), pm) for pm, pp in raw]
-    else:  # partial-frobenius
-        raw = zip_pair_generators(spec, mu)
-        acts = [
-            (flat_inverse(spec, n, pp), flat_frobenius(spec, pm, aspec.tau_power))
-            for pm, pp in raw
-        ]
+        return Action(list(class_census(mu, spec)), gl_generators(spec, n), mul, ident,
+                      lambda: enumerate_gl_flat(spec, n), act, gl_order(n, aspec.q))
 
-    def act(g, gen):
-        ppi, pm = gen
-        return flat_mul(spec, n, flat_mul(spec, n, ppi, g), pm)
+    # zip-style: the zip group {(p_-, p_+)} on G by g.(p_-, p_+) = p_+^(-1) g r(p_-),
+    # r = tau for partial-frobenius and the identity otherwise
+    twisted = aspec.kind == "zip-frobenius"
 
-    order = group_order(SubgroupTag.ZipNormal, mu, aspec.q)
-    return points, acts, act, order
+    def act(pair):
+        pm, pp = pair
+        left = flat_inverse(spec, n, pp)
+        right = flat_frobenius(spec, pm, tau) if aspec.kind == "partial-frobenius" else pm
+        return lambda g: mul(mul(left, g), right)
+
+    return Action(
+        list(enumerate_gl_flat(spec, n)),
+        zip_pair_generators(spec, mu, frobenius=twisted, tau_power=tau),
+        lambda u, v: (mul(u[0], v[0]), mul(u[1], v[1])),
+        (ident, ident),
+        lambda: enumerate_zip_pairs_flat(spec, mu, frobenius=twisted, tau_power=tau),
+        act,
+        group_order(SubgroupTag.ZipNormal, mu, aspec.q),
+    )
 
 
 def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
     """Exact orbit partition by union-find over the enumerated acting set."""
     _budget(aspec)
-    points, gens, act, order = _acted_set_and_action(aspec)
+    action = _action(aspec)
+    points = action.points
+    movers = [action.act(g) for g in action.gens]
     uf = UnionFind(points)
     for x in points:
-        for gen in gens:
-            uf.union(x, act(x, gen))
+        for move in movers:
+            uf.union(x, move(x))
     groups: dict = {}
     for x in points:
         groups.setdefault(uf.find(x), []).append(x)
@@ -146,9 +163,9 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
     total = len(points)
     if sum(o[1] for o in orbits) != total:
         raise AssertionError("orbit sizes do not sum to the number of points")
-    if any(order % o[1] for o in orbits):
+    if any(action.order % o[1] for o in orbits):
         raise AssertionError("orbit size must divide group order")
-    return OrbitPartition(aspec, orbits, total, order, frozenset(blocks))
+    return OrbitPartition(aspec, orbits, total, action.order, frozenset(blocks))
 
 
 def partition_blocks(part: OrbitPartition) -> frozenset:
@@ -168,47 +185,17 @@ def _root_of_class(part: OrbitPartition) -> dict:
 def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> bool:
     """Spot-check: identity acts trivially; (x.g).h = x.(g h) on random triples."""
     _budget(aspec)
-    spec = FieldSpec.for_q(aspec.q)
-    mu = aspec.mu
-    n = mu.n
+    action = _action(aspec)
+    points, elements = action.points, action.elements()
+    act = action.act
     rng = random.Random(seed)
-    gl = enumerate_gl_flat(spec, n)
-    ident = flat_identity(n)
-    tau = aspec.tau_power
-
-    if aspec.kind == "sigma-conj":
-        points = list(class_census(mu, spec))
-        act = _sigma_conj_action(spec, mu, tau)
-        for _ in range(samples):
-            x = points[rng.randrange(len(points))]
-            g = gl[rng.randrange(len(gl))]
-            h = gl[rng.randrange(len(gl))]
-            if act(x, ident) != x:
-                return False
-            if act(act(x, g), h) != act(x, flat_mul(spec, n, g, h)):
-                return False
-        return True
-
-    # zip-style actions: elements of the zip group are (p_-, p_+) pairs
-    from .grpdata import enumerate_zip_pairs_flat
-
-    pairs = enumerate_zip_pairs_flat(
-        spec, mu, frobenius=(aspec.kind == "zip-frobenius"), tau_power=tau
-    )
-
-    def act(g, pair):
-        pm, pp = pair
-        right = pm if aspec.kind != "partial-frobenius" else flat_frobenius(spec, pm, tau)
-        return flat_mul(spec, n, flat_mul(spec, n, flat_inverse(spec, n, pp), g), right)
-
     for _ in range(samples):
-        x = gl[rng.randrange(len(gl))]
-        u = pairs[rng.randrange(len(pairs))]
-        v = pairs[rng.randrange(len(pairs))]
-        if act(x, (ident, ident)) != x:
+        x = points[rng.randrange(len(points))]
+        g = elements[rng.randrange(len(elements))]
+        h = elements[rng.randrange(len(elements))]
+        if act(action.identity)(x) != x:
             return False
-        uv = (flat_mul(spec, n, u[0], v[0]), flat_mul(spec, n, u[1], v[1]))
-        if act(act(x, u), v) != act(x, uv):
+        if act(h)(act(g)(x)) != act(action.law(g, h))(x):
             return False
     return True
 
@@ -327,7 +314,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
     root_of_class = _root_of_class(sigma_part)
 
-    mu_t = mu_matrix(mu, LAURENT, spec=spec, prec=prec)
+    mu_t = mu_matrix(mu, LaurentElt.one(spec, prec))
     roots = []
     for w in reps:
         perm = w * w0 * w0j

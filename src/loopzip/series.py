@@ -8,8 +8,8 @@ coefficients and t -> t^p).
 
 Coefficients are stored as the field's int codes 0..q-1 and every ring
 operation indexes the `FieldSpec` tables directly.  `FqElem` appears
-only at the edges: `coeff`, `reduce_mod_t`, `scale`, `const` and the
-text and JSON forms; `residue_code` is the unboxed reduction.
+only at the edges: `coeff`, `reduce_mod_t`, `scale` and the text and
+JSON forms; `residue_code` is the unboxed reduction.
 """
 
 from __future__ import annotations
@@ -66,14 +66,16 @@ class LaurentElt:
         return _raw(spec, v, prec, (0,) * (prec - v))
 
     @staticmethod
-    def const(c: FqElem, prec: int) -> "LaurentElt":
+    def one(spec: FieldSpec, prec: int) -> "LaurentElt":
         if prec <= 0:
             raise InsufficientPrecision("constant needs prec >= 1")
-        return _raw(c.spec, 0, prec, (c.code,) + (0,) * (prec - 1))
+        return _raw(spec, 0, prec, (1,) + (0,) * (prec - 1))
 
-    @staticmethod
-    def one(spec: FieldSpec, prec: int) -> "LaurentElt":
-        return LaurentElt.const(spec.one(), prec)
+    def zero_at(self, prec: int) -> "LaurentElt":
+        return LaurentElt.zero(self.spec, prec)
+
+    def one_at(self, prec: int) -> "LaurentElt":
+        return LaurentElt.one(self.spec, prec)
 
     @staticmethod
     def t_power(spec: FieldSpec, d: int, prec: int) -> "LaurentElt":
@@ -283,8 +285,11 @@ class LaurentElt:
 
     @staticmethod
     def from_json(spec: FieldSpec, data: dict) -> "LaurentElt":
+        v, prec = data["v"], data["prec"]
+        if type(v) is not int or type(prec) is not int:
+            raise ValueError(f"v={v!r} and prec={prec!r} must be integers")
         codes = [spec.from_coeffs(c).code for c in data["coeffs"]]
-        return LaurentElt(spec, data["v"], data["prec"], codes)
+        return LaurentElt(spec, v, prec, codes)
 
     def __repr__(self):
         terms = []

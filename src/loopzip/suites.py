@@ -31,13 +31,12 @@ from .grpdata import (
     enumerate_gl_flat,
     enumerate_zip_pairs_flat,
     is_member,
-    mu_matrix,
     random_k1_mat,
     random_laurent,
     random_left_h_mat,
     upper_block_positions,
 )
-from .matring import LAURENT, Mat
+from .matring import Mat, flat_det
 from .orbits import ActionSpec, chain_compare, check_action_axioms, transport_check, weyl_reps_report
 from .series import LaurentElt
 from .weyl import (
@@ -64,13 +63,13 @@ def _unipotent_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec
     positions = upper_block_positions(mu)
     if sign < 0:
         positions = [(j, i) for i, j in positions]
-    ident = Mat.identity(LAURENT, n, spec=spec, prec=prec)
+    ident = Mat.identity(n, LaurentElt.one(spec, prec))
     polys = list(itertools.product(range(spec.q), repeat=prec))
     for combo in itertools.product(polys, repeat=len(positions)):
         rows = [list(r) for r in ident.rows]
         for (i, j), codes in zip(positions, combo):
             rows[i][j] = LaurentElt.from_coeff_list(spec, 0, codes, prec)
-        yield Mat(LAURENT, rows)
+        yield Mat(rows)
 
 
 def _parabolic_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec: int):
@@ -95,7 +94,7 @@ def _parabolic_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec
                 rows[i][i] = LaurentElt.from_coeff_list(spec, 0, diag[i], prec)
             for (i, j), codes in zip(positions, combo):
                 rows[i][j] = LaurentElt.from_coeff_list(spec, 0, codes, prec)
-            yield Mat(LAURENT, rows)
+            yield Mat(rows)
 
 
 def _random_unipotent_series(spec, mu, sign, prec, rng):
@@ -103,10 +102,10 @@ def _random_unipotent_series(spec, mu, sign, prec, rng):
     positions = upper_block_positions(mu)
     if sign < 0:
         positions = [(j, i) for i, j in positions]
-    rows = [list(r) for r in Mat.identity(LAURENT, n, spec=spec, prec=prec).rows]
+    rows = [list(r) for r in Mat.identity(n, LaurentElt.one(spec, prec)).rows]
     for i, j in positions:
         rows[i][j] = random_laurent(spec, rng, 0, prec)
-    return Mat(LAURENT, rows)
+    return Mat(rows)
 
 
 def _random_parabolic_series(spec, mu, sign, prec, rng):
@@ -121,8 +120,6 @@ def _random_parabolic_series(spec, mu, sign, prec, rng):
         start = 0
         ok = True
         for _, s in mu.blocks:
-            from .matring import flat_det
-
             blk = [[random_laurent(spec, rng, 0, prec) for _ in range(s)] for _ in range(s)]
             red = tuple(x.residue_code() for r in blk for x in r)
             if flat_det(spec, s, red) == 0:
@@ -136,7 +133,7 @@ def _random_parabolic_series(spec, mu, sign, prec, rng):
             continue
         for i, j in positions:
             rows[i][j] = random_laurent(spec, rng, 0, prec)
-        return Mat(LAURENT, rows)
+        return Mat(rows)
 
 
 def integral_conjugation_checks(spec: FieldSpec, mu: Cocharacter, prec: int,
@@ -253,10 +250,10 @@ def minuscule_check(spec: FieldSpec, mu: Cocharacter, prec: int,
             "passed": failures == 0,
         }
     # witness: identity plus t in the corner with the widest gap
-    ident = Mat.identity(LAURENT, n, spec=spec, prec=prec)
+    ident = Mat.identity(n, LaurentElt.one(spec, prec))
     rows = [list(r) for r in ident.rows]
     rows[0][n - 1] = rows[0][n - 1] + LaurentElt.t_power(spec, 1, prec)
-    witness = Mat(LAURENT, rows)
+    witness = Mat(rows)
     in_k1 = is_member(witness, SubgroupTag.K1, mu)
     escapes = not conj_by_mu(witness, mu, +1).is_integral()
     return {

@@ -81,11 +81,14 @@ class WittCtx:
     # element constructors
 
     def from_coords(self, coords) -> "WittElt":
-        coords = tuple(coords)
-        if len(coords) != self.length:
+        return self.from_coord_codes([a.code for a in coords])
+
+    def from_coord_codes(self, codes) -> "WittElt":
+        """The Witt vector whose coordinates have the given field codes."""
+        if len(codes) != self.length:
             raise ValueError(f"need {self.length} coordinates")
         return WittElt(self, self._from_digits(
-            [self.spec.frob_code(a.code, -i) for i, a in enumerate(coords)]
+            [self.spec.frob_code(c, -i) for i, c in enumerate(codes)]
         ))
 
     def zero(self) -> "WittElt":
@@ -270,6 +273,18 @@ class WittFraction:
     @staticmethod
     def one(ctx: WittCtx) -> "WittFraction":
         return WittFraction(ctx, 0, ctx.one())
+
+    # a Witt constant is exact to the full length, whatever window is asked
+    def zero_at(self, prec: int) -> "WittFraction":
+        return WittFraction.zero(self.ctx)
+
+    def one_at(self, prec: int) -> "WittFraction":
+        return WittFraction.one(self.ctx)
+
+    @property
+    def prec(self) -> int:
+        """The window `known`, under the name the matrix code reads."""
+        return self.known
 
     # -- structure ---------------------------------------------------------
 

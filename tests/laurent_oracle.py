@@ -52,6 +52,13 @@ class BoxedLaurent:
     def one(spec: FieldSpec, prec: int) -> "BoxedLaurent":
         return BoxedLaurent.const(spec.one(), prec)
 
+    # the ring constants the matrix code asks its entries for
+    def zero_at(self, prec: int) -> "BoxedLaurent":
+        return BoxedLaurent.zero(self.spec, prec)
+
+    def one_at(self, prec: int) -> "BoxedLaurent":
+        return BoxedLaurent.one(self.spec, prec)
+
     @staticmethod
     def t_power(spec: FieldSpec, d: int, prec: int) -> "BoxedLaurent":
         """t^d known modulo t^prec; requires d < prec."""
@@ -207,6 +214,9 @@ class BoxedLaurent:
         if val is not None and val < 0:
             raise NotIntegral(f"pole of order {-val}")
         return self.coeff(0)
+
+    def residue_code(self) -> int:
+        return self.reduce_mod_t().code
 
     # -- comparisons ------------------------------------------------------------------
 

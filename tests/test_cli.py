@@ -122,29 +122,74 @@ def test_cartan_bad_input_exit_2(capsys, monkeypatch):
     assert "entry (1,1)" in err
 
 
-_FQ_F2 = {"tag": "fq", "p": 2, "m": 1}
+_LAURENT_F2 = {"tag": "laurent", "p": 2, "m": 1}
+_WITT_F2_N2 = {"tag": "wittfrac", "p": 2, "m": 1, "N": 2}
 
 
-@pytest.mark.parametrize("matrix", [
-    [[1]],
-    {"n": 1, "ring": _FQ_F2, "entries": [[[7]]]},
-    {"n": 1, "ring": _FQ_F2, "entries": [[[-1]]]},
-    {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
-     "entries": [[{"coords": [[5], [0]]}]]},
-    {"n": 3, "ring": _FQ_F2, "entries": [[[1], [0]], [[0], [1]]]},
-    {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
-     "entries": [[{"coords": [[1], [0]], "e": 2}]]},
-    {"n": 0, "ring": {"tag": "laurent", "p": 2, "m": 1}, "entries": []},
-    {"n": 0, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2}, "entries": []},
-], ids=["top-level-list", "fq-coefficient-7", "fq-coefficient-negative",
-        "witt-coordinate-5", "declared-n-mismatch", "witt-denominator-beyond-length",
-        "n-zero-laurent", "n-zero-witt"])
-def test_cartan_rejects_malformed_input(capsys, monkeypatch, matrix):
+def _lau_cell(v, prec, codes):
+    return {"v": v, "prec": prec, "coeffs": [[c] for c in codes]}
+
+
+# (matrix, a fragment of the reason cartan gives for refusing it)
+_MALFORMED = {
+    "top-level-list": ([[1]], "malformed matrix header"),
+    "fq-coefficient-7": (
+        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [7])]]},
+        "coefficient 7 outside 0..1"),
+    "fq-coefficient-negative": (
+        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [-1])]]},
+        "coefficient -1 outside 0..1"),
+    "witt-coordinate-5": (
+        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[5], [0]]}]]},
+        "coefficient 5 outside 0..1"),
+    "declared-n-mismatch": (
+        {"n": 3, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [1])] * 2] * 2},
+        "declared n=3 does not match the entry rows"),
+    "witt-denominator-beyond-length": (
+        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "e": 2}]]},
+        "denominator p^2 leaves no precision"),
+    "n-zero-laurent": ({"n": 0, "ring": _LAURENT_F2, "entries": []},
+                       "not a positive integer"),
+    "n-zero-witt": ({"n": 0, "ring": _WITT_F2_N2, "entries": []},
+                    "not a positive integer"),
+    # JSON integers only: a bool or float is refused, not read as 0, 1 or 3
+    "laurent-prec-float": (
+        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 3.0, [1, 0, 0])]]},
+        "must be integers"),
+    "laurent-v-bool": (
+        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(False, 2, [1, 0])]]},
+        "must be integers"),
+    "coefficient-bool": (
+        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [True])]]},
+        "coefficient True outside 0..1"),
+    "header-p-float": (
+        {"n": 1, "ring": dict(_LAURENT_F2, p=2.0), "entries": [[_lau_cell(0, 1, [1])]]},
+        "p 2.0 is not an integer"),
+    "header-m-bool": (
+        {"n": 1, "ring": dict(_LAURENT_F2, m=True), "entries": [[_lau_cell(0, 1, [1])]]},
+        "m True is not an integer"),
+    "witt-N-bool": (
+        {"n": 1, "ring": dict(_WITT_F2_N2, N=True), "entries": [[{"coords": [[1]]}]]},
+        "N True is not an integer"),
+    "witt-e-bool": (
+        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "e": True}]]},
+        "e True is not an integer"),
+    # decompositions live over the two loop rings; F_q has no ring tag
+    "fq-ring-tag": (
+        {"n": 2, "ring": {"tag": "fq", "p": 2, "m": 1}, "entries": [[[1], [0]], [[0], [1]]]},
+        "bad matrix input: unknown ring tag 'fq'\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_cartan_rejects_malformed_input(capsys, monkeypatch, case):
+    matrix, reason = _MALFORMED[case]
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
     code, out, err = run_cli(["cartan"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("bad matrix input")
+    assert reason in err
 
 
 def _witt_json(p, m, length, cells):
@@ -202,13 +247,6 @@ def test_cartan_witt_bytes_pinned(capsys, monkeypatch, case):
     assert unshifts
     expected = {"a": _witt_json(*ring, a), "d": d, "b": _witt_json(*ring, b)}
     assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-
-
-_LAURENT_F2 = {"tag": "laurent", "p": 2, "m": 1}
-
-
-def _lau_cell(v, prec, codes):
-    return {"v": v, "prec": prec, "coeffs": [[c] for c in codes]}
 
 
 @pytest.mark.parametrize("matrix", [

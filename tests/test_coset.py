@@ -8,7 +8,8 @@ from loopzip.grpdata import (
     Cocharacter,
     SubgroupTag,
     enumerate_gl_flat,
-    enumerate_points,
+    enumerate_unipotent_flat,
+    enumerate_zip_pairs_flat,
     mu_matrix,
     random_k1_mat,
 )
@@ -34,8 +35,9 @@ from loopzip.coset import (
     witt_kernel_invariance_report,
     witt_pair_matrix,
 )
-from loopzip.matring import LAURENT, Mat, flat_identity, mat_decode, mat_encode
-from loopzip.witt import WittCtx
+from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
+from loopzip.series import LaurentElt
+from loopzip.witt import WittCtx, WittFraction
 
 from coset_oracle import oracle_canonical_flat, oracle_class_census, oracle_left, oracle_right
 
@@ -44,47 +46,43 @@ F3 = FieldSpec.get(3, 1)
 MU = Cocharacter((1, 0))
 
 
-def ident(spec, n):
-    return mat_decode(spec, n, flat_identity(n))
-
-
 def test_pair_matrix_identity_pair():
-    x = pair_matrix(F2, MU, mat_encode(ident(F2, 2)), mat_encode(ident(F2, 2)), 6)
-    target = mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    x = pair_matrix(F2, MU, flat_identity(2), flat_identity(2), 6)
+    target = mu_matrix(MU, LaurentElt.one(F2, 6))
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_levi_pair_commutes():
-    m = mat_decode(F3, 2, (2, 0, 0, 1))
-    x = pair_matrix(F3, MU, mat_encode(m), mat_encode(m), 6)
-    target = mu_matrix(MU, LAURENT, spec=F3, prec=6)
+    m = (2, 0, 0, 1)
+    x = pair_matrix(F3, MU, m, m, 6)
+    target = mu_matrix(MU, LaurentElt.one(F3, 6))
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_explicit_product():
-    g = mat_decode(F2, 2, (1, 1, 0, 1))
-    x = pair_matrix(F2, MU, mat_encode(g), mat_encode(ident(F2, 2)), 6)
+    g = (1, 1, 0, 1)
+    x = pair_matrix(F2, MU, g, flat_identity(2), 6)
     # g^(-1) mu(t): rows of g^(-1) scale the diagonal columns
-    gi = g.inverse()
-    expect = laurent_lift(F2, 2, mat_encode(gi), 6) * mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    gi = flat_inverse(F2, 2, g)
+    expect = laurent_lift(F2, 2, gi, 6) * mu_matrix(MU, LaurentElt.one(F2, 6))
     assert x == expect
 
 
 def test_class_of_mu_is_identity_pair():
-    x = mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    x = mu_matrix(MU, LaurentElt.one(F2, 6))
     c = class_of(x, MU)
     assert c.rep == (flat_identity(2), flat_identity(2))
 
 
 def test_class_of_wrong_cell():
-    x = mu_matrix(Cocharacter((2, 0)), LAURENT, spec=F2, prec=8)
+    x = mu_matrix(Cocharacter((2, 0)), LaurentElt.one(F2, 8))
     with pytest.raises(WrongCell):
         class_of(x, Cocharacter((1, 1)))
 
 
 def test_kernel_invariance_explicit():
     rng = random.Random(12)
-    x = mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    x = mu_matrix(MU, LaurentElt.one(F2, 6))
     for _ in range(100):
         k1 = random_k1_mat(F2, 2, 6, rng)
         k2 = random_k1_mat(F2, 2, 6, rng)
@@ -100,14 +98,14 @@ def test_round_trip_all_pairs_gl2_f2():
 
 
 def test_canonicalization_reproducible():
-    pairs = enumerate_points(SubgroupTag.ZipNormal, MU, F2)
+    pairs = enumerate_zip_pairs_flat(F2, MU)
     gl = enumerate_gl_flat(F2, 2)
     for gf, hf in [(g, h) for g in gl for h in gl][:10]:
         rep = canonical_flat(F2, MU, gf, hf)
         for pm, pp in pairs:
             moved = (
-                mat_encode(pm.inverse() * mat_decode(F2, 2, gf)),
-                mat_encode(pp.inverse() * mat_decode(F2, 2, hf)),
+                flat_mul(F2, 2, flat_inverse(F2, 2, pm), gf),
+                flat_mul(F2, 2, flat_inverse(F2, 2, pp), hf),
             )
             assert canonical_flat(F2, MU, *moved) == rep
 
@@ -238,7 +236,7 @@ def test_precision_stability():
 
 
 def test_rescaling_classes():
-    c = class_of(mu_matrix(MU, LAURENT, spec=F2, prec=6), MU)
+    c = class_of(mu_matrix(MU, LaurentElt.one(F2, 6)), MU)
     assert rescale_class(c, 1) == c
     c2 = rescale_class(c, 2)
     assert c2.mu.weights == (2, 0) and c2.rep == c.rep
@@ -265,7 +263,7 @@ def test_rescaling_gl3_block_weights():
 
 
 def test_embeddings():
-    e = mat_encode(ident(F2, 2))
+    e = flat_identity(2)
     ca = embed_before_mu(F2, MU, e)
     cb = embed_after_mu(F2, MU, e)
     assert ca == cb
@@ -282,9 +280,7 @@ def test_embedding_fibers_are_unipotent_cosets():
     fibers = defaultdict(set)
     for gf in enumerate_gl_flat(F2, 2):
         fibers[embed_before_mu(F2, MU, gf)].add(gf)
-    umin = [mat_encode(u) for u in enumerate_points(SubgroupTag.Uminus, MU, F2)]
-    from loopzip.matring import flat_mul
-
+    umin = enumerate_unipotent_flat(F2, MU, -1)
     for members in fibers.values():
         g0 = min(members)
         coset = {flat_mul(F2, 2, g0, u) for u in umin}
@@ -300,9 +296,7 @@ def test_sampled_reports():
 
 def test_witt_class_of_p_mu():
     wctx = WittCtx.get(F2, 3)
-    from loopzip.matring import WITTFRAC
-
-    x = mu_matrix(MU, WITTFRAC, wctx=wctx)
+    x = mu_matrix(MU, WittFraction.one(wctx))
     c = witt_class_of(x, MU)
     assert c.rep == (flat_identity(2), flat_identity(2))
 
@@ -335,7 +329,7 @@ def test_prozip_levi_pair_commutes_exactly():
     from loopzip.grpdata import conj_by_mu, random_integral_mat
 
     m = laurent_lift(F3, 2, (2, 0, 0, 1), 6)
-    mt = mu_matrix(MU, LAURENT, spec=F3, prec=6)
+    mt = mu_matrix(MU, LaurentElt.one(F3, 6))
     assert m * mt == mt * m
     h = conj_by_mu(m, MU, -1)
     x = random_integral_mat(F3, 2, 6, rng)
@@ -348,11 +342,11 @@ def test_prozip_levi_pair_commutes_exactly():
 
 
 def test_prozip_identity_pair_trivial():
-    mt = mu_matrix(MU, LAURENT, spec=F2, prec=6)
+    mt = mu_matrix(MU, LaurentElt.one(F2, 6))
     rng = random.Random(4)
     from loopzip.grpdata import random_integral_mat
 
-    one = Mat.identity(LAURENT, 2, spec=F2, prec=6)
+    one = Mat.identity(2, LaurentElt.one(F2, 6))
     x = random_integral_mat(F2, 2, 6, rng)
     y = random_integral_mat(F2, 2, 6, rng)
     base = x.inverse() * mt * y

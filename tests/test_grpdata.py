@@ -9,7 +9,8 @@ from loopzip.grpdata import (
     SubgroupTag,
     conj_by_mu,
     enumerate_gl_flat,
-    enumerate_points,
+    enumerate_levi_flat,
+    enumerate_unipotent_flat,
     enumerate_zip_pairs_flat,
     gl_order,
     group_order,
@@ -19,9 +20,9 @@ from loopzip.grpdata import (
     random_k1_mat,
     random_left_h_mat,
 )
-from loopzip.matring import LAURENT, WITTFRAC, Mat, mat_decode, mat_encode
+from loopzip.matring import Mat, flat_mul
 from loopzip.series import LaurentElt
-from loopzip.witt import WittCtx
+from loopzip.witt import WittCtx, WittFraction
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -46,16 +47,16 @@ def test_transforms():
 
 def test_mu_matrix_laurent():
     mu = Cocharacter((1, 0))
-    m = mu_matrix(mu, LAURENT, spec=F2, prec=4)
+    m = mu_matrix(mu, LaurentElt.one(F2, 4))
     assert m.rows[0][0].valuation() == 1 and m.rows[1][1].valuation() == 0
     mu3 = Cocharacter((1, 0, -1))
-    m3 = mu_matrix(mu3, LAURENT, spec=F2, prec=4)
+    m3 = mu_matrix(mu3, LaurentElt.one(F2, 4))
     assert m3.rows[2][2].valuation() == -1
 
 
 def test_mu_matrix_witt():
     wctx = WittCtx.get(F2, 3)
-    m = mu_matrix(Cocharacter((1, 0)), WITTFRAC, wctx=wctx)
+    m = mu_matrix(Cocharacter((1, 0)), WittFraction.one(wctx))
     # the (1,1) entry is the image of 2, whose coordinates are (0,1,0)
     assert tuple(c.code for c in m.rows[0][0].num.coords) == (0, 1, 0)
     assert m.rows[1][1].num.coords[0] == F2.one()
@@ -63,7 +64,7 @@ def test_mu_matrix_witt():
 
 def test_conj_by_mu_blocks():
     mu = Cocharacter((1, 0))
-    g = Mat(LAURENT, [
+    g = Mat([
         [LaurentElt.from_coeff_list(F3, 0, [1], 4) for _ in range(2)]
         for _ in range(2)
     ])
@@ -77,14 +78,14 @@ def test_conj_by_mu_blocks():
 
 def test_membership_block_predicates():
     mu = Cocharacter((1, 0))
-    upper = mat_decode(F3, 2, (1, 2, 0, 2))
-    lower = mat_decode(F3, 2, (1, 0, 2, 2))
+    upper = (1, 2, 0, 2)
+    lower = (1, 0, 2, 2)
     assert is_member(upper, SubgroupTag.Pplus, mu)
     assert not is_member(lower, SubgroupTag.Pplus, mu)
     assert is_member(lower, SubgroupTag.Pminus, mu)
-    assert is_member(mat_decode(F3, 2, (1, 1, 0, 1)), SubgroupTag.Uplus, mu)
-    assert not is_member(mat_decode(F3, 2, (2, 1, 0, 1)), SubgroupTag.Uplus, mu)
-    assert is_member(mat_decode(F3, 2, (2, 0, 0, 1)), SubgroupTag.M, mu)
+    assert is_member((1, 1, 0, 1), SubgroupTag.Uplus, mu)
+    assert not is_member((2, 1, 0, 1), SubgroupTag.Uplus, mu)
+    assert is_member((2, 0, 0, 1), SubgroupTag.M, mu)
 
 
 def test_membership_loop_level():
@@ -103,33 +104,34 @@ def test_membership_loop_level():
 
 def test_zip_membership_pairs():
     mu = Cocharacter((1, 0))
-    m = mat_decode(F3, 2, (2, 0, 0, 1))
-    um = mat_decode(F3, 2, (1, 0, 1, 1))
-    up = mat_decode(F3, 2, (1, 2, 0, 1))
-    pm, pp = um * m, up * m
+    m = (2, 0, 0, 1)
+    um = (1, 0, 1, 1)
+    up = (1, 2, 0, 1)
+    pm, pp = flat_mul(F3, 2, um, m), flat_mul(F3, 2, up, m)
     assert is_member((pm, pp), SubgroupTag.ZipNormal, mu)
-    other = mat_decode(F3, 2, (1, 0, 0, 2))
-    assert not is_member((um * m, up * other), SubgroupTag.ZipNormal, mu)
+    other = (1, 0, 0, 2)
+    assert not is_member((pm, flat_mul(F3, 2, up, other)), SubgroupTag.ZipNormal, mu)
     # Frobenius-twisted matching over F4
     F4 = FieldSpec.get(2, 2)
     mu4 = Cocharacter((1, 0))
     w = F4.gen()
-    m4 = Mat.fq([[w, F4.zero()], [F4.zero(), F4.one()]])
-    m4_frob = Mat.fq([[w * w, F4.zero()], [F4.zero(), F4.one()]])
-    assert is_member((m4_frob, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1)
-    assert not is_member((m4, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1)
+    m4 = (w.code, 0, 0, 1)
+    m4_frob = ((w * w).code, 0, 0, 1)
+    assert is_member((m4_frob, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1, spec=F4)
+    assert not is_member((m4, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1, spec=F4)
+    with pytest.raises(ValueError, match="needs the field"):
+        is_member((m4_frob, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1)
 
 
 def test_levi_component():
     mu = Cocharacter((1, 1, 0))
-    p = mat_decode(F2, 3, (1, 1, 1, 0, 1, 1, 0, 0, 1))
-    levi = levi_component(p, mu)
-    assert mat_encode(levi) == (1, 1, 0, 0, 1, 0, 0, 0, 1)
-    m = mat_decode(F2, 3, (0, 1, 0, 1, 0, 0, 0, 0, 1))
+    p = (1, 1, 1, 0, 1, 1, 0, 0, 1)
+    assert levi_component(p, mu) == (1, 1, 0, 0, 1, 0, 0, 0, 1)
+    m = (0, 1, 0, 1, 0, 0, 0, 0, 1)
     assert levi_component(m, mu) == m
-    u = mat_decode(F2, 3, (1, 0, 1, 0, 1, 1, 0, 0, 1))
-    assert mat_encode(levi_component(u, mu)) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    bad = mat_decode(F2, 3, (0, 0, 1, 0, 1, 0, 1, 0, 0))
+    u = (1, 0, 1, 0, 1, 1, 0, 0, 1)
+    assert levi_component(u, mu) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    bad = (0, 0, 1, 0, 1, 0, 1, 0, 0)
     with pytest.raises(NotInParabolic):
         levi_component(bad, mu)
 
@@ -137,14 +139,14 @@ def test_levi_component():
 def test_enumeration_counts():
     mu = Cocharacter((1, 0))
     assert len(enumerate_gl_flat(F2, 2)) == gl_order(2, 2) == 6
-    assert len(enumerate_points(SubgroupTag.Uplus, mu, F2)) == 2
-    pairs = enumerate_points(SubgroupTag.ZipNormal, mu, F2)
+    assert len(enumerate_unipotent_flat(F2, mu, +1)) == 2
+    pairs = enumerate_zip_pairs_flat(F2, mu)
     assert len(pairs) == group_order(SubgroupTag.ZipNormal, mu, 2) == 4
     for pm, pp in pairs:
         assert is_member((pm, pp), SubgroupTag.ZipNormal, mu)
     mu3 = Cocharacter((1, 1, 0))
     assert group_order(SubgroupTag.ZipNormal, mu3, 2) == 4 * 6 * 4
-    assert len(enumerate_points(SubgroupTag.M, mu3, F2)) == 6
+    assert len(enumerate_levi_flat(F2, mu3)) == 6
 
 
 def test_zip_group_rescaling():

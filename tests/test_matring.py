@@ -7,9 +7,6 @@ from loopzip.errors import InsufficientPrecision, NotInvertible
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import enumerate_gl_flat, random_integral_mat, random_witt_k1_mat
 from loopzip.matring import (
-    FQ,
-    LAURENT,
-    WITTFRAC,
     Mat,
     assert_cartan_precision,
     cartan_precision_floor,
@@ -17,8 +14,7 @@ from loopzip.matring import (
     flat_identity,
     flat_inverse,
     flat_mul,
-    mat_decode,
-    mat_encode,
+    flat_residue,
     snf_dvr,
 )
 from loopzip.series import LaurentElt
@@ -29,46 +25,41 @@ F3 = FieldSpec.get(3, 1)
 
 
 def lau(spec, codes_by_entry, prec):
-    return Mat(LAURENT, [
+    return Mat([
         [LaurentElt.from_coeff_list(spec, v, codes, prec) for v, codes in row]
         for row in codes_by_entry
     ])
 
 
 def t_diag(spec, weights, prec):
-    return Mat.diagonal(
-        LAURENT, [LaurentElt.t_power(spec, d, prec) for d in weights],
-        spec=spec, prec=prec,
-    )
+    return Mat.diagonal([LaurentElt.t_power(spec, d, prec) for d in weights])
 
 
 def test_identity_multiplication():
-    ident = Mat.identity(LAURENT, 2, spec=F2, prec=5)
+    ident = Mat.identity(2, LaurentElt.one(F2, 5))
     a = random_integral_mat(F2, 2, 5, random.Random(0))
     assert a * ident == a and ident * a == a
 
 
 def test_diag_t_times_diag_tinv():
     d1 = t_diag(F2, (1, 0), 6)
-    d2 = Mat.diagonal(LAURENT, [LaurentElt.t_power(F2, -1, 4), LaurentElt.one(F2, 4)],
-                      spec=F2, prec=4)
+    d2 = Mat.diagonal([LaurentElt.t_power(F2, -1, 4), LaurentElt.one(F2, 4)])
     prod = d1 * d2
-    ident = Mat.identity(LAURENT, 2, spec=F2, prec=prod.min_precision())
+    ident = Mat.identity(2, LaurentElt.one(F2, prod.min_precision()))
     assert prod.congruent_mod(ident, prod.min_precision())
 
 
 def test_permutation_matrices_compose():
-    swap = mat_decode(F3, 2, (0, 1, 1, 0))
-    assert mat_encode(swap * swap) == flat_identity(2)
+    swap = (0, 1, 1, 0)
+    assert flat_mul(F3, 2, swap, swap) == flat_identity(2)
 
 
 def test_fq_inverse_examples():
-    ident = Mat.identity(FQ, 2, spec=F3)
-    assert ident.inverse() == ident
-    unip = mat_decode(F3, 2, (1, 1, 0, 1))
-    assert mat_encode(unip.inverse()) == (1, 2, 0, 1)
+    ident = flat_identity(2)
+    assert flat_inverse(F3, 2, ident) == ident
+    assert flat_inverse(F3, 2, (1, 1, 0, 1)) == (1, 2, 0, 1)
     with pytest.raises(NotInvertible):
-        mat_decode(F3, 2, (1, 1, 2, 2)).inverse()
+        flat_inverse(F3, 2, (1, 1, 2, 2))
 
 
 def test_laurent_inverse():
@@ -79,23 +70,22 @@ def test_laurent_inverse():
     for _ in range(25):
         k = random_integral_mat(F2, 3, 6, rng)
         prod = k * k.inverse()
-        ident = Mat.identity(LAURENT, 3, spec=F2, prec=prod.min_precision())
+        ident = Mat.identity(3, LaurentElt.one(F2, prod.min_precision()))
         assert prod.congruent_mod(ident, prod.min_precision())
 
 
 def test_reduce_examples():
     m = lau(F2, [[(0, [1]), (1, [1])], [(1, [1]), (0, [1])]], 4)
-    red = m.reduce()
-    assert mat_encode(red) == (1, 0, 0, 1)
+    assert flat_residue(m) == (1, 0, 0, 1)
     d = t_diag(F2, (1, 0), 4)
-    assert mat_encode(d.reduce()) == (0, 0, 0, 1)
+    assert flat_residue(d) == (0, 0, 0, 1)
 
 
 def test_snf_diag_examples():
     a, d, b = snf_dvr(t_diag(F2, (1, 0), 6))
     assert d == (1, 0)
-    assert mat_encode(a.reduce()) == flat_identity(2)
-    assert mat_encode(b.reduce()) == flat_identity(2)
+    assert flat_residue(a) == flat_identity(2)
+    assert flat_residue(b) == flat_identity(2)
     assert all(x.valuation() in (0, None) or x.valuation() >= 0
                for r in a.rows for x in r)
 
@@ -136,8 +126,8 @@ def test_snf_remultiplication_oracle(spec, n, weights):
         assert prod.congruent_mod(x, w)
         # factors are integral with unit reduction
         assert a.is_integral() and b.is_integral()
-        assert flat_det(spec, n, mat_encode(a.reduce())) != 0
-        assert flat_det(spec, n, mat_encode(b.reduce())) != 0
+        assert flat_det(spec, n, flat_residue(a)) != 0
+        assert flat_det(spec, n, flat_residue(b)) != 0
 
 
 def test_snf_bulk_oracle_1000():
@@ -208,19 +198,14 @@ def test_witt_snf_agrees_with_laurent():
 def test_witt_snf_remultiplication():
     wctx = WittCtx.get(F2, 3)
     rng = random.Random(31)
-    p_diag = Mat.diagonal(
-        WITTFRAC, [WittFraction.p_power(wctx, 1), WittFraction.p_power(wctx, 0)],
-        wctx=wctx,
-    )
+    p_diag = Mat.diagonal([WittFraction.p_power(wctx, 1), WittFraction.p_power(wctx, 0)])
     for _ in range(20):
         k1 = random_witt_k1_mat(wctx, 2, rng)
         k2 = random_witt_k1_mat(wctx, 2, rng)
         x = k1 * p_diag * k2
         a, d, b = snf_dvr(x)
         assert d == (1, 0)
-        prod = a * Mat.diagonal(
-            WITTFRAC, [WittFraction.p_power(wctx, dd) for dd in d], wctx=wctx
-        ) * b
+        prod = a * Mat.diagonal([WittFraction.p_power(wctx, dd) for dd in d]) * b
         assert prod.congruent_mod(x, min(prod.min_precision(), x.min_precision()))
 
 
@@ -230,12 +215,12 @@ def test_witt_matrix_inverse():
     for _ in range(10):
         k = random_witt_k1_mat(wctx, 2, rng)
         prod = k * k.inverse()
-        ident = Mat.identity(WITTFRAC, 2, wctx=wctx)
+        ident = Mat.identity(2, WittFraction.one(wctx))
         assert prod.congruent_mod(ident, prod.min_precision())
 
 
 def test_snf_rejects_zero_window_matrix():
-    zero = Mat(LAURENT, [[LaurentElt.zero(F2, 4)] * 2 for _ in range(2)])
+    zero = Mat([[LaurentElt.zero(F2, 4)] * 2 for _ in range(2)])
     with pytest.raises(NotInvertible):
         snf_dvr(zero)
 
@@ -247,7 +232,7 @@ def test_snf_insufficient_precision():
         [LaurentElt.zero(F2, 6), LaurentElt.t_power(F2, 2, 6)],
     ]
     with pytest.raises(InsufficientPrecision):
-        snf_dvr(Mat(LAURENT, rows))
+        snf_dvr(Mat(rows))
 
 
 def test_precision_floor():
@@ -258,35 +243,41 @@ def test_precision_floor():
 
 
 def test_flat_helpers_match_objects():
+    """flat_mul is associative with the identity as unit, and flat_inverse
+    is a two-sided inverse for it, on random invertible GL_3(F_3) triples."""
     rng = random.Random(41)
+    ident = flat_identity(3)
     for _ in range(30):
         flats = []
-        for _ in range(2):
+        for _ in range(3):
             while True:
                 cand = tuple(rng.randrange(3) for _ in range(9))
                 if flat_det(F3, 3, cand) != 0:
                     flats.append(cand)
                     break
-        fa, fb = flats
-        ma, mb = mat_decode(F3, 3, fa), mat_decode(F3, 3, fb)
-        assert flat_mul(F3, 3, fa, fb) == mat_encode(ma * mb)
-        assert flat_inverse(F3, 3, fa) == mat_encode(ma.inverse())
+        fa, fb, fc = flats
+        assert flat_mul(F3, 3, flat_mul(F3, 3, fa, fb), fc) == flat_mul(
+            F3, 3, fa, flat_mul(F3, 3, fb, fc))
+        assert flat_mul(F3, 3, fa, ident) == flat_mul(F3, 3, ident, fa) == fa
+        inv = flat_inverse(F3, 3, fa)
+        assert flat_mul(F3, 3, fa, inv) == flat_mul(F3, 3, inv, fa) == ident
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
 def test_flat_inverse_matches_decode_path_exhaustively(q, n):
+    """On every matrix: NotInvertible exactly when flat_det is 0, and
+    otherwise a two-sided inverse."""
     spec = FieldSpec.for_q(q)
+    ident = flat_identity(n)
     singular = 0
     for flat in itertools.product(range(q), repeat=n * n):
-        try:
-            expect = mat_encode(mat_decode(spec, n, flat).inverse())
-        except NotInvertible:
+        if flat_det(spec, n, flat) == 0:
             singular += 1
             with pytest.raises(NotInvertible):
                 flat_inverse(spec, n, flat)
             continue
-        assert flat_inverse(spec, n, flat) == expect
-        assert flat_mul(spec, n, flat, expect) == flat_identity(n)
+        inv = flat_inverse(spec, n, flat)
+        assert flat_mul(spec, n, flat, inv) == flat_mul(spec, n, inv, flat) == ident
     assert q ** (n * n) - singular == len(enumerate_gl_flat(spec, n))
 
 

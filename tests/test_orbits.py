@@ -22,6 +22,32 @@ def test_action_axioms_all_kinds():
         assert check_action_axioms(ActionSpec(kind, MU, 3, 1), samples=10, seed=1)
 
 
+@pytest.mark.parametrize("kind", ["zip-normal", "zip-frobenius", "partial-frobenius"])
+def test_action_axioms_catch_a_missing_inverse(monkeypatch, kind):
+    """x -> p_+ x r(p_-) is not a right action once the zip group is not
+    abelian (q = 3 for mu = (1, 0)), and the axioms check must say so."""
+    import dataclasses
+
+    import loopzip.orbits as orbits
+    from loopzip.matring import flat_frobenius, flat_mul
+
+    spec = FieldSpec.for_q(3)
+    real = orbits._action
+
+    def broken_action(aspec):
+        def act(pair):
+            pm, pp = pair
+            right = flat_frobenius(spec, pm, 1) if kind == "partial-frobenius" else pm
+            return lambda g: flat_mul(spec, 2, flat_mul(spec, 2, pp, g), right)
+
+        return dataclasses.replace(real(aspec), act=act)
+
+    aspec = ActionSpec(kind, MU, 3, 1)
+    assert check_action_axioms(aspec)
+    monkeypatch.setattr(orbits, "_action", broken_action)
+    assert not check_action_axioms(aspec)
+
+
 def test_orbit_partition_invariants():
     part = enumerate_orbits(ActionSpec("zip-normal", MU, 2))
     assert part.total == gl_order(2, 2) == 6

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "loopzip"
@@ -16,4 +17,24 @@ def test_no_assert_statements_in_src():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the runtime is stdlib-only: pyproject.toml declares dependencies = []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
     assert found == []
