@@ -27,7 +27,6 @@ from .grpdata import (
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
-    random_witt_k1_mat,
     SubgroupTag,
 )
 from .matring import (
@@ -46,31 +45,6 @@ from .witt import WittCtx, WittFraction
 
 def default_precision(mu: Cocharacter, floor: int = 6) -> int:
     return max(floor, cartan_precision_floor(mu.weights))
-
-
-class DoubleCosetClass:
-    """Canonical representative of a double-coset point of type mu."""
-
-    __slots__ = ("mu", "spec", "rep")
-
-    def __init__(self, mu: Cocharacter, spec: FieldSpec, rep):
-        self.mu = mu
-        self.spec = spec
-        self.rep = rep  # (g_flat, h_flat), lex-minimal in its orbit
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DoubleCosetClass)
-            and other.mu.weights == self.mu.weights
-            and other.spec is self.spec
-            and other.rep == self.rep
-        )
-
-    def __hash__(self):
-        return hash((self.mu.weights, id(self.spec), self.rep))
-
-    def __repr__(self):
-        return f"Class(mu={self.mu.weights}, rep={self.rep})"
 
 
 def _row_trie(items, n: int, depth: int = 0):
@@ -140,43 +114,24 @@ def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
 # -- the cell map and its inverse -------------------------------------------------
 
 
-def laurent_lift(spec: FieldSpec, n: int, flat, prec: int) -> Mat:
-    """Constant-coefficient lift of a flat F_q matrix into the integral loop group."""
-    if prec <= 0:
-        raise InsufficientPrecision("constant needs prec >= 1")
-    pad = (0,) * (prec - 1)
+def lift(one, n: int, flat) -> Mat:
+    """Constant lift of a flat F_q matrix into the ring of `one`: constant
+    Laurent coefficients for pi = t, Teichmuller lifts for pi = p."""
+    pad = (0,) * (one.prec - 1)
     return Mat([
-        [LaurentElt(spec, 0, prec, (c,) + pad) for c in flat[i * n:(i + 1) * n]]
-        for i in range(n)
+        [one.from_codes((c,) + pad) for c in flat[i * n:(i + 1) * n]] for i in range(n)
     ])
 
 
-def teichmuller_lift(wctx: WittCtx, n: int, flat) -> Mat:
-    """Entrywise Teichmuller lift of a flat F_q matrix into Witt fractions."""
-    return Mat([
-        [WittFraction.integral(wctx.teichmuller_code(c)) for c in flat[i * n:(i + 1) * n]]
-        for i in range(n)
-    ])
-
-
-def pair_matrix(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat, prec: int) -> Mat:
-    """The truncated Laurent matrix g^(-1) mu(t) h."""
+def pair_matrix(mu: Cocharacter, g_flat, h_flat, one) -> Mat:
+    """g~^(-1) pi^mu h~ for the lifts of g and h into the ring of `one`."""
     n = mu.n
-    mt = mu_matrix(mu, LaurentElt.one(spec, prec))
-    ginv = flat_inverse(spec, n, g_flat)
-    return laurent_lift(spec, n, ginv, prec) * mt * laurent_lift(spec, n, h_flat, prec)
+    ginv = flat_inverse(one.spec, n, g_flat)
+    return lift(one, n, ginv) * mu_matrix(mu, one) * lift(one, n, h_flat)
 
 
-def witt_pair_matrix(wctx: WittCtx, mu: Cocharacter, g_flat, h_flat) -> Mat:
-    """Teichmuller-lifted analogue over Witt fractions: g~^(-1) p^mu h~."""
-    n = mu.n
-    mt = mu_matrix(mu, WittFraction.one(wctx))
-    ginv = flat_inverse(wctx.spec, n, g_flat)
-    return teichmuller_lift(wctx, n, ginv) * mt * teichmuller_lift(wctx, n, h_flat)
-
-
-def class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
-    """Canonical class of a Laurent matrix lying in the cell of mu.
+def class_of(x: Mat, mu: Cocharacter) -> tuple:
+    """Canonical pair of a Laurent matrix lying in the cell of mu.
 
     Decomposes x = a mu(t) b, reduces a and b modulo t, and canonicalizes
     the pair (abar^(-1), bbar); replacing a by abar or b by bbar moves x
@@ -185,10 +140,10 @@ def class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
     if not isinstance(x.rows[0][0], LaurentElt):
         raise ValueError("class_of expects a Laurent matrix")
     assert_cartan_precision(mu.weights, x.min_precision())
-    return _class_of_decomposition(x, mu, x.rows[0][0].spec)
+    return _class_of_decomposition(x, mu)
 
 
-def witt_class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
+def witt_class_of(x: Mat, mu: Cocharacter) -> tuple:
     """Same pipeline with uniformizer p over Witt fractions."""
     if not isinstance(x.rows[0][0], WittFraction):
         raise ValueError("witt_class_of expects a Witt-fraction matrix")
@@ -197,21 +152,17 @@ def witt_class_of(x: Mat, mu: Cocharacter) -> DoubleCosetClass:
         raise InsufficientPrecision("mixed pipeline needs p in {2,3} and length >= 3")
     if max(abs(w) for w in mu.weights) > 1:
         raise InsufficientPrecision("mixed pipeline supports weights |d| <= 1")
-    return _class_of_decomposition(x, mu, wctx.spec)
+    return _class_of_decomposition(x, mu)
 
 
-def _class_of_decomposition(x: Mat, mu: Cocharacter, spec: FieldSpec) -> DoubleCosetClass:
+def _class_of_decomposition(x: Mat, mu: Cocharacter) -> tuple:
     """Shared tail of both pipelines: x = a diag b, class of (abar^(-1), bbar)."""
     a, d, b = snf_dvr(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
+    spec = x.rows[0][0].spec
     g = flat_inverse(spec, mu.n, flat_residue(a))
-    return DoubleCosetClass(mu, spec, canonical_flat(spec, mu, g, flat_residue(b)))
-
-
-def rescale_class(c: DoubleCosetClass, k: int) -> DoubleCosetClass:
-    """Same representative pair, cocharacter k*mu (the zip groups agree)."""
-    return DoubleCosetClass(c.mu.scaled(k), c.spec, c.rep)
+    return canonical_flat(spec, mu, g, flat_residue(b))
 
 
 def embed_before_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
@@ -232,13 +183,13 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
     if mu.n > 3 or spec.q > 3:
         raise BudgetExceeded("class bijection census limited to n <= 3, q <= 3")
     census = class_census(mu, spec)
-    n = mu.n
+    one = LaurentElt.one(spec, prec)
     roundtrip = True
     classes = set()
     for rep in census:
-        c = class_of(pair_matrix(spec, mu, rep[0], rep[1], prec), mu)
-        classes.add(c.rep)
-        if c.rep != rep:
+        c = class_of(pair_matrix(mu, rep[0], rep[1], one), mu)
+        classes.add(c)
+        if c != rep:
             roundtrip = False
     orbit_count = len(census)
     class_count = len(classes)
@@ -246,7 +197,7 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
         "mu": list(mu.weights),
         "q": spec.q,
         "precision": prec,
-        "pair_count": gl_order(n, spec.q) ** 2,
+        "pair_count": gl_order(mu.n, spec.q) ** 2,
         "orbit_count": orbit_count,
         "class_count": class_count,
         "round_trip": roundtrip,
@@ -273,21 +224,27 @@ def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     return {(a, b): size for a in left for b in right}
 
 
-def kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
-                             samples: int, seed: int) -> dict:
-    """class_of(k1 x k2) = class_of(x) for random depth-one kernel pairs."""
+def _invariance_samples(mu: Cocharacter, one, classify, samples: int, seed: int) -> int:
+    """Number of samples with classify(k1 x k2) = canonical pair of (g, h), for
+    x the pair matrix of random g, h and random depth-one kernel k1, k2."""
     rng = random.Random(seed)
-    gl = enumerate_gl_flat(spec, mu.n)
-    n = mu.n
+    spec, n = one.spec, mu.n
+    gl = enumerate_gl_flat(spec, n)
     passed = 0
     for _ in range(samples):
         g = gl[rng.randrange(len(gl))]
         h = gl[rng.randrange(len(gl))]
-        x = pair_matrix(spec, mu, g, h, prec)
-        k1 = random_k1_mat(spec, n, prec, rng)
-        k2 = random_k1_mat(spec, n, prec, rng)
-        got = class_of(k1 * x * k2, mu)
-        passed += got.rep == canonical_flat(spec, mu, g, h)
+        k1 = random_k1_mat(one, n, rng)
+        k2 = random_k1_mat(one, n, rng)
+        got = classify(k1 * pair_matrix(mu, g, h, one) * k2, mu)
+        passed += got == canonical_flat(spec, mu, g, h)
+    return passed
+
+
+def kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
+                             samples: int, seed: int) -> dict:
+    """class_of(k1 x k2) = class_of(x) for random depth-one kernel pairs."""
+    passed = _invariance_samples(mu, LaurentElt.one(spec, prec), class_of, samples, seed)
     return {
         "mu": list(mu.weights),
         "q": spec.q,
@@ -329,25 +286,24 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
     wctx = WittCtx.get(spec, length)
     n = mu.n
     gl = enumerate_gl_flat(spec, n)
-    mt = mu_matrix(mu, LaurentElt.one(spec, prec))
-    mw = mu_matrix(mu, WittFraction.one(wctx))
-    right_t = [laurent_lift(spec, n, h, prec) for h in gl]
-    right_w = [teichmuller_lift(wctx, n, h) for h in gl]
+
+    def classes(one, classify):
+        # the class of every pair matrix, with each lift and left factor built once
+        mt = mu_matrix(mu, one)
+        right = [lift(one, n, h) for h in gl]
+        for g in gl:
+            left = lift(one, n, flat_inverse(spec, n, g)) * mt
+            for h in right:
+                yield classify(left * h, mu)
+
     laurent_classes = set()
     witt_classes = set()
     pointwise = True
-    for g in gl:
-        # the left factor of pair_matrix and witt_pair_matrix, once per g
-        ginv = flat_inverse(spec, n, g)
-        left_t = laurent_lift(spec, n, ginv, prec) * mt
-        left_w = teichmuller_lift(wctx, n, ginv) * mw
-        for ht, hw in zip(right_t, right_w):
-            ct = class_of(left_t * ht, mu)
-            cw = witt_class_of(left_w * hw, mu)
-            laurent_classes.add(ct.rep)
-            witt_classes.add(cw.rep)
-            if ct.rep != cw.rep:
-                pointwise = False
+    for ct, cw in zip(classes(LaurentElt.one(spec, prec), class_of),
+                      classes(WittFraction.one(wctx), witt_class_of)):
+        laurent_classes.add(ct)
+        witt_classes.add(cw)
+        pointwise &= ct == cw
     return {
         "mu": list(mu.weights),
         "q": spec.q,
@@ -363,19 +319,8 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
 def witt_kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, length: int,
                                   samples: int, seed: int) -> dict:
     """witt_class_of is invariant under random Witt depth-one kernel factors."""
-    rng = random.Random(seed)
-    wctx = WittCtx.get(spec, length)
-    gl = enumerate_gl_flat(spec, mu.n)
-    n = mu.n
-    passed = 0
-    for _ in range(samples):
-        g = gl[rng.randrange(len(gl))]
-        h = gl[rng.randrange(len(gl))]
-        x = witt_pair_matrix(wctx, mu, g, h)
-        k1 = random_witt_k1_mat(wctx, n, rng)
-        k2 = random_witt_k1_mat(wctx, n, rng)
-        got = witt_class_of(k1 * x * k2, mu)
-        passed += got.rep == canonical_flat(spec, mu, g, h)
+    one = WittFraction.one(WittCtx.get(spec, length))
+    passed = _invariance_samples(mu, one, witt_class_of, samples, seed)
     return {
         "mu": list(mu.weights),
         "q": spec.q,

@@ -159,6 +159,14 @@ class FieldSpec:
             raise ValueError(f"code {code} out of range for q={self.q}")
         return FqElem(self, code)
 
+    def checked_codes(self, codes) -> tuple:
+        """The codes as a tuple, each an int in 0..q-1, else ValueError."""
+        codes = tuple(codes)
+        for c in codes:
+            if type(c) is not int or not 0 <= c < self.q:
+                raise ValueError(f"coefficient code {c!r} is not an int in 0..{self.q - 1}")
+        return codes
+
     def from_coeffs(self, coeffs) -> "FqElem":
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients")

@@ -22,7 +22,6 @@ from .matring import (
     flat_residue,
 )
 from .series import LaurentElt
-from .witt import WittCtx, WittFraction
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
 
@@ -258,21 +257,17 @@ def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     return _GL_CACHE[key]
 
 
-def upper_block_positions(mu: Cocharacter):
-    return [
-        (i, j)
-        for i in range(mu.n)
-        for j in range(mu.n)
-        if mu.block_of[i] < mu.block_of[j]
-    ]
+def block_positions(mu: Cocharacter, sign: int) -> list:
+    """Free entries of U_+ (sign=+1), row-major, or their transposes for U_- (sign=-1)."""
+    b = mu.block_of
+    upper = [(i, j) for i in range(mu.n) for j in range(mu.n) if b[i] < b[j]]
+    return upper if sign > 0 else [(j, i) for i, j in upper]
 
 
 def enumerate_unipotent_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> list:
     """U_+ (sign=+1) or U_- (sign=-1) as flat matrices."""
     n = mu.n
-    positions = upper_block_positions(mu)
-    if sign < 0:
-        positions = [(j, i) for i, j in positions]
+    positions = block_positions(mu, sign)
     _budget_check("unipotent U_+" if sign > 0 else "unipotent U_-", spec, n,
                   spec.q ** len(positions))
     out = []
@@ -399,13 +394,16 @@ def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
             return m
 
 
-def random_k1_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
-    """Random depth-one kernel element: identity plus t * (integral matrix)."""
-    ident = Mat.identity(n, LaurentElt.one(spec, prec))
+def random_k1_mat(one, n: int, rng) -> Mat:
+    """Random depth-one kernel element in the ring of `one`: the identity plus
+    entries of zero residue whose one.prec - 1 higher coordinates are drawn."""
+    q = one.spec.q
     rows = [
-        [random_laurent(spec, rng, 1, prec) for _ in range(n)] for _ in range(n)
+        [one.from_codes([0] + [rng.randrange(q) for _ in range(one.prec - 1)])
+         for _ in range(n)]
+        for _ in range(n)
     ]
-    return ident + Mat(rows)
+    return Mat.identity(n, one) + Mat(rows)
 
 
 def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
@@ -433,16 +431,3 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
             raise AssertionError("mu-conjugate of a block-divisible matrix is not integral")
         return g
 
-
-def random_witt_k1_mat(wctx: WittCtx, n: int, rng) -> Mat:
-    """Identity plus p * (integral Witt matrix)."""
-    q = wctx.spec.q
-    ident = Mat.identity(n, WittFraction.one(wctx))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            codes = [0] + [rng.randrange(q) for _ in range(wctx.length - 1)]
-            row.append(WittFraction.integral(wctx.from_coord_codes(codes)))
-        rows.append(row)
-    return ident + Mat(rows)

@@ -2,12 +2,17 @@
 
 Both entry types answer one small protocol, and `Mat` is written once
 against it:
+  spec               the residue field;
   valuation()        leading exponent, or None when zero within the window;
   prec               the window: the entry is known modulo pi^prec;
   residue_code()     field code of the reduction of an integral entry;
   shifted(k)         multiplication by pi^k;
   inverse()          inverse of an entry of provable valuation;
-  zero_at(prec), one_at(prec)  the ring's constants at a given window.
+  zero_at(prec), one_at(prec)  the ring's constants at a given window;
+  from_codes(codes)  the integral element with expansion coordinates `codes`
+                     (t-adic coefficients, or Witt coordinates) at the
+                     window of x; a Witt element, like the Witt constants,
+                     is exact to the full length.
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), with a and b integral of unit reduction.
@@ -171,7 +176,12 @@ class Mat:
                     if tag == "laurent":
                         out.append(LaurentElt.from_json(spec, cell))
                     else:
-                        num = wctx.from_coords([spec.from_coeffs(c) for c in cell["coords"]])
+                        coords = cell["coords"]
+                        for key, want in (("p", spec.p), ("N", wctx.length)):
+                            got = _int(cell.get(key, want), key)
+                            if got != want:
+                                raise ValueError(f"cell {key}={got} but the header has {want}")
+                        num = wctx.from_coords([spec.from_coeffs(c) for c in coords])
                         out.append(WittFraction(wctx, _int(cell.get("e", 0), "e"), num))
                 except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
                     raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc

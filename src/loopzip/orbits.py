@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .coset import canonical_flat, class_census, class_of, mu_matrix
+from .coset import canonical_flat, class_census, class_of, default_precision, lift, mu_matrix
 from .errors import BudgetExceeded
 from .gf import FieldSpec
 from .grpdata import (
@@ -168,14 +168,10 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
     return OrbitPartition(aspec, orbits, total, action.order, frozenset(blocks))
 
 
-def partition_blocks(part: OrbitPartition) -> frozenset:
-    return part.blocks
-
-
 def _root_of_class(part: OrbitPartition) -> dict:
     """Each acted point mapped to the least member of its orbit."""
     roots = {}
-    for blk in partition_blocks(part):
+    for blk in part.blocks:
         rep = min(blk)
         for member in blk:
             roots[member] = rep
@@ -219,14 +215,12 @@ def chain_compare(mu: Cocharacter, q: int, m: int) -> dict:
     the starting partition.
     """
     spec = FieldSpec.for_q(q)
-    part_r = partition_blocks(enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m)))
-    part_e = partition_blocks(enumerate_orbits(ActionSpec("zip-frobenius", mu, q, m)))
+    part_r = enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m)).blocks
+    part_e = enumerate_orbits(ActionSpec("zip-frobenius", mu, q, m)).blocks
     same = part_r == part_e
 
     mu_t = mu.sigma_twist(m)
-    part_r_twisted = partition_blocks(
-        enumerate_orbits(ActionSpec("partial-frobenius", mu_t, q, m))
-    )
+    part_r_twisted = enumerate_orbits(ActionSpec("partial-frobenius", mu_t, q, m)).blocks
     transported = _tau_image(part_e, spec, m) == part_r_twisted
 
     # one full period of tau = sigma^m on F_q
@@ -263,7 +257,7 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
 
     image_roots = []
     well_defined = True
-    for blk in sorted(partition_blocks(part_r), key=min):
+    for blk in sorted(part_r.blocks, key=min):
         roots = {root_of_class[canonical_flat(spec, mu, ident, g)] for g in blk}
         if len(roots) != 1:
             well_defined = False
@@ -303,8 +297,6 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
 def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> dict:
     """The minimal-coset-representative matrices land in pairwise distinct
     conjugacy orbits of the class set; orbit count is at least their number."""
-    from .coset import default_precision, laurent_lift
-
     spec = FieldSpec.for_q(q)
     n = mu.n
     prec = prec or default_precision(mu)
@@ -314,16 +306,15 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
     root_of_class = _root_of_class(sigma_part)
 
-    mu_t = mu_matrix(mu, LaurentElt.one(spec, prec))
+    one = LaurentElt.one(spec, prec)
+    mu_t = mu_matrix(mu, one)
     roots = []
     for w in reps:
         perm = w * w0 * w0j
         flat = [0] * (n * n)
         for j in range(1, n + 1):
             flat[(perm(j) - 1) * n + (j - 1)] = 1
-        pmat = laurent_lift(spec, n, flat, prec)
-        c = class_of(pmat * mu_t, mu)
-        roots.append(root_of_class[c.rep])
+        roots.append(root_of_class[class_of(lift(one, n, flat) * mu_t, mu)])
     distinct = len(set(roots)) == len(roots)
     return {
         "mu": list(mu.weights),

@@ -23,15 +23,6 @@ from .errors import (
 from .gf import FieldSpec, FqElem
 
 
-def _checked(spec: FieldSpec, codes) -> tuple:
-    """The codes as a tuple, each an int in 0..q-1, else ValueError."""
-    codes = tuple(codes)
-    for c in codes:
-        if type(c) is not int or not 0 <= c < spec.q:
-            raise ValueError(f"coefficient code {c!r} is not an int in 0..{spec.q - 1}")
-    return codes
-
-
 def _leading_zeros(codes) -> int:
     """Number of stored zero codes before the first nonzero one."""
     i = 0
@@ -49,7 +40,7 @@ class LaurentElt:
     def __init__(self, spec: FieldSpec, v: int, prec: int, codes):
         if v > prec:
             raise ValueError(f"v={v} exceeds prec={prec}")
-        codes = _checked(spec, codes)
+        codes = spec.checked_codes(codes)
         if len(codes) != prec - v:
             raise ValueError(f"need {prec - v} coefficients, got {len(codes)}")
         self.spec = spec
@@ -77,6 +68,10 @@ class LaurentElt:
     def one_at(self, prec: int) -> "LaurentElt":
         return LaurentElt.one(self.spec, prec)
 
+    def from_codes(self, codes) -> "LaurentElt":
+        """The integral element with coefficients `codes` at t^0..t^(prec-1)."""
+        return LaurentElt(self.spec, 0, self.prec, codes)
+
     @staticmethod
     def t_power(spec: FieldSpec, d: int, prec: int) -> "LaurentElt":
         """t^d known modulo t^prec; requires d < prec."""
@@ -87,7 +82,7 @@ class LaurentElt:
     @staticmethod
     def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> "LaurentElt":
         """Coefficients given as integer codes starting at exponent v."""
-        codes = _checked(spec, codes)
+        codes = spec.checked_codes(codes)
         if v + len(codes) > prec:
             codes = codes[: prec - v]
         return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))

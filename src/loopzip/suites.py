@@ -27,14 +27,13 @@ from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
     SubgroupTag,
+    block_positions,
     conj_by_mu,
-    enumerate_gl_flat,
     enumerate_zip_pairs_flat,
     is_member,
     random_k1_mat,
     random_laurent,
     random_left_h_mat,
-    upper_block_positions,
 )
 from .matring import Mat, flat_det
 from .orbits import ActionSpec, chain_compare, check_action_axioms, transport_check, weyl_reps_report
@@ -44,7 +43,6 @@ from .weyl import (
     all_permutations,
     bruhat_leq,
     identity,
-    longest_element,
     min_coset_reps,
     reduced_word,
     shtuka_parametrization,
@@ -60,9 +58,7 @@ from .witt import ghost_selftest
 def _unipotent_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec: int):
     """All of U_+(R) or U_-(R), R = F_q[t]/t^prec, at absolute precision prec."""
     n = mu.n
-    positions = upper_block_positions(mu)
-    if sign < 0:
-        positions = [(j, i) for i, j in positions]
+    positions = block_positions(mu, sign)
     ident = Mat.identity(n, LaurentElt.one(spec, prec))
     polys = list(itertools.product(range(spec.q), repeat=prec))
     for combo in itertools.product(polys, repeat=len(positions)):
@@ -77,9 +73,7 @@ def _parabolic_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec
     if any(s != 1 for _, s in mu.blocks):
         raise ValueError("exhaustive parabolic enumeration needs 1x1 blocks")
     n = mu.n
-    positions = upper_block_positions(mu)
-    if sign < 0:
-        positions = [(j, i) for i, j in positions]
+    positions = block_positions(mu, sign)
     units = [
         codes
         for codes in itertools.product(range(spec.q), repeat=prec)
@@ -99,9 +93,7 @@ def _parabolic_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec
 
 def _random_unipotent_series(spec, mu, sign, prec, rng):
     n = mu.n
-    positions = upper_block_positions(mu)
-    if sign < 0:
-        positions = [(j, i) for i, j in positions]
+    positions = block_positions(mu, sign)
     rows = [list(r) for r in Mat.identity(n, LaurentElt.one(spec, prec)).rows]
     for i, j in positions:
         rows[i][j] = random_laurent(spec, rng, 0, prec)
@@ -110,9 +102,7 @@ def _random_unipotent_series(spec, mu, sign, prec, rng):
 
 def _random_parabolic_series(spec, mu, sign, prec, rng):
     n = mu.n
-    positions = upper_block_positions(mu)
-    if sign < 0:
-        positions = [(j, i) for i, j in positions]
+    positions = block_positions(mu, sign)
     zero = LaurentElt.zero(spec, prec)
     while True:
         rows = [[zero] * n for _ in range(n)]
@@ -223,21 +213,18 @@ def minuscule_check(spec: FieldSpec, mu: Cocharacter, prec: int,
     """
     rng = random.Random(seed)
     n = mu.n
+    one = LaurentElt.one(spec, prec)
     if mu.is_minuscule():
         failures = 0
         for _ in range(samples):
-            k = random_k1_mat(spec, n, prec, rng)
+            k = random_k1_mat(one, n, rng)
             if not conj_by_mu(k, mu, +1).is_integral():
                 failures += 1
             # full elements of the parabolic-times-kernel subgroups
-            hm = _random_parabolic_series(spec, mu, -1, prec, rng) * random_k1_mat(
-                spec, n, prec, rng
-            )
+            hm = _random_parabolic_series(spec, mu, -1, prec, rng) * random_k1_mat(one, n, rng)
             if not conj_by_mu(hm, mu, +1).is_integral():
                 failures += 1
-            hp = _random_parabolic_series(spec, mu, +1, prec, rng) * random_k1_mat(
-                spec, n, prec, rng
-            )
+            hp = _random_parabolic_series(spec, mu, +1, prec, rng) * random_k1_mat(one, n, rng)
             if not conj_by_mu(hp, mu, -1).is_integral():
                 failures += 1
         return {
@@ -250,7 +237,7 @@ def minuscule_check(spec: FieldSpec, mu: Cocharacter, prec: int,
             "passed": failures == 0,
         }
     # witness: identity plus t in the corner with the widest gap
-    ident = Mat.identity(n, LaurentElt.one(spec, prec))
+    ident = Mat.identity(n, one)
     rows = [list(r) for r in ident.rows]
     rows[0][n - 1] = rows[0][n - 1] + LaurentElt.t_power(spec, 1, prec)
     witness = Mat(rows)
@@ -339,11 +326,10 @@ def suite_psi(cfg: dict) -> list:
     ok = True
     for factor in (2, 3):
         mu2 = mu.scaled(factor)
-        prec2 = default_precision(mu2)
+        one = LaurentElt.one(spec, default_precision(mu2))
         for g, h in census:
             # class_of checks the cell of mu2; the zip groups of mu and mu2 agree
-            c = class_of(pair_matrix(spec, mu2, g, h, prec2), mu2)
-            if c.rep != canonical_flat(spec, mu, g, h):
+            if class_of(pair_matrix(mu2, g, h, one), mu2) != canonical_flat(spec, mu, g, h):
                 ok = False
     checks.append({
         "name": "rescaling-representative-match",

@@ -85,6 +85,7 @@ class WittCtx:
 
     def from_coord_codes(self, codes) -> "WittElt":
         """The Witt vector whose coordinates have the given field codes."""
+        codes = self.spec.checked_codes(codes)
         if len(codes) != self.length:
             raise ValueError(f"need {self.length} coordinates")
         return WittElt(self, self._from_digits(
@@ -281,10 +282,18 @@ class WittFraction:
     def one_at(self, prec: int) -> "WittFraction":
         return WittFraction.one(self.ctx)
 
+    def from_codes(self, codes) -> "WittFraction":
+        """The integral element with Witt coordinates `codes`, exact like the constants."""
+        return WittFraction(self.ctx, 0, self.ctx.from_coord_codes(codes))
+
     @property
     def prec(self) -> int:
         """The window `known`, under the name the matrix code reads."""
         return self.known
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.ctx.spec
 
     # -- structure ---------------------------------------------------------
 

@@ -174,6 +174,14 @@ _MALFORMED = {
     "witt-e-bool": (
         {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "e": True}]]},
         "e True is not an integer"),
+    # a Witt cell's own p and N must be the header's
+    "witt-cell-p-mismatch": (
+        {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 3},
+         "entries": [[{"coords": [[1], [0], [1]], "e": 0, "p": 3, "N": 2}]]},
+        "cell p=3 but the header has 2"),
+    "witt-cell-N-mismatch": (
+        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "p": 2, "N": 3}]]},
+        "cell N=3 but the header has 2"),
     # decompositions live over the two loop rings; F_q has no ring tag
     "fq-ring-tag": (
         {"n": 2, "ring": {"tag": "fq", "p": 2, "m": 1}, "entries": [[[1], [0]], [[0], [1]]]},
@@ -190,6 +198,21 @@ def test_cartan_rejects_malformed_input(capsys, monkeypatch, case):
     assert out == ""
     assert err.startswith("bad matrix input")
     assert reason in err
+
+
+def test_cartan_witt_cells_may_omit_p_and_n(capsys, monkeypatch):
+    cells = [[{"coords": [[0], [1], [0]], "e": 0}, {"coords": [[0], [0], [0]]}],
+             [{"coords": [[0], [0], [0]]}, {"coords": [[1], [0], [0]]}]]
+    outs = []
+    for extra in ({}, {"p": 2, "N": 3}):
+        matrix = {"n": 2, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 3},
+                  "entries": [[dict(cell, **extra) for cell in row] for row in cells]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
+        code, out, _ = run_cli(["cartan"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["d"] == [1, 0]
 
 
 def _witt_json(p, m, length, cells):

@@ -14,7 +14,6 @@ from loopzip.grpdata import (
     random_k1_mat,
 )
 from loopzip.coset import (
-    DoubleCosetClass,
     _descend,
     _row_tries,
     canonical_flat,
@@ -25,15 +24,13 @@ from loopzip.coset import (
     embed_before_mu,
     embedding_fiber_report,
     kernel_invariance_report,
-    laurent_lift,
+    lift,
     pair_matrix,
     prozip_invariance_report,
-    rescale_class,
     verify_class_bijection,
     witt_census_report,
     witt_class_of,
     witt_kernel_invariance_report,
-    witt_pair_matrix,
 )
 from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
@@ -47,31 +44,32 @@ MU = Cocharacter((1, 0))
 
 
 def test_pair_matrix_identity_pair():
-    x = pair_matrix(F2, MU, flat_identity(2), flat_identity(2), 6)
+    x = pair_matrix(MU, flat_identity(2), flat_identity(2), LaurentElt.one(F2, 6))
     target = mu_matrix(MU, LaurentElt.one(F2, 6))
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_levi_pair_commutes():
     m = (2, 0, 0, 1)
-    x = pair_matrix(F3, MU, m, m, 6)
+    x = pair_matrix(MU, m, m, LaurentElt.one(F3, 6))
     target = mu_matrix(MU, LaurentElt.one(F3, 6))
     assert x.congruent_mod(target, x.min_precision())
 
 
 def test_pair_matrix_explicit_product():
     g = (1, 1, 0, 1)
-    x = pair_matrix(F2, MU, g, flat_identity(2), 6)
+    one = LaurentElt.one(F2, 6)
+    x = pair_matrix(MU, g, flat_identity(2), one)
     # g^(-1) mu(t): rows of g^(-1) scale the diagonal columns
     gi = flat_inverse(F2, 2, g)
-    expect = laurent_lift(F2, 2, gi, 6) * mu_matrix(MU, LaurentElt.one(F2, 6))
+    expect = lift(one, 2, gi) * mu_matrix(MU, one)
     assert x == expect
 
 
 def test_class_of_mu_is_identity_pair():
     x = mu_matrix(MU, LaurentElt.one(F2, 6))
     c = class_of(x, MU)
-    assert c.rep == (flat_identity(2), flat_identity(2))
+    assert c == (flat_identity(2), flat_identity(2))
 
 
 def test_class_of_wrong_cell():
@@ -82,19 +80,21 @@ def test_class_of_wrong_cell():
 
 def test_kernel_invariance_explicit():
     rng = random.Random(12)
-    x = mu_matrix(MU, LaurentElt.one(F2, 6))
+    one = LaurentElt.one(F2, 6)
+    x = mu_matrix(MU, one)
     for _ in range(100):
-        k1 = random_k1_mat(F2, 2, 6, rng)
-        k2 = random_k1_mat(F2, 2, 6, rng)
+        k1 = random_k1_mat(one, 2, rng)
+        k2 = random_k1_mat(one, 2, rng)
         c = class_of(k1 * x * k2, MU)
-        assert c.rep == (flat_identity(2), flat_identity(2))
+        assert c == (flat_identity(2), flat_identity(2))
 
 
 def test_round_trip_all_pairs_gl2_f2():
+    one = LaurentElt.one(F2, 6)
     for gf in enumerate_gl_flat(F2, 2):
         for hf in enumerate_gl_flat(F2, 2):
-            c = class_of(pair_matrix(F2, MU, gf, hf, 6), MU)
-            assert c == DoubleCosetClass(MU, F2, canonical_flat(F2, MU, gf, hf))
+            c = class_of(pair_matrix(MU, gf, hf, one), MU)
+            assert c == canonical_flat(F2, MU, gf, hf)
 
 
 def test_canonicalization_reproducible():
@@ -230,24 +230,21 @@ def test_precision_stability():
     for _ in range(20):
         g = gl[rng.randrange(len(gl))]
         h = gl[rng.randrange(len(gl))]
-        c1 = class_of(pair_matrix(F3, MU, g, h, 6), MU)
-        c2 = class_of(pair_matrix(F3, MU, g, h, 8), MU)
+        c1 = class_of(pair_matrix(MU, g, h, LaurentElt.one(F3, 6)), MU)
+        c2 = class_of(pair_matrix(MU, g, h, LaurentElt.one(F3, 8)), MU)
         assert c1 == c2
 
 
 def test_rescaling_classes():
-    c = class_of(mu_matrix(MU, LaurentElt.one(F2, 6)), MU)
-    assert rescale_class(c, 1) == c
-    c2 = rescale_class(c, 2)
-    assert c2.mu.weights == (2, 0) and c2.rep == c.rep
     # representative-for-representative between the censuses
     census1 = class_census(MU, F2)
     census2 = class_census(Cocharacter((2, 0)), F2)
     assert set(census1) == set(census2)
     for rep_pair in census1:
         mu2 = MU.scaled(2)
-        got = class_of(pair_matrix(F2, mu2, *rep_pair, default_precision(mu2)), mu2)
-        assert got.rep == rep_pair
+        one = LaurentElt.one(F2, default_precision(mu2))
+        got = class_of(pair_matrix(mu2, *rep_pair, one), mu2)
+        assert got == rep_pair
 
 
 def test_rescaling_gl3_block_weights():
@@ -255,11 +252,11 @@ def test_rescaling_gl3_block_weights():
     census = class_census(mu, F2)
     for factor in (2, 3):
         mu_k = mu.scaled(factor)
-        prec = default_precision(mu_k)
+        one = LaurentElt.one(F2, default_precision(mu_k))
         sample = sorted(census)[:25]
         for rep_pair in sample:
-            got = class_of(pair_matrix(F2, mu_k, *rep_pair, prec), mu_k)
-            assert got.rep == rep_pair
+            got = class_of(pair_matrix(mu_k, *rep_pair, one), mu_k)
+            assert got == rep_pair
 
 
 def test_embeddings():
@@ -298,7 +295,7 @@ def test_witt_class_of_p_mu():
     wctx = WittCtx.get(F2, 3)
     x = mu_matrix(MU, WittFraction.one(wctx))
     c = witt_class_of(x, MU)
-    assert c.rep == (flat_identity(2), flat_identity(2))
+    assert c == (flat_identity(2), flat_identity(2))
 
 
 def test_witt_census_matches_laurent():
@@ -312,7 +309,7 @@ def test_witt_pair_matrix_reduces_to_inputs():
     wctx = WittCtx.get(F2, 3)
     gl = enumerate_gl_flat(F2, 2)
     g = gl[rng.randrange(len(gl))]
-    x = witt_pair_matrix(wctx, MU, g, flat_identity(2))
+    x = pair_matrix(MU, g, flat_identity(2), WittFraction.one(wctx))
     _, d, _ = __import__("loopzip.matring", fromlist=["snf_dvr"]).snf_dvr(x)
     assert d == (1, 0)
 
@@ -328,7 +325,7 @@ def test_prozip_levi_pair_commutes_exactly():
     rng = random.Random(19)
     from loopzip.grpdata import conj_by_mu, random_integral_mat
 
-    m = laurent_lift(F3, 2, (2, 0, 0, 1), 6)
+    m = lift(LaurentElt.one(F3, 6), 2, (2, 0, 0, 1))
     mt = mu_matrix(MU, LaurentElt.one(F3, 6))
     assert m * mt == mt * m
     h = conj_by_mu(m, MU, -1)

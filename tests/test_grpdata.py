@@ -91,7 +91,7 @@ def test_membership_block_predicates():
 def test_membership_loop_level():
     mu = Cocharacter((1, 0))
     rng = random.Random(0)
-    k = random_k1_mat(F2, 2, 5, rng)
+    k = random_k1_mat(LaurentElt.one(F2, 5), 2, rng)
     assert is_member(k, SubgroupTag.K1, mu)
     assert is_member(k, SubgroupTag.Hplus, mu) and is_member(k, SubgroupTag.Hminus, mu)
     g = random_left_h_mat(F2, mu, 6, rng)

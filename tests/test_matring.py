@@ -5,7 +5,7 @@ import pytest
 
 from loopzip.errors import InsufficientPrecision, NotInvertible
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import enumerate_gl_flat, random_integral_mat, random_witt_k1_mat
+from loopzip.grpdata import enumerate_gl_flat, random_integral_mat, random_k1_mat
 from loopzip.matring import (
     Mat,
     assert_cartan_precision,
@@ -164,7 +164,7 @@ def test_snf_wide_gap_on_gl3_minor():
     mu = Cocharacter((2, 2, 0))
     g = (0, 0, 1, 0, 1, 0, 1, 0, 0)
     h = (0, 0, 1, 0, 1, 1, 1, 0, 0)
-    x = pair_matrix(F2, mu, g, h, 6)
+    x = pair_matrix(mu, g, h, LaurentElt.one(F2, 6))
     a, d, b = snf_dvr(x)
     assert d == (2, 2, 0)
     prod = a * t_diag(F2, d, 6) * b
@@ -182,7 +182,7 @@ def test_cartan_invariance_of_weights():
 def test_witt_snf_agrees_with_laurent():
     wctx = WittCtx.get(F2, 3)
     rng = random.Random(23)
-    from loopzip.coset import pair_matrix, witt_pair_matrix
+    from loopzip.coset import pair_matrix
     from loopzip.grpdata import Cocharacter, enumerate_gl_flat
 
     mu = Cocharacter((1, 0))
@@ -190,9 +190,36 @@ def test_witt_snf_agrees_with_laurent():
     for _ in range(20):
         g = gl[rng.randrange(len(gl))]
         h = gl[rng.randrange(len(gl))]
-        _, d_t, _ = snf_dvr(pair_matrix(F2, mu, g, h, 6))
-        _, d_p, _ = snf_dvr(witt_pair_matrix(wctx, mu, g, h))
+        _, d_t, _ = snf_dvr(pair_matrix(mu, g, h, LaurentElt.one(F2, 6)))
+        _, d_p, _ = snf_dvr(pair_matrix(mu, g, h, WittFraction.one(wctx)))
         assert d_t == d_p == (1, 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_from_codes_on_both_rings(q):
+    # the integral element with the given expansion coordinates, at the window of one
+    spec = FieldSpec.for_q(q)
+    rng = random.Random(q)
+    witt_ones = [WittFraction.one(WittCtx.get(spec, length)) for length in (1, 2, 3, 4)]
+    for one in [LaurentElt.one(spec, 1), LaurentElt.one(spec, 5)] + witt_ones:
+        for _ in range(20):
+            codes = [rng.randrange(q) for _ in range(one.prec)]
+            x = one.from_codes(codes)
+            assert x.residue_code() == codes[0]
+            assert x.prec == one.prec and x.is_integral()
+            if isinstance(x, LaurentElt):
+                assert (x.v, x.codes) == (0, tuple(codes))
+            else:
+                assert tuple(c.code for c in x.num.coords) == tuple(codes)
+        for bad in ([0] * (one.prec + 1), [0] * (one.prec - 1),
+                    [q] + [0] * (one.prec - 1), [0] * (one.prec - 1) + [-1]):
+            with pytest.raises(ValueError):
+                one.from_codes(bad)
+    for one in witt_ones:
+        ctx = one.ctx
+        for c in range(q):
+            teich = one.from_codes((c,) + (0,) * (ctx.length - 1))
+            assert teich.e == 0 and teich.num == ctx.teichmuller_code(c)
 
 
 def test_witt_snf_remultiplication():
@@ -200,8 +227,8 @@ def test_witt_snf_remultiplication():
     rng = random.Random(31)
     p_diag = Mat.diagonal([WittFraction.p_power(wctx, 1), WittFraction.p_power(wctx, 0)])
     for _ in range(20):
-        k1 = random_witt_k1_mat(wctx, 2, rng)
-        k2 = random_witt_k1_mat(wctx, 2, rng)
+        k1 = random_k1_mat(WittFraction.one(wctx), 2, rng)
+        k2 = random_k1_mat(WittFraction.one(wctx), 2, rng)
         x = k1 * p_diag * k2
         a, d, b = snf_dvr(x)
         assert d == (1, 0)
@@ -213,7 +240,7 @@ def test_witt_matrix_inverse():
     wctx = WittCtx.get(F2, 3)
     rng = random.Random(53)
     for _ in range(10):
-        k = random_witt_k1_mat(wctx, 2, rng)
+        k = random_k1_mat(WittFraction.one(wctx), 2, rng)
         prod = k * k.inverse()
         ident = Mat.identity(2, WittFraction.one(wctx))
         assert prod.congruent_mod(ident, prod.min_precision())
