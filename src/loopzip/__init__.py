@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (
     BudgetExceeded,
     ConventionError,
-    DivisionByZero,
     InsufficientPrecision,
     LoopZipError,
     NotAUnit,
@@ -16,7 +15,7 @@ from .errors import (
     SpecMismatch,
     WrongCell,
 )
-from .gf import FieldSpec, FqElem
+from .gf import FieldSpec
 from .grpdata import Cocharacter, SubgroupTag
 from .matring import Mat, snf_dvr
 from .series import LaurentElt
@@ -26,9 +25,7 @@ __all__ = [
     "BudgetExceeded",
     "Cocharacter",
     "ConventionError",
-    "DivisionByZero",
     "FieldSpec",
-    "FqElem",
     "InsufficientPrecision",
     "LaurentElt",
     "LoopZipError",

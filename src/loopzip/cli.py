@@ -3,8 +3,9 @@
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage,
 input, precision or budget error.  Input errors include a `verify
 --prec` at or below the largest weight of `--mu` (t^mu is not
-representable, so no suite runs) and a `cartan` matrix that is singular
-or whose pivots cannot be decided within its precision.  All output is
+representable, so no suite runs), a `verify --suite witt` whose mixed
+census cannot run, and a `cartan` matrix that is singular or whose
+pivots cannot be decided within its precision.  All output is
 deterministic given the flags and the seed.
 """
 
@@ -22,7 +23,7 @@ from .gf import FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
 from .orbits import ActionSpec, enumerate_orbits
-from .suites import SUITES, run_suites
+from .suites import SUITES, run_suites, witt_census_applies
 from .weyl import CosetPoset
 from .witt import ghost_selftest
 
@@ -116,6 +117,9 @@ def cmd_verify(args) -> int:
     _check_n(args, mu)
     if args.prec <= max(mu.weights):
         raise ValueError(f"--prec {args.prec} cannot represent t^{max(mu.weights)}")
+    if args.suite == "witt" and not witt_census_applies(FieldSpec.for_q(args.q), mu):
+        raise ValueError("the mixed census of suite witt needs p in {2, 3}, n <= 2 "
+                         "and weights with |d_i| <= 1")
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     cfg = {
         "n": mu.n,
@@ -247,6 +251,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (BudgetExceeded, ValueError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
+        return 2
+    except InsufficientPrecision as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 2
     except LoopZipError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -44,7 +44,13 @@ from .witt import WittCtx, WittFraction
 
 
 def default_precision(mu: Cocharacter, floor: int = 6) -> int:
-    return max(floor, cartan_precision_floor(mu.weights))
+    """Working window for the class pipeline of mu.
+
+    A pair matrix built at window P is known only to P + min(0, d_min),
+    so a negative weight raises the window by -d_min above the Cartan floor.
+    """
+    w = mu.weights
+    return max(floor, cartan_precision_floor(w) + max(0, -min(w)))
 
 
 def _row_trie(items, n: int, depth: int = 0):

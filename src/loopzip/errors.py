@@ -9,10 +9,6 @@ class SpecMismatch(LoopZipError):
     """Operands belong to different field specifications."""
 
 
-class DivisionByZero(LoopZipError, ZeroDivisionError):
-    """Inversion of the zero element."""
-
-
 class NotAUnit(LoopZipError):
     """Inversion of an element that is provably not invertible."""
 

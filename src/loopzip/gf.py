@@ -8,8 +8,6 @@ by every canonical form downstream.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, SpecMismatch
-
 # Monic irreducible modulus for each supported (p, m), little-endian
 # coefficients including the leading 1.  The table is fixed so that
 # serialized elements are portable: one modulus per (p, m), forever.
@@ -152,12 +150,7 @@ class FieldSpec:
             acc = self.mul_table[acc][a]
         return acc
 
-    # -- element constructors ----------------------------------------------
-
-    def element(self, code: int) -> "FqElem":
-        if not 0 <= code < self.q:
-            raise ValueError(f"code {code} out of range for q={self.q}")
-        return FqElem(self, code)
+    # -- codes at the edges ------------------------------------------------
 
     def checked_codes(self, codes) -> tuple:
         """The codes as a tuple, each an int in 0..q-1, else ValueError."""
@@ -167,112 +160,27 @@ class FieldSpec:
                 raise ValueError(f"coefficient code {c!r} is not an int in 0..{self.q - 1}")
         return codes
 
-    def from_coeffs(self, coeffs) -> "FqElem":
+    def from_coeffs(self, coeffs) -> int:
+        """Code of the element with little-endian coefficients in the basis 1, w, w^2."""
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients")
         for c in coeffs:
             if type(c) is not int or not 0 <= c < self.p:
                 raise ValueError(f"coefficient {c!r} outside 0..{self.p - 1}")
-        return FqElem(self, self._vec_to_code(list(coeffs)))
+        return self._vec_to_code(list(coeffs))
 
-    def from_int(self, n: int) -> "FqElem":
-        """Image of the integer n under Z -> F_q."""
-        return FqElem(self, self._vec_to_code([n % self.p] + [0] * (self.m - 1)))
-
-    def zero(self) -> "FqElem":
-        return FqElem(self, 0)
-
-    def one(self) -> "FqElem":
-        return FqElem(self, 1)
-
-    def gen(self) -> "FqElem":
-        """The class of w, a degree-m generator (equals 1 when m = 1)."""
-        return FqElem(self, self.p if self.m > 1 else 1)
-
-    def elements(self):
-        for code in range(self.q):
-            yield FqElem(self, code)
+    def code_repr(self, code: int) -> str:
+        """The element as text: its code over F_p, else a sum of powers of w."""
+        if self.m == 1:
+            return str(code)
+        names = ("1", "w", "w^2")
+        terms = [
+            (names[i] if c == 1 else f"{c}*{names[i]}") if i else str(c)
+            for i, c in enumerate(self._code_to_vec(code))
+            if c
+        ]
+        return " + ".join(terms) if terms else "0"
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, m={self.m})"
 
-
-class FqElem:
-    """Element of F_{p^m}; immutable, one int code plus its spec."""
-
-    __slots__ = ("spec", "code")
-
-    def __init__(self, spec: FieldSpec, code: int):
-        self.spec = spec
-        self.code = code
-
-    def _coerce(self, other: "FqElem") -> None:
-        if other.spec is not self.spec:
-            raise SpecMismatch(f"{self.spec} vs {other.spec}")
-
-    def __add__(self, other: "FqElem") -> "FqElem":
-        self._coerce(other)
-        return FqElem(self.spec, self.spec.add_table[self.code][other.code])
-
-    def __sub__(self, other: "FqElem") -> "FqElem":
-        self._coerce(other)
-        return FqElem(
-            self.spec, self.spec.add_table[self.code][self.spec.neg_table[other.code]]
-        )
-
-    def __mul__(self, other: "FqElem") -> "FqElem":
-        self._coerce(other)
-        return FqElem(self.spec, self.spec.mul_table[self.code][other.code])
-
-    def __neg__(self) -> "FqElem":
-        return FqElem(self.spec, self.spec.neg_table[self.code])
-
-    def inverse(self) -> "FqElem":
-        if self.code == 0:
-            raise DivisionByZero("inverse of 0")
-        return FqElem(self.spec, self.spec.inv_table[self.code])
-
-    def frobenius(self, times: int = 1) -> "FqElem":
-        """Apply the p-power Frobenius `times` times (negative for roots)."""
-        return FqElem(self.spec, self.spec.frob_code(self.code, times))
-
-    def __pow__(self, e: int) -> "FqElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = FqElem(self.spec, 1)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def is_zero(self) -> bool:
-        return self.code == 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Little-endian coefficient vector in the basis 1, w, w^2."""
-        return tuple(self.spec._code_to_vec(self.code))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqElem)
-            and other.spec is self.spec
-            and other.code == self.code
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), self.code))
-
-    def __repr__(self):
-        if self.spec.m == 1:
-            return str(self.code)
-        names = ("1", "w", "w^2")
-        terms = [
-            (names[i] if c == 1 else f"{c}*{names[i]}") if i else str(c)
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"

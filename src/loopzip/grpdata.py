@@ -76,14 +76,6 @@ class Cocharacter:
             raise ValueError("scale factor must be >= 1")
         return Cocharacter(tuple(k * d for d in self.weights))
 
-    def sigma_twist(self, times: int = 1) -> "Cocharacter":
-        """Frobenius twist; identity on split diagonal cocharacters."""
-        return self
-
-    def phi_twist(self, p: int) -> "Cocharacter":
-        """The composite twist, which rescales the weights by p."""
-        return self.sigma_twist().scaled(p)
-
     def is_minuscule(self) -> bool:
         return max(self.weights) - min(self.weights) <= 1
 

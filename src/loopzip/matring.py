@@ -16,8 +16,9 @@ against it:
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), with a and b integral of unit reduction.
-Matrices over F_q itself are flat row-major tuples of field codes, for the
-flat_* functions below.
+F_q elements are int codes throughout: matrices over F_q itself are flat
+row-major tuples of them, for the flat_* functions below, and the JSON form
+writes each code as its coefficient vector.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class Mat:
                             got = _int(cell.get(key, want), key)
                             if got != want:
                                 raise ValueError(f"cell {key}={got} but the header has {want}")
-                        num = wctx.from_coords([spec.from_coeffs(c) for c in coords])
+                        num = wctx.from_coord_codes([spec.from_coeffs(c) for c in coords])
                         out.append(WittFraction(wctx, _int(cell.get("e", 0), "e"), num))
                 except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
                     raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc

@@ -219,9 +219,8 @@ def chain_compare(mu: Cocharacter, q: int, m: int) -> dict:
     part_e = enumerate_orbits(ActionSpec("zip-frobenius", mu, q, m)).blocks
     same = part_r == part_e
 
-    mu_t = mu.sigma_twist(m)
-    part_r_twisted = enumerate_orbits(ActionSpec("partial-frobenius", mu_t, q, m)).blocks
-    transported = _tau_image(part_e, spec, m) == part_r_twisted
+    # a split diagonal cocharacter is Frobenius-fixed, so its twist is mu itself
+    transported = _tau_image(part_e, spec, m) == part_r
 
     # one full period of tau = sigma^m on F_q
     from math import gcd

@@ -6,10 +6,9 @@ Frobenii act on such series: the coefficient Frobenius (p-th power on
 coefficients, t fixed) and the full ring Frobenius (p-th power on
 coefficients and t -> t^p).
 
-Coefficients are stored as the field's int codes 0..q-1 and every ring
-operation indexes the `FieldSpec` tables directly.  `FqElem` appears
-only at the edges: `coeff`, `reduce_mod_t`, `scale` and the text and
-JSON forms; `residue_code` is the unboxed reduction.
+Coefficients are stored as the field's int codes 0..q-1, and every ring
+operation indexes the `FieldSpec` tables directly; `residue_code` is the
+reduction mod t.  The JSON form writes each code as its coefficient vector.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import (
     NotIntegral,
     SpecMismatch,
 )
-from .gf import FieldSpec, FqElem
+from .gf import FieldSpec
 
 
 def _leading_zeros(codes) -> int:
@@ -88,12 +87,6 @@ class LaurentElt:
         return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))
 
     # -- basic queries ---------------------------------------------------------
-
-    def coeff(self, e: int) -> FqElem:
-        """Formal coefficient at exponent e < prec (zero outside the window)."""
-        if e >= self.prec:
-            raise InsufficientPrecision(f"coefficient at t^{e} beyond prec {self.prec}")
-        return FqElem(self.spec, self.codes[e - self.v] if e >= self.v else 0)
 
     def trimmed(self) -> "LaurentElt":
         """Advance v past stored leading zeros (value unchanged)."""
@@ -174,14 +167,6 @@ class LaurentElt:
                             out[k] = add[out[k]][row[bj]]
         return _raw(self.spec, v, prec, tuple(out))
 
-    def scale(self, c: FqElem) -> "LaurentElt":
-        if c.spec is not self.spec:
-            raise SpecMismatch(f"{c.spec} vs {self.spec}")
-        row = self.spec.mul_table[c.code]
-        return _raw(
-            self.spec, self.v, self.prec, tuple([row[x] for x in self.codes])
-        )
-
     def shifted(self, k: int) -> "LaurentElt":
         """Multiply by t^k exactly (window slides by k)."""
         return _raw(self.spec, self.v + k, self.prec + k, self.codes)
@@ -240,10 +225,6 @@ class LaurentElt:
             raise NotIntegral(f"pole of order {-val}")
         return self.codes[-self.v] if self.v <= 0 else 0
 
-    def reduce_mod_t(self) -> FqElem:
-        """Constant coefficient of an integral element."""
-        return FqElem(self.spec, self.residue_code())
-
     # -- comparisons ------------------------------------------------------------------
 
     def _normal_form(self):
@@ -283,7 +264,7 @@ class LaurentElt:
         v, prec = data["v"], data["prec"]
         if type(v) is not int or type(prec) is not int:
             raise ValueError(f"v={v!r} and prec={prec!r} must be integers")
-        codes = [spec.from_coeffs(c).code for c in data["coeffs"]]
+        codes = [spec.from_coeffs(c) for c in data["coeffs"]]
         return LaurentElt(spec, v, prec, codes)
 
     def __repr__(self):
@@ -292,7 +273,7 @@ class LaurentElt:
             if not c:
                 continue
             e = self.v + i
-            cs = repr(FqElem(self.spec, c))
+            cs = self.spec.code_repr(c)
             if "+" in cs:
                 cs = f"({cs})"
             if e == 0:

@@ -341,6 +341,11 @@ def suite_psi(cfg: dict) -> list:
     return checks
 
 
+def witt_census_applies(spec: FieldSpec, mu: Cocharacter) -> bool:
+    """The mixed census needs p in {2, 3}, n <= 2 and weights with |d_i| <= 1."""
+    return spec.p in (2, 3) and mu.n <= 2 and max(abs(w) for w in mu.weights) <= 1
+
+
 def suite_witt(cfg: dict) -> list:
     spec = FieldSpec.for_q(cfg["q"])
     mu = Cocharacter(cfg["mu"])
@@ -351,7 +356,7 @@ def suite_witt(cfg: dict) -> list:
             rep["name"] = f"ghost-oracle-p{p}-N{length}"
             rep["passed"] = rep["passed_samples"] == rep["samples"]
             checks.append(rep)
-    if spec.p in (2, 3) and mu.n <= 2 and max(abs(w) for w in mu.weights) <= 1:
+    if witt_census_applies(spec, mu):
         rep = witt_census_report(mu, spec, 3, max(cfg["prec"], default_precision(mu)))
         rep["name"] = "mixed-census-equality"
         rep["passed"] = rep["census_equal"] and rep["pointwise_equal"]

@@ -16,7 +16,7 @@ without ever raising `known`, so canonical forms stay honest.
 from __future__ import annotations
 
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
-from .gf import FieldSpec, FqElem, poly_mul_reduce
+from .gf import FieldSpec, poly_mul_reduce
 
 
 class WittCtx:
@@ -80,9 +80,6 @@ class WittCtx:
 
     # element constructors
 
-    def from_coords(self, coords) -> "WittElt":
-        return self.from_coord_codes([a.code for a in coords])
-
     def from_coord_codes(self, codes) -> "WittElt":
         """The Witt vector whose coordinates have the given field codes."""
         codes = self.spec.checked_codes(codes)
@@ -97,13 +94,6 @@ class WittCtx:
 
     def one(self) -> "WittElt":
         return self.from_int(1)
-
-    def teichmuller(self, a: FqElem) -> "WittElt":
-        return self.teichmuller_code(a.code)
-
-    def teichmuller_code(self, code: int) -> "WittElt":
-        """[a] for the element a with field code `code`."""
-        return WittElt(self, self._teich[code])
 
     def from_int(self, n: int) -> "WittElt":
         """Image of the integer n: n mod p^N in the constant coefficient."""
@@ -205,11 +195,9 @@ class WittElt:
 
     @property
     def coords(self) -> tuple:
-        """Witt coordinates a_i = b_i^(p^i) from the Teichmuller digits b_i."""
+        """Codes of the Witt coordinates a_i = b_i^(p^i), b_i the Teichmuller digits."""
         spec = self.ctx.spec
-        return tuple(
-            FqElem(spec, spec.frob_code(b, i)) for i, b in enumerate(self.ctx._digits(self.v))
-        )
+        return tuple(spec.frob_code(b, i) for i, b in enumerate(self.ctx._digits(self.v)))
 
     def __eq__(self, other):
         return (
@@ -225,11 +213,11 @@ class WittElt:
         return {
             "p": self.ctx.p,
             "N": self.ctx.length,
-            "coords": [list(c.coeffs) for c in self.coords],
+            "coords": [self.ctx.spec._code_to_vec(c) for c in self.coords],
         }
 
     def __repr__(self):
-        return "(" + ", ".join(repr(c) for c in self.coords) + ")"
+        return "(" + ", ".join(self.ctx.spec.code_repr(c) for c in self.coords) + ")"
 
 
 class WittFraction:
@@ -253,10 +241,6 @@ class WittFraction:
             raise InsufficientPrecision("fraction with non-positive known precision")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def integral(w: WittElt) -> "WittFraction":
-        return WittFraction(w.ctx, 0, w)
 
     @staticmethod
     def p_power(ctx: WittCtx, d: int) -> "WittFraction":
@@ -414,10 +398,6 @@ class WittFraction:
             raise NotIntegral(f"denominator p^{s.e} remains")
         return self.ctx.spec._vec_to_code(s.num.v)
 
-    def reduce_mod_p(self) -> FqElem:
-        """First Witt coordinate of an integral value."""
-        return FqElem(self.ctx.spec, self.residue_code())
-
     # -- comparisons ----------------------------------------------------------------
 
     def congruent_mod(self, other: "WittFraction", j: int) -> bool:
@@ -447,7 +427,7 @@ class WittFraction:
         return {
             "p": self.ctx.p,
             "N": self.ctx.length,
-            "coords": [list(c.coeffs) for c in s.num.coords],
+            "coords": [self.ctx.spec._code_to_vec(c) for c in s.num.coords],
             "e": s.e,
         }
 
@@ -493,13 +473,9 @@ def ghost_selftest(p: int, length: int, samples: int, seed: int = 0) -> dict:
     passed = 0
     for _ in range(samples):
         x, y = rng.randrange(mod), rng.randrange(mod)
-        wx = ctx.from_coords([spec.element(c) for c in int_to_coords(x, p, length)])
-        wy = ctx.from_coords([spec.element(c) for c in int_to_coords(y, p, length)])
-        ok_sum = tuple(c.code for c in (wx + wy).coords) == int_to_coords(
-            (x + y) % mod, p, length
-        )
-        ok_prod = tuple(c.code for c in (wx * wy).coords) == int_to_coords(
-            (x * y) % mod, p, length
-        )
+        wx = ctx.from_coord_codes(int_to_coords(x, p, length))
+        wy = ctx.from_coord_codes(int_to_coords(y, p, length))
+        ok_sum = (wx + wy).coords == int_to_coords((x + y) % mod, p, length)
+        ok_prod = (wx * wy).coords == int_to_coords((x * y) % mod, p, length)
         passed += ok_sum and ok_prod
     return {"p": p, "N": length, "samples": samples, "passed_samples": passed}

@@ -2,9 +2,9 @@
 
 This is the coefficient-object implementation that `loopzip.series`
 replaced with int codes indexed straight into the field tables.  Its
-arithmetic goes through `FqElem` one coefficient at a time, so it is
-slow but plainly correct; the tests compare the code-based `LaurentElt`
-against it.
+arithmetic goes through `FqElem`, a field element object over the same
+`FieldSpec` tables, one coefficient at a time, so it is slow but plainly
+correct; the tests compare the code-based `LaurentElt` against it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,95 @@ from loopzip.errors import (
     NotIntegral,
     SpecMismatch,
 )
-from loopzip.gf import FieldSpec, FqElem
+from loopzip.gf import FieldSpec
+
+
+class FqElem:
+    """Element of F_{p^m}; immutable, one int code plus its spec."""
+
+    __slots__ = ("spec", "code")
+
+    def __init__(self, spec: FieldSpec, code: int):
+        self.spec = spec
+        self.code = code
+
+    def _coerce(self, other: "FqElem") -> None:
+        if other.spec is not self.spec:
+            raise SpecMismatch(f"{self.spec} vs {other.spec}")
+
+    def __add__(self, other: "FqElem") -> "FqElem":
+        self._coerce(other)
+        return FqElem(self.spec, self.spec.add_table[self.code][other.code])
+
+    def __sub__(self, other: "FqElem") -> "FqElem":
+        self._coerce(other)
+        return FqElem(
+            self.spec, self.spec.add_table[self.code][self.spec.neg_table[other.code]]
+        )
+
+    def __mul__(self, other: "FqElem") -> "FqElem":
+        self._coerce(other)
+        return FqElem(self.spec, self.spec.mul_table[self.code][other.code])
+
+    def __neg__(self) -> "FqElem":
+        return FqElem(self.spec, self.spec.neg_table[self.code])
+
+    def inverse(self) -> "FqElem":
+        if self.code == 0:
+            raise ZeroDivisionError("inverse of 0")
+        return FqElem(self.spec, self.spec.inv_table[self.code])
+
+    def frobenius(self, times: int = 1) -> "FqElem":
+        """Apply the p-power Frobenius `times` times (negative for roots)."""
+        return FqElem(self.spec, self.spec.frob_code(self.code, times))
+
+    def __pow__(self, e: int) -> "FqElem":
+        if e < 0:
+            return self.inverse() ** (-e)
+        acc = FqElem(self.spec, 1)
+        base = self
+        while e:
+            if e & 1:
+                acc = acc * base
+            base = base * base
+            e >>= 1
+        return acc
+
+    def is_zero(self) -> bool:
+        return self.code == 0
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """Little-endian coefficient vector in the basis 1, w, w^2."""
+        return tuple(self.spec._code_to_vec(self.code))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FqElem)
+            and other.spec is self.spec
+            and other.code == self.code
+        )
+
+    def __hash__(self):
+        return hash((id(self.spec), self.code))
+
+    def __repr__(self):
+        if self.spec.m == 1:
+            return str(self.code)
+        names = ("1", "w", "w^2")
+        terms = [
+            (names[i] if c == 1 else f"{c}*{names[i]}") if i else str(c)
+            for i, c in enumerate(self.coeffs)
+            if c
+        ]
+        return " + ".join(terms) if terms else "0"
+
+
+def element(spec: FieldSpec, code: int) -> FqElem:
+    """The boxed element with field code `code`, range-checked."""
+    if not 0 <= code < spec.q:
+        raise ValueError(f"code {code} out of range for q={spec.q}")
+    return FqElem(spec, code)
 
 
 class BoxedLaurent:
@@ -40,17 +128,17 @@ class BoxedLaurent:
     def zero(spec: FieldSpec, prec: int) -> "BoxedLaurent":
         """0 + O(t^prec), stored as a full window of zero coefficients."""
         v = min(0, prec)
-        return BoxedLaurent(spec, v, prec, (spec.zero(),) * (prec - v))
+        return BoxedLaurent(spec, v, prec, (FqElem(spec, 0),) * (prec - v))
 
     @staticmethod
     def const(c: FqElem, prec: int) -> "BoxedLaurent":
         if prec <= 0:
             raise InsufficientPrecision("constant needs prec >= 1")
-        return BoxedLaurent(c.spec, 0, prec, (c,) + (c.spec.zero(),) * (prec - 1))
+        return BoxedLaurent(c.spec, 0, prec, (c,) + (FqElem(c.spec, 0),) * (prec - 1))
 
     @staticmethod
     def one(spec: FieldSpec, prec: int) -> "BoxedLaurent":
-        return BoxedLaurent.const(spec.one(), prec)
+        return BoxedLaurent.const(FqElem(spec, 1), prec)
 
     # the ring constants the matrix code asks its entries for
     def zero_at(self, prec: int) -> "BoxedLaurent":
@@ -65,16 +153,16 @@ class BoxedLaurent:
         if d >= prec:
             raise InsufficientPrecision(f"t^{d} not representable at prec {prec}")
         return BoxedLaurent(
-            spec, d, prec, (spec.one(),) + (spec.zero(),) * (prec - d - 1)
+            spec, d, prec, (FqElem(spec, 1),) + (FqElem(spec, 0),) * (prec - d - 1)
         )
 
     @staticmethod
     def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> "BoxedLaurent":
         """Coefficients given as integer codes starting at exponent v."""
-        coeffs = [spec.element(c) for c in codes]
+        coeffs = [element(spec, c) for c in codes]
         if v + len(coeffs) > prec:
             coeffs = coeffs[: prec - v]
-        coeffs += [spec.zero()] * (prec - v - len(coeffs))
+        coeffs += [FqElem(spec, 0)] * (prec - v - len(coeffs))
         return BoxedLaurent(spec, v, prec, coeffs)
 
     # -- basic queries ---------------------------------------------------------
@@ -84,7 +172,7 @@ class BoxedLaurent:
         if e >= self.prec:
             raise InsufficientPrecision(f"coefficient at t^{e} beyond prec {self.prec}")
         if e < self.v:
-            return self.spec.zero()
+            return FqElem(self.spec, 0)
         return self.coeffs[e - self.v]
 
     def trimmed(self) -> "BoxedLaurent":
@@ -119,7 +207,7 @@ class BoxedLaurent:
         prec = min(self.prec, other.prec)
         v = min(self.v, other.v, prec)
         coeffs = []
-        zero = self.spec.zero()
+        zero = FqElem(self.spec, 0)
         for e in range(v, prec):
             a = self.coeffs[e - self.v] if self.v <= e < self.prec else zero
             b = other.coeffs[e - other.v] if other.v <= e < other.prec else zero
@@ -158,10 +246,7 @@ class BoxedLaurent:
                 bj = b[j]
                 if bj:
                     out[base + i + j] = add[out[base + i + j]][row[bj]]
-        return BoxedLaurent(self.spec, v, prec, [self.spec.element(c) for c in out])
-
-    def scale(self, c: FqElem) -> "BoxedLaurent":
-        return BoxedLaurent(self.spec, self.v, self.prec, [c * x for x in self.coeffs])
+        return BoxedLaurent(self.spec, v, prec, [FqElem(self.spec, c) for c in out])
 
     def shifted(self, k: int) -> "BoxedLaurent":
         """Multiply by t^k exactly (window slides by k)."""
@@ -178,7 +263,7 @@ class BoxedLaurent:
         n = a.prec - w
         c0inv = a.coeffs[0].inverse()
         out = [c0inv]
-        zero = self.spec.zero()
+        zero = FqElem(self.spec, 0)
         for k in range(1, n):
             acc = zero
             for i in range(1, k + 1):
@@ -198,7 +283,7 @@ class BoxedLaurent:
     def phi(self) -> "BoxedLaurent":
         """Full Frobenius a_i t^i -> a_i^p t^(p i); precision multiplies by p."""
         p = self.spec.p
-        zero = self.spec.zero()
+        zero = FqElem(self.spec, 0)
         out = [zero] * (p * self.prec - p * self.v)
         for i, c in enumerate(self.coeffs):
             out[p * i] = c.frobenius()
@@ -256,7 +341,7 @@ class BoxedLaurent:
 
     @staticmethod
     def from_json(spec: FieldSpec, data: dict) -> "BoxedLaurent":
-        coeffs = [spec.from_coeffs(c) for c in data["coeffs"]]
+        coeffs = [FqElem(spec, spec.from_coeffs(c)) for c in data["coeffs"]]
         return BoxedLaurent(spec, data["v"], data["prec"], coeffs)
 
     def __repr__(self):

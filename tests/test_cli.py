@@ -445,3 +445,45 @@ def test_verify_lemmas_wide_gap_passes(mu, capsys):
     names = [c["name"] for c in json.loads(out)["checks"]]
     assert f"integral-conjugation-inclusions-exhaustive-N{gap + 1}" in names
     assert f"integral-conjugation-inclusions-exhaustive-N{gap + 2}" in names
+
+
+@pytest.mark.parametrize("suite,mu,q,prec", [
+    ("psi", "1,-1", "2", "2"),
+    ("psi", "1,-1", "2", "12"),
+    ("witt", "1,-1", "2", "6"),
+    ("psi", "0,-1", "2", "6"),
+    ("psi", "1,0,-1", "2", "6"),
+    ("psi", "2,-1", "2", "6"),
+    ("psi", "1,-1", "3", "6"),
+])
+def test_negative_weights_pass(suite, mu, q, prec, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", suite, "--mu", mu, "--q", q, "--prec", prec,
+         "--samples", "5"], capsys
+    )
+    assert code == 0, err
+    assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("suite,prec,message", [
+    ("prozip", "2", "multiplication of an empty window"),
+    ("prozip", "3", "no overlap window in invariance check"),
+    ("lemmas", "2", "prec < 1, constant term unknown"),
+])
+def test_precision_error_exits_2(suite, prec, message, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", suite, "--mu", "1,-1", "--q", "2", "--prec", prec,
+         "--samples", "5"], capsys
+    )
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("q,mu", [("5", "1,0"), ("2", "1,1,0"), ("2", "2,0")])
+def test_witt_suite_without_its_census_exits_2(q, mu, capsys):
+    # the ghost checks alone would pass while the mixed census never ran
+    code, out, err = run_cli(
+        ["verify", "--suite", "witt", "--q", q, "--mu", mu, "--samples", "5"], capsys
+    )
+    assert code == 2
+    assert out == "" and "mixed census" in err

@@ -32,7 +32,7 @@ from loopzip.coset import (
     witt_class_of,
     witt_kernel_invariance_report,
 )
-from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
+from loopzip.matring import Mat, cartan_precision_floor, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -245,6 +245,18 @@ def test_rescaling_classes():
         one = LaurentElt.one(F2, default_precision(mu2))
         got = class_of(pair_matrix(mu2, *rep_pair, one), mu2)
         assert got == rep_pair
+
+
+@pytest.mark.parametrize("weights", [(1, -1), (0, -1), (2, -1), (1, 0, -1), (1, 0), (2, 0)])
+def test_default_precision_covers_negative_weights(weights):
+    # a pair matrix built at window P is known to P + min(0, d_min), which
+    # must still reach the floor that class_of asserts
+    mu = Cocharacter(weights)
+    one = LaurentElt.one(F2, default_precision(mu))
+    ident = flat_identity(mu.n)
+    x = pair_matrix(mu, ident, ident, one)
+    assert x.min_precision() >= cartan_precision_floor(mu.weights)
+    assert class_of(x, mu) == canonical_flat(F2, mu, ident, ident)
 
 
 def test_rescaling_gl3_block_weights():

@@ -148,3 +148,22 @@ def test_sigma_conj_action_matches_class_pipeline():
         tgm = lift(one, 2, flat_frobenius(spec, g, 1))
         moved = gm.inverse() * x * tgm
         assert class_of(moved, MU) == shortcut
+
+
+def test_chain_suite_enumeration_count(monkeypatch):
+    # mu is its own Frobenius twist, so chain_compare reuses its partition
+    import loopzip.orbits as orbits
+    from loopzip.suites import suite_chain
+
+    calls = []
+    real = orbits.enumerate_orbits
+
+    def counted(aspec):
+        calls.append(aspec.kind)
+        return real(aspec)
+
+    monkeypatch.setattr(orbits, "enumerate_orbits", counted)
+    cfg = {"mu": [1, 0], "q": 2, "tau": 1, "seed": 0}
+    assert all(c["passed"] for c in suite_chain(cfg))
+    assert sorted(calls) == ["partial-frobenius", "partial-frobenius",
+                             "sigma-conj", "zip-frobenius"]

@@ -63,3 +63,18 @@ def test_src_has_no_unused_imports():
                     if name not in read | exported
                 ]
     assert found == []
+
+
+def test_every_error_class_is_raised():
+    # an error class that no src code raises is dead API
+    errors = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(classes) >= 10
+    assert sorted(classes - raised - {"LoopZipError"}) == []

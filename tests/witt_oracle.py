@@ -181,7 +181,7 @@ class PolyWitt:
         acc = 0
         pows: dict = {}
         for c, e in reduced:
-            term = spec.from_int(c).code
+            term = c % spec.p  # the image of the integer c
             for i, k in enumerate(e):
                 if k:
                     pk = pows.get((i, k))
