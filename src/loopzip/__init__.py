@@ -16,7 +16,7 @@ from .errors import (
     WrongCell,
 )
 from .gf import FieldSpec
-from .grpdata import Cocharacter, SubgroupTag
+from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
 from .series import LaurentElt
 from .witt import WittCtx, WittElt, WittFraction
@@ -36,7 +36,6 @@ __all__ = [
     "NotInvertible",
     "NotMinimalRep",
     "SpecMismatch",
-    "SubgroupTag",
     "WittCtx",
     "WittElt",
     "WittFraction",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .errors import BudgetExceeded, InsufficientPrecision, WrongCell
+from .errors import InsufficientPrecision, WrongCell, check_budget
 from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
@@ -22,12 +22,12 @@ from .grpdata import (
     enumerate_parabolic_flat,
     enumerate_unipotent_flat,
     gl_order,
-    group_order,
     mu_matrix,
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
-    SubgroupTag,
+    unipotent_order,
+    zip_group_order,
 )
 from .matring import (
     Mat,
@@ -186,8 +186,8 @@ def embed_after_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
 
 def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
     """Exhaustive check that zip orbits on pairs biject with classes."""
-    if mu.n > 3 or spec.q > 3:
-        raise BudgetExceeded("class bijection census limited to n <= 3, q <= 3")
+    check_budget(mu.n <= 3 and spec.q <= 3, "class bijection census",
+                 f"n={mu.n}, q={spec.q}", "n <= 3, q <= 3")
     census = class_census(mu, spec)
     one = LaurentElt.one(spec, prec)
     roundtrip = True
@@ -221,12 +221,12 @@ def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     """
     n = mu.n
     gl = enumerate_gl_flat(spec, n)
-    if len(gl) ** 2 > 2_000_000:
-        raise BudgetExceeded(f"{len(gl)}^2 pairs exceed the pair budget")
+    check_budget(len(gl) ** 2 <= 2_000_000, "class census",
+                 f"n={n}, q={spec.q} with {len(gl):,}^2 pairs", "|G|^2 <= 2,000,000 pairs")
     pminus, uplus = _row_tries(spec.p, spec.m, mu)
     left = sorted({_descend(spec, n, pminus, g)[0] for g in gl})
     right = sorted({_descend(spec, n, uplus, h)[0] for h in gl})
-    size = group_order(SubgroupTag.ZipNormal, mu, spec.q)
+    size = zip_group_order(mu, spec.q)
     return {(a, b): size for a in left for b in right}
 
 
@@ -270,25 +270,24 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
         cb = embed_after_mu(spec, mu, g)
         fibers_a[ca] = fibers_a.get(ca, 0) + 1
         fibers_b[cb] = fibers_b.get(cb, 0) + 1
-    u_minus = group_order(SubgroupTag.Uminus, mu, spec.q)
-    u_plus = group_order(SubgroupTag.Uplus, mu, spec.q)
+    u_order = unipotent_order(mu, spec.q)
     return {
         "mu": list(mu.weights),
         "q": spec.q,
         "alpha_fiber_sizes": sorted(set(fibers_a.values())),
         "beta_fiber_sizes": sorted(set(fibers_b.values())),
-        "expected_alpha": u_minus,
-        "expected_beta": u_plus,
-        "alpha_ok": set(fibers_a.values()) == {u_minus},
-        "beta_ok": set(fibers_b.values()) == {u_plus},
+        "expected_alpha": u_order,
+        "expected_beta": u_order,
+        "alpha_ok": set(fibers_a.values()) == {u_order},
+        "beta_ok": set(fibers_b.values()) == {u_order},
     }
 
 
 def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
                        prec: int) -> dict:
     """Mixed-characteristic census compared with the Laurent census."""
-    if mu.n > 2 or spec.q > 3:
-        raise BudgetExceeded("mixed census limited to n <= 2, q <= 3")
+    check_budget(mu.n <= 2 and spec.q <= 3, "mixed census",
+                 f"n={mu.n}, q={spec.q}", "n <= 2, q <= 3")
     wctx = WittCtx.get(spec, length)
     n = mu.n
     gl = enumerate_gl_flat(spec, n)

@@ -43,3 +43,10 @@ class ConventionError(LoopZipError):
 
 class BudgetExceeded(LoopZipError):
     """An exhaustive enumeration was requested beyond the supported size."""
+
+
+def check_budget(fits: bool, engine: str, size: str, caps: str) -> None:
+    """Refuse a request that does not fit: the message names the engine, the
+    requested size and the caps."""
+    if not fits:
+        raise BudgetExceeded(f"{engine} at {size}; the caps are {caps}")

@@ -1,17 +1,20 @@
-"""Cocharacter data for GL_n and the subgroup apparatus it induces.
+"""Cocharacter data for GL_n and the subgroups it cuts out.
 
-A cocharacter is a non-increasing integer weight vector d defining the
-block structure of the parabolic pair P+/P-, their unipotent radicals,
-the common Levi M, the depth-one kernel of reduction, and the four zip
-groups used by the orbit engines.
+A cocharacter is a non-increasing integer weight vector d. Its blocks
+give, over F_q, the parabolic pair P_+/P_-, their unipotent radicals U_+/U_-
+and the common Levi M, enumerated as flat code tuples for the orbit
+engines together with generating sets and the zip groups; and, in the loop
+group, the depth-one kernel K_1, the integral groups H_+/H_- (integral,
+reducing into P_+ or P_-) and the loop zip group. Each subgroup that a
+suite tests has its own membership predicate (`in_parabolic`, `in_k1`,
+`in_h`, `in_conj_integral`, `in_zip_loop`).
 """
 
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 
-from .errors import BudgetExceeded, InsufficientPrecision, NotInParabolic
+from .errors import InsufficientPrecision, NotInParabolic, check_budget
 from .gf import FieldSpec
 from .matring import (
     Mat,
@@ -24,23 +27,6 @@ from .matring import (
 from .series import LaurentElt
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
-
-
-class SubgroupTag(Enum):
-    Pplus = "Pplus"
-    Pminus = "Pminus"
-    Uplus = "Uplus"
-    Uminus = "Uminus"
-    M = "M"
-    K1 = "K1"
-    Hplus = "Hplus"
-    Hminus = "Hminus"
-    leftH = "leftH"
-    rightH = "rightH"
-    ZipNormal = "ZipNormal"
-    ZipFrobenius = "ZipFrobenius"
-    ZipLoop = "ZipLoop"
-    ZipPro = "ZipPro"
 
 
 class Cocharacter:
@@ -112,9 +98,18 @@ def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:
     return Mat(rows)
 
 
+def in_parabolic(flat, mu: Cocharacter, sign: int) -> bool:
+    """A flat F_q matrix lies in P_+ (sign=+1, block upper triangular) or
+    P_- (sign=-1, block lower triangular)."""
+    b, n = mu.block_of, mu.n
+    return not any(
+        flat[i * n + j] for i in range(n) for j in range(n) if sign * (b[i] - b[j]) > 0
+    )
+
+
 def levi_component(p, mu: Cocharacter) -> tuple:
     """Block-diagonal part of a flat element of P+ or P-."""
-    if not (_block_member(p, SubgroupTag.Pplus, mu) or _block_member(p, SubgroupTag.Pminus, mu)):
+    if not (in_parabolic(p, mu, +1) or in_parabolic(p, mu, -1)):
         raise NotInParabolic("matrix lies in neither parabolic")
     b, n = mu.block_of, mu.n
     return tuple(
@@ -122,74 +117,30 @@ def levi_component(p, mu: Cocharacter) -> tuple:
     )
 
 
-def is_member(g, tag: SubgroupTag, mu: Cocharacter, tau_power: int = 0,
-              spec: FieldSpec = None) -> bool:
-    """Membership predicates for the subgroups attached to mu.
-
-    F_q-level tags take a flat matrix of field codes (a pair for the zip
-    tags; ZipFrobenius also needs the field `spec`); loop-level tags take
-    truncated Laurent matrices.
-    """
-    if tag in (SubgroupTag.Pplus, SubgroupTag.Pminus, SubgroupTag.Uplus,
-               SubgroupTag.Uminus, SubgroupTag.M):
-        return _block_member(g, tag, mu)
-    if tag == SubgroupTag.K1:
-        return g.is_integral() and flat_residue(g) == flat_identity(g.n)
-    if tag == SubgroupTag.Hplus:
-        return g.is_integral() and _block_member(flat_residue(g), SubgroupTag.Pplus, mu)
-    if tag == SubgroupTag.Hminus:
-        return g.is_integral() and _block_member(flat_residue(g), SubgroupTag.Pminus, mu)
-    if tag == SubgroupTag.leftH:
-        return g.is_integral() and conj_by_mu(g, mu, -1).is_integral()
-    if tag == SubgroupTag.rightH:
-        return g.is_integral() and conj_by_mu(g, mu, +1).is_integral()
-    if tag in (SubgroupTag.ZipNormal, SubgroupTag.ZipFrobenius):
-        pm, pp = g
-        if not (_block_member(pm, SubgroupTag.Pminus, mu)
-                and _block_member(pp, SubgroupTag.Pplus, mu)):
-            return False
-        levi = levi_component(pp, mu)
-        if tag == SubgroupTag.ZipFrobenius:
-            if spec is None:
-                raise ValueError("ZipFrobenius membership needs the field spec")
-            levi = flat_frobenius(spec, levi, tau_power)
-        return levi_component(pm, mu) == levi
-    if tag == SubgroupTag.ZipLoop:
-        hm, hp = g
-        if not (is_member(hm, SubgroupTag.Hminus, mu) and
-                is_member(hp, SubgroupTag.Hplus, mu)):
-            return False
-        return levi_component(flat_residue(hm), mu) == levi_component(flat_residue(hp), mu)
-    if tag == SubgroupTag.ZipPro:
-        hm, hp = g
-        if not (is_member(hp, SubgroupTag.leftH, mu) and
-                is_member(hm, SubgroupTag.rightH, mu)):
-            return False
-        conj = conj_by_mu(hp, mu, -1)
-        k = min(hm.min_precision(), conj.min_precision())
-        return hm.congruent_mod(conj, k)
-    raise ValueError(f"unknown tag {tag}")
+# -- loop-level subgroups (truncated Laurent matrices) ----------------------------
 
 
-def _block_member(g, tag: SubgroupTag, mu: Cocharacter) -> bool:
-    """Block shape of a flat F_q matrix; U_+ and U_- also need identity blocks."""
-    b = mu.block_of
-    n = mu.n
-    for i in range(n):
-        for j in range(n):
-            x = g[i * n + j]
-            if tag in (SubgroupTag.Pplus, SubgroupTag.Uplus):
-                if b[i] > b[j] and x:
-                    return False
-            if tag in (SubgroupTag.Pminus, SubgroupTag.Uminus):
-                if b[i] < b[j] and x:
-                    return False
-            if tag == SubgroupTag.M and b[i] != b[j] and x:
-                return False
-            if tag in (SubgroupTag.Uplus, SubgroupTag.Uminus):
-                if b[i] == b[j] and x != int(i == j):
-                    return False
-    return True
+def in_k1(g: Mat) -> bool:
+    """The depth-one kernel K_1: integral with identity reduction."""
+    return g.is_integral() and flat_residue(g) == flat_identity(g.n)
+
+
+def in_h(g: Mat, mu: Cocharacter, sign: int) -> bool:
+    """H_+ (sign=+1) or H_-: integral with reduction in P_+ or P_-."""
+    return g.is_integral() and in_parabolic(flat_residue(g), mu, sign)
+
+
+def in_conj_integral(g: Mat, mu: Cocharacter, sign: int) -> bool:
+    """Integral with integral conj_by_mu(g, mu, sign): L+G meets
+    mu(t)^(-1) L+G mu(t) for sign=-1, and mu(t) L+G mu(t)^(-1) for sign=+1."""
+    return g.is_integral() and conj_by_mu(g, mu, sign).is_integral()
+
+
+def in_zip_loop(hm: Mat, hp: Mat, mu: Cocharacter) -> bool:
+    """(h_-, h_+) in H_- x H_+ whose reductions have the same Levi part."""
+    if not (in_h(hm, mu, -1) and in_h(hp, mu, +1)):
+        return False
+    return levi_component(flat_residue(hm), mu) == levi_component(flat_residue(hp), mu)
 
 
 # -- exhaustive enumeration (flat encodings) -------------------------------
@@ -202,31 +153,23 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def group_order(tag: SubgroupTag, mu: Cocharacter, q: int) -> int:
-    upper = sum(
-        1 for i in range(mu.n) for j in range(mu.n)
-        if mu.block_of[i] < mu.block_of[j]
-    )
-    m_order = 1
+def unipotent_order(mu: Cocharacter, q: int) -> int:
+    """|U_+(F_q)| = |U_-(F_q)|."""
+    return q ** len(block_positions(mu, +1))
+
+
+def zip_group_order(mu: Cocharacter, q: int) -> int:
+    """|U_-| |M| |U_+| for the zip group of mu over F_q, twisted or not."""
+    out = unipotent_order(mu, q) ** 2
     for _, s in mu.blocks:
-        m_order *= gl_order(s, q)
-    if tag == SubgroupTag.Uplus or tag == SubgroupTag.Uminus:
-        return q**upper
-    if tag == SubgroupTag.M:
-        return m_order
-    if tag in (SubgroupTag.Pplus, SubgroupTag.Pminus):
-        return q**upper * m_order
-    if tag in (SubgroupTag.ZipNormal, SubgroupTag.ZipFrobenius):
-        return q**upper * m_order * q**upper
-    raise ValueError(f"no finite order for {tag}")
+        out *= gl_order(s, q)
+    return out
 
 
 def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None:
-    if n > 3 or spec.q > 9 or candidates > _ENUM_CAP:
-        raise BudgetExceeded(
-            f"{engine} enumeration at n={n}, q={spec.q} scans {candidates:,} candidates;"
-            f" the caps are n <= 3, q <= 9 and {_ENUM_CAP:,} candidates"
-        )
+    check_budget(n <= 3 and spec.q <= 9 and candidates <= _ENUM_CAP,
+                 f"{engine} enumeration", f"n={n}, q={spec.q} scans {candidates:,} candidates",
+                 f"n <= 3, q <= 9 and {_ENUM_CAP:,} candidates")
 
 
 _GL_CACHE: dict = {}
@@ -376,13 +319,12 @@ def random_laurent(spec: FieldSpec, rng, v: int, prec: int) -> LaurentElt:
     return LaurentElt(spec, v, prec, [rng.randrange(spec.q) for _ in range(prec - v)])
 
 
-def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng,
-                        unit: bool = True) -> Mat:
+def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
     """Random element of the integral loop group at the given precision."""
     while True:
         rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
         m = Mat(rows)
-        if not unit or flat_det(spec, n, flat_residue(m)) != 0:
+        if flat_det(spec, n, flat_residue(m)) != 0:
             return m
 
 

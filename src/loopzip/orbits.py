@@ -10,20 +10,20 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .coset import canonical_flat, class_census, class_of, default_precision, lift, mu_matrix
-from .errors import BudgetExceeded
+from .errors import check_budget
 from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
-    SubgroupTag,
     enumerate_gl_flat,
     enumerate_parabolic_flat,
     enumerate_zip_pairs_flat,
     gl_generators,
     gl_order,
-    group_order,
+    zip_group_order,
     zip_pair_generators,
 )
 from .matring import flat_frobenius, flat_identity, flat_inverse, flat_mul
@@ -77,8 +77,8 @@ class UnionFind:
 
 
 def _budget(aspec: ActionSpec) -> None:
-    if aspec.mu.n > 3 or aspec.q > 4:
-        raise BudgetExceeded("orbit engines limited to n <= 3, q <= 4")
+    check_budget(aspec.mu.n <= 3 and aspec.q <= 4, f"{aspec.kind} orbit engine",
+                 f"n={aspec.mu.n}, q={aspec.q}", "n <= 3, q <= 4")
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,17 @@ def _action(aspec: ActionSpec) -> Action:
         (ident, ident),
         lambda: enumerate_zip_pairs_flat(spec, mu, frobenius=twisted, tau_power=tau),
         act,
-        group_order(SubgroupTag.ZipNormal, mu, aspec.q),
+        zip_group_order(mu, aspec.q),
     )
 
 
+@lru_cache(maxsize=None)
 def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
-    """Exact orbit partition by union-find over the enumerated acting set."""
+    """Exact orbit partition by union-find over the enumerated acting set.
+
+    Cached by the frozen `aspec` value: a partition holds only tuples and
+    frozensets, so every caller may share it.
+    """
     _budget(aspec)
     action = _action(aspec)
     points = action.points
@@ -299,7 +304,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     spec = FieldSpec.for_q(q)
     n = mu.n
     prec = prec or default_precision(mu)
-    reps = min_coset_reps(n, mu.type_J, side="left")
+    reps = min_coset_reps(n, mu.type_J)
     w0 = longest_element(n)
     w0j = longest_element(n, mu.type_J)
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))

@@ -1,10 +1,7 @@
 """Truncated Laurent series over F_q with absolute-precision tracking.
 
 An element is a window of coefficients for exponents v..prec-1 together
-with the promise that nothing is known at exponent prec and above.  Two
-Frobenii act on such series: the coefficient Frobenius (p-th power on
-coefficients, t fixed) and the full ring Frobenius (p-th power on
-coefficients and t -> t^p).
+with the promise that nothing is known at exponent prec and above.
 
 Coefficients are stored as the field's int codes 0..q-1, and every ring
 operation indexes the `FieldSpec` tables directly; `residue_code` is the
@@ -87,13 +84,6 @@ class LaurentElt:
         return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))
 
     # -- basic queries ---------------------------------------------------------
-
-    def trimmed(self) -> "LaurentElt":
-        """Advance v past stored leading zeros (value unchanged)."""
-        i = _leading_zeros(self.codes)
-        if i == 0:
-            return self
-        return _raw(self.spec, self.v + i, self.prec, self.codes[i:])
 
     def valuation(self):
         """Exponent of the leading nonzero term, or None if zero in-window."""
@@ -194,25 +184,6 @@ class LaurentElt:
                     acc = add[acc][mul[ai][out[k - i]]]
             out.append(neg[by_c0inv[acc]])
         return _raw(spec, -w, self.prec - 2 * w, tuple(out))
-
-    # -- Frobenii ----------------------------------------------------------------
-
-    def sigma(self, times: int = 1) -> "LaurentElt":
-        """Coefficientwise p-power Frobenius; exponents and precision unchanged."""
-        spec = self.spec
-        # the m-th power of Frobenius is the identity on F_{p^m}
-        table = [spec.frob_code(c, times % spec.m) for c in range(spec.q)]
-        return _raw(
-            spec, self.v, self.prec, tuple([table[c] for c in self.codes])
-        )
-
-    def phi(self) -> "LaurentElt":
-        """Full Frobenius a_i t^i -> a_i^p t^(p i); precision multiplies by p."""
-        p = self.spec.p
-        frob = self.spec.frob_table
-        out = [0] * (p * (self.prec - self.v))
-        out[::p] = [frob[c] for c in self.codes]
-        return _raw(self.spec, p * self.v, p * self.prec, tuple(out))
 
     # -- projections ---------------------------------------------------------------
 

@@ -26,11 +26,13 @@ from .coset import (
 from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
-    SubgroupTag,
     block_positions,
     conj_by_mu,
     enumerate_zip_pairs_flat,
-    is_member,
+    in_conj_integral,
+    in_h,
+    in_k1,
+    in_zip_loop,
     random_k1_mat,
     random_laurent,
     random_left_h_mat,
@@ -150,13 +152,13 @@ def integral_conjugation_checks(spec: FieldSpec, mu: Cocharacter, prec: int,
             yield m
 
     for u in gen(+1, parabolic=False):
-        if not is_member(conj_by_mu(u, mu, -1), SubgroupTag.K1, mu):
+        if not in_k1(conj_by_mu(u, mu, -1)):
             failures += 1
     for p in gen(+1, parabolic=True):
         if not conj_by_mu(p, mu, -1).is_integral():
             failures += 1
     for u in gen(-1, parabolic=False):
-        if not is_member(conj_by_mu(u, mu, +1), SubgroupTag.K1, mu):
+        if not in_k1(conj_by_mu(u, mu, +1)):
             failures += 1
     for p in gen(-1, parabolic=True):
         if not conj_by_mu(p, mu, +1).is_integral():
@@ -187,10 +189,10 @@ def zip_inclusion_checks(spec: FieldSpec, mu: Cocharacter, prec: int,
         g = random_left_h_mat(spec, mu, prec, rng)
         h = conj_by_mu(g, mu, -1)
         ok = (
-            is_member(g, SubgroupTag.leftH, mu)
-            and is_member(g, SubgroupTag.Hplus, mu)
-            and is_member(h, SubgroupTag.rightH, mu)
-            and is_member((h, g), SubgroupTag.ZipLoop, mu)
+            in_conj_integral(g, mu, -1)
+            and in_h(g, mu, +1)
+            and in_conj_integral(h, mu, +1)
+            and in_zip_loop(h, g, mu)
         )
         failures += not ok
     return {
@@ -241,16 +243,16 @@ def minuscule_check(spec: FieldSpec, mu: Cocharacter, prec: int,
     rows = [list(r) for r in ident.rows]
     rows[0][n - 1] = rows[0][n - 1] + LaurentElt.t_power(spec, 1, prec)
     witness = Mat(rows)
-    in_k1 = is_member(witness, SubgroupTag.K1, mu)
+    in_kernel = in_k1(witness)
     escapes = not conj_by_mu(witness, mu, +1).is_integral()
     return {
         "name": "minuscule-kernel-conjugation",
         "mu": list(mu.weights),
         "minuscule": False,
         "witness": "I + t*E(1,n)",
-        "witness_in_kernel": in_k1,
+        "witness_in_kernel": in_kernel,
         "witness_escapes": escapes,
-        "passed": in_k1 and escapes,
+        "passed": in_kernel and escapes,
     }
 
 

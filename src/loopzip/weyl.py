@@ -108,17 +108,13 @@ def parabolic_subgroup(n: int, J) -> list:
     return out
 
 
-def min_coset_reps(n: int, J, side: str = "left") -> list:
-    """Minimal length representatives: W_J \\ W for side="left" (the default),
-    W / W_J for side="right"."""
+def min_coset_reps(n: int, J) -> list:
+    """Minimal length representatives of W_J \\ W."""
     J = set(J)
     out = []
     for w in all_permutations(n):
-        if side == "left":
-            ok = all(w.inverse()(i) < w.inverse()(i + 1) for i in J)
-        else:
-            ok = all(w(i) < w(i + 1) for i in J)
-        if ok:
+        winv = w.inverse()
+        if all(winv(i) < winv(i + 1) for i in J):
             out.append(w)
     out.sort(key=lambda w: (w.length(), w.line))
     return out
@@ -164,7 +160,7 @@ class CosetPoset:
     def __init__(self, n: int, J, twist=None):
         self.n = n
         self.J = frozenset(J)
-        self.elements = min_coset_reps(n, self.J, side="left")
+        self.elements = min_coset_reps(n, self.J)
         self.index = {w: i for i, w in enumerate(self.elements)}
         wj = parabolic_subgroup(n, self.J)
         x = longest_element(n) * longest_element(n, self.J)

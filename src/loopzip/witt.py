@@ -99,10 +99,6 @@ class WittCtx:
         """Image of the integer n: n mod p^N in the constant coefficient."""
         return WittElt(self, (n % self.mod,) + (0,) * (self.spec.m - 1))
 
-    def p_elt(self, k: int = 1) -> "WittElt":
-        """The element p^k."""
-        return self.from_int(self.p**k)
-
 
 class WittElt:
     """Element of W_N(F_q), stored by its Galois-ring coefficient tuple v."""
@@ -152,11 +148,6 @@ class WittElt:
             prec *= 2
         return WittElt(ctx, x)
 
-    def frobenius(self, times: int = 1) -> "WittElt":
-        ctx = self.ctx
-        digits = [ctx.spec.frob_code(b, times) for b in ctx._digits(self.v)]
-        return WittElt(ctx, ctx._from_digits(digits))
-
     def times_p(self) -> "WittElt":
         ctx = self.ctx
         return WittElt(ctx, tuple(ctx.p * x % ctx.mod for x in self.v))
@@ -189,9 +180,6 @@ class WittElt:
         self._coerce(other)
         pj = self.ctx.p ** min(j, self.ctx.length)
         return not any((x - y) % pj for x, y in zip(self.v, other.v))
-
-    def is_zero(self) -> bool:
-        return not any(self.v)
 
     @property
     def coords(self) -> tuple:
@@ -241,15 +229,6 @@ class WittFraction:
             raise InsufficientPrecision("fraction with non-positive known precision")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def p_power(ctx: WittCtx, d: int) -> "WittFraction":
-        """The element p^d, for -length < d < length."""
-        if d >= 0:
-            if d >= ctx.length:
-                raise InsufficientPrecision(f"p^{d} vanishes at length {ctx.length}")
-            return WittFraction(ctx, 0, ctx.p_elt(d))
-        return WittFraction(ctx, -d, ctx.one())
 
     @staticmethod
     def zero(ctx: WittCtx) -> "WittFraction":

@@ -53,10 +53,6 @@ class FqElem:
             raise ZeroDivisionError("inverse of 0")
         return FqElem(self.spec, self.spec.inv_table[self.code])
 
-    def frobenius(self, times: int = 1) -> "FqElem":
-        """Apply the p-power Frobenius `times` times (negative for roots)."""
-        return FqElem(self.spec, self.spec.frob_code(self.code, times))
-
     def __pow__(self, e: int) -> "FqElem":
         if e < 0:
             return self.inverse() ** (-e)
@@ -271,23 +267,6 @@ class BoxedLaurent:
                 acc = acc + ci * out[k - i]
             out.append(-(c0inv * acc))
         return BoxedLaurent(self.spec, -w, a.prec - 2 * w, out)
-
-    # -- Frobenii ----------------------------------------------------------------
-
-    def sigma(self, times: int = 1) -> "BoxedLaurent":
-        """Coefficientwise p-power Frobenius; exponents and precision unchanged."""
-        return BoxedLaurent(
-            self.spec, self.v, self.prec, [c.frobenius(times) for c in self.coeffs]
-        )
-
-    def phi(self) -> "BoxedLaurent":
-        """Full Frobenius a_i t^i -> a_i^p t^(p i); precision multiplies by p."""
-        p = self.spec.p
-        zero = FqElem(self.spec, 0)
-        out = [zero] * (p * self.prec - p * self.v)
-        for i, c in enumerate(self.coeffs):
-            out[p * i] = c.frobenius()
-        return BoxedLaurent(self.spec, p * self.v, p * self.prec, out)
 
     # -- projections ---------------------------------------------------------------
 

@@ -315,6 +315,20 @@ def test_budget_message_names_engine_and_caps(capsys):
     assert out == ""
     assert "unipotent U_+ enumeration at n=2, q=25" in err
     assert "n <= 3, q <= 9 and 600,000 candidates" in err
+    # every exhaustive engine names itself, the requested size and its caps
+    for argv, engine, size, caps in [
+        (["verify", "--suite", "psi", "--mu", "1,0", "--q", "4"],
+         "class bijection census", "n=2, q=4", "n <= 3, q <= 3"),
+        (["verify", "--suite", "witt", "--mu", "1,0", "--q", "4"],
+         "mixed census", "n=2, q=4", "n <= 2, q <= 3"),
+        (["orbits", "--action", "zip-normal", "--mu", "1,0", "--q", "5"],
+         "zip-normal orbit engine", "n=2, q=5", "n <= 3, q <= 4"),
+        (["orbits", "--action", "class-census", "--mu", "0,0,0", "--q", "3"],
+         "class census", "n=3, q=3 with 11,232^2 pairs", "|G|^2 <= 2,000,000 pairs"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"configuration error: {engine} at {size}; the caps are {caps}\n"
 
 
 def test_poset_dot(capsys):

@@ -6,7 +6,6 @@ from loopzip.errors import BudgetExceeded, WrongCell
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
     Cocharacter,
-    SubgroupTag,
     enumerate_gl_flat,
     enumerate_unipotent_flat,
     enumerate_zip_pairs_flat,
@@ -152,12 +151,12 @@ def test_canonicalization_matches_full_group_orbit(q, weights, samples):
     ids=["q2-mu10", "q3-mu10", "q2-mu110"],
 )
 def test_class_census_is_the_orbit_set(q, weights):
-    from loopzip.grpdata import group_order
+    from loopzip.grpdata import zip_group_order
 
     spec = FieldSpec.for_q(q)
     mu = Cocharacter(weights)
     census = class_census(mu, spec)
-    zip_order = group_order(SubgroupTag.ZipNormal, mu, q)
+    zip_order = zip_group_order(mu, q)
     assert list(census.items()) == list(oracle_class_census(mu, spec).items())
     assert list(census) == sorted(set(census))
     assert all(canonical_flat(spec, mu, g, h) == (g, h) for g, h in census)
@@ -199,14 +198,11 @@ def test_row_descent_matches_min_over_products(q, weights, samples):
 
 
 def test_zip_pair_enumeration_size_gl3():
-    from loopzip.grpdata import enumerate_zip_pairs_flat
-    from loopzip.grpdata import group_order
+    from loopzip.grpdata import enumerate_zip_pairs_flat, zip_group_order
 
     mu3 = Cocharacter((1, 1, 0))
     pairs = enumerate_zip_pairs_flat(F2, mu3)
-    assert len(pairs) == len(set(pairs)) == group_order(
-        SubgroupTag.ZipNormal, mu3, 2
-    ) == 96
+    assert len(pairs) == len(set(pairs)) == zip_group_order(mu3, 2) == 96
 
 
 def test_bijection_reports():

@@ -4,28 +4,43 @@ import pytest
 
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
+from loopzip.coset import lift
 from loopzip.grpdata import (
     Cocharacter,
-    SubgroupTag,
     conj_by_mu,
     enumerate_gl_flat,
     enumerate_levi_flat,
     enumerate_unipotent_flat,
     enumerate_zip_pairs_flat,
     gl_order,
-    group_order,
-    is_member,
+    in_conj_integral,
+    in_h,
+    in_k1,
+    in_parabolic,
+    in_zip_loop,
     levi_component,
     mu_matrix,
     random_k1_mat,
     random_left_h_mat,
+    zip_group_order,
 )
-from loopzip.matring import Mat, flat_mul
+from loopzip.matring import Mat, flat_frobenius, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
+
+
+def in_zip_group(pm, pp, mu, spec=None, tau_power=0):
+    """(p_-, p_+) in P_- x P_+ with Levi(p_-) = Levi(p_+), or its image under
+    the tau_power-th Frobenius of `spec` when a spec is given."""
+    if not (in_parabolic(pm, mu, -1) and in_parabolic(pp, mu, +1)):
+        return False
+    levi = levi_component(pp, mu)
+    if spec is not None:
+        levi = flat_frobenius(spec, levi, tau_power)
+    return levi_component(pm, mu) == levi
 
 
 def test_cocharacter_validation():
@@ -78,26 +93,45 @@ def test_membership_block_predicates():
     mu = Cocharacter((1, 0))
     upper = (1, 2, 0, 2)
     lower = (1, 0, 2, 2)
-    assert is_member(upper, SubgroupTag.Pplus, mu)
-    assert not is_member(lower, SubgroupTag.Pplus, mu)
-    assert is_member(lower, SubgroupTag.Pminus, mu)
-    assert is_member((1, 1, 0, 1), SubgroupTag.Uplus, mu)
-    assert not is_member((2, 1, 0, 1), SubgroupTag.Uplus, mu)
-    assert is_member((2, 0, 0, 1), SubgroupTag.M, mu)
+    assert in_parabolic(upper, mu, +1)
+    assert not in_parabolic(lower, mu, +1)
+    assert in_parabolic(lower, mu, -1)
+    assert not in_parabolic(upper, mu, -1)
 
 
 def test_membership_loop_level():
     mu = Cocharacter((1, 0))
     rng = random.Random(0)
     k = random_k1_mat(LaurentElt.one(F2, 5), 2, rng)
-    assert is_member(k, SubgroupTag.K1, mu)
-    assert is_member(k, SubgroupTag.Hplus, mu) and is_member(k, SubgroupTag.Hminus, mu)
+    assert in_k1(k)
+    assert in_h(k, mu, +1) and in_h(k, mu, -1)
     g = random_left_h_mat(F2, mu, 6, rng)
-    assert is_member(g, SubgroupTag.leftH, mu)
+    assert in_conj_integral(g, mu, -1)
     h = conj_by_mu(g, mu, -1)
-    assert is_member(h, SubgroupTag.rightH, mu)
-    assert is_member((h, g), SubgroupTag.ZipLoop, mu)
-    assert is_member((h, g), SubgroupTag.ZipPro, mu)
+    assert in_conj_integral(h, mu, +1)
+    assert in_zip_loop(h, g, mu)
+
+
+def test_membership_loop_level_non_members():
+    # one constructed non-member per predicate, so none passes by always
+    # answering yes
+    mu = Cocharacter((1, 0))
+    one = LaurentElt.one(F3, 6)
+    ident = lift(one, 2, (1, 0, 0, 1))
+    upper = lift(one, 2, (1, 1, 0, 1))  # reduces into P_+ only
+    lower = lift(one, 2, (1, 0, 1, 1))  # reduces into P_- only
+    pole = Mat([[LaurentElt.t_power(F3, -1, 6), one.zero_at(6)], [one.zero_at(6), one]])
+    assert not in_k1(upper)
+    assert not in_k1(pole)
+    assert not in_h(lower, mu, +1) and not in_h(pole, mu, +1)
+    assert not in_h(upper, mu, -1) and not in_h(pole, mu, -1)
+    # conj_by_mu(-1) divides entry (2,1) by t, conj_by_mu(+1) entry (1,2)
+    assert not in_conj_integral(lower, mu, -1)
+    assert not in_conj_integral(upper, mu, +1)
+    assert in_conj_integral(upper, mu, -1) and in_conj_integral(lower, mu, +1)
+    assert not in_zip_loop(ident, lift(one, 2, (1, 0, 0, 2)), mu)  # Levi parts differ
+    assert not in_zip_loop(upper, ident, mu)  # h_- reduces outside P_-
+    assert in_zip_loop(lower, upper, mu)
 
 
 def test_zip_membership_pairs():
@@ -106,19 +140,17 @@ def test_zip_membership_pairs():
     um = (1, 0, 1, 1)
     up = (1, 2, 0, 1)
     pm, pp = flat_mul(F3, 2, um, m), flat_mul(F3, 2, up, m)
-    assert is_member((pm, pp), SubgroupTag.ZipNormal, mu)
+    assert in_zip_group(pm, pp, mu)
     other = (1, 0, 0, 2)
-    assert not is_member((pm, flat_mul(F3, 2, up, other)), SubgroupTag.ZipNormal, mu)
+    assert not in_zip_group(pm, flat_mul(F3, 2, up, other), mu)
     # Frobenius-twisted matching over F4
     F4 = FieldSpec.get(2, 2)
     mu4 = Cocharacter((1, 0))
     w = F4.from_coeffs([0, 1])
     m4 = (w, 0, 0, 1)
     m4_frob = (F4.mul_table[w][w], 0, 0, 1)
-    assert is_member((m4_frob, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1, spec=F4)
-    assert not is_member((m4, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1, spec=F4)
-    with pytest.raises(ValueError, match="needs the field"):
-        is_member((m4_frob, m4), SubgroupTag.ZipFrobenius, mu4, tau_power=1)
+    assert in_zip_group(m4_frob, m4, mu4, F4, tau_power=1)
+    assert not in_zip_group(m4, m4, mu4, F4, tau_power=1)
 
 
 def test_levi_component():
@@ -139,11 +171,11 @@ def test_enumeration_counts():
     assert len(enumerate_gl_flat(F2, 2)) == gl_order(2, 2) == 6
     assert len(enumerate_unipotent_flat(F2, mu, +1)) == 2
     pairs = enumerate_zip_pairs_flat(F2, mu)
-    assert len(pairs) == group_order(SubgroupTag.ZipNormal, mu, 2) == 4
+    assert len(pairs) == zip_group_order(mu, 2) == 4
     for pm, pp in pairs:
-        assert is_member((pm, pp), SubgroupTag.ZipNormal, mu)
+        assert in_zip_group(pm, pp, mu)
     mu3 = Cocharacter((1, 1, 0))
-    assert group_order(SubgroupTag.ZipNormal, mu3, 2) == 4 * 6 * 4
+    assert zip_group_order(mu3, 2) == 4 * 6 * 4
     assert len(enumerate_levi_flat(F2, mu3)) == 6
 
 

@@ -65,8 +65,12 @@ def test_trivial_weights_action_is_conjugation():
 
 
 def test_orbits_deterministic():
+    # clear the cache between the runs, or the second call returns the first's result
+    enumerate_orbits.cache_clear()
     p1 = enumerate_orbits(ActionSpec("sigma-conj", MU, 2, 1))
+    enumerate_orbits.cache_clear()
     p2 = enumerate_orbits(ActionSpec("sigma-conj", MU, 2, 1))
+    assert p1 is not p2
     assert p1.orbits == p2.orbits
 
 
@@ -150,20 +154,13 @@ def test_sigma_conj_action_matches_class_pipeline():
         assert class_of(moved, MU) == shortcut
 
 
-def test_chain_suite_enumeration_count(monkeypatch):
-    # mu is its own Frobenius twist, so chain_compare reuses its partition
-    import loopzip.orbits as orbits
+def test_chain_suite_enumeration_count():
+    # mu is its own Frobenius twist, so chain_compare reuses its partition,
+    # and transport_check reads the partial-Frobenius one from the cache
     from loopzip.suites import suite_chain
 
-    calls = []
-    real = orbits.enumerate_orbits
-
-    def counted(aspec):
-        calls.append(aspec.kind)
-        return real(aspec)
-
-    monkeypatch.setattr(orbits, "enumerate_orbits", counted)
+    enumerate_orbits.cache_clear()
     cfg = {"mu": [1, 0], "q": 2, "tau": 1, "seed": 0}
     assert all(c["passed"] for c in suite_chain(cfg))
-    assert sorted(calls) == ["partial-frobenius", "partial-frobenius",
-                             "sigma-conj", "zip-frobenius"]
+    info = enumerate_orbits.cache_info()
+    assert (info.misses, info.hits) == (3, 1)

@@ -78,3 +78,21 @@ def test_every_error_class_is_raised():
                     raised.add(exc.id)
     assert len(classes) >= 10
     assert sorted(classes - raised - {"LoopZipError"}) == []
+
+
+def test_every_src_def_is_referenced():
+    # a function, method or class that no src code reads by name is API that
+    # no command reaches; dunders are called by the interpreter
+    defined = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) >= 100
+    assert sorted(f"{where}: {name}" for name, where in defined.items() if name not in read) == []

@@ -89,10 +89,6 @@ def test_min_coset_reps_counts():
     wj = parabolic_subgroup(3, {1})
     prods = {y * w for y in wj for w in reps}
     assert len(prods) == 6
-    # the right-sided variant
-    right = min_coset_reps(3, {1}, side="right")
-    assert len(right) == 3
-    assert all(w(1) < w(2) for w in right)
 
 
 def test_coset_poset_for_s3():

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from loopzip.errors import InsufficientPrecision
+from loopzip.witt import WittFraction
+
 # -- exact multivariate integer polynomials ------------------------------------
 
 
@@ -215,9 +218,6 @@ class PolyWitt:
             x.append(spec.mul_table[spec.neg_table[c]][spec.inv_table[lead]])
         return tuple(x)
 
-    def frobenius(self, a, times: int = 1) -> tuple:
-        return tuple(_frob_code(self.spec, c, times) for c in a)
-
     def times_p(self, a) -> tuple:
         """p = V F: shift the Frobenius'd coordinates right by one."""
         return (0,) + tuple(_frob_code(self.spec, c, 1) for c in a[:-1])
@@ -238,6 +238,15 @@ class PolyWitt:
         for _ in range(k):
             acc = self.times_p(acc)
         return acc
+
+
+def p_power(ctx, d: int):
+    """The WittFraction p^d of the context `ctx`, for -length < d < length."""
+    if d >= 0:
+        if d >= ctx.length:
+            raise InsufficientPrecision(f"p^{d} vanishes at length {ctx.length}")
+        return WittFraction(ctx, 0, ctx.from_int(ctx.p**d))
+    return WittFraction(ctx, -d, ctx.one())
 
 
 def _pow_code(spec, a: int, k: int) -> int:
