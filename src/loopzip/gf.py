@@ -8,6 +8,8 @@ by every canonical form downstream.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 # Monic irreducible modulus for each supported (p, m), little-endian
 # coefficients including the leading 1.  The table is fixed so that
 # serialized elements are portable: one modulus per (p, m), forever.
@@ -20,8 +22,6 @@ _MODULI = {
     (5, 1): (0, 1),
     (5, 2): (2, 0, 1),  # w^2 + 2
 }
-
-_SPEC_CACHE: dict[tuple[int, int], "FieldSpec"] = {}
 
 
 def _check_irreducible(p: int, modulus: tuple[int, ...]) -> None:
@@ -76,12 +76,9 @@ class FieldSpec:
         self._build_tables()
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def get(p: int, m: int) -> "FieldSpec":
-        spec = _SPEC_CACHE.get((p, m))
-        if spec is None:
-            spec = FieldSpec(p, m)
-            _SPEC_CACHE[(p, m)] = spec
-        return spec
+        return FieldSpec(p, m)
 
     @staticmethod
     def for_q(q: int) -> "FieldSpec":

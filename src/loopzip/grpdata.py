@@ -7,12 +7,14 @@ engines together with generating sets and the zip groups; and, in the loop
 group, the depth-one kernel K_1, the integral groups H_+/H_- (integral,
 reducing into P_+ or P_-) and the loop zip group. Each subgroup that a
 suite tests has its own membership predicate (`in_parabolic`, `in_k1`,
-`in_h`, `in_conj_integral`, `in_zip_loop`).
+`in_h`, `in_conj_integral`, `in_zip_loop`). Every element of U_+/U_-(R),
+P_+/P_-(R) (R = F_q[t]/t^N) and K_1 that a check uses is built here.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import InsufficientPrecision, NotInParabolic, check_budget
 from .gf import FieldSpec
@@ -172,24 +174,21 @@ def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None
                  f"n <= 3, q <= 9 and {_ENUM_CAP:,} candidates")
 
 
-_GL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
-    """All invertible n x n matrices over F_q, encoded, in lexicographic order."""
-    key = (spec.p, spec.m, n)
-    if key not in _GL_CACHE:
-        _budget_check(f"GL_{n}", spec, n, spec.q ** (n * n))
-        out = tuple(
-            flat for flat in itertools.product(range(spec.q), repeat=n * n)
-            if flat_det(spec, n, flat) != 0
+    """All invertible n x n matrices over F_q, encoded, in lexicographic order.
+
+    Cached with the field object in the key, so a dead field's id is never reused."""
+    _budget_check(f"GL_{n}", spec, n, spec.q ** (n * n))
+    out = tuple(
+        flat for flat in itertools.product(range(spec.q), repeat=n * n)
+        if flat_det(spec, n, flat) != 0
+    )
+    if len(out) != gl_order(n, spec.q):
+        raise AssertionError(
+            f"enumerated {len(out)} matrices, |GL_{n}(F_{spec.q})| = {gl_order(n, spec.q)}"
         )
-        if len(out) != gl_order(n, spec.q):
-            raise AssertionError(
-                f"enumerated {len(out)} matrices, |GL_{n}(F_{spec.q})| = {gl_order(n, spec.q)}"
-            )
-        _GL_CACHE[key] = out
-    return _GL_CACHE[key]
+    return out
 
 
 def block_positions(mu: Cocharacter, sign: int) -> list:
@@ -246,16 +245,16 @@ def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> lis
     ]
 
 
-def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, *,
-                             frobenius: bool = False, tau_power: int = 0) -> list:
-    """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau(m) if twisted."""
+def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
+    """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau^tau_power(m);
+    tau_power 0 is the untwisted group."""
     n = mu.n
     ups = enumerate_unipotent_flat(spec, mu, +1)
     downs = enumerate_unipotent_flat(spec, mu, -1)
     ms = enumerate_levi_flat(spec, mu)
     out = []
     for m in ms:
-        mt = flat_frobenius(spec, m, tau_power) if frobenius else m
+        mt = flat_frobenius(spec, m, tau_power)
         for um in downs:
             pm = flat_mul(spec, n, um, mt)
             for up in ups:
@@ -293,9 +292,9 @@ def gl_generators(spec: FieldSpec, n: int) -> list:
     return out
 
 
-def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, *,
-                        frobenius: bool = False, tau_power: int = 0) -> list:
-    """Pairs generating the zip group: one-sided unipotents and Levi diagonal."""
+def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
+    """Pairs generating the zip group of `enumerate_zip_pairs_flat`: one-sided
+    unipotents and the (twisted) Levi diagonal."""
     n = mu.n
     ident = flat_identity(n)
     gens = []
@@ -307,8 +306,7 @@ def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, *,
             gens.append((ident, u))
     for m in enumerate_levi_flat(spec, mu):
         if m != ident:
-            mt = flat_frobenius(spec, m, tau_power) if frobenius else m
-            gens.append((mt, m))
+            gens.append((flat_frobenius(spec, m, tau_power), m))
     return gens
 
 
@@ -328,16 +326,54 @@ def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
             return m
 
 
+def all_series_subgroup(spec: FieldSpec, mu: Cocharacter, sign: int, parabolic: bool,
+                        prec: int):
+    """Every element of U_+(R) (sign=+1) or U_-(R), or of P_+(R) or P_-(R) when
+    `parabolic`, for R = F_q[t]/t^prec; the parabolic case needs 1x1 blocks."""
+    if parabolic and any(s != 1 for _, s in mu.blocks):
+        raise ValueError("exhaustive parabolic enumeration needs 1x1 blocks")
+    n = mu.n
+    positions = block_positions(mu, sign)
+    one = LaurentElt.one(spec, prec)
+    polys = [one.from_codes(c) for c in itertools.product(range(spec.q), repeat=prec)]
+    units = [x for x in polys if x.residue_code()] if parabolic else [one]
+    rows = [list(r) for r in Mat.identity(n, one).rows]
+    for diag in itertools.product(units, repeat=n):
+        for i in range(n):
+            rows[i][i] = diag[i]
+        for combo in itertools.product(polys, repeat=len(positions)):
+            for (i, j), x in zip(positions, combo):
+                rows[i][j] = x
+            yield Mat(rows)
+
+
+def random_series_subgroup(spec: FieldSpec, mu: Cocharacter, sign: int, parabolic: bool,
+                           prec: int, rng) -> Mat:
+    """One random element of U_+(R) (sign=+1) or U_-(R), or of P_+(R) or P_-(R)
+    when `parabolic`, whose Levi blocks are then `random_integral_mat` draws."""
+    n = mu.n
+    rows = [list(r) for r in Mat.identity(n, LaurentElt.one(spec, prec)).rows]
+    if parabolic:
+        start = 0
+        for _, s in mu.blocks:
+            block = random_integral_mat(spec, s, prec, rng)
+            for i in range(s):
+                rows[start + i][start:start + s] = block.rows[i]
+            start += s
+    for i, j in block_positions(mu, sign):
+        rows[i][j] = random_laurent(spec, rng, 0, prec)
+    return Mat(rows)
+
+
 def random_k1_mat(one, n: int, rng) -> Mat:
-    """Random depth-one kernel element in the ring of `one`: the identity plus
-    entries of zero residue whose one.prec - 1 higher coordinates are drawn."""
+    """Random depth-one kernel element in the ring of `one`: entry (i, j) has
+    residue delta_ij and its one.prec - 1 higher coordinates drawn, row by row."""
     q = one.spec.q
-    rows = [
-        [one.from_codes([0] + [rng.randrange(q) for _ in range(one.prec - 1)])
-         for _ in range(n)]
-        for _ in range(n)
-    ]
-    return Mat.identity(n, one) + Mat(rows)
+    return Mat([
+        [one.from_codes([int(i == j)] + [rng.randrange(q) for _ in range(one.prec - 1)])
+         for j in range(n)]
+        for i in range(n)
+    ])
 
 
 def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:

@@ -89,12 +89,6 @@ class Mat:
             out.append(orow)
         return Mat(out)
 
-    def __add__(self, other: "Mat") -> "Mat":
-        self._coerce(other)
-        return Mat([
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
-        ])
-
     # -- entry inspection --------------------------------------------------------
 
     def min_precision(self) -> int:

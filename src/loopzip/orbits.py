@@ -117,22 +117,23 @@ def _action(aspec: ActionSpec) -> Action:
         return Action(list(class_census(mu, spec)), gl_generators(spec, n), mul, ident,
                       lambda: enumerate_gl_flat(spec, n), act, gl_order(n, aspec.q))
 
-    # zip-style: the zip group {(p_-, p_+)} on G by g.(p_-, p_+) = p_+^(-1) g r(p_-),
-    # r = tau for partial-frobenius and the identity otherwise
-    twisted = aspec.kind == "zip-frobenius"
+    # zip-style: the zip group {(p_-, p_+)}, twisted by tau^group_tau, on G by
+    # g.(p_-, p_+) = p_+^(-1) g tau^act_tau(p_-)
+    group_tau, act_tau = {"zip-normal": (0, 0), "zip-frobenius": (tau, 0),
+                          "partial-frobenius": (0, tau)}[aspec.kind]
 
     def act(pair):
         pm, pp = pair
         left = flat_inverse(spec, n, pp)
-        right = flat_frobenius(spec, pm, tau) if aspec.kind == "partial-frobenius" else pm
+        right = flat_frobenius(spec, pm, act_tau)
         return lambda g: mul(mul(left, g), right)
 
     return Action(
         list(enumerate_gl_flat(spec, n)),
-        zip_pair_generators(spec, mu, frobenius=twisted, tau_power=tau),
+        zip_pair_generators(spec, mu, group_tau),
         lambda u, v: (mul(u[0], v[0]), mul(u[1], v[1])),
         (ident, ident),
-        lambda: enumerate_zip_pairs_flat(spec, mu, frobenius=twisted, tau_power=tau),
+        lambda: enumerate_zip_pairs_flat(spec, mu, group_tau),
         act,
         zip_group_order(mu, aspec.q),
     )

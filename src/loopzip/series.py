@@ -75,14 +75,6 @@ class LaurentElt:
             raise InsufficientPrecision(f"t^{d} not representable at prec {prec}")
         return _raw(spec, d, prec, (1,) + (0,) * (prec - d - 1))
 
-    @staticmethod
-    def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> "LaurentElt":
-        """Coefficients given as integer codes starting at exponent v."""
-        codes = spec.checked_codes(codes)
-        if v + len(codes) > prec:
-            codes = codes[: prec - v]
-        return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))
-
     # -- basic queries ---------------------------------------------------------
 
     def valuation(self):

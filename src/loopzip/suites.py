@@ -26,7 +26,7 @@ from .coset import (
 from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
-    block_positions,
+    all_series_subgroup,
     conj_by_mu,
     enumerate_zip_pairs_flat,
     in_conj_integral,
@@ -34,10 +34,10 @@ from .grpdata import (
     in_k1,
     in_zip_loop,
     random_k1_mat,
-    random_laurent,
     random_left_h_mat,
+    random_series_subgroup,
 )
-from .matring import Mat, flat_det
+from .matring import Mat
 from .orbits import ActionSpec, chain_compare, check_action_axioms, transport_check, weyl_reps_report
 from .series import LaurentElt
 from .weyl import (
@@ -57,77 +57,6 @@ from .witt import ghost_selftest
 # -- loop-group inclusion checks --------------------------------------------------
 
 
-def _unipotent_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec: int):
-    """All of U_+(R) or U_-(R), R = F_q[t]/t^prec, at absolute precision prec."""
-    n = mu.n
-    positions = block_positions(mu, sign)
-    ident = Mat.identity(n, LaurentElt.one(spec, prec))
-    polys = list(itertools.product(range(spec.q), repeat=prec))
-    for combo in itertools.product(polys, repeat=len(positions)):
-        rows = [list(r) for r in ident.rows]
-        for (i, j), codes in zip(positions, combo):
-            rows[i][j] = LaurentElt.from_coeff_list(spec, 0, codes, prec)
-        yield Mat(rows)
-
-
-def _parabolic_series_elements(spec: FieldSpec, mu: Cocharacter, sign: int, prec: int):
-    """All of P_+(R) or P_-(R) for one-dimensional diagonal blocks."""
-    if any(s != 1 for _, s in mu.blocks):
-        raise ValueError("exhaustive parabolic enumeration needs 1x1 blocks")
-    n = mu.n
-    positions = block_positions(mu, sign)
-    units = [
-        codes
-        for codes in itertools.product(range(spec.q), repeat=prec)
-        if codes[0] != 0
-    ]
-    polys = list(itertools.product(range(spec.q), repeat=prec))
-    zero = LaurentElt.zero(spec, prec)
-    for diag in itertools.product(units, repeat=n):
-        for combo in itertools.product(polys, repeat=len(positions)):
-            rows = [[zero] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = LaurentElt.from_coeff_list(spec, 0, diag[i], prec)
-            for (i, j), codes in zip(positions, combo):
-                rows[i][j] = LaurentElt.from_coeff_list(spec, 0, codes, prec)
-            yield Mat(rows)
-
-
-def _random_unipotent_series(spec, mu, sign, prec, rng):
-    n = mu.n
-    positions = block_positions(mu, sign)
-    rows = [list(r) for r in Mat.identity(n, LaurentElt.one(spec, prec)).rows]
-    for i, j in positions:
-        rows[i][j] = random_laurent(spec, rng, 0, prec)
-    return Mat(rows)
-
-
-def _random_parabolic_series(spec, mu, sign, prec, rng):
-    n = mu.n
-    positions = block_positions(mu, sign)
-    zero = LaurentElt.zero(spec, prec)
-    while True:
-        rows = [[zero] * n for _ in range(n)]
-        # block-diagonal part with invertible reduction
-        start = 0
-        ok = True
-        for _, s in mu.blocks:
-            blk = [[random_laurent(spec, rng, 0, prec) for _ in range(s)] for _ in range(s)]
-            red = tuple(x.residue_code() for r in blk for x in r)
-            if flat_det(spec, s, red) == 0:
-                ok = False
-                break
-            for i in range(s):
-                for j in range(s):
-                    rows[start + i][start + j] = blk[i][j]
-            start += s
-        if not ok:
-            continue
-        for i, j in positions:
-            rows[i][j] = random_laurent(spec, rng, 0, prec)
-        return Mat(rows)
-
-
 def integral_conjugation_checks(spec: FieldSpec, mu: Cocharacter, prec: int,
                                 samples: int, seed: int, exhaustive: bool) -> dict:
     """The four inclusion relations for the mu-conjugates of U_+/P_+ and U_-/P_-.
@@ -138,31 +67,17 @@ def integral_conjugation_checks(spec: FieldSpec, mu: Cocharacter, prec: int,
     rng = random.Random(seed)
     cases = 0
     failures = 0
-
-    def gen(sign, parabolic):
-        nonlocal cases
-        if exhaustive:
-            it = (_parabolic_series_elements if parabolic else
-                  _unipotent_series_elements)(spec, mu, sign, prec)
-        else:
-            maker = _random_parabolic_series if parabolic else _random_unipotent_series
-            it = (maker(spec, mu, sign, prec, rng) for _ in range(samples))
-        for m in it:
-            cases += 1
-            yield m
-
-    for u in gen(+1, parabolic=False):
-        if not in_k1(conj_by_mu(u, mu, -1)):
-            failures += 1
-    for p in gen(+1, parabolic=True):
-        if not conj_by_mu(p, mu, -1).is_integral():
-            failures += 1
-    for u in gen(-1, parabolic=False):
-        if not in_k1(conj_by_mu(u, mu, +1)):
-            failures += 1
-    for p in gen(-1, parabolic=True):
-        if not conj_by_mu(p, mu, +1).is_integral():
-            failures += 1
+    for sign in (+1, -1):
+        for parabolic in (False, True):
+            if exhaustive:
+                elements = all_series_subgroup(spec, mu, sign, parabolic, prec)
+            else:
+                elements = (random_series_subgroup(spec, mu, sign, parabolic, prec, rng)
+                            for _ in range(samples))
+            for g in elements:
+                cases += 1
+                c = conj_by_mu(g, mu, -sign)
+                failures += not (c.is_integral() if parabolic else in_k1(c))
 
     return {
         "name": "integral-conjugation-inclusions",
@@ -220,15 +135,12 @@ def minuscule_check(spec: FieldSpec, mu: Cocharacter, prec: int,
         failures = 0
         for _ in range(samples):
             k = random_k1_mat(one, n, rng)
-            if not conj_by_mu(k, mu, +1).is_integral():
-                failures += 1
-            # full elements of the parabolic-times-kernel subgroups
-            hm = _random_parabolic_series(spec, mu, -1, prec, rng) * random_k1_mat(one, n, rng)
-            if not conj_by_mu(hm, mu, +1).is_integral():
-                failures += 1
-            hp = _random_parabolic_series(spec, mu, +1, prec, rng) * random_k1_mat(one, n, rng)
-            if not conj_by_mu(hp, mu, -1).is_integral():
-                failures += 1
+            failures += not conj_by_mu(k, mu, +1).is_integral()
+            # full elements of the parabolic-times-kernel subgroups, P_- K_1 then P_+ K_1
+            for sign in (-1, +1):
+                h = random_series_subgroup(spec, mu, sign, True, prec, rng)
+                h = h * random_k1_mat(one, n, rng)
+                failures += not conj_by_mu(h, mu, -sign).is_integral()
         return {
             "name": "minuscule-kernel-conjugation",
             "mu": list(mu.weights),

@@ -15,6 +15,8 @@ without ever raising `known`, so canonical forms stay honest.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
 from .gf import FieldSpec, poly_mul_reduce
 
@@ -33,16 +35,11 @@ class WittCtx:
         self.mod = spec.p**length
         self._teich = tuple(self._teichmuller_lift(a) for a in range(spec.q))
 
-    _cache: dict = {}
-
     @staticmethod
+    @lru_cache(maxsize=None)
     def get(spec: FieldSpec, length: int) -> "WittCtx":
-        key = (spec.p, spec.m, length)
-        ctx = WittCtx._cache.get(key)
-        if ctx is None or ctx.spec is not spec:
-            ctx = WittCtx(spec, length)
-            WittCtx._cache[key] = ctx
-        return ctx
+        """Cached with the field object in the key, so a dead field's id is never reused."""
+        return WittCtx(spec, length)
 
     # -- Galois-ring arithmetic on coefficient tuples ---------------------------
 

@@ -16,6 +16,7 @@ from loopzip.errors import (
     SpecMismatch,
 )
 from loopzip.gf import FieldSpec
+from loopzip.series import LaurentElt
 
 
 class FqElem:
@@ -340,3 +341,12 @@ class BoxedLaurent:
                 terms.append(f"{cs}*t^{e}" if cs != "1" else f"t^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.prec})"
+
+
+def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> LaurentElt:
+    """A LaurentElt from integer codes starting at exponent v, cut or
+    zero-padded to the window v..prec-1."""
+    codes = spec.checked_codes(codes)
+    if v + len(codes) > prec:
+        codes = codes[: prec - v]
+    return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))

@@ -423,7 +423,9 @@ def test_out_file(tmp_path, capsys):
 
 
 # stdout SHA-256 of canonical-form reports, pinned so that a change of the
-# canonical pair shows up in the unit tests and not only in benchmark digests
+# canonical pair shows up in the unit tests and not only in benchmark digests;
+# the lemma and prozip reports pin the subgroup samplers, which no benchmark
+# workload runs
 PINNED_STDOUT = [
     (["orbits", "--action", "class-census", "--q", "4", "--mu", "1,0"],
      "70620e4ed2e27784f7f31ebb9256e0c2c675ffee5517775d108e0b3d5611d1eb"),
@@ -435,6 +437,12 @@ PINNED_STDOUT = [
      "ce75e3624b77dab9d4ddbe8262d56315afaa5fc57442b210397dfa4b7694eac7"),
     (["verify", "--suite", "chain", "--mu", "1,0", "--q", "4", "--seed", "0"],
      "f0c8321d5a9c3e5b597972369aea664206b229018bc11936750cffd9c4b39b35"),
+    (["verify", "--suite", "lemmas", "--mu", "2,0", "--q", "2", "--samples", "20"],
+     "7df0d7443ef99737336670087d5847938a783464c66497f4e58517f4c0cbf7c0"),
+    (["verify", "--suite", "lemmas", "--mu", "1,1,0", "--q", "3", "--samples", "20"],
+     "1918924231e46e1062c8c45ae3a0503df965089f8d80d779dee0ba159f207683"),
+    (["verify", "--suite", "prozip", "--mu", "1,-1", "--q", "2", "--samples", "20"],
+     "98fec9cfccb11898d60a8a38fdac971df095b6677867190eedef99145da9724f"),
 ]
 
 
@@ -501,3 +509,57 @@ def test_witt_suite_without_its_census_exits_2(q, mu, capsys):
     )
     assert code == 2
     assert out == "" and "mixed census" in err
+
+
+@pytest.mark.parametrize("mu,digest,noted", [
+    ("1,1,0", "4e1392f0391b3ae623ae34ac56ff7880096eae98a65002e658af1076c350e13f", True),
+    ("1,0", "fe51d9c1ace3c233ca758a5318d686785beb2ebf0a7c1efea807cc503d4b5e93", False),
+], ids=["mu1,1,0", "mu1,0"])
+def test_suite_all_notes_a_skipped_witt_census(mu, digest, noted, capsys):
+    # the report is unchanged; only stderr says that the census did not run
+    code, out, err = run_cli(
+        ["verify", "--suite", "all", "--q", "2", "--mu", mu, "--samples", "5"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    note = ("note: suite witt ran without its mixed census: the mixed census of suite "
+            "witt needs p in {2, 3}, n <= 2 and weights with |d_i| <= 1\n")
+    assert err == (note if noted else "")
+
+
+def test_every_cli_option_is_read(capsys, monkeypatch):
+    # an option that its command never reads is accepted and silently ignored
+    import argparse
+
+    from loopzip import cli
+
+    argvs = {
+        "verify": ["--suite", "weyl", "--mu", "1,0"],
+        "orbits": ["--action", "zip-normal", "--mu", "1,0"],
+        "cartan": [],
+        "poset": ["--mu", "1,0"],
+        "witt-selftest": ["--samples", "5"],
+    }
+    handlers = {"verify": cli.cmd_verify, "orbits": cli.cmd_orbits, "cartan": cli.cmd_cartan,
+                "poset": cli.cmd_poset, "witt-selftest": cli.cmd_witt_selftest}
+    identity = {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 2, [1, 0])]]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(identity)))
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argvs) == sorted(commands.choices) == sorted(handlers)
+    unread = []
+    for command, argv in argvs.items():
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = parser.parse_args([command] + argv, namespace=Recorder())
+        reads.clear()
+        assert handlers[command](args) == 0
+        dests = {a.dest for a in commands.choices[command]._actions} - {"help"}
+        unread += [f"{command} {dest}" for dest in sorted(dests - reads)]
+    capsys.readouterr()
+    assert unread == []

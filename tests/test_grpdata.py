@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from laurent_oracle import from_coeff_list
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
 from loopzip.coset import lift
 from loopzip.grpdata import (
     Cocharacter,
+    all_series_subgroup,
+    block_positions,
     conj_by_mu,
     enumerate_gl_flat,
     enumerate_levi_flat,
@@ -22,9 +25,10 @@ from loopzip.grpdata import (
     mu_matrix,
     random_k1_mat,
     random_left_h_mat,
+    random_series_subgroup,
     zip_group_order,
 )
-from loopzip.matring import Mat, flat_frobenius, flat_mul
+from loopzip.matring import Mat, flat_det, flat_frobenius, flat_mul, flat_residue
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -78,7 +82,7 @@ def test_mu_matrix_witt():
 def test_conj_by_mu_blocks():
     mu = Cocharacter((1, 0))
     g = Mat([
-        [LaurentElt.from_coeff_list(F3, 0, [1], 4) for _ in range(2)]
+        [from_coeff_list(F3, 0, [1], 4) for _ in range(2)]
         for _ in range(2)
     ])
     c = conj_by_mu(g, mu, +1)  # mu(t)^(-1) g mu(t)
@@ -189,6 +193,33 @@ def test_zip_group_rescaling():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_gl_flat(FieldSpec.get(3, 2), 3)  # 9^9 candidates
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("prec", [2, 3])
+def test_all_series_subgroup_counts_and_membership(sign, prec):
+    # U_-(R) and U_+(R) have q^(N |positions|) elements, P_-(R) and P_+(R)
+    # (q^N - q^(N-1))^n times as many, for R = F_q[t]/t^N
+    mu, q = Cocharacter((1, 0)), 2
+    free = q ** (prec * len(block_positions(mu, sign)))
+    one = LaurentElt.one(F2, prec)
+    for parabolic, count in ((False, free), (True, (q**prec - q**(prec - 1)) ** mu.n * free)):
+        elements = list(all_series_subgroup(F2, mu, sign, parabolic, prec))
+        assert len(elements) == len(set(elements)) == count
+        assert all(in_h(g, mu, sign) for g in elements)
+        if not parabolic:
+            assert all(g.rows[i][i] == one for g in elements for i in range(mu.n))
+
+
+def test_random_series_subgroup_levi_blocks_are_invertible():
+    # (1,1,0) has a 2x2 Levi block, so a singular residue block can be drawn
+    mu = Cocharacter((1, 1, 0))
+    rng = random.Random(0)
+    for sign in (+1, -1):
+        for _ in range(50):
+            g = random_series_subgroup(F3, mu, sign, True, 4, rng)
+            assert in_h(g, mu, sign)
+            assert flat_det(F3, 3, levi_component(flat_residue(g), mu)) != 0
 
 
 def test_integral_conjugation_exhaustive_small():

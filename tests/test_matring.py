@@ -19,6 +19,7 @@ from loopzip.matring import (
 )
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
+from laurent_oracle import from_coeff_list
 from witt_oracle import p_power
 
 F2 = FieldSpec.get(2, 1)
@@ -27,7 +28,7 @@ F3 = FieldSpec.get(3, 1)
 
 def lau(spec, codes_by_entry, prec):
     return Mat([
-        [LaurentElt.from_coeff_list(spec, v, codes, prec) for v, codes in row]
+        [from_coeff_list(spec, v, codes, prec) for v, codes in row]
         for row in codes_by_entry
     ])
 

@@ -164,14 +164,16 @@ def test_galois_ring_matches_structure_polys(q, length):
         assert codes(ctx.from_int(spec.p**k)) == ref.p_elt(k)
 
 
-def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys):
+def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys, request):
     # the plain digit lift skips the power x^(q^(N-1)); it is the
     # Teichmuller lift over F_2 but not over F_3
     monkeypatch.setattr(
         WittCtx, "_teichmuller_lift",
         lambda self, code: tuple(self.spec._code_to_vec(code)),
     )
-    monkeypatch.setattr(WittCtx, "_cache", {})
+    # contexts built with the wrong lift must not outlive the test
+    WittCtx.get.cache_clear()
+    request.addfinalizer(WittCtx.get.cache_clear)
     rep = ghost_selftest(3, 3, 100, seed=0)
     assert rep["passed_samples"] < rep["samples"]
     code = main(["verify", "--suite", "witt", "--mu", "1,0", "--q", "2",
