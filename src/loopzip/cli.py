@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="matrix size (inferred from --mu)")
         p.add_argument("--q", type=int, default=2, choices=_SUPPORTED_Q)
         p.add_argument("--mu", required=True, help="weights, e.g. 1,0")
-        p.add_argument("--tau", type=int, default=1, help="Frobenius power for twisted actions")
+        p.add_argument("--tau", type=int, default=None, help="Frobenius power (default 1)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", default=None, choices=("json", "csv"))
 
@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
         "prec": args.prec,
         "seed": args.seed,
         "samples": args.samples,
-        "tau": args.tau,
+        "tau": 1 if args.tau is None else args.tau,
     }
     report = run_suites(names, cfg)
     if args.suite == "all" and not witt_census:
@@ -151,6 +151,8 @@ def cmd_orbits(args) -> int:
     mu = _parse_mu(args.mu)
     _check_n(args, mu)
     if args.action == "class-census":
+        if args.tau is not None:
+            raise ValueError("orbits --action class-census takes no --tau")
         census = class_census(mu, FieldSpec.for_q(args.q))
         rows = [
             {"mu": list(mu.weights), "q": args.q, "rep_g": list(g),
@@ -170,7 +172,8 @@ def cmd_orbits(args) -> int:
                              row["orbit_size"]])
         _write_out(buf.getvalue(), args.out)
         return 0
-    part = enumerate_orbits(ActionSpec(args.action, mu, args.q, args.tau))
+    tau = 1 if args.tau is None else args.tau
+    part = enumerate_orbits(ActionSpec(args.action, mu, args.q, tau))
     if args.format == "json":
         rows = [
             {"rep": list(rep[0]) + list(rep[1]) if args.action == "sigma-conj"
@@ -178,7 +181,7 @@ def cmd_orbits(args) -> int:
             for rep, size, digest in part.orbits
         ]
         doc = {"schema": 1, "action": args.action, "mu": list(mu.weights),
-               "q": args.q, "tau": args.tau, "total": part.total,
+               "q": args.q, "tau": tau, "total": part.total,
                "acting_order": part.acting_order, "orbits": rows}
         _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
         return 0

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .errors import InsufficientPrecision, WrongCell, check_budget
 from .gf import FieldSpec
 from .grpdata import (
+    PAIR_CAP,
     Cocharacter,
     conj_by_mu,
     enumerate_gl_flat,
@@ -221,8 +222,8 @@ def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     """
     n = mu.n
     gl = enumerate_gl_flat(spec, n)
-    check_budget(len(gl) ** 2 <= 2_000_000, "class census",
-                 f"n={n}, q={spec.q} with {len(gl):,}^2 pairs", "|G|^2 <= 2,000,000 pairs")
+    check_budget(len(gl) ** 2 <= PAIR_CAP, "class census",
+                 f"n={n}, q={spec.q} with {len(gl):,}^2 pairs", f"|G|^2 <= {PAIR_CAP:,} pairs")
     pminus, uplus = _row_tries(spec.p, spec.m, mu)
     left = sorted({_descend(spec, n, pminus, g)[0] for g in gl})
     right = sorted({_descend(spec, n, uplus, h)[0] for h in gl})

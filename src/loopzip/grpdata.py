@@ -20,15 +20,16 @@ from .errors import InsufficientPrecision, NotInParabolic, check_budget
 from .gf import FieldSpec
 from .matring import (
     Mat,
-    flat_det,
     flat_frobenius,
     flat_identity,
+    flat_invertible,
     flat_mul,
     flat_residue,
 )
 from .series import LaurentElt
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
+PAIR_CAP = 2_000_000  # pairs built by a zip group or class census enumeration
 
 
 class Cocharacter:
@@ -169,9 +170,9 @@ def zip_group_order(mu: Cocharacter, q: int) -> int:
 
 
 def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None:
-    check_budget(n <= 3 and spec.q <= 9 and candidates <= _ENUM_CAP,
+    check_budget(spec.q <= 9 and candidates <= _ENUM_CAP,
                  f"{engine} enumeration", f"n={n}, q={spec.q} scans {candidates:,} candidates",
-                 f"n <= 3, q <= 9 and {_ENUM_CAP:,} candidates")
+                 f"q <= 9 and {_ENUM_CAP:,} candidates")
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +183,7 @@ def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     _budget_check(f"GL_{n}", spec, n, spec.q ** (n * n))
     out = tuple(
         flat for flat in itertools.product(range(spec.q), repeat=n * n)
-        if flat_det(spec, n, flat) != 0
+        if flat_invertible(spec, n, flat)
     )
     if len(out) != gl_order(n, spec.q):
         raise AssertionError(
@@ -248,12 +249,13 @@ def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> lis
 def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
     """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau^tau_power(m);
     tau_power 0 is the untwisted group."""
-    n = mu.n
+    n, size = mu.n, zip_group_order(mu, spec.q)
+    check_budget(size <= PAIR_CAP, "zip group enumeration",
+                 f"n={n}, q={spec.q} builds {size:,} pairs", f"{PAIR_CAP:,} pairs")
     ups = enumerate_unipotent_flat(spec, mu, +1)
     downs = enumerate_unipotent_flat(spec, mu, -1)
-    ms = enumerate_levi_flat(spec, mu)
     out = []
-    for m in ms:
+    for m in enumerate_levi_flat(spec, mu):
         mt = flat_frobenius(spec, m, tau_power)
         for um in downs:
             pm = flat_mul(spec, n, um, mt)
@@ -322,7 +324,7 @@ def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
     while True:
         rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
         m = Mat(rows)
-        if flat_det(spec, n, flat_residue(m)) != 0:
+        if flat_invertible(spec, n, flat_residue(m)):
             return m
 
 
@@ -394,7 +396,7 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
                 row.append(random_laurent(spec, rng, max(gap, 0), prec))
             rows.append(row)
         k = Mat(rows)
-        if flat_det(spec, n, flat_residue(k)) == 0:
+        if not flat_invertible(spec, n, flat_residue(k)):
             continue
         g = conj_by_mu(k, mu, +1)
         if not g.is_integral():

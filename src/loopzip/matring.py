@@ -16,9 +16,9 @@ against it:
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), with a and b integral of unit reduction.
-F_q elements are int codes throughout: matrices over F_q itself are flat
-row-major tuples of them, for the flat_* functions below, and the JSON form
-writes each code as its coefficient vector.
+F_q elements are int codes throughout: F_q matrices of any size are flat
+row-major tuples of them for the flat_* functions, whose one Gauss-Jordan loop
+inverts and tests invertibility; JSON writes each code as its coefficient vector.
 """
 
 from __future__ import annotations
@@ -251,28 +251,14 @@ def flat_frobenius(spec: FieldSpec, flat, times: int = 1) -> tuple:
     return out
 
 
-def flat_det(spec: FieldSpec, n: int, a) -> int:
-    mul, add, neg = spec.mul_table, spec.add_table, spec.neg_table
-    if n == 1:
-        return a[0]
-    if n == 2:
-        return add[mul[a[0]][a[3]]][neg[mul[a[1]][a[2]]]]
-    if n == 3:
-        t1 = mul[a[0]][add[mul[a[4]][a[8]]][neg[mul[a[5]][a[7]]]]]
-        t2 = mul[a[1]][add[mul[a[3]][a[8]]][neg[mul[a[5]][a[6]]]]]
-        t3 = mul[a[2]][add[mul[a[3]][a[7]]][neg[mul[a[4]][a[6]]]]]
-        return add[add[t1][neg[t2]]][t3]
-    raise ValueError("flat determinant supports n <= 3")
-
-
-def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
-    """Gauss-Jordan on codes over the field tables; NotInvertible if singular."""
+def _gauss_jordan(spec: FieldSpec, n: int, w):
+    """Row-reduce n rows of codes in place to [I | *]; the first column
+    without a pivot if their left n x n block is singular, else None."""
     mul, add, neg, inv = spec.mul_table, spec.add_table, spec.neg_table, spec.inv_table
-    w = [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if w[r][col]), None)
         if piv is None:
-            raise NotInvertible(f"no usable pivot in column {col}")
+            return col
         w[col], w[piv] = w[piv], w[col]
         scale = mul[inv[w[col][col]]]
         w[col] = [scale[x] for x in w[col]]
@@ -281,6 +267,18 @@ def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
             if r != col and c:
                 by_c = mul[neg[c]]
                 w[r] = [add[x][by_c[y]] for x, y in zip(w[r], w[col])]
+    return None
+
+
+def flat_invertible(spec: FieldSpec, n: int, a) -> bool:
+    return _gauss_jordan(spec, n, [list(a[i * n:(i + 1) * n]) for i in range(n)]) is None
+
+
+def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
+    """Gauss-Jordan on [a | I]; NotInvertible if a is singular."""
+    w = [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    if (col := _gauss_jordan(spec, n, w)) is not None:
+        raise NotInvertible(f"no usable pivot in column {col}")
     return tuple(x for r in w for x in r[n:])
 
 

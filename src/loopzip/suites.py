@@ -302,6 +302,8 @@ def suite_weyl(cfg: dict) -> list:
     mu = Cocharacter(cfg["mu"])
     n = mu.n
     checks = []
+    # first, so that the orbit-engine budget refuses before the exhaustive checks run
+    rep = weyl_reps_report(mu, cfg["q"], cfg["tau"], max(cfg["prec"], default_precision(mu)))
 
     # Bruhat criterion against the subword oracle, exhaustively
     def subword_oracle(u, w):
@@ -367,7 +369,6 @@ def suite_weyl(cfg: dict) -> list:
         "passed": inj,
     })
 
-    rep = weyl_reps_report(mu, cfg["q"], cfg["tau"], max(cfg["prec"], default_precision(mu)))
     rep["name"] = "representative-conjugacy-distinctness"
     checks.append(rep)
     return checks

@@ -314,7 +314,7 @@ def test_budget_message_names_engine_and_caps(capsys):
     assert code == 2
     assert out == ""
     assert "unipotent U_+ enumeration at n=2, q=25" in err
-    assert "n <= 3, q <= 9 and 600,000 candidates" in err
+    assert "the caps are q <= 9 and 600,000 candidates" in err
     # every exhaustive engine names itself, the requested size and its caps
     for argv, engine, size, caps in [
         (["verify", "--suite", "psi", "--mu", "1,0", "--q", "4"],
@@ -533,22 +533,26 @@ def test_every_cli_option_is_read(capsys, monkeypatch):
 
     from loopzip import cli
 
-    argvs = {
-        "verify": ["--suite", "weyl", "--mu", "1,0"],
-        "orbits": ["--action", "zip-normal", "--mu", "1,0"],
-        "cartan": [],
-        "poset": ["--mu", "1,0"],
-        "witt-selftest": ["--samples", "5"],
-    }
+    argvs = [
+        ("verify", ["--suite", "weyl", "--mu", "1,0"]),
+        *(("orbits", ["--action", action, "--mu", "1,0"])
+          for action in ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj",
+                         "class-census")),
+        ("cartan", []),
+        ("poset", ["--mu", "1,0"]),
+        ("witt-selftest", ["--samples", "5"]),
+    ]
     handlers = {"verify": cli.cmd_verify, "orbits": cli.cmd_orbits, "cartan": cli.cmd_cartan,
                 "poset": cli.cmd_poset, "witt-selftest": cli.cmd_witt_selftest}
     identity = {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 2, [1, 0])]]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(identity)))
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(argvs) == sorted(commands.choices) == sorted(handlers)
+    assert sorted({c for c, _ in argvs}) == sorted(commands.choices) == sorted(handlers)
+    orbit_actions = next(a for a in commands.choices["orbits"]._actions if a.dest == "action")
+    assert sorted(a[1] for c, a in argvs if c == "orbits") == sorted(orbit_actions.choices)
     unread = []
-    for command, argv in argvs.items():
+    for command, argv in argvs:
         reads = set()
 
         class Recorder(argparse.Namespace):
@@ -560,6 +564,59 @@ def test_every_cli_option_is_read(capsys, monkeypatch):
         reads.clear()
         assert handlers[command](args) == 0
         dests = {a.dest for a in commands.choices[command]._actions} - {"help"}
-        unread += [f"{command} {dest}" for dest in sorted(dests - reads)]
+        unread += [f"{' '.join([command] + argv[:2])} {dest}" for dest in sorted(dests - reads)]
     capsys.readouterr()
     assert unread == []
+
+
+def test_class_census_refuses_tau(capsys):
+    # the class census has no Frobenius twist, so a --tau would be ignored
+    argv = ["orbits", "--action", "class-census", "--mu", "1,0"]
+    code, out, err = run_cli(argv + ["--tau", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "configuration error: orbits --action class-census takes no --tau\n"
+    assert run_cli(argv, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["verify", "--suite", "lemmas", "--mu", "2,2,0,0"], 0, ""),
+    (["verify", "--suite", "prozip", "--mu", "1,1,0,0", "--samples", "20"], 0, ""),
+    (["verify", "--suite", "psi", "--mu", "1,1,0,0"], 2,
+     "configuration error: class bijection census at n=4, q=2; the caps are n <= 3, q <= 3\n"),
+    (["verify", "--suite", "chain", "--mu", "1,1,0,0"], 2,
+     "configuration error: zip-normal orbit engine at n=4, q=2; the caps are n <= 3, q <= 4\n"),
+    (["verify", "--suite", "weyl", "--mu", "1,1,0,0"], 2,
+     "configuration error: sigma-conj orbit engine at n=4, q=2; the caps are n <= 3, q <= 4\n"),
+], ids=["lemmas", "prozip", "psi", "chain", "weyl"])
+def test_gl4_suites(argv, code, err, capsys):
+    # the F_q kernel has no size limit: GL_4 runs wherever the suite budgets allow
+    got, out, got_err = run_cli(argv, capsys)
+    assert (got, got_err) == (code, err)
+    assert json.loads(out)["passed"] if code == 0 else out == ""
+
+
+def test_weyl_budget_refuses_before_exhaustive_checks(capsys, monkeypatch):
+    import loopzip.suites as suites
+
+    def no_bruhat(*args):
+        raise AssertionError("an exhaustive Weyl check ran")
+
+    monkeypatch.setattr(suites, "bruhat_leq", no_bruhat)
+    code, out, err = run_cli(["verify", "--suite", "weyl", "--mu", "1,0,0,0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: sigma-conj orbit engine at n=4, q=2; "
+                   "the caps are n <= 3, q <= 4\n")
+
+
+def test_zip_group_budget_exit_2_before_building(capsys, monkeypatch):
+    import loopzip.grpdata as grpdata
+
+    def no_build(*args):
+        raise AssertionError("zip group enumeration started building")
+
+    monkeypatch.setattr(grpdata, "enumerate_levi_flat", no_build)
+    code, out, err = run_cli(["verify", "--suite", "lemmas", "--mu", "1,0,0", "--q", "8"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: zip group enumeration at n=3, q=8 builds "
+                   "101,154,816 pairs; the caps are 2,000,000 pairs\n")

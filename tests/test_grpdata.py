@@ -28,7 +28,7 @@ from loopzip.grpdata import (
     random_series_subgroup,
     zip_group_order,
 )
-from loopzip.matring import Mat, flat_det, flat_frobenius, flat_mul, flat_residue
+from loopzip.matring import Mat, flat_frobenius, flat_invertible, flat_mul, flat_residue
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -195,6 +195,25 @@ def test_budget_guard():
         enumerate_gl_flat(FieldSpec.get(3, 2), 3)  # 9^9 candidates
 
 
+def test_gl4_enumerates():
+    # 2^16 candidates: inside the candidate cap, whatever n is
+    assert len(enumerate_gl_flat(F2, 4)) == gl_order(4, 2) == 20_160
+
+
+def test_zip_pair_budget_refuses_before_building(monkeypatch):
+    import loopzip.grpdata as grpdata
+
+    def no_build(*args):
+        raise AssertionError("zip group enumeration started building")
+
+    monkeypatch.setattr(grpdata, "enumerate_levi_flat", no_build)
+    mu = Cocharacter((1, 0, 0))
+    assert zip_group_order(mu, 8) == 101_154_816
+    with pytest.raises(BudgetExceeded, match="zip group enumeration at n=3, q=8 builds "
+                                             "101,154,816 pairs; the caps are 2,000,000 pairs"):
+        enumerate_zip_pairs_flat(FieldSpec.for_q(8), mu)
+
+
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("prec", [2, 3])
 def test_all_series_subgroup_counts_and_membership(sign, prec):
@@ -219,7 +238,7 @@ def test_random_series_subgroup_levi_blocks_are_invertible():
         for _ in range(50):
             g = random_series_subgroup(F3, mu, sign, True, 4, rng)
             assert in_h(g, mu, sign)
-            assert flat_det(F3, 3, levi_component(flat_residue(g), mu)) != 0
+            assert flat_invertible(F3, 3, levi_component(flat_residue(g), mu))
 
 
 def test_integral_conjugation_exhaustive_small():

@@ -10,9 +10,9 @@ from loopzip.matring import (
     Mat,
     assert_cartan_precision,
     cartan_precision_floor,
-    flat_det,
     flat_identity,
     flat_inverse,
+    flat_invertible,
     flat_mul,
     flat_residue,
     snf_dvr,
@@ -128,8 +128,8 @@ def test_snf_remultiplication_oracle(spec, n, weights):
         assert prod.congruent_mod(x, w)
         # factors are integral with unit reduction
         assert a.is_integral() and b.is_integral()
-        assert flat_det(spec, n, flat_residue(a)) != 0
-        assert flat_det(spec, n, flat_residue(b)) != 0
+        assert flat_invertible(spec, n, flat_residue(a))
+        assert flat_invertible(spec, n, flat_residue(b))
 
 
 def test_snf_bulk_oracle_1000():
@@ -281,7 +281,7 @@ def test_flat_helpers_match_objects():
         for _ in range(3):
             while True:
                 cand = tuple(rng.randrange(3) for _ in range(9))
-                if flat_det(F3, 3, cand) != 0:
+                if flat_invertible(F3, 3, cand):
                     flats.append(cand)
                     break
         fa, fb, fc = flats
@@ -292,15 +292,32 @@ def test_flat_helpers_match_objects():
         assert flat_mul(F3, 3, fa, inv) == flat_mul(F3, 3, inv, fa) == ident
 
 
-@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3)])
+def cofactor_det(spec, n, a):
+    """Determinant of a flat matrix by cofactor expansion, n <= 3: the oracle
+    for the Gauss-Jordan invertibility test."""
+    mul, add, neg = spec.mul_table, spec.add_table, spec.neg_table
+    if n == 1:
+        return a[0]
+    if n == 2:
+        return add[mul[a[0]][a[3]]][neg[mul[a[1]][a[2]]]]
+    t1 = mul[a[0]][add[mul[a[4]][a[8]]][neg[mul[a[5]][a[7]]]]]
+    t2 = mul[a[1]][add[mul[a[3]][a[8]]][neg[mul[a[5]][a[6]]]]]
+    t3 = mul[a[2]][add[mul[a[3]][a[7]]][neg[mul[a[4]][a[6]]]]]
+    return add[add[t1][neg[t2]]][t3]
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3),
+                                 (5, 2), (8, 2), (9, 2), (3, 3), (9, 1)])
 def test_flat_inverse_matches_decode_path_exhaustively(q, n):
-    """On every matrix: NotInvertible exactly when flat_det is 0, and
-    otherwise a two-sided inverse."""
+    """On every matrix: flat_invertible exactly when the cofactor determinant
+    is nonzero, NotInvertible exactly when it is 0, and otherwise a two-sided
+    inverse."""
     spec = FieldSpec.for_q(q)
     ident = flat_identity(n)
     singular = 0
     for flat in itertools.product(range(q), repeat=n * n):
-        if flat_det(spec, n, flat) == 0:
+        assert flat_invertible(spec, n, flat) == (cofactor_det(spec, n, flat) != 0)
+        if cofactor_det(spec, n, flat) == 0:
             singular += 1
             with pytest.raises(NotInvertible):
                 flat_inverse(spec, n, flat)
@@ -308,6 +325,27 @@ def test_flat_inverse_matches_decode_path_exhaustively(q, n):
         inv = flat_inverse(spec, n, flat)
         assert flat_mul(spec, n, flat, inv) == flat_mul(spec, n, inv, flat) == ident
     assert q ** (n * n) - singular == len(enumerate_gl_flat(spec, n))
+
+
+def test_flat_invertible_beyond_the_cofactor_oracle():
+    # n = 4: a permutation matrix times an upper unitriangular one is invertible,
+    # and a matrix with two equal rows is not
+    rng = random.Random(4)
+    for q in (2, 3, 4):
+        spec = FieldSpec.for_q(q)
+        for _ in range(40):
+            perm = rng.sample(range(4), 4)
+            p = tuple(int(perm[i] == j) for i in range(4) for j in range(4))
+            u = tuple(1 if i == j else rng.randrange(q) if i < j else 0
+                      for i in range(4) for j in range(4))
+            g = flat_mul(spec, 4, p, u)
+            assert flat_invertible(spec, 4, g)
+            inv = flat_inverse(spec, 4, g)
+            assert flat_mul(spec, 4, g, inv) == flat_mul(spec, 4, inv, g) == flat_identity(4)
+            rows = [g[4 * i:4 * i + 4] for i in range(4)]
+            i, j = rng.sample(range(4), 2)
+            rows[j] = rows[i]
+            assert not flat_invertible(spec, 4, sum(rows, ()))
 
 
 def test_json_roundtrip():
