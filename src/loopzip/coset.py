@@ -24,6 +24,7 @@ from .grpdata import (
     enumerate_unipotent_flat,
     gl_order,
     mu_matrix,
+    mu_powers,
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
@@ -37,10 +38,9 @@ from .matring import (
     flat_identity,
     flat_inverse,
     flat_mul,
-    flat_residue,
-    snf_dvr,
+    snf_residues,
 )
-from .series import LaurentElt
+from .series import LaurentElt, _raw
 from .witt import WittCtx, WittFraction
 
 
@@ -121,20 +121,64 @@ def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
 # -- the cell map and its inverse -------------------------------------------------
 
 
-def lift(one, n: int, flat) -> Mat:
-    """Constant lift of a flat F_q matrix into the ring of `one`: constant
-    Laurent coefficients for pi = t, Teichmuller lifts for pi = p."""
-    pad = (0,) * (one.prec - 1)
-    return Mat([
-        [one.from_codes((c,) + pad) for c in flat[i * n:(i + 1) * n]] for i in range(n)
-    ])
-
-
 def pair_matrix(mu: Cocharacter, g_flat, h_flat, one) -> Mat:
     """g~^(-1) pi^mu h~ for the lifts of g and h into the ring of `one`."""
-    n = mu.n
-    ginv = flat_inverse(one.spec, n, g_flat)
-    return lift(one, n, ginv) * mu_matrix(mu, one) * lift(one, n, h_flat)
+    return lifted_product(mu, flat_inverse(one.spec, mu.n, g_flat), h_flat, one)
+
+
+def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
+    """lift(left) mu(pi) lift(right) in closed form, for flat F_q matrices
+    whose left factor has no zero row.
+
+    The lifts are constant Laurent coefficients for pi = t and Teichmuller
+    lifts for pi = p.  Entry (i, j) is sum_k left_ik right_kj pi^(d_k), stored
+    as the two matrix products at window P store it.  The min-rule of
+    products and sums gives it the window min over k of
+        P + min(d_k, 0)    if right_kj != 0,
+        P + d_k            if right_kj = 0 and left_ik != 0,
+        2P + min(d_k, 0)   otherwise,
+    which a Witt fraction caps by its denominator as usual.
+    """
+    mu_powers(mu, one)  # raises what mu_matrix raises on a window too short for mu
+    n, d, big = mu.n, mu.weights, one.prec
+    mul = one.spec.mul_table
+    windows = [(big + min(dk, 0), big + dk, 2 * big + min(dk, 0)) for dk in d]
+    entry = _laurent_entry if isinstance(one, LaurentElt) else _witt_entry
+    rows = []
+    for i in range(n):
+        l_row = left[i * n:(i + 1) * n]
+        row = []
+        for j in range(n):
+            prec = 2 * big  # no window above
+            codes = []
+            for k, (a, (w_right, w_left, w_none)) in enumerate(zip(l_row, windows)):
+                b = right[k * n + j]
+                prec = min(prec, w_right if b else w_left if a else w_none)
+                codes.append(mul[a][b])
+            row.append(entry(one, d, codes, prec))
+        rows.append(row)
+    return Mat(rows)
+
+
+def _laurent_entry(one: LaurentElt, d, codes, prec: int) -> LaurentElt:
+    """sum_k codes_k t^(d_k) modulo t^prec, stored from exponent min(0, d_min)
+    as the products store it (from d itself for n = 1, where no zero entry
+    enters a sum)."""
+    v = min(0, *d) if len(d) > 1 else d[0]
+    add = one.spec.add_table
+    out = [0] * (prec - v)
+    for dk, c in zip(d, codes):
+        if c and dk < prec:
+            out[dk - v] = add[out[dk - v]][c]
+    return _raw(one.spec, v, prec, tuple(out))
+
+
+def _witt_entry(one: WittFraction, d, codes, known: int) -> WittFraction:
+    """p^(-e) sum_k [codes_k] p^(d_k + e) modulo p^known, e the largest -d_k
+    of a nonzero term, stripped as the sum of the products is."""
+    e = max([0] + [-dk for dk, c in zip(d, codes) if c])
+    num = one.ctx.teichmuller_sum((dk + e, c) for dk, c in zip(d, codes) if c)
+    return WittFraction(one.ctx, e, num, known).stripped()
 
 
 def class_of(x: Mat, mu: Cocharacter) -> tuple:
@@ -164,12 +208,11 @@ def witt_class_of(x: Mat, mu: Cocharacter) -> tuple:
 
 def _class_of_decomposition(x: Mat, mu: Cocharacter) -> tuple:
     """Shared tail of both pipelines: x = a diag b, class of (abar^(-1), bbar)."""
-    a, d, b = snf_dvr(x)
+    abar, d, bbar = snf_residues(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
     spec = x.rows[0][0].spec
-    g = flat_inverse(spec, mu.n, flat_residue(a))
-    return canonical_flat(spec, mu, g, flat_residue(b))
+    return canonical_flat(spec, mu, flat_inverse(spec, mu.n, abar), bbar)
 
 
 def embed_before_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
@@ -294,13 +337,11 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
     gl = enumerate_gl_flat(spec, n)
 
     def classes(one, classify):
-        # the class of every pair matrix, with each lift and left factor built once
-        mt = mu_matrix(mu, one)
-        right = [lift(one, n, h) for h in gl]
+        # the class of every pair matrix, with each inverse computed once
         for g in gl:
-            left = lift(one, n, flat_inverse(spec, n, g)) * mt
-            for h in right:
-                yield classify(left * h, mu)
+            ginv = flat_inverse(spec, n, g)
+            for h in gl:
+                yield classify(lifted_product(mu, ginv, h, one), mu)
 
     laurent_classes = set()
     witt_classes = set()

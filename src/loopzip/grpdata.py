@@ -78,13 +78,18 @@ class Cocharacter:
         return f"Cocharacter{self.weights}"
 
 
-def mu_matrix(mu: Cocharacter, one) -> Mat:
-    """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
+def mu_powers(mu: Cocharacter, one) -> list:
+    """pi^{d_1}, ..., pi^{d_n} in the ring of `one`, at its window."""
     prec = one.prec
     if prec <= max(mu.weights):
         raise InsufficientPrecision(f"window {prec} cannot represent pi^{max(mu.weights)}")
     # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
-    return Mat.diagonal([one.one_at(prec - d).shifted(d) for d in mu.weights])
+    return [one.one_at(prec - d).shifted(d) for d in mu.weights]
+
+
+def mu_matrix(mu: Cocharacter, one) -> Mat:
+    """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
+    return Mat.diagonal(mu_powers(mu, one))
 
 
 def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:

@@ -292,11 +292,38 @@ def snf_dvr(x: Mat):
     take the smallest row index, then column index.  d is returned sorted
     non-increasing, conjugating a and b by the sorting permutation.
     """
+    a, d, b = _diagonalize(x, residues=False)
+    return Mat(a), d, Mat(b)
+
+
+def snf_residues(x: Mat):
+    """(abar, d, bbar): snf_dvr's d, with a and b as flat codes of their reductions.
+
+    The pivot sequence on x is snf_dvr's.  Every update of a and b multiplies
+    by an integral element (a unit, or an entry divided by the pivot of least
+    valuation), and reduction mod pi commutes with integral row and column
+    operations (Serre, Local Fields, II), so a and b are carried mod pi
+    from the start.  Their windows never fall below 1, so every error is
+    one that snf_dvr raises too.
+    """
+    a, d, b = _diagonalize(x, residues=True)
+    return tuple(c for r in a for c in r), d, tuple(c for r in b for c in r)
+
+
+def _diagonalize(x: Mat, residues: bool):
+    """snf_dvr's elimination on a copy of x; a and b as rows of entries, or of
+    residue codes when `residues`."""
     n = x.n
     w = [list(r) for r in x.rows]
-    ident = Mat.identity(n, x.rows[0][0].one_at(x.min_precision()))
-    a = [list(r) for r in ident.rows]
-    b = [list(r) for r in ident.rows]
+    # built in both modes, so that a window below 1 raises in both
+    one = x.rows[0][0].one_at(x.min_precision())
+    if residues:
+        mul, add = one.spec.mul_table, one.spec.add_table
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        ident = Mat.identity(n, one).rows
+    a = [list(r) for r in ident]
+    b = [list(r) for r in ident]
     d = [0] * n
 
     for k in range(n):
@@ -320,30 +347,44 @@ def snf_dvr(x: Mat):
         uinv = unit.inverse()
         # scale the pivot row to pi^v; a picks up the unit on its column
         w[k] = [uinv * c for c in w[k]]
-        for r in range(n):
-            a[r][k] = a[r][k] * unit
+        if residues:
+            by_u = mul[unit.residue_code()]
+            for r in range(n):
+                a[r][k] = by_u[a[r][k]]
+        else:
+            for r in range(n):
+                a[r][k] = a[r][k] * unit
         # pivot row is now normalized to pi^v, so quotients are plain shifts
         for i in range(n):
             if i == k or w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
             w[i] = [p - c * q for p, q in zip(w[i], w[k])]
-            for r in range(n):
-                a[r][k] = a[r][k] + a[r][i] * c
+            if residues:
+                by_c = mul[c.residue_code()]
+                for r in range(n):
+                    a[r][k] = add[a[r][k]][by_c[a[r][i]]]
+            else:
+                for r in range(n):
+                    a[r][k] = a[r][k] + a[r][i] * c
         for j in range(n):
             if j == k or w[k][j].valuation() is None:
                 continue
             c = w[k][j].shifted(-v)
             for r in range(n):
                 w[r][j] = w[r][j] - w[r][k] * c
-            b[k] = [p + c * q for p, q in zip(b[k], b[j])]
+            if residues:
+                by_c = mul[c.residue_code()]
+                b[k] = [add[p][by_c[q]] for p, q in zip(b[k], b[j])]
+            else:
+                b[k] = [p + c * q for p, q in zip(b[k], b[j])]
 
     # sort d non-increasing, stably, and conjugate by the permutation
     order = sorted(range(n), key=lambda i: (-d[i], i))
     d_sorted = tuple(d[i] for i in order)
     a_sorted = [[a[r][order[c]] for c in range(n)] for r in range(n)]
     b_sorted = [b[order[r]] for r in range(n)]
-    return Mat(a_sorted), d_sorted, Mat(b_sorted)
+    return a_sorted, d_sorted, b_sorted
 
 
 def cartan_precision_floor(weights) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .coset import canonical_flat, class_census, class_of, default_precision, lift, mu_matrix
+from .coset import canonical_flat, class_census, class_of, default_precision, lifted_product
 from .errors import check_budget
 from .gf import FieldSpec
 from .grpdata import (
@@ -270,20 +270,17 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     injective = len(set(image_roots)) == len(image_roots)
     surjective = set(image_roots) == {rep for rep, _, _ in sigma_part.orbits}
 
-    # sampled equivariance of the embedding against the minus-parabolic action
-    rng = random.Random(seed)
-    gl = enumerate_gl_flat(spec, n)
-    pminus = enumerate_parabolic_flat(spec, mu, -1)
+    # sampled equivariance of the embedding against the minus-parabolic action;
+    # only the samples actually compared count towards the requested number
     equivariant = True
-    for _ in range(samples):
-        g = gl[rng.randrange(len(gl))]
-        pf, mf = pminus[rng.randrange(len(pminus))]
+    compared = 0
+    for g, pf, mf in _equivariance_draws(spec, mu, samples, seed):
         minv = flat_inverse(spec, n, mf)
         tg = flat_mul(spec, n, g, flat_frobenius(spec, pf, m))
         lhs = canonical_flat(spec, mu, ident, flat_mul(spec, n, minv, tg))
         rhs = canonical_flat(spec, mu, pf, tg)
-        if lhs != rhs:
-            equivariant = False
+        equivariant &= lhs == rhs
+        compared += 1
     return {
         "mu": list(mu.weights),
         "q": q,
@@ -293,10 +290,22 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
         "well_defined": well_defined,
         "injective": injective,
         "surjective": surjective,
-        "equivariance_samples": samples,
+        "equivariance_samples": compared,
         "equivariant": equivariant,
-        "passed": well_defined and injective and surjective and equivariant,
+        "passed": (well_defined and injective and surjective and equivariant
+                   and compared == samples),
     }
+
+
+def _equivariance_draws(spec: FieldSpec, mu: Cocharacter, samples: int, seed: int):
+    """`samples` random (g in G, p in P_-, Levi part of p), drawn in that order."""
+    rng = random.Random(seed)
+    gl = enumerate_gl_flat(spec, mu.n)
+    pminus = enumerate_parabolic_flat(spec, mu, -1)
+    for _ in range(samples):
+        g = gl[rng.randrange(len(gl))]
+        pf, mf = pminus[rng.randrange(len(pminus))]
+        yield g, pf, mf
 
 
 def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> dict:
@@ -312,14 +321,14 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     root_of_class = _root_of_class(sigma_part)
 
     one = LaurentElt.one(spec, prec)
-    mu_t = mu_matrix(mu, one)
+    ident = flat_identity(n)
     roots = []
     for w in reps:
         perm = w * w0 * w0j
         flat = [0] * (n * n)
         for j in range(1, n + 1):
             flat[(perm(j) - 1) * n + (j - 1)] = 1
-        roots.append(root_of_class[class_of(lift(one, n, flat) * mu_t, mu)])
+        roots.append(root_of_class[class_of(lifted_product(mu, flat, ident, one), mu)])
     distinct = len(set(roots)) == len(roots)
     return {
         "mu": list(mu.weights),

@@ -77,6 +77,15 @@ class WittCtx:
 
     # element constructors
 
+    def teichmuller_sum(self, terms) -> "WittElt":
+        """sum of p^s [c] over the (s, c) in terms, s >= 0 and c a field code."""
+        p, mod = self.p, self.mod
+        acc = [0] * self.spec.m
+        for s, c in terms:
+            ps = p**s
+            acc = [(x + ps * t) % mod for x, t in zip(acc, self._teich[c])]
+        return WittElt(self, tuple(acc))
+
     def from_coord_codes(self, codes) -> "WittElt":
         """The Witt vector whose coordinates have the given field codes."""
         codes = self.spec.checked_codes(codes)

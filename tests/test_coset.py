@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,6 @@ from loopzip.coset import (
     embed_before_mu,
     embedding_fiber_report,
     kernel_invariance_report,
-    lift,
     pair_matrix,
     prozip_invariance_report,
     verify_class_bijection,
@@ -35,7 +35,18 @@ from loopzip.matring import Mat, cartan_precision_floor, flat_identity, flat_inv
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
-from coset_oracle import oracle_canonical_flat, oracle_class_census, oracle_left, oracle_right
+from coset_oracle import (
+    lift,
+    oracle_pair_matrix,
+    outcome,
+    pair_floor,
+    pair_mismatches,
+    ring_one,
+    oracle_canonical_flat,
+    oracle_class_census,
+    oracle_left,
+    oracle_right,
+)
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -63,6 +74,65 @@ def test_pair_matrix_explicit_product():
     gi = flat_inverse(F2, 2, g)
     expect = lift(one, 2, gi) * mu_matrix(MU, one)
     assert x == expect
+
+
+# every pair of GL2(F2) in every GL2 weight, of GL1(F3), and of GL2(F3) in one
+# weight per ring, and a seeded slice of GL3(F2) and GL2(F4); (-1, -1) makes
+# Witt sums whose leading digits cancel, so that the sum must be stripped
+PAIR_CASES = (
+    [(2, w, ring, None) for w in [(1, 0), (1, -1), (2, -1), (0, -2), (-1, -1)]
+     for ring in ("laurent", "witt")]
+    + [(3, w, ring, None) for w in [(1,), (-1,)] for ring in ("laurent", "witt")]
+    + [(3, (1, -1), "laurent", None), (3, (1, 0), "witt", None)]
+    + [(2, w, ring, 200) for w in [(1, 1, 0), (2, 1, 0), (1, 0, -1)] for ring in ("laurent", "witt")]
+    + [(4, w, ring, 300) for w in [(1, 0), (2, -1)] for ring in ("laurent", "witt")]
+)
+
+
+@pytest.mark.parametrize("q, weights, ring, limit", PAIR_CASES)
+def test_closed_pair_matrix_matches_the_product(q, weights, ring, limit):
+    # each entry's stored window and coefficients (Witt: e, known and the
+    # coordinates) equal those of lift(g^(-1)) mu_matrix lift(h), at the
+    # floor window and at the pipeline's working window; one window below
+    # the floor raises the same error on both forms
+    mu = Cocharacter(weights)
+    spec = FieldSpec.for_q(q)
+    gl = enumerate_gl_flat(spec, mu.n)
+    pairs = list(itertools.product(gl, gl))
+    if limit is not None:
+        pairs = random.Random(q * 100 + mu.n).sample(pairs, limit)
+    floor = pair_floor(mu, ring)
+    work = default_precision(mu) if ring == "laurent" else max(floor, 3)
+    for prec in sorted({floor, work}):
+        assert pair_mismatches(pair_matrix, mu, ring_one(spec, ring, prec), pairs) == 0
+    if floor > 1:
+        one = ring_one(spec, ring, floor - 1)
+        g, h = pairs[-1]
+        got = outcome(pair_matrix, mu, g, h, one)
+        assert got[0] == "InsufficientPrecision"
+        assert got == outcome(oracle_pair_matrix, mu, g, h, one)
+
+
+def test_pair_matrix_and_mixed_census_make_no_matrix_product(monkeypatch):
+    # the closed form multiplies no Mat: count Mat.__mul__ calls
+    calls = []
+    real = Mat.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    mu = Cocharacter((1, 1, 0))
+    g, h = (1, 1, 0, 0, 1, 0, 1, 0, 1), (0, 1, 0, 1, 0, 0, 0, 1, 1)
+    for one in (LaurentElt.one(F2, 6), WittFraction.one(WittCtx.get(F2, 3))):
+        pair_matrix(mu, g, h, one)
+    assert calls == []
+    rep = witt_census_report(MU, F2, 3, 6)
+    assert rep["pointwise_equal"] and calls == []
+    # the counter itself counts
+    lift(LaurentElt.one(F2, 6), 2, g[:4]) * mu_matrix(MU, LaurentElt.one(F2, 6))
+    assert calls == [1]
 
 
 def test_class_of_mu_is_identity_pair():

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from coset_oracle import lift
 from laurent_oracle import from_coeff_list
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
-from loopzip.coset import lift
 from loopzip.grpdata import (
     Cocharacter,
     all_series_subgroup,

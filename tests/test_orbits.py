@@ -107,6 +107,17 @@ def test_transport_q4():
     assert rep["passed"]
 
 
+def test_transport_fails_when_no_equivariance_sample_is_compared(monkeypatch):
+    # the report counts the samples it compared, and passes only on all of them
+    import loopzip.orbits as orbits
+
+    assert transport_check(MU, 2, 1, samples=30, seed=2)["equivariance_samples"] == 30
+    monkeypatch.setattr(orbits, "_equivariance_draws", lambda *args: iter(()))
+    rep = transport_check(MU, 2, 1, samples=30, seed=2)
+    assert rep["equivariance_samples"] == 0
+    assert rep["equivariant"] and not rep["passed"]
+
+
 def test_weyl_reps_gl2():
     rep = weyl_reps_report(MU, 2)
     assert rep["rep_count"] == 2
@@ -129,7 +140,8 @@ def test_sigma_conj_action_matches_class_pipeline():
     matrix and re-running the decomposition pipeline."""
     import random
 
-    from loopzip.coset import canonical_flat, class_of, lift, pair_matrix
+    from coset_oracle import lift
+    from loopzip.coset import canonical_flat, class_of, pair_matrix
     from loopzip.series import LaurentElt
     from loopzip.grpdata import enumerate_gl_flat
     from loopzip.matring import flat_frobenius, flat_mul
