@@ -37,15 +37,15 @@ from loopzip.witt import WittCtx, WittFraction
 
 from coset_oracle import (
     lift,
+    oracle_canonical_flat,
+    oracle_class_census,
+    oracle_left,
     oracle_pair_matrix,
+    oracle_right,
     outcome,
     pair_floor,
     pair_mismatches,
     ring_one,
-    oracle_canonical_flat,
-    oracle_class_census,
-    oracle_left,
-    oracle_right,
 )
 
 F2 = FieldSpec.get(2, 1)
