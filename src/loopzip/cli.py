@@ -20,15 +20,14 @@ import sys
 
 from .coset import class_census
 from .errors import BudgetExceeded, InsufficientPrecision, LoopZipError, NotInvertible
-from .gf import FieldSpec
+from .gf import PRIMES, SIZES, FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
-from .orbits import ActionSpec, enumerate_orbits
+from .orbits import ACTION_KINDS, ActionSpec, enumerate_orbits
 from .suites import SUITES, run_suites, witt_census_applies
 from .weyl import CosetPoset
 from .witt import ghost_selftest
 
-_SUPPORTED_Q = (2, 3, 4, 5, 8, 9, 25)
 _WITT_CENSUS_NEEDS = ("the mixed census of suite witt needs p in {2, 3}, n <= 2 "
                       "and weights with |d_i| <= 1")
 
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--n", type=int, default=None, help="matrix size (inferred from --mu)")
-        p.add_argument("--q", type=int, default=2, choices=_SUPPORTED_Q)
+        p.add_argument("--q", type=int, default=2, choices=SIZES)
         p.add_argument("--mu", required=True, help="weights, e.g. 1,0")
         p.add_argument("--tau", type=int, default=None, help="Frobenius power (default 1)")
         p.add_argument("--out", default=None)
@@ -83,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("orbits", help="orbit census as CSV")
     common(po)
-    po.add_argument("--action", required=True,
-                    choices=("zip-normal", "zip-frobenius", "partial-frobenius",
-                             "sigma-conj", "class-census"))
+    po.add_argument("--action", required=True, choices=ACTION_KINDS + ("class-census",))
 
     pc = sub.add_parser("cartan", help="decompose a JSON matrix from standard input")
     pc.add_argument("--out", default=None)
@@ -230,7 +227,7 @@ def cmd_poset(args) -> int:
 
 
 def cmd_witt_selftest(args) -> int:
-    if args.q not in (2, 3, 5):
+    if args.q not in PRIMES:
         raise ValueError("Witt selftest needs a prime --q")
     rep = ghost_selftest(args.q, args.prec, args.samples, args.seed)
     rate = rep["passed_samples"] / rep["samples"]

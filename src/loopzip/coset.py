@@ -18,13 +18,13 @@ from .gf import FieldSpec
 from .grpdata import (
     PAIR_CAP,
     Cocharacter,
+    check_mu_window,
     conj_by_mu,
     enumerate_gl_flat,
     enumerate_parabolic_flat,
     enumerate_unipotent_flat,
     gl_order,
     mu_matrix,
-    mu_powers,
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
@@ -139,7 +139,7 @@ def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
         2P + min(d_k, 0)   otherwise,
     which a Witt fraction caps by its denominator as usual.
     """
-    mu_powers(mu, one)  # raises what mu_matrix raises on a window too short for mu
+    check_mu_window(mu, one)  # raise what mu_matrix raises at this window
     n, d, big = mu.n, mu.weights, one.prec
     mul = one.spec.mul_table
     windows = [(big + min(dk, 0), big + dk, 2 * big + min(dk, 0)) for dk in d]

@@ -22,21 +22,9 @@ _MODULI = {
     (5, 1): (0, 1),
     (5, 2): (2, 0, 1),  # w^2 + 2
 }
-
-
-def _check_irreducible(p: int, modulus: tuple[int, ...]) -> None:
-    """Exhaustive root check; for degree <= 3 no root means irreducible."""
-    m = len(modulus) - 1
-    if m == 1:
-        return
-    if m > 3:
-        raise ValueError("extension degree above 3 is unsupported")
-    for x in range(p):
-        acc = 0
-        for c in reversed(modulus):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            raise ValueError(f"modulus {modulus} has root {x} mod {p}")
+# the field sizes and the primes of the table, ascending
+SIZES = tuple(sorted(p**m for p, m in _MODULI))
+PRIMES = tuple(sorted(p for p, m in _MODULI if m == 1))
 
 
 def poly_mul_reduce(a, b, modulus, n: int) -> list[int]:
@@ -69,10 +57,7 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = p**m
-        if self.q > 25:
-            raise ValueError("q capped at 25")
         self.modulus = _MODULI[(p, m)]
-        _check_irreducible(p, self.modulus)
         self._build_tables()
 
     @staticmethod
@@ -120,7 +105,8 @@ class FieldSpec:
         self.neg_table = [
             self._vec_to_code([(-x) % self.p for x in vecs[a]]) for a in range(q)
         ]
-        # inverse by exhaustive search; q <= 25 keeps this trivial
+        # inverse by exhaustive search (q <= 25); a reducible modulus leaves a
+        # zero divisor without one, so this also certifies the modulus
         self.inv_table = [0] * q
         for a in range(1, q):
             for b in range(1, q):

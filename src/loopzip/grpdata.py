@@ -78,18 +78,23 @@ class Cocharacter:
         return f"Cocharacter{self.weights}"
 
 
-def mu_powers(mu: Cocharacter, one) -> list:
-    """pi^{d_1}, ..., pi^{d_n} in the ring of `one`, at its window."""
+def check_mu_window(mu: Cocharacter, one) -> None:
+    """Raise what mu_matrix raises at the window of `one`, building nothing."""
     prec = one.prec
     if prec <= max(mu.weights):
         raise InsufficientPrecision(f"window {prec} cannot represent pi^{max(mu.weights)}")
-    # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
-    return [one.one_at(prec - d).shifted(d) for d in mu.weights]
+    # a Witt fraction p^d with d <= -N has no known digit at length N
+    short = [] if isinstance(one, LaurentElt) else [d for d in mu.weights if d <= -one.ctx.length]
+    if short:
+        raise InsufficientPrecision(
+            f"denominator p^{-short[0]} leaves no precision at length {one.ctx.length}")
 
 
 def mu_matrix(mu: Cocharacter, one) -> Mat:
     """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
-    return Mat.diagonal(mu_powers(mu, one))
+    check_mu_window(mu, one)
+    # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
+    return Mat.diagonal([one.one_at(one.prec - d).shifted(d) for d in mu.weights])
 
 
 def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:

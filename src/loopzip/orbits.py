@@ -1,17 +1,18 @@
 """Exhaustive orbit engines for the four finite group actions.
 
-Partitions are computed by union-find over the acted set, driven by a
-generating set of the acting group, with lexicographically minimal
-representatives for cross-run determinism.
+Each orbit is walked once from its first unseen point, applying every
+generator of the acting group to every point it reaches. Representatives
+are the lexicographically least members, for cross-run determinism.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from math import gcd
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .coset import canonical_flat, class_census, class_of, default_precision, lifted_product
 from .errors import check_budget
@@ -33,56 +34,31 @@ from .weyl import longest_element, min_coset_reps
 ACTION_KINDS = ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj")
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(NamedTuple):
     kind: str
     mu: Cocharacter
     q: int
     tau_power: int = 1
 
-    def __post_init__(self):
-        if self.kind not in ACTION_KINDS:
-            raise ValueError(f"unknown action kind {self.kind}")
 
+class OrbitPartition(NamedTuple):
+    """Orbit list with lex-min representatives, blocks and representative map."""
 
-class OrbitPartition:
-    """Orbit list with lex-min representatives plus the raw block partition."""
-
-    __slots__ = ("action", "orbits", "total", "acting_order", "blocks")
-
-    def __init__(self, action, orbits, total, acting_order, blocks):
-        self.action = action
-        self.orbits = tuple(orbits)  # (representative, size, members_hash)
-        self.total = total
-        self.acting_order = acting_order
-        self.blocks = blocks  # frozenset of frozensets
-
-
-class UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+    orbits: tuple  # (representative, size, members_hash), by representative
+    total: int
+    acting_order: int
+    blocks: frozenset  # of frozensets
+    root: MappingProxyType  # point -> representative of its orbit
 
 
 def _budget(aspec: ActionSpec) -> None:
+    if aspec.kind not in ACTION_KINDS:
+        raise ValueError(f"unknown action kind {aspec.kind}")
     check_budget(aspec.mu.n <= 3 and aspec.q <= 4, f"{aspec.kind} orbit engine",
                  f"n={aspec.mu.n}, q={aspec.q}", "n <= 3, q <= 4")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One finite right action, as read by the orbit engine and the axioms check.
 
     `act(g)` returns the map x -> x.g, so work that depends on g alone (an
@@ -141,47 +117,46 @@ def _action(aspec: ActionSpec) -> Action:
 
 @lru_cache(maxsize=None)
 def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
-    """Exact orbit partition by union-find over the enumerated acting set.
+    """Exact orbit partition, one walk per orbit.
 
-    Cached by the frozen `aspec` value: a partition holds only tuples and
-    frozensets, so every caller may share it.
+    The points are taken in order; each one not yet reached starts a walk
+    that applies every generator once to every point it reaches, which for
+    a finite group is the whole orbit. Cached by the `aspec` value: a
+    partition holds only tuples, frozensets and a read-only map, so every
+    caller may share it.
     """
     _budget(aspec)
     action = _action(aspec)
-    points = action.points
     movers = [action.act(g) for g in action.gens]
-    uf = UnionFind(points)
-    for x in points:
-        for move in movers:
-            uf.union(x, move(x))
-    groups: dict = {}
-    for x in points:
-        groups.setdefault(uf.find(x), []).append(x)
+    root: dict = {}
     orbits = []
     blocks = []
-    for members in groups.values():
-        members.sort()
-        rep = members[0]
-        digest = hashlib.sha256(repr(members).encode()).hexdigest()[:16]
-        orbits.append((rep, len(members), digest))
-        blocks.append(frozenset(members))
+    for start in action.points:
+        if start in root:
+            continue
+        walk = [start]
+        block = {start}
+        for x in walk:
+            for move in movers:
+                y = move(x)
+                if y not in block:
+                    block.add(y)
+                    walk.append(y)
+        walk.sort()
+        rep = walk[0]
+        root.update(dict.fromkeys(walk, rep))
+        digest = hashlib.sha256(repr(walk).encode()).hexdigest()[:16]
+        orbits.append((rep, len(walk), digest))
+        blocks.append(frozenset(block))
     orbits.sort(key=lambda o: o[0])
-    total = len(points)
+    total = len(action.points)
+    # a walk that leaves the point set counts the points outside it too
     if sum(o[1] for o in orbits) != total:
         raise AssertionError("orbit sizes do not sum to the number of points")
     if any(action.order % o[1] for o in orbits):
         raise AssertionError("orbit size must divide group order")
-    return OrbitPartition(aspec, orbits, total, action.order, frozenset(blocks))
-
-
-def _root_of_class(part: OrbitPartition) -> dict:
-    """Each acted point mapped to the least member of its orbit."""
-    roots = {}
-    for blk in part.blocks:
-        rep = min(blk)
-        for member in blk:
-            roots[member] = rep
-    return roots
+    return OrbitPartition(tuple(orbits), total, action.order, frozenset(blocks),
+                          MappingProxyType(root))
 
 
 def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> bool:
@@ -229,8 +204,6 @@ def chain_compare(mu: Cocharacter, q: int, m: int) -> dict:
     transported = _tau_image(part_e, spec, m) == part_r
 
     # one full period of tau = sigma^m on F_q
-    from math import gcd
-
     period = spec.m // gcd(spec.m, m) if m else 1
     current = part_r
     for _ in range(period):
@@ -258,12 +231,11 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
 
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
     part_r = enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m))
-    root_of_class = _root_of_class(sigma_part)
 
     image_roots = []
     well_defined = True
     for blk in sorted(part_r.blocks, key=min):
-        roots = {root_of_class[canonical_flat(spec, mu, ident, g)] for g in blk}
+        roots = {sigma_part.root[canonical_flat(spec, mu, ident, g)] for g in blk}
         if len(roots) != 1:
             well_defined = False
         image_roots.append(min(roots))
@@ -318,7 +290,6 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     w0 = longest_element(n)
     w0j = longest_element(n, mu.type_J)
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
-    root_of_class = _root_of_class(sigma_part)
 
     one = LaurentElt.one(spec, prec)
     ident = flat_identity(n)
@@ -328,7 +299,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
         flat = [0] * (n * n)
         for j in range(1, n + 1):
             flat[(perm(j) - 1) * n + (j - 1)] = 1
-        roots.append(root_of_class[class_of(lifted_product(mu, flat, ident, one), mu)])
+        roots.append(sigma_part.root[class_of(lifted_product(mu, flat, ident, one), mu)])
     distinct = len(set(roots)) == len(roots)
     return {
         "mu": list(mu.weights),

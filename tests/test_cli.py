@@ -55,6 +55,18 @@ def test_unknown_suite_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_q_choices_and_witt_primes_follow_the_field_table(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "psi", "--q", "7", "--mu", "1,0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "[--q {2,3,4,5,8,9,25}]" in err
+    assert err.endswith("loopzip verify: error: argument --q: invalid choice: 7 "
+                        "(choose from 2, 3, 4, 5, 8, 9, 25)\n")
+    assert run_cli(["witt-selftest", "--q", "4"], capsys) == (
+        2, "", "configuration error: Witt selftest needs a prime --q\n")
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["verify", "--suite", "all", "--n", "2", "--q", "2", "--mu", "1,0",
             "--seed", "42", "--samples", "15"]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from loopzip.errors import BudgetExceeded, WrongCell
+from loopzip.errors import BudgetExceeded, InsufficientPrecision, WrongCell
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
     Cocharacter,
@@ -111,6 +111,26 @@ def test_closed_pair_matrix_matches_the_product(q, weights, ring, limit):
         got = outcome(pair_matrix, mu, g, h, one)
         assert got[0] == "InsufficientPrecision"
         assert got == outcome(oracle_pair_matrix, mu, g, h, one)
+
+
+@pytest.mark.parametrize("weights, ring, prec, message", [
+    ((2, 0), "laurent", 2, "window 2 cannot represent pi^2"),
+    ((2, 0), "witt", 2, "window 2 cannot represent pi^2"),
+    ((0, -3, -4), "witt", 3, "denominator p^3 leaves no precision at length 3"),
+])
+def test_pair_matrix_raises_what_mu_matrix_raises(weights, ring, prec, message):
+    # the weights are checked before any entry is built: at (0, -3, -4) this
+    # pair's first entry, 1 + p^-3 + p^-4, would fail on p^4 instead
+    mu = Cocharacter(weights)
+    one = ring_one(F2, ring, prec)
+    if mu.n == 2:
+        g, h = (1, 1, 0, 1), (1, 0, 0, 1)
+    else:
+        g, h = (1, 1, 1, 0, 1, 0, 0, 0, 1), (1, 0, 0, 1, 1, 0, 1, 0, 1)
+    for build in (lambda: pair_matrix(mu, g, h, one), lambda: mu_matrix(mu, one)):
+        with pytest.raises(InsufficientPrecision) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_pair_matrix_and_mixed_census_make_no_matrix_product(monkeypatch):

@@ -22,6 +22,15 @@ def test_supported_sizes():
         FieldSpec(7, 1)
 
 
+def test_a_reducible_modulus_is_refused(monkeypatch):
+    # the inverse tables certify the modulus: w + 1 squares to zero mod w^2 + 1
+    import loopzip.gf as gf
+
+    monkeypatch.setitem(gf._MODULI, (2, 2), (1, 0, 1))
+    with pytest.raises(AssertionError, match="no inverse for code 3"):
+        FieldSpec(2, 2)
+
+
 def test_spec_get_is_cached():
     assert FieldSpec.get(2, 2) is FieldSpec.get(2, 2)
     assert FieldSpec.for_q(4) is FieldSpec.get(2, 2)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from loopzip.errors import BudgetExceeded
@@ -11,6 +13,8 @@ from loopzip.orbits import (
     transport_check,
     weyl_reps_report,
 )
+
+from orbits_oracle import ORBIT_CASES, partition_mismatch
 
 MU = Cocharacter((1, 0))
 
@@ -27,8 +31,6 @@ def test_action_axioms_catch_a_missing_inverse(monkeypatch, kind):
     so.  At q = 3, mu = (1, 0) the map differs from the real action on 12 of
     the 36 zip elements.  At q = 2 it is the real action itself, not a broken
     one: every p_+ there is an involution, so p_+ = p_+^(-1)."""
-    import dataclasses
-
     import loopzip.orbits as orbits
     from loopzip.matring import flat_frobenius, flat_mul
 
@@ -41,7 +43,7 @@ def test_action_axioms_catch_a_missing_inverse(monkeypatch, kind):
             right = flat_frobenius(spec, pm, 1) if kind == "partial-frobenius" else pm
             return lambda g: flat_mul(spec, 2, flat_mul(spec, 2, pp, g), right)
 
-        return dataclasses.replace(real(aspec), act=act)
+        return real(aspec)._replace(act=act)
 
     aspec = ActionSpec(kind, MU, 3, 1)
     assert check_action_axioms(aspec)
@@ -55,6 +57,39 @@ def test_orbit_partition_invariants():
     assert sum(size for _, size, _ in part.orbits) == 6
     assert all(part.acting_order % size == 0 for _, size, _ in part.orbits)
     assert [size for _, size, _ in part.orbits] == [2, 4]
+
+
+@pytest.mark.parametrize("kind, q, weights, tau", random.Random(13).sample(ORBIT_CASES, 24),
+                         ids=lambda v: v if isinstance(v, str) else repr(v).replace(" ", ""))
+def test_orbit_walk_matches_union_find(kind, q, weights, tau):
+    # a seeded slice of the oracle's cases (tests/orbits_oracle.py runs them
+    # all); the cached partition cannot be mutated
+    aspec = ActionSpec(kind, Cocharacter(weights), q, tau)
+    assert not partition_mismatch(aspec)
+    part = enumerate_orbits(aspec)
+    assert type(part.orbits) is tuple and type(part.blocks) is frozenset
+    with pytest.raises(TypeError):
+        part.root[part.orbits[0][0]] = None
+
+
+def test_an_action_leaving_the_point_set_is_refused(monkeypatch):
+    import loopzip.orbits as orbits
+
+    real = orbits._action
+
+    # every point is sent to the zero matrix, which lies outside GL_2
+    def leaking_action(aspec):
+        return real(aspec)._replace(act=lambda pair: lambda g: (0,) * len(g))
+
+    monkeypatch.setattr(orbits, "_action", leaking_action)
+    with pytest.raises(AssertionError, match="do not sum"):
+        enumerate_orbits.__wrapped__(ActionSpec("zip-normal", MU, 2))
+
+
+def test_unknown_action_kind_is_refused_before_the_budget():
+    for engine in (enumerate_orbits, check_action_axioms):
+        with pytest.raises(ValueError, match="unknown action kind class-census"):
+            engine(ActionSpec("class-census", MU, 5))
 
 
 def test_trivial_weights_action_is_conjugation():

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +98,20 @@ def test_every_src_def_is_referenced():
                 read.add(node.attr)
     assert len(defined) >= 100
     assert sorted(f"{where}: {name}" for name, where in defined.items() if name not in read) == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command pays for the modules `import loopzip.cli` adds to a bare
+    # interpreter at start-up; dataclasses alone pulls in inspect, dis, ast
+    # and tokenize
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+    def loaded(statement):
+        code = f"{statement}; import sys; print(*sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        return set(out.split())
+
+    added = loaded("import loopzip.cli") - loaded("pass")
+    assert "loopzip.cli" in added
+    assert sorted(added & {"dataclasses", "inspect"}) == []
