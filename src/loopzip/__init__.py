@@ -19,7 +19,7 @@ from .gf import FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
 from .series import LaurentElt
-from .witt import WittCtx, WittElt, WittFraction
+from .witt import WittCtx, WittFraction
 
 __all__ = [
     "BudgetExceeded",
@@ -37,7 +37,6 @@ __all__ = [
     "NotMinimalRep",
     "SpecMismatch",
     "WittCtx",
-    "WittElt",
     "WittFraction",
     "WrongCell",
     "snf_dvr",

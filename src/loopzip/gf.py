@@ -27,6 +27,13 @@ SIZES = tuple(sorted(p**m for p, m in _MODULI))
 PRIMES = tuple(sorted(p for p, m in _MODULI if m == 1))
 
 
+def json_int(value, what: str) -> int:
+    """A JSON integer; bool and float values are rejected, not rounded."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def poly_mul_reduce(a, b, modulus, n: int) -> list[int]:
     """a * b modulo the monic `modulus` and the integer n.
 

@@ -24,18 +24,11 @@ inverts and tests invertibility; JSON writes each code as its coefficient vector
 from __future__ import annotations
 
 from .errors import InsufficientPrecision, NotInvertible, SpecMismatch
-from .gf import FieldSpec
+from .gf import FieldSpec, json_int
 from .series import LaurentElt
 from .witt import WittCtx, WittFraction
 
 _INF = 10**9
-
-
-def _int(value, what: str) -> int:
-    """A JSON integer; bool and float values are rejected, not rounded."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
 
 
 class Mat:
@@ -138,10 +131,9 @@ class Mat:
 
     def to_json(self) -> dict:
         x = self.rows[0][0]
-        if isinstance(x, LaurentElt):
-            ring = {"tag": "laurent", "p": x.spec.p, "m": x.spec.m}
-        else:
-            ring = {"tag": "wittfrac", "p": x.ctx.p, "m": x.ctx.spec.m, "N": x.ctx.length}
+        ring = {"tag": "laurent", "p": x.spec.p, "m": x.spec.m}
+        if isinstance(x, WittFraction):
+            ring.update(tag="wittfrac", N=x.ctx.length)
         entries = [[y.to_json() for y in r] for r in self.rows]
         return {"n": self.n, "ring": ring, "entries": entries}
 
@@ -151,12 +143,14 @@ class Mat:
         try:
             ring, n, entries = data["ring"], data["n"], data["entries"]
             tag = ring["tag"]
-            spec = FieldSpec.get(_int(ring["p"], "p"), _int(ring.get("m", 1), "m"))
-            wctx = WittCtx.get(spec, _int(ring["N"], "N")) if tag == "wittfrac" else None
+            spec = FieldSpec.get(json_int(ring["p"], "p"), json_int(ring.get("m", 1), "m"))
+            # what the cell parser reads: the field, or the Witt ring over it
+            base = WittCtx.get(spec, json_int(ring["N"], "N")) if tag == "wittfrac" else spec
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed matrix header: {exc!r}") from exc
         if tag not in ("laurent", "wittfrac"):
             raise ValueError(f"unknown ring tag {tag!r}")
+        parse = LaurentElt.from_json if tag == "laurent" else WittFraction.from_json
         if type(n) is not int or n < 1:
             raise ValueError(f"declared n={n!r} is not a positive integer")
         if not isinstance(entries, list) or len(entries) != n:
@@ -168,16 +162,7 @@ class Mat:
             out = []
             for j, cell in enumerate(row):
                 try:
-                    if tag == "laurent":
-                        out.append(LaurentElt.from_json(spec, cell))
-                    else:
-                        coords = cell["coords"]
-                        for key, want in (("p", spec.p), ("N", wctx.length)):
-                            got = _int(cell.get(key, want), key)
-                            if got != want:
-                                raise ValueError(f"cell {key}={got} but the header has {want}")
-                        num = wctx.from_coord_codes([spec.from_coeffs(c) for c in coords])
-                        out.append(WittFraction(wctx, _int(cell.get("e", 0), "e"), num))
+                    out.append(parse(base, cell))
                 except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
                     raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc
             rows.append(out)

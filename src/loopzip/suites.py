@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import factorial, prod
 
 from .coset import (
     canonical_flat,
@@ -310,10 +311,10 @@ def suite_weyl(cfg: dict) -> list:
         word = reduced_word(w)
         lu = u.length()
         for combo in itertools.combinations(range(len(word)), lu):
-            prod = identity(n)
+            acc = identity(n)
             for idx in combo:
-                prod = prod * simple_reflection(n, word[idx])
-            if prod == u:
+                acc = acc * simple_reflection(n, word[idx])
+            if acc == u:
                 return True
         return False
 
@@ -330,20 +331,14 @@ def suite_weyl(cfg: dict) -> list:
     })
 
     reps = min_coset_reps(n, mu.type_J)
-    fact = 1
-    for _, s in mu.blocks:
-        for i in range(1, s + 1):
-            fact *= i
-    total = 1
-    for i in range(1, n + 1):
-        total *= i
+    expected = factorial(n) // prod(factorial(s) for _, s in mu.blocks)
     checks.append({
         "name": "coset-representative-count",
         "n": n,
         "J": sorted(mu.type_J),
         "count": len(reps),
-        "expected": total // fact,
-        "passed": len(reps) == total // fact,
+        "expected": expected,
+        "passed": len(reps) == expected,
     })
 
     poset = CosetPoset(n, mu.type_J)

@@ -2,14 +2,15 @@
 
 W_N(F_q) is computed as the Galois ring GR(p^N, m) = (Z/p^N)[w]/(f), with
 f the F_q modulus read as a monic integer polynomial (Serre, Local
-Fields, II.5-6).  An element is stored as its m coefficients mod p^N, so
-ring operations are integer arithmetic.  The Witt vector (a_0, ..., a_{N-1})
-is sum_i p^i [a_i^(1/p^i)], [b] being the Teichmuller lift; coordinates
-appear only at the edges, read back by peeling Teichmuller digits.
+Fields, II.5-6).  An element is the tuple of its m coefficients mod p^N,
+and the ring operations are `WittCtx` functions on such tuples.  The Witt
+vector (a_0, ..., a_{N-1}) is sum_i p^i [a_i^(1/p^i)], [b] being the
+Teichmuller lift; coordinates appear only at the edges, read back by
+peeling Teichmuller digits.
 
-A WittFraction stores p^(-e) * w for a WittElt w, together with the
-exponent `known` of the modulus it is provably correct to.  Stripping a
-detectable p-factor from the numerator rewrites the representative
+A WittFraction stores p^(-e) * num for a ring tuple num, together with
+the exponent `known` of the modulus it is provably correct to.  Stripping
+a detectable p-factor from the numerator rewrites the representative
 without ever raising `known`, so canonical forms stay honest.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
-from .gf import FieldSpec, poly_mul_reduce
+from .gf import FieldSpec, json_int, poly_mul_reduce
 
 
 class WittCtx:
@@ -75,151 +76,94 @@ class WittCtx:
                 acc[k] += self.p**i * t
         return tuple(c % self.mod for c in acc)
 
+    def valuation(self, v: tuple):
+        """p-adic valuation (index of the first nonzero coordinate), or None."""
+        if not any(v):
+            return None
+        p = self.p
+        j, pj = 0, p
+        while not any(x % pj for x in v):
+            j, pj = j + 1, pj * p
+        return j
+
+    def times_p(self, v: tuple, k: int) -> tuple:
+        """p^k * v."""
+        if not k:
+            return v
+        pk, mod = self.p**k, self.mod
+        return tuple(pk * x % mod for x in v)
+
+    def unshift(self, v: tuple, k: int) -> tuple:
+        """Inverse of times_p(., k) on elements whose first k coordinates vanish.
+
+        The top k coordinates of the quotient are not determined by v; by
+        convention their Teichmuller digits are zero, which changes the
+        value only by a multiple of p^(N-k).
+        """
+        if not k:
+            return v
+        digits = self._digits(v)
+        if any(digits[:k]):
+            raise NotIntegral(f"not divisible by p^{k}")
+        return self._from_digits(digits[k:])
+
+    def unit_inverse(self, v: tuple) -> tuple:
+        """Newton lift x -> 2x - v x^2 of the residue inverse."""
+        if self.valuation(v) != 0:
+            raise NotAUnit("Witt vector with zero first coordinate")
+        spec = self.spec
+        x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(v)]))
+        prec = 1
+        while prec < self.length:
+            vxx = self._mul(self._mul(v, x), x)
+            x = tuple((2 * y - z) % self.mod for y, z in zip(x, vxx))
+            prec *= 2
+        return x
+
+    def coords(self, v: tuple) -> tuple:
+        """Codes of the Witt coordinates a_i = b_i^(p^i), b_i the Teichmuller digits."""
+        spec = self.spec
+        return tuple(spec.frob_code(b, i) for i, b in enumerate(self._digits(v)))
+
     # element constructors
 
-    def teichmuller_sum(self, terms) -> "WittElt":
+    def teichmuller_sum(self, terms) -> tuple:
         """sum of p^s [c] over the (s, c) in terms, s >= 0 and c a field code."""
         p, mod = self.p, self.mod
         acc = [0] * self.spec.m
         for s, c in terms:
             ps = p**s
             acc = [(x + ps * t) % mod for x, t in zip(acc, self._teich[c])]
-        return WittElt(self, tuple(acc))
+        return tuple(acc)
 
-    def from_coord_codes(self, codes) -> "WittElt":
+    def from_coord_codes(self, codes) -> tuple:
         """The Witt vector whose coordinates have the given field codes."""
         codes = self.spec.checked_codes(codes)
         if len(codes) != self.length:
             raise ValueError(f"need {self.length} coordinates")
-        return WittElt(self, self._from_digits(
-            [self.spec.frob_code(c, -i) for i, c in enumerate(codes)]
-        ))
+        return self._from_digits([self.spec.frob_code(c, -i) for i, c in enumerate(codes)])
 
-    def zero(self) -> "WittElt":
-        return self.from_int(0)
-
-    def one(self) -> "WittElt":
-        return self.from_int(1)
-
-    def from_int(self, n: int) -> "WittElt":
+    def from_int(self, n: int) -> tuple:
         """Image of the integer n: n mod p^N in the constant coefficient."""
-        return WittElt(self, (n % self.mod,) + (0,) * (self.spec.m - 1))
+        return (n % self.mod,) + (0,) * (self.spec.m - 1)
 
 
-class WittElt:
-    """Element of W_N(F_q), stored by its Galois-ring coefficient tuple v."""
-
-    __slots__ = ("ctx", "v")
-
-    def __init__(self, ctx: WittCtx, v: tuple):
-        self.ctx = ctx
-        self.v = v
-
-    def _coerce(self, other: "WittElt") -> None:
-        if other.ctx is not self.ctx:
-            raise SpecMismatch("mixed Witt contexts")
-
-    def __add__(self, other: "WittElt") -> "WittElt":
-        self._coerce(other)
-        mod = self.ctx.mod
-        return WittElt(self.ctx, tuple((x + y) % mod for x, y in zip(self.v, other.v)))
-
-    def __mul__(self, other: "WittElt") -> "WittElt":
-        self._coerce(other)
-        return WittElt(self.ctx, self.ctx._mul(self.v, other.v))
-
-    def __neg__(self) -> "WittElt":
-        mod = self.ctx.mod
-        return WittElt(self.ctx, tuple(-x % mod for x in self.v))
-
-    def __sub__(self, other: "WittElt") -> "WittElt":
-        return self + (-other)
-
-    def is_unit(self) -> bool:
-        """Units are the elements with nonzero first coordinate (residue)."""
-        p = self.ctx.p
-        return any(x % p for x in self.v)
-
-    def inverse(self) -> "WittElt":
-        """Newton lift x -> 2x - a x^2 of the residue inverse."""
-        if not self.is_unit():
-            raise NotAUnit("Witt vector with zero first coordinate")
-        ctx = self.ctx
-        spec = ctx.spec
-        x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(self.v)]))
-        prec = 1
-        while prec < ctx.length:
-            axx = ctx._mul(ctx._mul(self.v, x), x)
-            x = tuple((2 * y - z) % ctx.mod for y, z in zip(x, axx))
-            prec *= 2
-        return WittElt(ctx, x)
-
-    def times_p(self) -> "WittElt":
-        ctx = self.ctx
-        return WittElt(ctx, tuple(ctx.p * x % ctx.mod for x in self.v))
-
-    def unshift_p(self) -> "WittElt":
-        """Inverse of times_p on elements with zero first coordinate.
-
-        The top coordinate of the quotient is not determined by self; by
-        convention it is set to zero, which changes the value only by a
-        multiple of p^(N-1).
-        """
-        if self.is_unit():
-            raise NotIntegral("not divisible by p")
-        ctx = self.ctx
-        digits = ctx._digits(self.v)
-        return WittElt(ctx, ctx._from_digits(digits[1:] + [0]))
-
-    def valuation(self):
-        """p-adic valuation (index of the first nonzero coordinate), or None."""
-        if not any(self.v):
-            return None
-        p = self.ctx.p
-        j, pj = 0, p
-        while not any(x % pj for x in self.v):
-            j, pj = j + 1, pj * p
-        return j
-
-    def congruent_mod(self, other: "WittElt", j: int) -> bool:
-        """Agreement modulo p^j: the first j coordinates coincide."""
-        self._coerce(other)
-        pj = self.ctx.p ** min(j, self.ctx.length)
-        return not any((x - y) % pj for x, y in zip(self.v, other.v))
-
-    @property
-    def coords(self) -> tuple:
-        """Codes of the Witt coordinates a_i = b_i^(p^i), b_i the Teichmuller digits."""
-        spec = self.ctx.spec
-        return tuple(spec.frob_code(b, i) for i, b in enumerate(self.ctx._digits(self.v)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittElt)
-            and other.ctx is self.ctx
-            and other.v == self.v
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx),) + self.v)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.ctx.p,
-            "N": self.ctx.length,
-            "coords": [self.ctx.spec._code_to_vec(c) for c in self.coords],
-        }
-
-    def __repr__(self):
-        return "(" + ", ".join(self.ctx.spec.code_repr(c) for c in self.coords) + ")"
+def _cancel_p(ctx: WittCtx, e: int, num: tuple) -> tuple:
+    """(e - k, num / p^k) for k = min(e, valuation of num): p^(-e) num with
+    its detectable p-factors cancelled, all at once."""
+    if e:
+        j = ctx.valuation(num)
+        k = e if j is None else min(e, j)
+        e, num = e - k, ctx.unshift(num, k)
+    return e, num
 
 
 class WittFraction:
-    """p^(-e) * num for a WittElt num, provably correct modulo p^known."""
+    """p^(-e) * num for a Galois-ring tuple num, provably correct modulo p^known."""
 
     __slots__ = ("ctx", "e", "num", "known")
 
-    def __init__(self, ctx: WittCtx, e: int, num: WittElt, known: int | None = None):
+    def __init__(self, ctx: WittCtx, e: int, num: tuple, known: int | None = None):
         if e < 0:
             raise ValueError("denominator exponent must be non-negative")
         if e >= ctx.length:
@@ -238,11 +182,22 @@ class WittFraction:
 
     @staticmethod
     def zero(ctx: WittCtx) -> "WittFraction":
-        return WittFraction(ctx, 0, ctx.zero())
+        return WittFraction(ctx, 0, ctx.from_int(0))
 
     @staticmethod
     def one(ctx: WittCtx) -> "WittFraction":
-        return WittFraction(ctx, 0, ctx.one())
+        return WittFraction(ctx, 0, ctx.from_int(1))
+
+    @staticmethod
+    def from_json(ctx: WittCtx, cell: dict) -> "WittFraction":
+        """Parse a `to_json` cell; its p and N, where given, must be those of ctx."""
+        coords = cell["coords"]
+        for key, want in (("p", ctx.p), ("N", ctx.length)):
+            got = json_int(cell.get(key, want), key)
+            if got != want:
+                raise ValueError(f"cell {key}={got} but the header has {want}")
+        num = ctx.from_coord_codes([ctx.spec.from_coeffs(c) for c in coords])
+        return WittFraction(ctx, json_int(cell.get("e", 0), "e"), num)
 
     # a Witt constant is exact to the full length, whatever window is asked
     def zero_at(self, prec: int) -> "WittFraction":
@@ -272,7 +227,7 @@ class WittFraction:
         Numerator digits at or beyond the known window are representative
         junk, so a leading coordinate there proves nothing.
         """
-        j = self.num.valuation()
+        j = self.ctx.valuation(self.num)
         if j is None or j - self.e >= self.known:
             return None
         return j - self.e
@@ -283,10 +238,7 @@ class WittFraction:
         `known` never increases, so the congruence class the fraction
         promises is preserved.
         """
-        e, num = self.e, self.num
-        while e > 0 and not num.is_unit():
-            e -= 1
-            num = num.unshift_p()
+        e, num = _cancel_p(self.ctx, self.e, self.num)
         if e == self.e:
             return self
         return WittFraction(self.ctx, e, num, self.known)
@@ -301,19 +253,23 @@ class WittFraction:
         if other.ctx is not self.ctx:
             raise SpecMismatch("mixed Witt contexts")
 
+    def _aligned(self, other: "WittFraction") -> tuple:
+        """The common exponent e and both numerators over p^(-e)."""
+        e = max(self.e, other.e)
+        times_p = self.ctx.times_p
+        return e, times_p(self.num, e - self.e), times_p(other.num, e - other.e)
+
     def __add__(self, other: "WittFraction") -> "WittFraction":
         self._coerce(other)
-        e = max(self.e, other.e)
-        a, b = self.num, other.num
-        for _ in range(e - self.e):
-            a = a.times_p()
-        for _ in range(e - other.e):
-            b = b.times_p()
+        e, a, b = self._aligned(other)
+        mod = self.ctx.mod
+        num = tuple((x + y) % mod for x, y in zip(a, b))
         known = min(self.known, other.known)
-        return WittFraction(self.ctx, e, a + b, known).stripped()
+        return WittFraction(self.ctx, e, num, known).stripped()
 
     def __neg__(self) -> "WittFraction":
-        return WittFraction(self.ctx, self.e, -self.num, self.known)
+        mod = self.ctx.mod
+        return WittFraction(self.ctx, self.e, tuple(-x % mod for x in self.num), self.known)
 
     def __sub__(self, other: "WittFraction") -> "WittFraction":
         return self + (-other)
@@ -327,13 +283,9 @@ class WittFraction:
         known = min(self.known + v2b, other.known + v1b)
         if known <= 0:
             raise InsufficientPrecision("product has no provable digits")
-        e = self.e + other.e
-        num = self.num * other.num
         # the raw exponent may exceed the length cap; p-factors contributed
         # by positive-valuation operands can be stripped to repair it
-        while e > 0 and not num.is_unit():
-            num = num.unshift_p()
-            e -= 1
+        e, num = _cancel_p(self.ctx, self.e + other.e, self.ctx._mul(self.num, other.num))
         if e >= self.ctx.length:
             raise InsufficientPrecision("denominator exceeds Witt length")
         return WittFraction(self.ctx, e, num, known)
@@ -343,12 +295,8 @@ class WittFraction:
         if k == 0:
             return self
         e = self.e - k
-        num = self.num
-        known = self.known + k
-        while e < 0:
-            num = num.times_p()
-            e += 1
-        return WittFraction(self.ctx, e, num, known)
+        num = self.ctx.times_p(self.num, max(0, -e))
+        return WittFraction(self.ctx, max(0, e), num, self.known + k)
 
     def inverse(self) -> "WittFraction":
         """Invert; requires a unit numerator after p-factor stripping."""
@@ -356,21 +304,18 @@ class WittFraction:
         val = s.valuation()
         if val is None:
             raise NotAUnit("not provably a unit within precision")
+        ctx = self.ctx
         if val <= 0:
             # value = p^(-e) * unit: the inverse is integral
-            inv = s.num.inverse()
-            for _ in range(s.e):
-                inv = inv.times_p()
-            return WittFraction(self.ctx, 0, inv, s.known + 2 * s.e)
+            inv = ctx.times_p(ctx.unit_inverse(s.num), s.e)
+            return WittFraction(ctx, 0, inv, s.known + 2 * s.e)
         # after stripping, e > 0 forces a unit leading coordinate, so here
         # e = 0 and the value is p^val * unit
-        unit = s.num
-        for _ in range(val):
-            unit = unit.unshift_p()
+        unit = ctx.unshift(s.num, val)
         known = s.known - 2 * val
         if known <= 0:
             raise InsufficientPrecision("inverse has no provable digits")
-        return WittFraction(self.ctx, val, unit.inverse(), known)
+        return WittFraction(ctx, val, ctx.unit_inverse(unit), known)
 
     # -- projections ------------------------------------------------------------
 
@@ -381,7 +326,7 @@ class WittFraction:
         s = self.stripped()
         if s.e > 0:
             raise NotIntegral(f"denominator p^{s.e} remains")
-        return self.ctx.spec._vec_to_code(s.num.v)
+        return self.ctx.spec._vec_to_code(s.num)
 
     # -- comparisons ----------------------------------------------------------------
 
@@ -390,13 +335,9 @@ class WittFraction:
         self._coerce(other)
         if j > self.known or j > other.known:
             raise InsufficientPrecision(f"cannot compare mod p^{j}")
-        e = max(self.e, other.e)
-        a, b = self.num, other.num
-        for _ in range(e - self.e):
-            a = a.times_p()
-        for _ in range(e - other.e):
-            b = b.times_p()
-        return a.congruent_mod(b, min(j + e, self.ctx.length))
+        e, a, b = self._aligned(other)
+        pj = self.ctx.p ** min(j + e, self.ctx.length)
+        return not any((x - y) % pj for x, y in zip(a, b))
 
     def __eq__(self, other):
         """Congruence at the shared provable precision."""
@@ -412,14 +353,16 @@ class WittFraction:
         return {
             "p": self.ctx.p,
             "N": self.ctx.length,
-            "coords": [self.ctx.spec._code_to_vec(c) for c in s.num.coords],
+            "coords": [self.ctx.spec._code_to_vec(c) for c in self.ctx.coords(s.num)],
             "e": s.e,
         }
 
     def __repr__(self):
+        spec = self.ctx.spec
+        body = "(" + ", ".join(spec.code_repr(c) for c in self.ctx.coords(self.num)) + ")"
         if self.e == 0:
-            return f"{self.num!r} + O(p^{self.known})"
-        return f"p^-{self.e}*{self.num!r} + O(p^{self.known})"
+            return f"{body} + O(p^{self.known})"
+        return f"p^-{self.e}*{body} + O(p^{self.known})"
 
 
 # -- integer correspondence for W_N(F_p) ---------------------------------------
@@ -448,19 +391,20 @@ def int_to_coords(n: int, p: int, length: int) -> tuple:
 
 
 def ghost_selftest(p: int, length: int, samples: int, seed: int = 0) -> dict:
-    """Compare Witt arithmetic on W_N(F_p) against plain integers mod p^N."""
+    """Compare Witt-fraction arithmetic on W_N(F_p) against plain integers mod p^N."""
     import random
 
     spec = FieldSpec.get(p, 1)
     ctx = WittCtx.get(spec, length)
+    one = WittFraction.one(ctx)
     rng = random.Random(seed)
     mod = p**length
     passed = 0
     for _ in range(samples):
         x, y = rng.randrange(mod), rng.randrange(mod)
-        wx = ctx.from_coord_codes(int_to_coords(x, p, length))
-        wy = ctx.from_coord_codes(int_to_coords(y, p, length))
-        ok_sum = (wx + wy).coords == int_to_coords((x + y) % mod, p, length)
-        ok_prod = (wx * wy).coords == int_to_coords((x * y) % mod, p, length)
+        wx = one.from_codes(int_to_coords(x, p, length))
+        wy = one.from_codes(int_to_coords(y, p, length))
+        ok_sum = ctx.coords((wx + wy).num) == int_to_coords((x + y) % mod, p, length)
+        ok_prod = ctx.coords((wx * wy).num) == int_to_coords((x * y) % mod, p, length)
         passed += ok_sum and ok_prod
     return {"p": p, "N": length, "samples": samples, "passed_samples": passed}

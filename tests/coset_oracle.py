@@ -85,7 +85,7 @@ def entry_form(x) -> tuple:
     and numerator coordinates (e, known, coords) of a Witt fraction."""
     if isinstance(x, LaurentElt):
         return x.v, x.prec, x.codes
-    return x.e, x.known, x.num.coords
+    return x.e, x.known, x.ctx.coords(x.num)
 
 
 def outcome(build, *args):

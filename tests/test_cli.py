@@ -238,7 +238,7 @@ def _witt_json(p, m, length, cells):
 
 # Inputs with p-factors in their denominators, and the decomposition the
 # structure-polynomial implementation printed for them; the top
-# coordinates zeroed by unshift_p are part of the pinned bytes.
+# coordinates that WittCtx.unshift sets to zero are part of the pinned bytes.
 _WITT_CARTAN_CASES = {
     "F4-N3": (
         (2, 2, 3),
@@ -265,17 +265,18 @@ _WITT_CARTAN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_WITT_CARTAN_CASES))
 def test_cartan_witt_bytes_pinned(capsys, monkeypatch, case):
-    from loopzip.witt import WittElt
+    from loopzip.witt import WittCtx
 
     ring, cells, a, d, b = _WITT_CARTAN_CASES[case]
     unshifts = []
-    unshift_p = WittElt.unshift_p
+    unshift = WittCtx.unshift
 
-    def counted(self):
-        unshifts.append(1)
-        return unshift_p(self)
+    def counted(self, v, k):
+        if k:
+            unshifts.append(k)
+        return unshift(self, v, k)
 
-    monkeypatch.setattr(WittElt, "unshift_p", counted)
+    monkeypatch.setattr(WittCtx, "unshift", counted)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_witt_json(*ring, cells))))
     code, out, _ = run_cli(["cartan"], capsys)
     assert code == 0

@@ -75,8 +75,8 @@ def test_mu_matrix_witt():
     wctx = WittCtx.get(F2, 3)
     m = mu_matrix(Cocharacter((1, 0)), WittFraction.one(wctx))
     # the (1,1) entry is the image of 2, whose coordinates are (0,1,0)
-    assert m.rows[0][0].num.coords == (0, 1, 0)
-    assert m.rows[1][1].num.coords[0] == 1
+    assert wctx.coords(m.rows[0][0].num) == (0, 1, 0)
+    assert wctx.coords(m.rows[1][1].num)[0] == 1
 
 
 def test_conj_by_mu_blocks():

@@ -165,6 +165,25 @@ def test_weyl_reps_gl3():
     assert rep["pairwise_distinct"] and rep["orbit_count"] >= 3
 
 
+def test_weyl_reps_fail_when_orbits_are_fewer_than_representatives(monkeypatch):
+    # a sigma-conj partition with fewer orbits than representatives, its
+    # representative map intact, fails the count check and the report
+    import loopzip.orbits as orbits
+
+    enumerate_real = orbits.enumerate_orbits
+
+    def fewer_orbits(aspec):
+        part = enumerate_real(aspec)
+        return part._replace(orbits=part.orbits[:1])
+
+    monkeypatch.setattr(orbits, "enumerate_orbits", fewer_orbits)
+    rep = weyl_reps_report(MU, 2)
+    assert rep["rep_count"] == 2 and rep["orbit_count"] == 1
+    assert rep["pairwise_distinct"]
+    assert rep["count_at_least_reps"] is False
+    assert rep["passed"] is False
+
+
 def test_weyl_reps_trivial_mu():
     rep = weyl_reps_report(Cocharacter((0, 0)), 2)
     assert rep["rep_count"] == 1 and rep["passed"]

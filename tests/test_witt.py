@@ -47,6 +47,11 @@ def oracle_coords_to_int(coords, p):
     return sum(p**i * teich(a, p, mod) for i, a in enumerate(coords)) % mod
 
 
+def coords(x):
+    """Witt coordinates of the numerator of the WittFraction x."""
+    return x.ctx.coords(x.num)
+
+
 # -- structure polynomials --------------------------------------------------------
 
 
@@ -127,41 +132,58 @@ def test_galois_ring_matches_structure_polys(q, length):
     ctx = WittCtx.get(spec, length)
     ref = PolyWitt(spec, length)
     rng = random.Random(100 * q + length)
-
-    def elt(codes):
-        return ctx.from_coord_codes(codes)
-
-    def codes(w):
-        return w.coords
+    one = WittFraction.one(ctx)
 
     for _ in range(300):
         a = tuple(rng.randrange(q) for _ in range(length))
         b = tuple(rng.randrange(q) for _ in range(length))
-        wa, wb = elt(a), elt(b)
-        assert codes(wa) == a
-        assert wa.is_unit() == (a[0] != 0)
-        assert wa.valuation() == next((i for i, c in enumerate(a) if c), None)
+        wa, wb = one.from_codes(a), one.from_codes(b)
+        va = wa.num
+        assert ctx.coords(va) == a
+        assert (ctx.valuation(va) == 0) == (a[0] != 0)
+        assert ctx.valuation(va) == next((i for i, c in enumerate(a) if c), None)
         assert all(
             wa.congruent_mod(wb, j) == (a[:j] == b[:j]) for j in range(length + 1)
         )
-        assert codes(wa + wb) == ref.add(a, b)
-        assert codes(wa * wb) == ref.mul(a, b)
-        assert codes(-wa) == ref.neg(a)
-        assert codes(wa.times_p()) == ref.times_p(a)
-        assert codes(wa.times_p().unshift_p()) == ref.unshift_p(ref.times_p(a))
+        assert coords(wa + wb) == ref.add(a, b)
+        assert coords(wa * wb) == ref.mul(a, b)
+        assert coords(-wa) == ref.neg(a)
+        assert ctx.coords(ctx.times_p(va, 1)) == ref.times_p(a)
+        assert ctx.coords(ctx.unshift(ctx.times_p(va, 1), 1)) == ref.unshift_p(ref.times_p(a))
         if a[0]:
-            assert codes(wa.inverse()) == ref.inverse(a)
+            assert ctx.coords(ctx.unit_inverse(va)) == ref.inverse(a)
         else:
             with pytest.raises(NotAUnit):
-                wa.inverse()
-            assert codes(wa.unshift_p()) == ref.unshift_p(a)
+                ctx.unit_inverse(va)
+            assert ctx.coords(ctx.unshift(va, 1)) == ref.unshift_p(a)
     acc = (0,) * length
     for n in range(spec.p**length + 1):
-        assert codes(ctx.from_int(n)) == acc
-        assert codes(ctx.from_int(-n)) == ref.neg(acc)
+        assert ctx.coords(ctx.from_int(n)) == acc
+        assert ctx.coords(ctx.from_int(-n)) == ref.neg(acc)
         acc = ref.add(acc, ref.one())
     for k in range(length + 1):
-        assert codes(ctx.from_int(spec.p**k)) == ref.p_elt(k)
+        assert ctx.coords(ctx.from_int(spec.p**k)) == ref.p_elt(k)
+
+
+@pytest.mark.parametrize("q,length", ORACLE_CONFIGS)
+def test_multi_digit_shifts_match_structure_polys(q, length):
+    # times_p(v, k) and unshift(v, k) are k single shifts of the oracle at once
+    spec = FieldSpec.for_q(q)
+    ctx = WittCtx.get(spec, length)
+    ref = PolyWitt(spec, length)
+    rng = random.Random(1000 * q + length)
+    for k in range(length):
+        for _ in range(50):
+            a = tuple(rng.randrange(q) for _ in range(length))
+            divisible = (0,) * k + a[k:]
+            times, quotient = a, divisible
+            for _ in range(k):
+                times, quotient = ref.times_p(times), ref.unshift_p(quotient)
+            assert ctx.coords(ctx.times_p(ctx.from_coord_codes(a), k)) == times
+            assert ctx.coords(ctx.unshift(ctx.from_coord_codes(divisible), k)) == quotient
+            if any(a[:k]):
+                with pytest.raises(NotIntegral):
+                    ctx.unshift(ctx.from_coord_codes(a), k)
 
 
 def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys, request):
@@ -189,14 +211,15 @@ def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys, requ
 def test_prime_field_arith_exhaustive(p, length):
     spec = FieldSpec.get(p, 1)
     ctx = WittCtx.get(spec, length)
+    one = WittFraction.one(ctx)
     mod = p**length
     for x in range(mod):
         for y in range(mod):
-            wx = ctx.from_coord_codes(oracle_int_to_coords(x, p, length))
-            wy = ctx.from_coord_codes(oracle_int_to_coords(y, p, length))
-            assert (wx + wy).coords == oracle_int_to_coords((x + y) % mod, p, length)
-            assert (wx * wy).coords == oracle_int_to_coords((x * y) % mod, p, length)
-            assert (-wx).coords == oracle_int_to_coords(-x % mod, p, length)
+            wx = one.from_codes(oracle_int_to_coords(x, p, length))
+            wy = one.from_codes(oracle_int_to_coords(y, p, length))
+            assert coords(wx + wy) == oracle_int_to_coords((x + y) % mod, p, length)
+            assert coords(wx * wy) == oracle_int_to_coords((x * y) % mod, p, length)
+            assert coords(-wx) == oracle_int_to_coords(-x % mod, p, length)
 
 
 def test_ghost_selftest_500():
@@ -216,13 +239,13 @@ def test_oracle_is_bijective():
 
 def test_two_in_w2_f2():
     ctx = WittCtx.get(F2, 2)
-    one = ctx.one()
-    assert (one + one).coords == (0, 1)
+    one = WittFraction.one(ctx)
+    assert coords(one + one) == (0, 1)
 
 
 def teichmuller(ctx, code):
     """[a] for the element a with field code `code`: coordinates (a, 0, ..., 0)."""
-    return ctx.from_coord_codes((code,) + (0,) * (ctx.length - 1))
+    return WittFraction.one(ctx).from_codes((code,) + (0,) * (ctx.length - 1))
 
 
 def test_teichmuller_multiplicative():
@@ -237,17 +260,17 @@ def test_additive_identity():
     ctx = WittCtx.get(F3, 3)
     rng = random.Random(1)
     for _ in range(20):
-        w = ctx.from_coord_codes([rng.randrange(3) for _ in range(3)])
-        assert w + ctx.zero() == w
-        assert w - w == ctx.zero()
+        w = WittFraction(ctx, 0, ctx.from_coord_codes([rng.randrange(3) for _ in range(3)]))
+        assert w + WittFraction.zero(ctx) == w
+        assert w - w == WittFraction.zero(ctx)
 
 
 def test_w1_is_the_field():
     ctx = WittCtx.get(F4, 1)
     for a in range(F4.q):
         for b in range(F4.q):
-            assert (teichmuller(ctx, a) + teichmuller(ctx, b)).coords == (F4.add_table[a][b],)
-            assert (teichmuller(ctx, a) * teichmuller(ctx, b)).coords == (F4.mul_table[a][b],)
+            assert coords(teichmuller(ctx, a) + teichmuller(ctx, b)) == (F4.add_table[a][b],)
+            assert coords(teichmuller(ctx, a) * teichmuller(ctx, b)) == (F4.mul_table[a][b],)
 
 
 def test_inverse():
@@ -255,27 +278,28 @@ def test_inverse():
     rng = random.Random(4)
     for _ in range(30):
         coords = [rng.randrange(1, 3)] + [rng.randrange(3) for _ in range(3)]
-        w = ctx.from_coord_codes(coords)
-        assert w * w.inverse() == ctx.one()
+        v = ctx.from_coord_codes(coords)
+        inv = WittFraction(ctx, 0, ctx.unit_inverse(v))
+        assert WittFraction(ctx, 0, v) * inv == WittFraction.one(ctx)
     with pytest.raises(NotAUnit):
-        ctx.from_coord_codes([0] * 4).inverse()
+        ctx.unit_inverse(ctx.from_coord_codes([0] * 4))
 
 
 def test_times_p_matches_ring_multiplication():
     for spec, length in [(F2, 3), (F3, 3), (F4, 3)]:
         ctx = WittCtx.get(spec, length)
-        p_elt = ctx.from_int(spec.p)
+        p_elt = WittFraction(ctx, 0, ctx.from_int(spec.p))
         rng = random.Random(6)
         for _ in range(25):
-            w = ctx.from_coord_codes([rng.randrange(spec.q) for _ in range(length)])
-            assert w.times_p() == p_elt * w
+            v = ctx.from_coord_codes([rng.randrange(spec.q) for _ in range(length)])
+            assert WittFraction(ctx, 0, ctx.times_p(v, 1)) == p_elt * WittFraction(ctx, 0, v)
         assert p_elt.valuation() == 1
 
 
 def test_int_embedding_matches_oracle():
     ctx = WittCtx.get(F2, 4)
     for n in range(16):
-        assert ctx.from_int(n).coords == oracle_int_to_coords(n, 2, 4)
+        assert ctx.coords(ctx.from_int(n)) == oracle_int_to_coords(n, 2, 4)
 
 
 # -- fractions ----------------------------------------------------------------------
@@ -289,7 +313,7 @@ def test_fraction_p_inverse_times_p():
     assert prod.known == 2
     assert prod == WittFraction.one(ctx)
     # the numerator of p is the image of 2, cross-checked by the oracle
-    assert p.num.coords == oracle_int_to_coords(2, 2, 3)
+    assert coords(p) == oracle_int_to_coords(2, 2, 3)
 
 
 def test_fraction_shift_is_exact_bookkeeping():
@@ -300,7 +324,7 @@ def test_fraction_shift_is_exact_bookkeeping():
     shifted = frac.shifted(2)  # times p^2: p w at full storable precision
     assert shifted.e == 0
     assert shifted.known == 3
-    assert shifted == WittFraction(ctx, 0, w.times_p())
+    assert shifted == WittFraction(ctx, 0, ctx.times_p(w, 1))
 
 
 def test_fraction_add_mul_inverse():
@@ -324,8 +348,8 @@ def test_fraction_add_mul_inverse():
 def test_fraction_precision_guards():
     ctx = WittCtx.get(F2, 3)
     with pytest.raises(InsufficientPrecision):
-        WittFraction(ctx, 3, ctx.one())
-    pinv2 = WittFraction(ctx, 2, ctx.one())
+        WittFraction(ctx, 3, ctx.from_int(1))
+    pinv2 = WittFraction(ctx, 2, ctx.from_int(1))
     with pytest.raises(InsufficientPrecision):
         pinv2 * pinv2
     with pytest.raises(NotAUnit):
@@ -348,7 +372,7 @@ def test_fraction_reduce_and_integrality():
     two = WittFraction(ctx, 1, ctx.from_int(4))  # 4/2 = 2
     assert two.is_integral()
     assert two.residue_code() == 0
-    half = WittFraction(ctx, 1, ctx.one())
+    half = WittFraction(ctx, 1, ctx.from_int(1))
     with pytest.raises(NotIntegral):
         half.residue_code()
 
@@ -359,10 +383,10 @@ def test_residue_code_is_the_first_coordinate(q):
     ctx = WittCtx.get(spec, 2)
     rng = random.Random(q)
     for _ in range(50):
-        coords = [rng.randrange(q) for _ in range(2)]
-        w = WittFraction(ctx, 0, ctx.from_coord_codes(coords))
-        assert w.residue_code() == coords[0]
-        assert w.residue_code() == teichmuller(ctx, coords[0]).coords[0]
+        codes = [rng.randrange(q) for _ in range(2)]
+        w = WittFraction(ctx, 0, ctx.from_coord_codes(codes))
+        assert w.residue_code() == codes[0]
+        assert w.residue_code() == coords(teichmuller(ctx, codes[0]))[0]
 
 
 def test_fraction_json():

@@ -246,7 +246,7 @@ def p_power(ctx, d: int):
         if d >= ctx.length:
             raise InsufficientPrecision(f"p^{d} vanishes at length {ctx.length}")
         return WittFraction(ctx, 0, ctx.from_int(ctx.p**d))
-    return WittFraction(ctx, -d, ctx.one())
+    return WittFraction(ctx, -d, ctx.from_int(1))
 
 
 def _pow_code(spec, a: int, k: int) -> int:
