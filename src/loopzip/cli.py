@@ -18,18 +18,15 @@ import io
 import json
 import sys
 
-from .coset import class_census
+from .coset import MIXED_CENSUS_NEEDS, class_census, mixed_census_applies
 from .errors import BudgetExceeded, InsufficientPrecision, LoopZipError, NotInvertible
 from .gf import PRIMES, SIZES, FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
 from .orbits import ACTION_KINDS, ActionSpec, enumerate_orbits
-from .suites import SUITES, run_suites, witt_census_applies
+from .suites import SUITES, run_suites
 from .weyl import CosetPoset
 from .witt import ghost_selftest
-
-_WITT_CENSUS_NEEDS = ("the mixed census of suite witt needs p in {2, 3}, n <= 2 "
-                      "and weights with |d_i| <= 1")
 
 
 def _parse_mu(text: str) -> Cocharacter:
@@ -116,9 +113,9 @@ def cmd_verify(args) -> int:
     _check_n(args, mu)
     if args.prec <= max(mu.weights):
         raise ValueError(f"--prec {args.prec} cannot represent t^{max(mu.weights)}")
-    witt_census = witt_census_applies(FieldSpec.for_q(args.q), mu)
+    witt_census = mixed_census_applies(FieldSpec.for_q(args.q), mu)
     if args.suite == "witt" and not witt_census:
-        raise ValueError(_WITT_CENSUS_NEEDS)
+        raise ValueError(MIXED_CENSUS_NEEDS)
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     cfg = {
         "n": mu.n,
@@ -131,7 +128,7 @@ def cmd_verify(args) -> int:
     }
     report = run_suites(names, cfg)
     if args.suite == "all" and not witt_census:
-        sys.stderr.write(f"note: suite witt ran without its mixed census: {_WITT_CENSUS_NEEDS}\n")
+        sys.stderr.write(f"note: suite witt ran without its mixed census: {MIXED_CENSUS_NEEDS}\n")
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

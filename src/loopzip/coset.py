@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import InsufficientPrecision, WrongCell, check_budget
 from .gf import FieldSpec
 from .grpdata import (
-    PAIR_CAP,
+    CLASS_CAP,
     Cocharacter,
     check_mu_window,
     conj_by_mu,
@@ -181,37 +181,45 @@ def _witt_entry(one: WittFraction, d, codes, known: int) -> WittFraction:
     return WittFraction(one.ctx, e, num, known).stripped()
 
 
-def class_of(x: Mat, mu: Cocharacter) -> tuple:
-    """Canonical pair of a Laurent matrix lying in the cell of mu.
+MIXED_PRIMES = (2, 3)  # residue characteristics the Witt pipeline runs at
+MIXED_LENGTH = 3  # the least Witt length it runs at, and the mixed census's length
+MIXED_CENSUS_NEEDS = ("the mixed census of suite witt needs p in {2, 3}, n <= 2 "
+                      "and weights with |d_i| <= 1")
 
-    Decomposes x = a mu(t) b, reduces a and b modulo t, and canonicalizes
+
+def _mixed_refusal(p: int, length: int, mu: Cocharacter) -> str | None:
+    """Why class_of cannot classify Witt matrices of length `length` over
+    residue characteristic p in the cell of mu, or None when it can."""
+    if p not in MIXED_PRIMES or length < MIXED_LENGTH:
+        return "mixed pipeline needs p in {2,3} and length >= 3"
+    if max(abs(w) for w in mu.weights) > 1:
+        return "mixed pipeline supports weights |d| <= 1"
+    return None
+
+
+def mixed_census_applies(spec: FieldSpec, mu: Cocharacter) -> bool:
+    """Whether the mixed census runs on (spec, mu), as MIXED_CENSUS_NEEDS states."""
+    return mu.n <= 2 and _mixed_refusal(spec.p, MIXED_LENGTH, mu) is None
+
+
+def class_of(x: Mat, mu: Cocharacter) -> tuple:
+    """Canonical pair of a Laurent or Witt-fraction matrix lying in the cell of mu.
+
+    Decomposes x = a mu(pi) b, reduces a and b modulo pi, and canonicalizes
     the pair (abar^(-1), bbar); replacing a by abar or b by bbar moves x
     only by depth-one kernel factors, which the double coset absorbs.
     """
-    if not isinstance(x.rows[0][0], LaurentElt):
-        raise ValueError("class_of expects a Laurent matrix")
-    assert_cartan_precision(mu.weights, x.min_precision())
-    return _class_of_decomposition(x, mu)
-
-
-def witt_class_of(x: Mat, mu: Cocharacter) -> tuple:
-    """Same pipeline with uniformizer p over Witt fractions."""
-    if not isinstance(x.rows[0][0], WittFraction):
-        raise ValueError("witt_class_of expects a Witt-fraction matrix")
-    wctx = x.rows[0][0].ctx
-    if wctx.p not in (2, 3) or wctx.length < 3:
-        raise InsufficientPrecision("mixed pipeline needs p in {2,3} and length >= 3")
-    if max(abs(w) for w in mu.weights) > 1:
-        raise InsufficientPrecision("mixed pipeline supports weights |d| <= 1")
-    return _class_of_decomposition(x, mu)
-
-
-def _class_of_decomposition(x: Mat, mu: Cocharacter) -> tuple:
-    """Shared tail of both pipelines: x = a diag b, class of (abar^(-1), bbar)."""
+    entry = x.rows[0][0]
+    if isinstance(entry, WittFraction):
+        refusal = _mixed_refusal(entry.ctx.p, entry.ctx.length, mu)
+        if refusal:
+            raise InsufficientPrecision(refusal)
+    else:
+        assert_cartan_precision(mu.weights, x.min_precision())
     abar, d, bbar = snf_residues(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    spec = x.rows[0][0].spec
+    spec = entry.spec
     return canonical_flat(spec, mu, flat_inverse(spec, mu.n, abar), bbar)
 
 
@@ -228,11 +236,15 @@ def embed_after_mu(spec: FieldSpec, mu: Cocharacter, g_flat) -> tuple:
 # -- verification reports ------------------------------------------------------------
 
 
-def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
-    """Exhaustive check that zip orbits on pairs biject with classes."""
-    check_budget(mu.n <= 3 and spec.q <= 3, "class bijection census",
-                 f"n={mu.n}, q={spec.q}", "n <= 3, q <= 3")
-    census = class_census(mu, spec)
+def _check_classified(engine: str, n: int, q: int, count: int, unit: str) -> None:
+    """Refuse a run that would classify more than CLASS_CAP points."""
+    check_budget(count <= CLASS_CAP, engine, f"n={n}, q={q} classifies {count:,} {unit}",
+                 f"{CLASS_CAP:,} points classified")
+
+
+def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int, census: dict) -> dict:
+    """Exhaustive check that zip orbits on pairs biject with classes, given
+    the class census of (mu, spec)."""
     one = LaurentElt.one(spec, prec)
     roundtrip = True
     classes = set()
@@ -259,24 +271,24 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int) -> dict:
 def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     """Canonical class representatives, in order, with their orbit sizes.
 
-    The zip group E acts freely, so every orbit has |E| pairs; fixing the
-    first component g' leaves U_+ acting alone on the second, so the
-    representatives are all pairs (min of P_- g, min of U_+ h) over g, h in G.
+    The zip group E acts freely, so every orbit has |E| pairs and there are
+    |G|^2 / |E| classes, counted against the budget before G is enumerated;
+    fixing the first component g' leaves U_+ acting alone on the second, so
+    the representatives are all pairs (min of P_- g, min of U_+ h) over g, h in G.
     """
     n = mu.n
+    size = zip_group_order(mu, spec.q)
+    _check_classified("class census", n, spec.q, gl_order(n, spec.q) ** 2 // size, "classes")
     gl = enumerate_gl_flat(spec, n)
-    check_budget(len(gl) ** 2 <= PAIR_CAP, "class census",
-                 f"n={n}, q={spec.q} with {len(gl):,}^2 pairs", f"|G|^2 <= {PAIR_CAP:,} pairs")
     pminus, uplus = _row_tries(spec.p, spec.m, mu)
     left = sorted({_descend(spec, n, pminus, g)[0] for g in gl})
     right = sorted({_descend(spec, n, uplus, h)[0] for h in gl})
-    size = zip_group_order(mu, spec.q)
     return {(a, b): size for a in left for b in right}
 
 
-def _invariance_samples(mu: Cocharacter, one, classify, samples: int, seed: int) -> int:
-    """Number of samples with classify(k1 x k2) = canonical pair of (g, h), for
-    x the pair matrix of random g, h and random depth-one kernel k1, k2."""
+def kernel_invariance_report(mu: Cocharacter, one, samples: int, seed: int) -> dict:
+    """class_of(k1 x k2) = canonical pair of (g, h) for x the pair matrix of
+    random g, h in the ring of `one` and random depth-one kernel k1, k2."""
     rng = random.Random(seed)
     spec, n = one.spec, mu.n
     gl = enumerate_gl_flat(spec, n)
@@ -286,19 +298,13 @@ def _invariance_samples(mu: Cocharacter, one, classify, samples: int, seed: int)
         h = gl[rng.randrange(len(gl))]
         k1 = random_k1_mat(one, n, rng)
         k2 = random_k1_mat(one, n, rng)
-        got = classify(k1 * pair_matrix(mu, g, h, one) * k2, mu)
+        got = class_of(k1 * pair_matrix(mu, g, h, one) * k2, mu)
         passed += got == canonical_flat(spec, mu, g, h)
-    return passed
-
-
-def kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
-                             samples: int, seed: int) -> dict:
-    """class_of(k1 x k2) = class_of(x) for random depth-one kernel pairs."""
-    passed = _invariance_samples(mu, LaurentElt.one(spec, prec), class_of, samples, seed)
+    window = "witt_length" if isinstance(one, WittFraction) else "precision"
     return {
         "mu": list(mu.weights),
         "q": spec.q,
-        "precision": prec,
+        window: one.prec,
         "samples": samples,
         "passed_samples": passed,
     }
@@ -330,24 +336,22 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
 def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
                        prec: int) -> dict:
     """Mixed-characteristic census compared with the Laurent census."""
-    check_budget(mu.n <= 2 and spec.q <= 3, "mixed census",
-                 f"n={mu.n}, q={spec.q}", "n <= 2, q <= 3")
-    wctx = WittCtx.get(spec, length)
     n = mu.n
+    _check_classified("mixed census", n, spec.q, gl_order(n, spec.q) ** 2, "pairs")
     gl = enumerate_gl_flat(spec, n)
 
-    def classes(one, classify):
+    def classes(one):
         # the class of every pair matrix, with each inverse computed once
         for g in gl:
             ginv = flat_inverse(spec, n, g)
             for h in gl:
-                yield classify(lifted_product(mu, ginv, h, one), mu)
+                yield class_of(lifted_product(mu, ginv, h, one), mu)
 
     laurent_classes = set()
     witt_classes = set()
     pointwise = True
-    for ct, cw in zip(classes(LaurentElt.one(spec, prec), class_of),
-                      classes(WittFraction.one(wctx), witt_class_of)):
+    for ct, cw in zip(classes(LaurentElt.one(spec, prec)),
+                      classes(WittFraction.one(WittCtx.get(spec, length)))):
         laurent_classes.add(ct)
         witt_classes.add(cw)
         pointwise &= ct == cw
@@ -360,20 +364,6 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
         "witt_classes": len(witt_classes),
         "pointwise_equal": pointwise,
         "census_equal": laurent_classes == witt_classes,
-    }
-
-
-def witt_kernel_invariance_report(mu: Cocharacter, spec: FieldSpec, length: int,
-                                  samples: int, seed: int) -> dict:
-    """witt_class_of is invariant under random Witt depth-one kernel factors."""
-    one = WittFraction.one(WittCtx.get(spec, length))
-    passed = _invariance_samples(mu, one, witt_class_of, samples, seed)
-    return {
-        "mu": list(mu.weights),
-        "q": spec.q,
-        "witt_length": length,
-        "samples": samples,
-        "passed_samples": passed,
     }
 
 

@@ -29,7 +29,8 @@ from .matring import (
 from .series import LaurentElt
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
-PAIR_CAP = 2_000_000  # pairs built by a zip group or class census enumeration
+PAIR_CAP = 2_000_000  # pairs built by a zip group enumeration
+CLASS_CAP = 33_000  # points the class pipeline classifies: census classes, mixed-census pairs
 
 
 class Cocharacter:

@@ -12,17 +12,19 @@ import random
 from math import factorial, prod
 
 from .coset import (
+    MIXED_LENGTH,
+    MIXED_PRIMES,
     canonical_flat,
     class_census,
     class_of,
     default_precision,
     embedding_fiber_report,
     kernel_invariance_report,
+    mixed_census_applies,
     pair_matrix,
     prozip_invariance_report,
     verify_class_bijection,
     witt_census_report,
-    witt_kernel_invariance_report,
 )
 from .gf import FieldSpec
 from .grpdata import (
@@ -52,7 +54,7 @@ from .weyl import (
     simple_reflection,
     zip_parametrization,
 )
-from .witt import ghost_selftest
+from .witt import WittCtx, WittFraction, ghost_selftest
 
 
 # -- loop-group inclusion checks --------------------------------------------------
@@ -224,11 +226,12 @@ def suite_psi(cfg: dict) -> list:
     mu = Cocharacter(cfg["mu"])
     prec = max(cfg["prec"], default_precision(mu))
     checks = []
-    rep = verify_class_bijection(mu, spec, prec)
+    census = class_census(mu, spec)
+    rep = verify_class_bijection(mu, spec, prec, census)
     rep["name"] = "class-orbit-bijection"
     rep["passed"] = rep["injective"] and rep["surjective"] and rep["round_trip"]
     checks.append(rep)
-    inv = kernel_invariance_report(mu, spec, prec, cfg["samples"], cfg["seed"])
+    inv = kernel_invariance_report(mu, LaurentElt.one(spec, prec), cfg["samples"], cfg["seed"])
     inv["name"] = "kernel-bi-invariance"
     inv["passed"] = inv["passed_samples"] == inv["samples"]
     checks.append(inv)
@@ -237,7 +240,6 @@ def suite_psi(cfg: dict) -> list:
     fib["passed"] = fib["alpha_ok"] and fib["beta_ok"]
     checks.append(fib)
     # rescaling consistency on every class representative
-    census = class_census(mu, spec)
     ok = True
     for factor in (2, 3):
         mu2 = mu.scaled(factor)
@@ -256,27 +258,23 @@ def suite_psi(cfg: dict) -> list:
     return checks
 
 
-def witt_census_applies(spec: FieldSpec, mu: Cocharacter) -> bool:
-    """The mixed census needs p in {2, 3}, n <= 2 and weights with |d_i| <= 1."""
-    return spec.p in (2, 3) and mu.n <= 2 and max(abs(w) for w in mu.weights) <= 1
-
-
 def suite_witt(cfg: dict) -> list:
     spec = FieldSpec.for_q(cfg["q"])
     mu = Cocharacter(cfg["mu"])
     checks = []
-    for p in (2, 3):
+    for p in MIXED_PRIMES:
         for length in (2, 3, 4):
             rep = ghost_selftest(p, length, cfg["samples"], cfg["seed"])
             rep["name"] = f"ghost-oracle-p{p}-N{length}"
             rep["passed"] = rep["passed_samples"] == rep["samples"]
             checks.append(rep)
-    if witt_census_applies(spec, mu):
-        rep = witt_census_report(mu, spec, 3, max(cfg["prec"], default_precision(mu)))
+    if mixed_census_applies(spec, mu):
+        rep = witt_census_report(mu, spec, MIXED_LENGTH, max(cfg["prec"], default_precision(mu)))
         rep["name"] = "mixed-census-equality"
         rep["passed"] = rep["census_equal"] and rep["pointwise_equal"]
         checks.append(rep)
-        inv = witt_kernel_invariance_report(mu, spec, 3, cfg["samples"], cfg["seed"])
+        one = WittFraction.one(WittCtx.get(spec, MIXED_LENGTH))
+        inv = kernel_invariance_report(mu, one, cfg["samples"], cfg["seed"])
         inv["name"] = "mixed-kernel-bi-invariance"
         inv["passed"] = inv["passed_samples"] == inv["samples"]
         checks.append(inv)

@@ -64,7 +64,8 @@ def test_criterion_1_class_orbit_bijection():
     for q, weights in CONFIGS:
         mu = Cocharacter(weights)
         t0 = time.time()
-        rep = verify_class_bijection(mu, _spec(q), default_precision(mu))
+        rep = verify_class_bijection(mu, _spec(q), default_precision(mu),
+                                     class_census(mu, _spec(q)))
         elapsed = time.time() - t0
         ok = (
             rep["injective"]
@@ -107,7 +108,7 @@ def test_criterion_3_kernel_bi_invariance():
         mu = Cocharacter(weights)
         t0 = time.time()
         rep = kernel_invariance_report(
-            mu, _spec(q), default_precision(mu), 500, seed=11
+            mu, LaurentElt.one(_spec(q), default_precision(mu)), 500, seed=11
         )
         elapsed = time.time() - t0
         ok = rep["passed_samples"] == rep["samples"] == 500

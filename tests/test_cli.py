@@ -27,11 +27,21 @@ def test_verify_lemmas_passes(capsys):
 
 
 def test_verify_budget_exit_2(capsys):
+    # 37,800 classes: the smallest class count of GL_4(F_2) at nontrivial weights
     code, _, err = run_cli(
-        ["verify", "--suite", "psi", "--n", "2", "--q", "5", "--mu", "1,0"], capsys
+        ["verify", "--suite", "psi", "--n", "4", "--q", "2", "--mu", "1,0,0,0"], capsys
     )
     assert code == 2
     assert "configuration" in err
+
+
+@pytest.mark.parametrize("q", ["4", "5"])
+def test_psi_runs_on_gl2_beyond_q3(q, capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "psi", "--q", q, "--mu", "1,0"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"]
 
 
 def test_verify_mismatched_n_exit_2(capsys):
@@ -330,14 +340,14 @@ def test_budget_message_names_engine_and_caps(capsys):
     assert "the caps are q <= 9 and 600,000 candidates" in err
     # every exhaustive engine names itself, the requested size and its caps
     for argv, engine, size, caps in [
-        (["verify", "--suite", "psi", "--mu", "1,0", "--q", "4"],
-         "class bijection census", "n=2, q=4", "n <= 3, q <= 3"),
-        (["verify", "--suite", "witt", "--mu", "1,0", "--q", "4"],
-         "mixed census", "n=2, q=4", "n <= 2, q <= 3"),
+        (["verify", "--suite", "psi", "--mu", "1,0,0", "--q", "4"],
+         "class census", "n=3, q=4 classifies 238,140 classes", "33,000 points classified"),
+        (["verify", "--suite", "witt", "--mu", "1,0", "--q", "8"],
+         "mixed census", "n=2, q=8 classifies 12,446,784 pairs", "33,000 points classified"),
         (["orbits", "--action", "zip-normal", "--mu", "1,0", "--q", "5"],
          "zip-normal orbit engine", "n=2, q=5", "n <= 3, q <= 4"),
-        (["orbits", "--action", "class-census", "--mu", "0,0,0", "--q", "3"],
-         "class census", "n=3, q=3 with 11,232^2 pairs", "|G|^2 <= 2,000,000 pairs"),
+        (["orbits", "--action", "class-census", "--mu", "0,0,0", "--q", "4"],
+         "class census", "n=3, q=4 classifies 181,440 classes", "33,000 points classified"),
     ]:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "")
@@ -595,7 +605,8 @@ def test_class_census_refuses_tau(capsys):
     (["verify", "--suite", "lemmas", "--mu", "2,2,0,0"], 0, ""),
     (["verify", "--suite", "prozip", "--mu", "1,1,0,0", "--samples", "20"], 0, ""),
     (["verify", "--suite", "psi", "--mu", "1,1,0,0"], 2,
-     "configuration error: class bijection census at n=4, q=2; the caps are n <= 3, q <= 3\n"),
+     "configuration error: class census at n=4, q=2 classifies 44,100 classes; "
+     "the caps are 33,000 points classified\n"),
     (["verify", "--suite", "chain", "--mu", "1,1,0,0"], 2,
      "configuration error: zip-normal orbit engine at n=4, q=2; the caps are n <= 3, q <= 4\n"),
     (["verify", "--suite", "weyl", "--mu", "1,1,0,0"], 2,
@@ -619,6 +630,20 @@ def test_weyl_budget_refuses_before_exhaustive_checks(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("configuration error: sigma-conj orbit engine at n=4, q=2; "
                    "the caps are n <= 3, q <= 4\n")
+
+
+def test_class_census_budget_exit_2_before_enumerating(capsys, monkeypatch):
+    import loopzip.coset as coset
+
+    def no_enumeration(*args):
+        raise AssertionError("the class census enumerated G")
+
+    monkeypatch.setattr(coset, "enumerate_gl_flat", no_enumeration)
+    code, out, err = run_cli(["orbits", "--action", "class-census", "--mu", "1,1,0,0",
+                              "--q", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: class census at n=4, q=2 classifies 44,100 "
+                   "classes; the caps are 33,000 points classified\n")
 
 
 def test_zip_group_budget_exit_2_before_building(capsys, monkeypatch):

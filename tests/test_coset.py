@@ -28,8 +28,6 @@ from loopzip.coset import (
     prozip_invariance_report,
     verify_class_bijection,
     witt_census_report,
-    witt_class_of,
-    witt_kernel_invariance_report,
 )
 from loopzip.matring import Mat, cartan_precision_floor, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
@@ -295,19 +293,43 @@ def test_zip_pair_enumeration_size_gl3():
     assert len(pairs) == len(set(pairs)) == zip_group_order(mu3, 2) == 96
 
 
+def _bijection(mu, spec, prec):
+    return verify_class_bijection(mu, spec, prec, class_census(mu, spec))
+
+
 def test_bijection_reports():
-    rep = verify_class_bijection(MU, F2, 6)
+    rep = _bijection(MU, F2, 6)
     assert rep["orbit_count"] == rep["class_count"] == 9
     assert rep["round_trip"] and rep["injective"] and rep["surjective"]
-    rep = verify_class_bijection(Cocharacter((0, 0)), F2, 6)
+    rep = _bijection(Cocharacter((0, 0)), F2, 6)
     assert rep["class_count"] == 6  # the trivial-weights cell is G itself
-    rep = verify_class_bijection(Cocharacter((2, 0)), F2, 6)
+    rep = _bijection(Cocharacter((2, 0)), F2, 6)
     assert rep["injective"] and rep["class_count"] == 9
 
 
 def test_bijection_budget():
+    # GL_3(F_4) with mu (1,0,0) has 181,440^2 / 138,240 = 238,140 classes
     with pytest.raises(BudgetExceeded):
-        verify_class_bijection(MU, FieldSpec.get(5, 1), 6)
+        _bijection(Cocharacter((1, 0, 0)), FieldSpec.get(2, 2), 6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: class_census(Cocharacter((2, 1, 0)), F3),  # 21,632 classes
+    lambda: witt_census_report(MU, FieldSpec.get(2, 2), 3, 6),  # 180^2 = 32,400 pairs
+], ids=["census-gl3-f3", "mixed-gl2-f4"])
+def test_class_cap_admits_the_largest_targets(build, monkeypatch):
+    import loopzip.coset as coset
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    # the budget is checked before G is enumerated, so reaching it means admitted
+    monkeypatch.setattr(coset, "enumerate_gl_flat", admitted)
+    with pytest.raises(Admitted):
+        build()
 
 
 def test_precision_stability():
@@ -383,17 +405,32 @@ def test_embedding_fibers_are_unipotent_cosets():
 
 
 def test_sampled_reports():
-    rep = kernel_invariance_report(MU, F3, 6, 60, seed=5)
+    rep = kernel_invariance_report(MU, LaurentElt.one(F3, 6), 60, seed=5)
     assert rep["passed_samples"] == 60
-    rep = witt_kernel_invariance_report(MU, F2, 3, 30, seed=5)
+    assert rep["precision"] == 6 and "witt_length" not in rep
+    rep = kernel_invariance_report(MU, WittFraction.one(WittCtx.get(F2, 3)), 30, seed=5)
     assert rep["passed_samples"] == 30
+    assert rep["witt_length"] == 3 and "precision" not in rep
 
 
 def test_witt_class_of_p_mu():
     wctx = WittCtx.get(F2, 3)
     x = mu_matrix(MU, WittFraction.one(wctx))
-    c = witt_class_of(x, MU)
+    c = class_of(x, MU)
     assert c == (flat_identity(2), flat_identity(2))
+
+
+@pytest.mark.parametrize("p,length,weights,message", [
+    (5, 2, (1, 0), "mixed pipeline needs p in {2,3} and length >= 3"),
+    (2, 2, (1, 0), "mixed pipeline needs p in {2,3} and length >= 3"),
+    (2, 3, (2, 0), "mixed pipeline supports weights |d| <= 1"),
+], ids=["p5-N2", "p2-N2", "mu2,0-N3"])
+def test_class_of_refuses_witt_matrices_outside_the_mixed_domain(p, length, weights, message):
+    mu = Cocharacter(weights)
+    x = mu_matrix(mu, WittFraction.one(WittCtx.get(FieldSpec.get(p, 1), length)))
+    with pytest.raises(InsufficientPrecision) as exc:
+        class_of(x, mu)
+    assert str(exc.value) == message
 
 
 def test_witt_census_matches_laurent():
