@@ -134,6 +134,18 @@ class FieldSpec:
             code = table[code]
         return code
 
+    def primitive_code(self) -> int:
+        """The least code of multiplicative order q - 1, a generator of F_q^*.
+
+        Found by search: w itself need not be one (in F_9 and F_25 it is not)."""
+        for a in range(2, self.q):
+            x, order = a, 1
+            while x != 1:
+                x, order = self.mul_table[x][a], order + 1
+            if order == self.q - 1:
+                return a
+        return 1  # F_2^* is trivial
+
     def _pow_code(self, a: int, e: int) -> int:
         acc = 1
         for _ in range(e):

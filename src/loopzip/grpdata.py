@@ -278,49 +278,42 @@ def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, tau_power: int = 
 # -- generator sets for the orbit engines ------------------------------------------
 
 
-def transvection_generators(spec: FieldSpec, n: int) -> list:
-    """I + c E_ij over all off-diagonal positions and nonzero c; generates SL_n."""
+def small_generators(spec: FieldSpec, n: int, positions, starts) -> list:
+    """I + c E_ij at each position (i, j) for the F_p-basis codes c = p^k, which
+    generate its root subgroup since x_ij(a) x_ij(b) = x_ij(a + b); then
+    diag(1, ..., zeta, ..., 1) with zeta primitive at each index of `starts`,
+    none at q = 2, where the torus is trivial."""
+    cells = [(i, j, spec.p**k) for i, j in positions for k in range(spec.m)]
+    if spec.q > 2:
+        cells += [(s, s, spec.primitive_code()) for s in starts]
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for c in range(1, spec.q):
-                flat = list(flat_identity(n))
-                flat[i * n + j] = c
-                out.append(tuple(flat))
-    return out
-
-
-def gl_generators(spec: FieldSpec, n: int) -> list:
-    """Transvections plus diagonal matrices; generates GL_n(F_q)."""
-    out = transvection_generators(spec, n)
-    for diag in itertools.product(range(1, spec.q), repeat=n):
-        if all(c == 1 for c in diag):
-            continue
-        flat = [0] * (n * n)
-        for i, c in enumerate(diag):
-            flat[i * n + i] = c
+    for i, j, c in cells:
+        flat = list(flat_identity(n))
+        flat[i * n + j] = c
         out.append(tuple(flat))
     return out
 
 
+def gl_generators(spec: FieldSpec, n: int) -> list:
+    """Root elements at every off-diagonal position plus diag(zeta, 1, ..., 1):
+    SL_n and a complement of it, so they generate GL_n(F_q) (Steinberg)."""
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return small_generators(spec, n, offdiag, [0])
+
+
 def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
-    """Pairs generating the zip group of `enumerate_zip_pairs_flat`: one-sided
-    unipotents and the (twisted) Levi diagonal."""
-    n = mu.n
+    """Pairs generating the zip group of `enumerate_zip_pairs_flat`: the root
+    elements of U_- and of U_+, each paired with the identity, and each
+    generator m of the Levi M as (tau^tau_power(m), m), where M is generated
+    by the root elements inside its blocks and one torus element per block."""
+    n, b = mu.n, mu.block_of
     ident = flat_identity(n)
-    gens = []
-    for u in enumerate_unipotent_flat(spec, mu, -1):
-        if u != ident:
-            gens.append((u, ident))
-    for u in enumerate_unipotent_flat(spec, mu, +1):
-        if u != ident:
-            gens.append((ident, u))
-    for m in enumerate_levi_flat(spec, mu):
-        if m != ident:
-            gens.append((flat_frobenius(spec, m, tau_power), m))
-    return gens
+    inside = [(i, j) for i in range(n) for j in range(n) if i != j and b[i] == b[j]]
+    starts = [i for i in range(n) if i == 0 or b[i] != b[i - 1]]
+    return ([(u, ident) for u in small_generators(spec, n, block_positions(mu, -1), [])]
+            + [(ident, u) for u in small_generators(spec, n, block_positions(mu, +1), [])]
+            + [(flat_frobenius(spec, m, tau_power), m)
+               for m in small_generators(spec, n, inside, starts)])
 
 
 # -- random loop-group elements (for sampled suites) --------------------------------

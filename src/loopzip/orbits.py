@@ -1,8 +1,12 @@
 """Exhaustive orbit engines for the four finite group actions.
 
 Each orbit is walked once from its first unseen point, applying every
-generator of the acting group to every point it reaches. Representatives
-are the lexicographically least members, for cross-run determinism.
+generator of the acting group to every point it reaches. The generators
+are Steinberg's small sets from `grpdata`: root elements I + c E_ij over
+the F_p-basis codes c = p^k, plus diag(zeta, 1, ...) with zeta primitive
+(one for GL_n, one per Levi block of the zip groups, none at q = 2).
+Representatives are the lexicographically least members, for cross-run
+determinism.
 """
 
 from __future__ import annotations
@@ -121,9 +125,11 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
 
     The points are taken in order; each one not yet reached starts a walk
     that applies every generator once to every point it reaches, which for
-    a finite group is the whole orbit. Cached by the `aspec` value: a
-    partition holds only tuples, frozensets and a read-only map, so every
-    caller may share it.
+    a finite group is the whole orbit, so the cost is points x generators:
+    GL_2(F_4) sigma-conjugation has 5 generators and its zip groups at
+    mu (1, 0) have 6 (`grpdata.gl_generators`, `zip_pair_generators`).
+    Cached by the `aspec` value: a partition holds only tuples, frozensets
+    and a read-only map, so every caller may share it.
     """
     _budget(aspec)
     action = _action(aspec)

@@ -1,17 +1,24 @@
-"""Reference orbit partition by union-find.
+"""Reference orbit partition by union-find over whole-subgroup generators.
 
 The computation that the one-walk-per-orbit engine in `loopzip.orbits`
 replaced: every point is joined with its image under every generator, and
-the orbits are read off the roots afterwards. Its orbit list, blocks and
-point -> representative map are what the engine must reproduce.
+the orbits are read off the roots afterwards. It does not share the
+engine's generators: it unions over every transvection and diagonal matrix
+for GL_n, and over all of U_-, U_+ and the Levi M for the zip groups, where
+the engine uses root elements over an F_p-basis and one torus element per
+Levi block. Its orbit list, blocks and point -> representative map are what
+the engine must reproduce.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import sys
 
-from loopzip.grpdata import Cocharacter
+from loopzip.gf import FieldSpec
+from loopzip.grpdata import Cocharacter, enumerate_levi_flat, enumerate_unipotent_flat
+from loopzip.matring import flat_frobenius, flat_identity
 from loopzip.orbits import ACTION_KINDS, ActionSpec, _action, enumerate_orbits
 
 # (kind, q, weights, tau): every kind on GL2 over F2, F3 and F4 and on GL3(F2),
@@ -25,6 +32,66 @@ ORBIT_CASES = [
     )
     for kind in ACTION_KINDS
 ]
+# cases only the full comparison runs (about a minute): every kind on GL3(F3)
+# at two weights
+WIDE_ORBIT_CASES = [
+    (kind, 3, weights, 1) for weights in [(1, 0, 0), (1, 1, 0)] for kind in ACTION_KINDS
+]
+
+
+def transvection_generators(spec, n: int) -> list:
+    """I + c E_ij over all off-diagonal positions and nonzero c; generates SL_n."""
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for c in range(1, spec.q):
+                flat = list(flat_identity(n))
+                flat[i * n + j] = c
+                out.append(tuple(flat))
+    return out
+
+
+def gl_generators(spec, n: int) -> list:
+    """Transvections plus every diagonal matrix; generates GL_n(F_q)."""
+    out = transvection_generators(spec, n)
+    for diag in itertools.product(range(1, spec.q), repeat=n):
+        if all(c == 1 for c in diag):
+            continue
+        flat = [0] * (n * n)
+        for i, c in enumerate(diag):
+            flat[i * n + i] = c
+        out.append(tuple(flat))
+    return out
+
+
+def zip_pair_generators(spec, mu, tau_power: int = 0) -> list:
+    """Every element of U_- and of U_+, each paired with the identity, and the
+    whole Levi as (tau^tau_power(m), m): the zip group of the given twist."""
+    n = mu.n
+    ident = flat_identity(n)
+    gens = []
+    for u in enumerate_unipotent_flat(spec, mu, -1):
+        if u != ident:
+            gens.append((u, ident))
+    for u in enumerate_unipotent_flat(spec, mu, +1):
+        if u != ident:
+            gens.append((ident, u))
+    for m in enumerate_levi_flat(spec, mu):
+        if m != ident:
+            gens.append((flat_frobenius(spec, m, tau_power), m))
+    return gens
+
+
+def oracle_generators(aspec) -> list:
+    """The whole-subgroup generating set of the group acting in `aspec`: GL_n
+    for sigma-conj, else the zip group, twisted by tau for zip-frobenius only."""
+    spec = FieldSpec.for_q(aspec.q)
+    if aspec.kind == "sigma-conj":
+        return gl_generators(spec, aspec.mu.n)
+    group_tau = aspec.tau_power if aspec.kind == "zip-frobenius" else 0
+    return zip_pair_generators(spec, aspec.mu, group_tau)
 
 
 class UnionFind:
@@ -51,7 +118,7 @@ def oracle_partition(aspec) -> tuple:
     of blocks, and the dict from each point to the least member of its orbit."""
     action = _action(aspec)
     points = action.points
-    movers = [action.act(g) for g in action.gens]
+    movers = [action.act(g) for g in oracle_generators(aspec)]
     uf = UnionFind(points)
     for x in points:
         for move in movers:
@@ -77,10 +144,11 @@ def partition_mismatch(aspec) -> bool:
 
 
 def full_orbit_comparison() -> int:
-    """The engine against union-find on every case of ORBIT_CASES.  Prints one
-    line per case and returns the number of mismatching cases."""
+    """The engine against union-find on every case of ORBIT_CASES and
+    WIDE_ORBIT_CASES.  Prints one line per case and returns the number of
+    mismatching cases."""
     total = 0
-    for kind, q, weights, tau in ORBIT_CASES:
+    for kind, q, weights, tau in ORBIT_CASES + WIDE_ORBIT_CASES:
         aspec = ActionSpec(kind, Cocharacter(weights), q, tau)
         bad = partition_mismatch(aspec)
         total += bad

@@ -1,7 +1,7 @@
 import pytest
 
 from loopzip.errors import SpecMismatch
-from loopzip.gf import FieldSpec
+from loopzip.gf import SIZES, FieldSpec
 from loopzip.series import LaurentElt
 
 ALL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]
@@ -123,3 +123,22 @@ def test_element_order_matches_codes(spec):
     # code order is the order of the coefficient vectors read as base-p numerals
     codes = sorted(range(spec.q), key=lambda c: spec._code_to_vec(c)[::-1])
     assert codes == list(range(spec.q))
+
+
+def _multiplicative_order(spec, a):
+    x, order = a, 1
+    while x != 1:
+        x, order = spec.mul_table[x][a], order + 1
+    return order
+
+
+def test_primitive_code_is_the_least_generator():
+    # every supported field, F_25 included; w (code p) is not primitive in F_9 or F_25
+    for q in SIZES:
+        spec = FieldSpec.for_q(q)
+        zeta = spec.primitive_code()
+        assert _multiplicative_order(spec, zeta) == q - 1
+        assert all(_multiplicative_order(spec, a) < q - 1 for a in range(1, zeta))
+    assert FieldSpec.for_q(9).primitive_code() == 4
+    assert _multiplicative_order(FieldSpec.for_q(9), 3) == 4
+    assert _multiplicative_order(FieldSpec.for_q(25), 5) == 8

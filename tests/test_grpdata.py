@@ -4,6 +4,7 @@ import pytest
 
 from coset_oracle import lift
 from laurent_oracle import from_coeff_list
+from orbits_oracle import ORBIT_CASES
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
@@ -15,6 +16,7 @@ from loopzip.grpdata import (
     enumerate_levi_flat,
     enumerate_unipotent_flat,
     enumerate_zip_pairs_flat,
+    gl_generators,
     gl_order,
     in_conj_integral,
     in_h,
@@ -27,8 +29,16 @@ from loopzip.grpdata import (
     random_left_h_mat,
     random_series_subgroup,
     zip_group_order,
+    zip_pair_generators,
 )
-from loopzip.matring import Mat, flat_frobenius, flat_invertible, flat_mul, flat_residue
+from loopzip.matring import (
+    Mat,
+    flat_frobenius,
+    flat_identity,
+    flat_invertible,
+    flat_mul,
+    flat_residue,
+)
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -181,6 +191,63 @@ def test_enumeration_counts():
     mu3 = Cocharacter((1, 1, 0))
     assert zip_group_order(mu3, 2) == 4 * 6 * 4
     assert len(enumerate_levi_flat(F2, mu3)) == 6
+
+
+def _closure(gens, law, identity) -> set:
+    """The group the generators span, by a walk that multiplies on the right."""
+    walk, seen = [identity], {identity}
+    for x in walk:
+        for g in gens:
+            y = law(x, g)
+            if y not in seen:
+                seen.add(y)
+                walk.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("n, q", [(2, q) for q in (2, 3, 4, 5, 8, 9)] + [(3, 2), (3, 3)])
+def test_gl_generators_generate_gl(n, q):
+    # the torus element needs a primitive zeta: with w (code 3, order 4) at
+    # q = 9 the closure is the index-2 subgroup of square determinants
+    spec = FieldSpec.for_q(q)
+    group = _closure(gl_generators(spec, n), lambda a, b: flat_mul(spec, n, a, b),
+                     flat_identity(n))
+    assert len(group) == gl_order(n, q)
+
+
+@pytest.mark.parametrize("q, weights", sorted({(q, w) for _, q, w, _ in ORBIT_CASES}))
+def test_zip_pair_generators_generate_the_zip_group(q, weights):
+    spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+    n, ident = mu.n, flat_identity(mu.n)
+
+    def law(u, v):
+        return flat_mul(spec, n, u[0], v[0]), flat_mul(spec, n, u[1], v[1])
+
+    for tau in (0, 1, 2):
+        group = _closure(zip_pair_generators(spec, mu, tau), law, (ident, ident))
+        assert len(group) == zip_group_order(mu, q)
+        assert group == set(enumerate_zip_pairs_flat(spec, mu, tau))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
+def test_generator_counts_are_positions_times_m_plus_torus(q):
+    # root elements: one per position and F_p-basis code; torus elements: one
+    # per Levi block (one for GL_n), none at q = 2
+    spec = FieldSpec.for_q(q)
+    torus = int(q > 2)
+    for n in (2, 3, 4):
+        assert len(gl_generators(spec, n)) == n * (n - 1) * spec.m + torus
+    for weights in [(1, 0), (0, 0), (1, -1), (1, 1, 0), (2, 1, 0), (1, 0, 0), (2, 1, 1, 0)]:
+        mu = Cocharacter(weights)
+        positions = 2 * len(block_positions(mu, +1)) + sum(s * (s - 1) for _, s in mu.blocks)
+        for tau in (0, 1):
+            assert len(zip_pair_generators(spec, mu, tau)) == (
+                positions * spec.m + torus * len(mu.blocks))
+    # GL2(F4) with mu (1, 0): 5 for sigma-conjugation, 6 for the zip groups
+    # (the whole-subgroup sets of tests/orbits_oracle.py have 14 each)
+    f4 = FieldSpec.for_q(4)
+    assert len(gl_generators(f4, 2)) == 5
+    assert len(zip_pair_generators(f4, Cocharacter((1, 0)), 1)) == 6
 
 
 def test_zip_group_rescaling():

@@ -6,6 +6,7 @@ from loopzip.errors import BudgetExceeded
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, gl_order
 from loopzip.orbits import (
+    ACTION_KINDS,
     ActionSpec,
     chain_compare,
     check_action_axioms,
@@ -14,7 +15,7 @@ from loopzip.orbits import (
     weyl_reps_report,
 )
 
-from orbits_oracle import ORBIT_CASES, partition_mismatch
+from orbits_oracle import ORBIT_CASES, oracle_generators, partition_mismatch
 
 MU = Cocharacter((1, 0))
 
@@ -70,6 +71,18 @@ def test_orbit_walk_matches_union_find(kind, q, weights, tau):
     assert type(part.orbits) is tuple and type(part.blocks) is frozenset
     with pytest.raises(TypeError):
         part.root[part.orbits[0][0]] = None
+
+
+def test_engines_act_by_the_small_generating_sets():
+    # GL2(F4), mu (1, 0): root elements over the F_2-basis {1, w} at each
+    # position plus one torus element per Levi block, where the oracle
+    # unions over whole subgroups
+    import loopzip.orbits as orbits
+
+    for kind in ACTION_KINDS:
+        aspec = ActionSpec(kind, MU, 4, 1)
+        assert len(orbits._action(aspec).gens) == (5 if kind == "sigma-conj" else 6)
+        assert len(oracle_generators(aspec)) == 14
 
 
 def test_an_action_leaving_the_point_set_is_refused(monkeypatch):
