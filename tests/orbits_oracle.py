@@ -32,8 +32,8 @@ ORBIT_CASES = [
     )
     for kind in ACTION_KINDS
 ]
-# cases only the full comparison runs (about a minute): every kind on GL3(F3)
-# at two weights
+# cases only the full comparison runs, which takes about four minutes with
+# them: every kind on GL3(F3) at two weights
 WIDE_ORBIT_CASES = [
     (kind, 3, weights, 1) for weights in [(1, 0, 0), (1, 1, 0)] for kind in ACTION_KINDS
 ]
