@@ -11,7 +11,7 @@ decomposition.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from itertools import chain
 
 from .errors import InsufficientPrecision, WrongCell, check_budget
 from .gf import FieldSpec
@@ -21,8 +21,6 @@ from .grpdata import (
     check_mu_window,
     conj_by_mu,
     enumerate_gl_flat,
-    enumerate_parabolic_flat,
-    enumerate_unipotent_flat,
     gl_order,
     mu_matrix,
     random_integral_mat,
@@ -37,7 +35,7 @@ from .matring import (
     cartan_precision_floor,
     flat_identity,
     flat_inverse,
-    flat_mul,
+    gauss_jordan,
     snf_residues,
 )
 from .series import LaurentElt, _raw
@@ -54,55 +52,46 @@ def default_precision(mu: Cocharacter, floor: int = 6) -> int:
     return max(floor, cartan_precision_floor(w) + max(0, -min(w)))
 
 
-def _row_trie(items, n: int, depth: int = 0):
-    """Nested ((row, subtrie), ...) over the rows of (flat, payload) items.
+def _left_half(spec: FieldSpec, mu: Cocharacter, g, h) -> tuple:
+    """(min over p in P_- of p g, Levi(p) h) for the one minimizing p.
 
-    Rows are keyed from the top; a node at depth n is the payload of the
-    one flat that reaches it.
+    Block k of the least p g is the reduced row echelon basis of the span of
+    the rows of g in blocks <= k, at the pivots that the earlier blocks lack,
+    in descending pivot order: Gauss-Jordan with each pivot taken from the
+    earliest block, whose operations inside a block, Levi(p), act on h too.
     """
-    if depth == n:
-        return items[0][1]
-    children: dict = {}
-    for flat, payload in items:
-        children.setdefault(flat[depth * n:(depth + 1) * n], []).append((flat, payload))
-    return tuple((row, _row_trie(sub, n, depth + 1)) for row, sub in children.items())
+    order, w, x = gauss_jordan(spec, mu.n, g, h, mu.block_of)
+    g_min, levi_h = [], []
+    for r in sorted(reversed(order), key=mu.block_of.__getitem__):
+        g_min += w[r]
+        levi_h += x[r]
+    return tuple(g_min), tuple(levi_h)
 
 
-@lru_cache(maxsize=None)
-def _row_tries(p: int, m: int, mu: Cocharacter) -> tuple:
-    """Row tries of P_- (leaves: Levi parts) and of U_+, keyed by value."""
-    spec = FieldSpec.get(p, m)
-    uplus = [(u, None) for u in enumerate_unipotent_flat(spec, mu, +1)]
-    return _row_trie(enumerate_parabolic_flat(spec, mu, -1), mu.n), _row_trie(uplus, mu.n)
-
-
-def _descend(spec: FieldSpec, n: int, trie, g) -> tuple:
-    """Least a g over the matrices a of a row trie, and the leaf of that a.
-
-    Row i of a g is (row i of a) g, and an invertible g sends distinct
-    rows to distinct images, so the least product is reached row by row,
-    stepping each time to the one child whose image is least.
-    """
-    mul, add = spec.mul_table, spec.add_table
-    g_rows = [g[k * n:(k + 1) * n] for k in range(n)]
-    out = ()
-    node = trie
-    for _ in range(n):
-        best = None
-        for row, child in node:
-            img = None
-            for c, g_row in zip(row, g_rows):
-                if c:
-                    by_c = mul[c]
-                    if img is None:
-                        img = [by_c[y] for y in g_row]
-                    else:
-                        img = [add[x][by_c[y]] for x, y in zip(img, g_row)]
-            if best is None or img < best:
-                best, nxt = img, child
-        out += tuple(best)
-        node = nxt
-    return out, node
+def _right_half(spec: FieldSpec, mu: Cocharacter, h) -> tuple:
+    """min over u in U_+ of u h: each row of h with the pivot columns of an
+    echelon basis of the span W of the rows in later blocks cleared.  Going
+    up from the bottom, each row is cleared, then joins the basis, cleared
+    against the rows of its own block too."""
+    n, blk = mu.n, mu.block_of
+    mul, add, neg, inv = spec.mul_table, spec.add_table, spec.neg_table, spec.inv_table
+    out = [h[i * n:(i + 1) * n] for i in range(n)]
+    # (pivot, row), each row 0 at the pivots before it; basis[:later] spans W
+    basis, later = [], 0
+    for i in reversed(range(n)):
+        if i + 1 < n and blk[i] != blk[i + 1]:
+            later = len(basis)
+        row = out[i]
+        for k, (col, e) in enumerate(basis):
+            if k == later:
+                out[i] = row
+            if row[col]:
+                by_c = mul[neg[mul[row[col]][inv[e[col]]]]]
+                row = [add[u][by_c[v]] for u, v in zip(row, e)]
+        if later == len(basis):
+            out[i] = row
+        basis.append((next(col for col, v in enumerate(row) if v), row))
+    return tuple(chain.from_iterable(out))
 
 
 def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
@@ -112,10 +101,8 @@ def canonical_flat(spec: FieldSpec, mu: Cocharacter, g_flat, h_flat) -> tuple:
     which acts freely, so g' = min p g is reached by a unique p; the pairs
     with first component g' then have second components u_+ Levi(p) h.
     """
-    n = mu.n
-    pminus, uplus = _row_tries(spec.p, spec.m, mu)
-    g_min, lev = _descend(spec, n, pminus, g_flat)
-    return g_min, _descend(spec, n, uplus, flat_mul(spec, n, lev, h_flat))[0]
+    g_min, levi_h = _left_half(spec, mu, g_flat, h_flat)
+    return g_min, _right_half(spec, mu, levi_h)
 
 
 # -- the cell map and its inverse -------------------------------------------------
@@ -280,9 +267,8 @@ def class_census(mu: Cocharacter, spec: FieldSpec) -> dict:
     size = zip_group_order(mu, spec.q)
     _check_classified("class census", n, spec.q, gl_order(n, spec.q) ** 2 // size, "classes")
     gl = enumerate_gl_flat(spec, n)
-    pminus, uplus = _row_tries(spec.p, spec.m, mu)
-    left = sorted({_descend(spec, n, pminus, g)[0] for g in gl})
-    right = sorted({_descend(spec, n, uplus, h)[0] for h in gl})
+    left = sorted({_left_half(spec, mu, g, ())[0] for g in gl})
+    right = sorted({_right_half(spec, mu, h) for h in gl})
     return {(a, b): size for a in left for b in right}
 
 

@@ -17,8 +17,8 @@ On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), with a and b integral of unit reduction.
 F_q elements are int codes throughout: F_q matrices of any size are flat
-row-major tuples of them for the flat_* functions, whose one Gauss-Jordan loop
-inverts and tests invertibility; JSON writes each code as its coefficient vector.
+row-major tuples of them, which one Gauss-Jordan loop inverts, tests and puts
+in `coset`'s canonical form; JSON writes each code as its coefficient vector.
 """
 
 from __future__ import annotations
@@ -236,35 +236,47 @@ def flat_frobenius(spec: FieldSpec, flat, times: int = 1) -> tuple:
     return out
 
 
-def _gauss_jordan(spec: FieldSpec, n: int, w):
-    """Row-reduce n rows of codes in place to [I | *]; the first column
-    without a pivot if their left n x n block is singular, else None."""
+def gauss_jordan(spec: FieldSpec, n: int, a, b, block_of) -> tuple:
+    """Gauss-Jordan on the rows of the flat n x n matrix a, without row swaps:
+    each column's pivot, the first row not yet a pivot that is nonzero there,
+    is scaled to 1 and clears the column from the rows of its block and of
+    the later blocks (block_of, nondecreasing); the rows of the flat b, or of
+    () for none, take the same operations inside the pivot's block only, so
+    one block is Gauss-Jordan on [a | b].  Returns the pivot row of each
+    column up to the first column without one, and the rows of a and of b."""
     mul, add, neg, inv = spec.mul_table, spec.add_table, spec.neg_table, spec.inv_table
-    for col in range(n):
-        piv = next((r for r in range(col, n) if w[r][col]), None)
-        if piv is None:
-            return col
-        w[col], w[piv] = w[piv], w[col]
-        scale = mul[inv[w[col][col]]]
-        w[col] = [scale[x] for x in w[col]]
-        for r in range(n):
-            c = w[r][col]
-            if r != col and c:
-                by_c = mul[neg[c]]
-                w[r] = [add[x][by_c[y]] for x, y in zip(w[r], w[col])]
-    return None
+    rows = range(n)
+    w, x = [a[i * n:(i + 1) * n] for i in rows], [b[i * n:(i + 1) * n] for i in rows]
+    order: list = []
+    for col in rows:
+        for r in rows:
+            if w[r][col] and r not in order:
+                break
+        else:
+            return order, w, x
+        order.append(r)
+        scale = mul[inv[w[r][col]]]
+        pw = w[r] = [scale[v] for v in w[r]]
+        px = x[r] = [scale[v] for v in x[r]]
+        for i in rows:
+            if w[i][col] and i != r and block_of[i] >= block_of[r]:
+                by_c = mul[neg[w[i][col]]]
+                w[i] = [add[u][by_c[v]] for u, v in zip(w[i], pw)]
+                if block_of[i] == block_of[r]:
+                    x[i] = [add[u][by_c[v]] for u, v in zip(x[i], px)]
+    return order, w, x
 
 
 def flat_invertible(spec: FieldSpec, n: int, a) -> bool:
-    return _gauss_jordan(spec, n, [list(a[i * n:(i + 1) * n]) for i in range(n)]) is None
+    return len(gauss_jordan(spec, n, a, (), (0,) * n)[0]) == n
 
 
 def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
     """Gauss-Jordan on [a | I]; NotInvertible if a is singular."""
-    w = [list(a[i * n:(i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
-    if (col := _gauss_jordan(spec, n, w)) is not None:
-        raise NotInvertible(f"no usable pivot in column {col}")
-    return tuple(x for r in w for x in r[n:])
+    order, _, x = gauss_jordan(spec, n, a, flat_identity(n), (0,) * n)
+    if len(order) < n:
+        raise NotInvertible(f"no usable pivot in column {len(order)}")
+    return tuple(c for r in order for c in x[r])
 
 
 # -- diagonal decomposition over a DVR ------------------------------------------

@@ -14,8 +14,8 @@ from loopzip.grpdata import (
     random_k1_mat,
 )
 from loopzip.coset import (
-    _descend,
-    _row_tries,
+    _left_half,
+    _right_half,
     canonical_flat,
     class_census,
     class_of,
@@ -29,7 +29,14 @@ from loopzip.coset import (
     verify_class_bijection,
     witt_census_report,
 )
-from loopzip.matring import Mat, cartan_precision_floor, flat_identity, flat_inverse, flat_mul
+from loopzip.matring import (
+    Mat,
+    cartan_precision_floor,
+    flat_identity,
+    flat_inverse,
+    flat_invertible,
+    flat_mul,
+)
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -266,7 +273,7 @@ DESCENT_CASES = (
 )
 def test_row_descent_matches_min_over_products(q, weights, samples):
     """canonical_flat(g, h) = (left(g), right(Levi(p) h)), so comparing both
-    one-sided descents with the oracle on every g covers every pair."""
+    echelon halves with the oracle on every g covers every pair."""
     spec = FieldSpec.for_q(q)
     mu = Cocharacter(weights)
     n = mu.n
@@ -274,15 +281,46 @@ def test_row_descent_matches_min_over_products(q, weights, samples):
     rng = random.Random(1000 * q + sum(weights))
     if samples is not None:
         gl = [rng.choice(gl) for _ in range(samples)]
-    pminus, uplus = _row_tries(spec.p, spec.m, mu)
-    mismatches = sum(_descend(spec, n, pminus, g) != oracle_left(spec, mu, g) for g in gl)
-    mismatches += sum(_descend(spec, n, uplus, g)[0] != oracle_right(spec, mu, g) for g in gl)
+    ident = flat_identity(n)
+    mismatches = sum(_left_half(spec, mu, g, ident) != oracle_left(spec, mu, g) for g in gl)
+    mismatches += sum(_right_half(spec, mu, g) != oracle_right(spec, mu, g) for g in gl)
     pairs = [(rng.choice(gl), rng.choice(gl)) for _ in range(100)]
     mismatches += sum(
         canonical_flat(spec, mu, g, h) != oracle_canonical_flat(spec, mu, g, h)
         for g, h in pairs
     )
     assert mismatches == 0
+
+
+# (q, weights, seeded sample of g): past the sizes above, where F_8 and F_9
+# have negation and inverse tables that are not the identity and n = 4 has
+# up to four blocks
+LIFTED_CASES = [(8, (1, 0), 60), (9, (1, 0), 60), (9, (2, -1), 40),
+                (2, (1, 1, 0, 0), 30), (2, (3, 2, 1, 0), 60)]
+
+
+@pytest.mark.parametrize(
+    "q,weights,samples", LIFTED_CASES,
+    ids=[f"q{q}-mu{','.join(map(str, w))}" for q, w, _ in LIFTED_CASES],
+)
+def test_echelon_halves_match_min_over_products_at_lifted_sizes(q, weights, samples):
+    spec = FieldSpec.for_q(q)
+    mu = Cocharacter(weights)
+    n = mu.n
+    rng = random.Random(q * 10 + n)
+
+    def draw():  # a random element of G, without enumerating G
+        while not flat_invertible(spec, n, flat := tuple(rng.randrange(q) for _ in range(n * n))):
+            pass
+        return flat
+
+    ident = flat_identity(n)
+    for g, h in [(draw(), draw()) for _ in range(samples)]:
+        g_min, lev = oracle_left(spec, mu, g)
+        assert _left_half(spec, mu, g, ident) == (g_min, lev)
+        assert _left_half(spec, mu, g, h) == (g_min, flat_mul(spec, n, lev, h))
+        assert _right_half(spec, mu, h) == oracle_right(spec, mu, h)
+        assert canonical_flat(spec, mu, g, h) == oracle_canonical_flat(spec, mu, g, h)
 
 
 def test_zip_pair_enumeration_size_gl3():

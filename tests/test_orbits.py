@@ -60,11 +60,16 @@ def test_orbit_partition_invariants():
     assert [size for _, size, _ in part.orbits] == [2, 4]
 
 
-@pytest.mark.parametrize("kind, q, weights, tau", random.Random(13).sample(ORBIT_CASES, 24),
+# a fixed slice of the oracle's cases (tests/orbits_oracle.py runs them all),
+# chosen by index so that appending a case there changes nothing here
+TIER1_ORBIT_CASES = [ORBIT_CASES[i] for i in (0, 1, 4, 8, 9, 11, 13, 14, 16, 18, 27, 34,
+                                              41, 42, 43, 44, 46, 51, 52, 53, 54, 55, 57, 58)]
+
+
+@pytest.mark.parametrize("kind, q, weights, tau", TIER1_ORBIT_CASES,
                          ids=lambda v: v if isinstance(v, str) else repr(v).replace(" ", ""))
 def test_orbit_walk_matches_union_find(kind, q, weights, tau):
-    # a seeded slice of the oracle's cases (tests/orbits_oracle.py runs them
-    # all); the cached partition cannot be mutated
+    # the cached partition cannot be mutated
     aspec = ActionSpec(kind, Cocharacter(weights), q, tau)
     assert not partition_mismatch(aspec)
     part = enumerate_orbits(aspec)
