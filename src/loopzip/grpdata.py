@@ -181,9 +181,9 @@ def zip_group_order(mu: Cocharacter, q: int) -> int:
 
 
 def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None:
-    check_budget(spec.q <= 9 and candidates <= _ENUM_CAP,
+    check_budget(candidates <= _ENUM_CAP,
                  f"{engine} enumeration", f"n={n}, q={spec.q} scans {candidates:,} candidates",
-                 f"q <= 9 and {_ENUM_CAP:,} candidates")
+                 f"{_ENUM_CAP:,} candidates")
 
 
 @lru_cache(maxsize=None)

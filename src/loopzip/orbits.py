@@ -18,8 +18,8 @@ from math import gcd
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
-from .coset import canonical_flat, class_census, class_of, default_precision, lifted_product
-from .errors import check_budget
+from .coset import (canonical_flat, class_census, class_of, default_precision, embed_after_mu,
+                    lifted_product)
 from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
@@ -55,13 +55,6 @@ class OrbitPartition(NamedTuple):
     root: MappingProxyType  # point -> representative of its orbit
 
 
-def _budget(aspec: ActionSpec) -> None:
-    if aspec.kind not in ACTION_KINDS:
-        raise ValueError(f"unknown action kind {aspec.kind}")
-    check_budget(aspec.mu.n <= 3 and aspec.q <= 4, f"{aspec.kind} orbit engine",
-                 f"n={aspec.mu.n}, q={aspec.q}", "n <= 3, q <= 4")
-
-
 class Action(NamedTuple):
     """One finite right action, as read by the orbit engine and the axioms check.
 
@@ -79,6 +72,8 @@ class Action(NamedTuple):
 
 
 def _action(aspec: ActionSpec) -> Action:
+    if aspec.kind not in ACTION_KINDS:
+        raise ValueError(f"unknown action kind {aspec.kind}")
     spec = FieldSpec.for_q(aspec.q)
     mu = aspec.mu
     n = mu.n
@@ -106,6 +101,11 @@ def _action(aspec: ActionSpec) -> Action:
         pm, pp = pair
         left = flat_inverse(spec, n, pp)
         right = flat_frobenius(spec, pm, act_tau)
+        # a generator from U_- or U_+ has an identity side: one product, not two
+        if left == ident:
+            return lambda g: mul(g, right)
+        if right == ident:
+            return lambda g: mul(left, g)
         return lambda g: mul(mul(left, g), right)
 
     return Action(
@@ -131,7 +131,6 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
     Cached by the `aspec` value: a partition holds only tuples, frozensets
     and a read-only map, so every caller may share it.
     """
-    _budget(aspec)
     action = _action(aspec)
     movers = [action.act(g) for g in action.gens]
     root: dict = {}
@@ -167,7 +166,6 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
 
 def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> bool:
     """Spot-check: identity acts trivially; (x.g).h = x.(g h) on random triples."""
-    _budget(aspec)
     action = _action(aspec)
     points, elements = action.points, action.elements()
     act = action.act
@@ -233,7 +231,6 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     """g -> class of mu(t) g matches twisted orbits with conjugacy orbits."""
     spec = FieldSpec.for_q(q)
     n = mu.n
-    ident = flat_identity(n)
 
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
     part_r = enumerate_orbits(ActionSpec("partial-frobenius", mu, q, m))
@@ -241,7 +238,7 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     image_roots = []
     well_defined = True
     for blk in sorted(part_r.blocks, key=min):
-        roots = {sigma_part.root[canonical_flat(spec, mu, ident, g)] for g in blk}
+        roots = {sigma_part.root[embed_after_mu(spec, mu, g)] for g in blk}
         if len(roots) != 1:
             well_defined = False
         image_roots.append(min(roots))
@@ -255,7 +252,7 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
     for g, pf, mf in _equivariance_draws(spec, mu, samples, seed):
         minv = flat_inverse(spec, n, mf)
         tg = flat_mul(spec, n, g, flat_frobenius(spec, pf, m))
-        lhs = canonical_flat(spec, mu, ident, flat_mul(spec, n, minv, tg))
+        lhs = embed_after_mu(spec, mu, flat_mul(spec, n, minv, tg))
         rhs = canonical_flat(spec, mu, pf, tg)
         equivariant &= lhs == rhs
         compared += 1

@@ -41,7 +41,8 @@ from .grpdata import (
     random_series_subgroup,
 )
 from .matring import Mat
-from .orbits import ActionSpec, chain_compare, check_action_axioms, transport_check, weyl_reps_report
+from .orbits import (ACTION_KINDS, ActionSpec, chain_compare, check_action_axioms, transport_check,
+                     weyl_reps_report)
 from .series import LaurentElt
 from .weyl import (
     CosetPoset,
@@ -285,7 +286,7 @@ def suite_chain(cfg: dict) -> list:
     mu = Cocharacter(cfg["mu"])
     q, m = cfg["q"], cfg["tau"]
     checks = []
-    for kind in ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj"):
+    for kind in ACTION_KINDS:
         ok = check_action_axioms(ActionSpec(kind, mu, q, m), seed=cfg["seed"])
         checks.append({"name": f"action-axioms-{kind}", "q": q, "passed": ok})
     rep = chain_compare(mu, q, m)
@@ -301,7 +302,7 @@ def suite_weyl(cfg: dict) -> list:
     mu = Cocharacter(cfg["mu"])
     n = mu.n
     checks = []
-    # first, so that the orbit-engine budget refuses before the exhaustive checks run
+    # first, so that the class-census budget refuses before the exhaustive checks run
     rep = weyl_reps_report(mu, cfg["q"], cfg["tau"], max(cfg["prec"], default_precision(mu)))
 
     # Bruhat criterion against the subword oracle, exhaustively

@@ -32,10 +32,18 @@ ORBIT_CASES = [
     )
     for kind in ACTION_KINDS
 ]
-# cases only the full comparison runs, which takes about four minutes with
-# them: every kind on GL3(F3) at two weights
+# cases only the full comparison runs, which takes about eighteen minutes with
+# them: every kind on GL3(F3) at two weights, and on GL2 over F5, F8 and F9
+# at (1, 0) and (0, 0); the zip kinds on GL2(F8) and GL2(F9) at (0, 0) take
+# fifteen of those minutes, since there the oracle's Levi generators are all
+# of GL2
 WIDE_ORBIT_CASES = [
-    (kind, 3, weights, 1) for weights in [(1, 0, 0), (1, 1, 0)] for kind in ACTION_KINDS
+    (kind, q, weights, 1)
+    for q, weights in (
+        [(3, w) for w in [(1, 0, 0), (1, 1, 0)]]
+        + [(q, w) for q in (5, 8, 9) for w in [(1, 0), (0, 0)]]
+    )
+    for kind in ACTION_KINDS
 ]
 
 

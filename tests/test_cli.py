@@ -35,10 +35,11 @@ def test_verify_budget_exit_2(capsys):
     assert "configuration" in err
 
 
-@pytest.mark.parametrize("q", ["4", "5"])
-def test_psi_runs_on_gl2_beyond_q3(q, capsys):
+@pytest.mark.parametrize("suite,q", [("psi", "4"), ("psi", "5"), ("chain", "5"), ("chain", "8"),
+                                     ("weyl", "5"), ("weyl", "8")])
+def test_suites_run_on_gl2_beyond_q3(suite, q, capsys):
     code, out, err = run_cli(
-        ["verify", "--suite", "psi", "--q", q, "--mu", "1,0"], capsys
+        ["verify", "--suite", suite, "--q", q, "--mu", "1,0"], capsys
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["passed"]
@@ -332,20 +333,20 @@ def test_verify_prec_below_mu_exit_2_before_suites(capsys, monkeypatch):
 
 def test_budget_message_names_engine_and_caps(capsys):
     code, out, err = run_cli(
-        ["verify", "--suite", "lemmas", "--mu", "1,0", "--q", "25"], capsys
+        ["orbits", "--action", "zip-normal", "--mu", "1,0,0", "--q", "5"], capsys
     )
     assert code == 2
     assert out == ""
-    assert "unipotent U_+ enumeration at n=2, q=25" in err
-    assert "the caps are q <= 9 and 600,000 candidates" in err
+    assert "GL_3 enumeration at n=3, q=5 scans 1,953,125 candidates" in err
+    assert "the caps are 600,000 candidates" in err
     # every exhaustive engine names itself, the requested size and its caps
     for argv, engine, size, caps in [
         (["verify", "--suite", "psi", "--mu", "1,0,0", "--q", "4"],
          "class census", "n=3, q=4 classifies 238,140 classes", "33,000 points classified"),
         (["verify", "--suite", "witt", "--mu", "1,0", "--q", "8"],
          "mixed census", "n=2, q=8 classifies 12,446,784 pairs", "33,000 points classified"),
-        (["orbits", "--action", "zip-normal", "--mu", "1,0", "--q", "5"],
-         "zip-normal orbit engine", "n=2, q=5", "n <= 3, q <= 4"),
+        (["orbits", "--action", "sigma-conj", "--mu", "1,0,0", "--q", "4"],
+         "class census", "n=3, q=4 classifies 238,140 classes", "33,000 points classified"),
         (["orbits", "--action", "class-census", "--mu", "0,0,0", "--q", "4"],
          "class census", "n=3, q=4 classifies 181,440 classes", "33,000 points classified"),
     ]:
@@ -608,9 +609,11 @@ def test_class_census_refuses_tau(capsys):
      "configuration error: class census at n=4, q=2 classifies 44,100 classes; "
      "the caps are 33,000 points classified\n"),
     (["verify", "--suite", "chain", "--mu", "1,1,0,0"], 2,
-     "configuration error: zip-normal orbit engine at n=4, q=2; the caps are n <= 3, q <= 4\n"),
+     "configuration error: class census at n=4, q=2 classifies 44,100 classes; "
+     "the caps are 33,000 points classified\n"),
     (["verify", "--suite", "weyl", "--mu", "1,1,0,0"], 2,
-     "configuration error: sigma-conj orbit engine at n=4, q=2; the caps are n <= 3, q <= 4\n"),
+     "configuration error: class census at n=4, q=2 classifies 44,100 classes; "
+     "the caps are 33,000 points classified\n"),
 ], ids=["lemmas", "prozip", "psi", "chain", "weyl"])
 def test_gl4_suites(argv, code, err, capsys):
     # the F_q kernel has no size limit: GL_4 runs wherever the suite budgets allow
@@ -628,8 +631,8 @@ def test_weyl_budget_refuses_before_exhaustive_checks(capsys, monkeypatch):
     monkeypatch.setattr(suites, "bruhat_leq", no_bruhat)
     code, out, err = run_cli(["verify", "--suite", "weyl", "--mu", "1,0,0,0"], capsys)
     assert (code, out) == (2, "")
-    assert err == ("configuration error: sigma-conj orbit engine at n=4, q=2; "
-                   "the caps are n <= 3, q <= 4\n")
+    assert err == ("configuration error: class census at n=4, q=2 classifies 37,800 "
+                   "classes; the caps are 33,000 points classified\n")
 
 
 def test_class_census_budget_exit_2_before_enumerating(capsys, monkeypatch):

@@ -105,7 +105,7 @@ def test_an_action_leaving_the_point_set_is_refused(monkeypatch):
 def test_unknown_action_kind_is_refused_before_the_budget():
     for engine in (enumerate_orbits, check_action_axioms):
         with pytest.raises(ValueError, match="unknown action kind class-census"):
-            engine(ActionSpec("class-census", MU, 5))
+            engine(ActionSpec("class-census", Cocharacter((1, 0, 0)), 5))
 
 
 def test_trivial_weights_action_is_conjugation():
@@ -126,8 +126,11 @@ def test_orbits_deterministic():
 
 
 def test_budget_guard():
-    with pytest.raises(BudgetExceeded):
-        enumerate_orbits(ActionSpec("zip-normal", MU, 5))
+    # the zip engines enumerate GL_3(F_5), 1,953,125 candidates; sigma-conj
+    # on GL_3(F_4) needs the class census, 238,140 classes
+    for kind, q in (("zip-normal", 5), ("sigma-conj", 4)):
+        with pytest.raises(BudgetExceeded):
+            enumerate_orbits(ActionSpec(kind, Cocharacter((1, 0, 0)), q))
 
 
 def test_chain_compare_q2():

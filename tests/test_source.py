@@ -82,6 +82,37 @@ def test_every_error_class_is_raised():
     assert sorted(classes - raised - {"LoopZipError"}) == []
 
 
+def test_every_budget_check_compares_a_count_with_a_named_cap():
+    # a refusal counts the unit its engine builds against a module-level
+    # integer cap: check_budget(<count> <= NAME, ...), and nothing else
+    trees = [(path, ast.parse(path.read_text(), filename=str(path)))
+             for path in sorted(SRC.glob("*.py"))]
+    caps = {
+        target.id
+        for _, tree in trees
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    calls, found = 0, []
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "check_budget"):
+                continue
+            calls += 1
+            fits = node.args[0] if node.args else None
+            if not (isinstance(fits, ast.Compare) and len(fits.ops) == 1
+                    and isinstance(fits.ops[0], ast.LtE)
+                    and isinstance(fits.comparators[0], ast.Name)
+                    and fits.comparators[0].id in caps):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(fits) if fits else None}")
+    assert calls >= 3
+    assert found == []
+
+
 def test_every_src_def_is_referenced():
     # a function, method or class that no src code reads by name is API that
     # no command reaches; dunders are called by the interpreter
