@@ -101,11 +101,6 @@ def _action(aspec: ActionSpec) -> Action:
         pm, pp = pair
         left = flat_inverse(spec, n, pp)
         right = flat_frobenius(spec, pm, act_tau)
-        # a generator from U_- or U_+ has an identity side: one product, not two
-        if left == ident:
-            return lambda g: mul(g, right)
-        if right == ident:
-            return lambda g: mul(left, g)
         return lambda g: mul(mul(left, g), right)
 
     return Action(
