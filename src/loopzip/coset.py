@@ -22,10 +22,10 @@ from .grpdata import (
     conj_by_mu,
     enumerate_gl_flat,
     gl_order,
-    mu_matrix,
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
+    times_mu,
     unipotent_order,
     zip_group_order,
 )
@@ -363,7 +363,7 @@ def prozip_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
     """
     rng = random.Random(seed)
     n = mu.n
-    mu_t = mu_matrix(mu, LaurentElt.one(spec, prec))
+    check_mu_window(mu, LaurentElt.one(spec, prec))  # mu(t) exists at this window
     passed = 0
     min_window = None
     for _ in range(samples):
@@ -371,8 +371,8 @@ def prozip_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
         y = random_integral_mat(spec, n, prec, rng)
         g = random_left_h_mat(spec, mu, prec, rng)
         h = conj_by_mu(g, mu, -1)
-        base = x.inverse() * mu_t * y
-        moved = (h.inverse() * x).inverse() * mu_t * (g.inverse() * y)
+        base = times_mu(x.inverse(), mu, prec) * y
+        moved = times_mu((h.inverse() * x).inverse(), mu, prec) * (g.inverse() * y)
         window = min(base.min_precision(), moved.min_precision())
         if min_window is None or window < min_window:
             min_window = window

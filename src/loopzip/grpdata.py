@@ -26,7 +26,7 @@ from .matring import (
     flat_mul,
     flat_residue,
 )
-from .series import LaurentElt
+from .series import LaurentElt, _raw
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
 PAIR_CAP = 2_000_000  # pairs built by a zip group enumeration
@@ -91,13 +91,6 @@ def check_mu_window(mu: Cocharacter, one) -> None:
             f"denominator p^{-short[0]} leaves no precision at length {one.ctx.length}")
 
 
-def mu_matrix(mu: Cocharacter, one) -> Mat:
-    """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
-    check_mu_window(mu, one)
-    # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
-    return Mat.diagonal([one.one_at(one.prec - d).shifted(d) for d in mu.weights])
-
-
 def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:
     """Entrywise uniformizer shift: block (i,j) scaled by pi^(sign*(d_j-d_i)).
 
@@ -109,6 +102,27 @@ def conj_by_mu(g: Mat, mu: Cocharacter, sign: int) -> Mat:
         rows.append([
             g.rows[i][j].shifted(sign * (d[j] - d[i])) for j in range(mu.n)
         ])
+    return Mat(rows)
+
+
+def times_mu(x: Mat, mu: Cocharacter, prec: int) -> Mat:
+    """x * mu(t) for a Laurent matrix x and mu(t) = diag(t^(d_j)) at a window
+    prec >= 1, stored as the matrix product stores it: entry (i, j) is x_ij
+    shifted by d_j, on a window that the min-rule of each product
+    x_ik mu(t)_kj ends by prec plus the valuation of x_ik (its window end
+    when it is zero), and that starts no later than each x_ik, k != j, does."""
+    d, spec = mu.weights, x.rows[0][0].spec
+    if any(y.v == y.prec for r in x.rows for y in r):
+        raise InsufficientPrecision("multiplication of an empty window")
+    rows = []
+    for row in x.rows:
+        cap = prec + min(y.prec if y.valuation() is None else y.valuation() for y in row)
+        out = []
+        for j, (y, dj) in enumerate(zip(row, d)):
+            top = min(y.prec + dj, cap)
+            v = min(y.v + dj, top, *(z.v for k, z in enumerate(row) if k != j))
+            out.append(_raw(spec, v, top, y._window(v - dj, top - dj)))
+        rows.append(out)
     return Mat(rows)
 
 

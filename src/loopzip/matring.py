@@ -7,6 +7,7 @@ against it:
   prec               the window: the entry is known modulo pi^prec;
   residue_code()     field code of the reduction of an integral entry;
   shifted(k)         multiplication by pi^k;
+  sub_mul(c, y)      x - c * y, stored as the product and the difference store it;
   inverse()          inverse of an entry of provable valuation;
   zero_at(prec), one_at(prec)  the ring's constants at a given window;
   from_codes(codes)  the integral element with expansion coordinates `codes`
@@ -52,13 +53,6 @@ class Mat:
         zero = one.zero_at(one.prec)
         return Mat([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def diagonal(diag) -> "Mat":
-        """diag(d_1, ..., d_n); its zeros take the least window of the d_i."""
-        n = len(diag)
-        zero = diag[0].zero_at(min(x.prec for x in diag))
-        return Mat([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other: "Mat") -> None:
@@ -101,11 +95,19 @@ class Mat:
     # -- inversion --------------------------------------------------------------
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan with minimal-valuation pivot selection."""
+        """Gauss-Jordan with minimal-valuation pivot selection.
+
+        The columns of w at and left of the pivot are never read again.  A
+        Laurent matrix with no empty window skips them: products of nonempty
+        windows are nonempty and cannot raise.  Other matrices update them,
+        to raise what a product there raises (an empty window, or a Witt
+        product left with no provable digit).
+        """
         n = self.n
         w = [list(r) for r in self.rows]
         one = self.rows[0][0].one_at(self.min_precision())
         aug = [list(r) for r in Mat.identity(n, one).rows]
+        live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)
         for col in range(n):
             piv = _select_pivot(w, rows=range(col, n), cols=[col])
             if piv is None:
@@ -114,8 +116,10 @@ class Mat:
             if i != col:
                 w[col], w[i] = w[i], w[col]
                 aug[col], aug[i] = aug[i], aug[col]
+            first = col + 1 if live else 0
             pinv = w[col][col].inverse()
-            w[col] = [pinv * x for x in w[col]]
+            prow = [pinv * x for x in w[col][first:]]
+            w[col][first:] = prow
             aug[col] = [pinv * x for x in aug[col]]
             for r in range(n):
                 if r == col:
@@ -123,8 +127,8 @@ class Mat:
                 c = w[r][col]
                 if c.valuation() is None:
                     continue
-                w[r] = [x - c * y for x, y in zip(w[r], w[col])]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+                w[r][first:] = [x.sub_mul(c, y) for x, y in zip(w[r][first:], prow)]
+                aug[r] = [x.sub_mul(c, y) for x, y in zip(aug[r], aug[col])]
         return Mat(aug)
 
     # -- serialization -----------------------------------------------------------
@@ -356,7 +360,7 @@ def _diagonalize(x: Mat, residues: bool):
             if i == k or w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
-            w[i] = [p - c * q for p, q in zip(w[i], w[k])]
+            w[i] = [p.sub_mul(c, q) for p, q in zip(w[i], w[k])]
             if residues:
                 by_c = mul[c.residue_code()]
                 for r in range(n):
@@ -369,7 +373,7 @@ def _diagonalize(x: Mat, residues: bool):
                 continue
             c = w[k][j].shifted(-v)
             for r in range(n):
-                w[r][j] = w[r][j] - w[r][k] * c
+                w[r][j] = w[r][j].sub_mul(w[r][k], c)
             if residues:
                 by_c = mul[c.residue_code()]
                 b[k] = [add[p][by_c[q]] for p, q in zip(b[k], b[j])]

@@ -126,28 +126,21 @@ class LaurentElt:
         """Exact convolution; the window follows the min-rule on trimmed
         operands, since stored leading zeros are exact and cost nothing."""
         self._coerce(other)
-        if self.v == self.prec or other.v == other.prec:
-            raise InsufficientPrecision("multiplication of an empty window")
-        a, b = self.codes, other.codes
-        za, zb = _leading_zeros(a), _leading_zeros(b)
-        prec = min(self.prec + other.v + zb, other.prec + self.v + za)
+        za, zb, prec = _product_window(self, other)
         v = min(self.v + other.v, prec)
-        n = prec - v
-        out = [0] * n
-        mul = self.spec.mul_table
-        add = self.spec.add_table
-        # out index of a[za] * b[zb]; only the first m terms of each reach the window
-        base = self.v + za + other.v + zb - v
-        m = n - base
-        if m > 0:
-            bw = b[zb:zb + m]
-            for i, ai in enumerate(a[za:za + m]):
-                if ai:
-                    row = mul[ai]
-                    for k, bj in enumerate(bw[:m - i], base + i):
-                        if bj:
-                            out[k] = add[out[k]][row[bj]]
-        return _raw(self.spec, v, prec, tuple(out))
+        out = _convolve([0] * (prec - v), v, self, za, other, zb, False)
+        return _raw(self.spec, v, prec, out)
+
+    def sub_mul(self, c: "LaurentElt", y: "LaurentElt") -> "LaurentElt":
+        """self - c * y, stored as the product and then the difference store
+        it, with no product object built."""
+        c._coerce(y)
+        za, zb, pprec = _product_window(c, y)
+        self._coerce(c)
+        prec = min(self.prec, pprec)
+        v = min(self.v, c.v + y.v, prec)
+        out = _convolve(list(self._window(v, prec)), v, c, za, y, zb, True)
+        return _raw(self.spec, v, prec, out)
 
     def shifted(self, k: int) -> "LaurentElt":
         """Multiply by t^k exactly (window slides by k)."""
@@ -247,6 +240,32 @@ class LaurentElt:
                 terms.append(f"{cs}*t^{e}" if cs != "1" else f"t^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.prec})"
+
+
+def _product_window(a: LaurentElt, b: LaurentElt) -> tuple:
+    """Leading zero counts of a and b and the end of the window of a * b."""
+    if a.v == a.prec or b.v == b.prec:
+        raise InsufficientPrecision("multiplication of an empty window")
+    za, zb = _leading_zeros(a.codes), _leading_zeros(b.codes)
+    return za, zb, min(a.prec + b.v + zb, b.prec + a.v + za)
+
+
+def _convolve(out: list, v: int, a: LaurentElt, za: int, b: LaurentElt, zb: int,
+              negate: bool) -> tuple:
+    """out, the codes of exponents v.., plus a * b (minus it when `negate`)
+    on the terms that reach its end; za and zb skip the leading zeros."""
+    base = a.v + za + b.v + zb - v  # out index of a[za] * b[zb]
+    m = len(out) - base  # only the first m terms of each reach the window
+    if m > 0:
+        mul, add, neg = a.spec.mul_table, a.spec.add_table, a.spec.neg_table
+        bw = b.codes[zb:zb + m]
+        for i, ai in enumerate(a.codes[za:za + m]):
+            if ai:
+                row = mul[neg[ai] if negate else ai]
+                for k, bj in enumerate(bw[:m - i], base + i):
+                    if bj:
+                        out[k] = add[out[k]][row[bj]]
+    return tuple(out)
 
 
 def _raw(spec: FieldSpec, v: int, prec: int, codes: tuple) -> LaurentElt:

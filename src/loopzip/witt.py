@@ -275,20 +275,27 @@ class WittFraction:
         return self + (-other)
 
     def __mul__(self, other: "WittFraction") -> "WittFraction":
+        """Product of the stripped operands: the numerator product mod p^N of
+        an operand p^(-e) num with e > 0 and p | num holds fewer digits than
+        the window below claims."""
         self._coerce(other)
-        v1 = self.valuation()
-        v2 = other.valuation()
-        v1b = v1 if v1 is not None else self.known
-        v2b = v2 if v2 is not None else other.known
-        known = min(self.known + v2b, other.known + v1b)
+        a, b = self.stripped(), other.stripped()
+        v1, v2 = a.valuation(), b.valuation()
+        v1b = v1 if v1 is not None else a.known
+        v2b = v2 if v2 is not None else b.known
+        known = min(a.known + v2b, b.known + v1b)
         if known <= 0:
             raise InsufficientPrecision("product has no provable digits")
         # the raw exponent may exceed the length cap; p-factors contributed
         # by positive-valuation operands can be stripped to repair it
-        e, num = _cancel_p(self.ctx, self.e + other.e, self.ctx._mul(self.num, other.num))
+        e, num = _cancel_p(self.ctx, a.e + b.e, self.ctx._mul(a.num, b.num))
         if e >= self.ctx.length:
             raise InsufficientPrecision("denominator exceeds Witt length")
         return WittFraction(self.ctx, e, num, known)
+
+    def sub_mul(self, c: "WittFraction", y: "WittFraction") -> "WittFraction":
+        """self - c * y."""
+        return self - c * y
 
     def shifted(self, k: int) -> "WittFraction":
         """Multiply by p^k exactly (exponent bookkeeping only)."""

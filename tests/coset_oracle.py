@@ -27,11 +27,11 @@ from loopzip.grpdata import (
     enumerate_gl_flat,
     enumerate_parabolic_flat,
     enumerate_unipotent_flat,
-    mu_matrix,
 )
 from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
+from laurent_oracle import entry_form, mu_matrix
 
 
 @lru_cache(maxsize=None)
@@ -173,15 +173,6 @@ def oracle_pair_matrix(mu, g, h, one) -> Mat:
     """g~^(-1) pi^mu h~ as the product of the lifts and mu_matrix."""
     n = mu.n
     return lift(one, n, flat_inverse(one.spec, n, g)) * mu_matrix(mu, one) * lift(one, n, h)
-
-
-def entry_form(x) -> tuple:
-    """What a closed form must reproduce of an entry: the stored window and
-    coefficients (v, prec, codes) of a Laurent series, the exponent, window
-    and numerator coordinates (e, known, coords) of a Witt fraction."""
-    if isinstance(x, LaurentElt):
-        return x.v, x.prec, x.codes
-    return x.e, x.known, x.ctx.coords(x.num)
 
 
 def outcome(build, *args):

@@ -1,22 +1,40 @@
-"""Reference truncated Laurent series with every coefficient boxed as FqElem.
+"""Reference truncated Laurent series with every coefficient boxed as FqElem,
+and the matrix forms that `loopzip` replaced with closed forms.
 
-This is the coefficient-object implementation that `loopzip.series`
-replaced with int codes indexed straight into the field tables.  Its
-arithmetic goes through `FqElem`, a field element object over the same
-`FieldSpec` tables, one coefficient at a time, so it is slow but plainly
-correct; the tests compare the code-based `LaurentElt` against it.
+The boxed series is the coefficient-object implementation that
+`loopzip.series` replaced with int codes indexed straight into the field
+tables.  Its arithmetic goes through `FqElem`, a field element object over
+the same `FieldSpec` tables, one coefficient at a time, so it is slow but
+plainly correct; the tests compare the code-based `LaurentElt` against it.
+
+`mu_matrix` and `full_inverse` are the diagonal matrix of mu(pi) and the
+Gauss-Jordan loop that updates every column with a product and then a
+difference; the tests compare `grpdata.times_mu`, `sub_mul` and the
+live-column `Mat.inverse` against them, in both rings.
+
+    PYTHONPATH=src:tests python tests/laurent_oracle.py
+
+runs those comparisons at full size and prints the mismatch counts.
 """
 
 from __future__ import annotations
 
+import random
+import sys
+
 from loopzip.errors import (
     InsufficientPrecision,
+    LoopZipError,
     NotAUnit,
+    NotInvertible,
     NotIntegral,
     SpecMismatch,
 )
 from loopzip.gf import FieldSpec
+from loopzip.grpdata import Cocharacter, check_mu_window, times_mu
+from loopzip.matring import Mat, _select_pivot
 from loopzip.series import LaurentElt
+from loopzip.witt import WittCtx, WittFraction
 
 
 class FqElem:
@@ -245,6 +263,9 @@ class BoxedLaurent:
                     out[base + i + j] = add[out[base + i + j]][row[bj]]
         return BoxedLaurent(self.spec, v, prec, [FqElem(self.spec, c) for c in out])
 
+    def sub_mul(self, c: "BoxedLaurent", y: "BoxedLaurent") -> "BoxedLaurent":
+        return self - c * y
+
     def shifted(self, k: int) -> "BoxedLaurent":
         """Multiply by t^k exactly (window slides by k)."""
         return BoxedLaurent(self.spec, self.v + k, self.prec + k, self.coeffs)
@@ -350,3 +371,171 @@ def from_coeff_list(spec: FieldSpec, v: int, codes, prec: int) -> LaurentElt:
     if v + len(codes) > prec:
         codes = codes[: prec - v]
     return LaurentElt(spec, v, prec, codes + (0,) * (prec - v - len(codes)))
+
+
+# -- the matrix forms replaced by closed forms ----------------------------------------
+
+
+def diagonal(diag) -> Mat:
+    """diag(d_1, ..., d_n); its zeros take the least window of the d_i."""
+    n = len(diag)
+    zero = diag[0].zero_at(min(x.prec for x in diag))
+    return Mat([[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def mu_matrix(mu, one) -> Mat:
+    """diag(pi^{d_1}, ..., pi^{d_n}) in the ring of `one`, at its window."""
+    check_mu_window(mu, one)
+    # pi^d = pi^d * 1 with the 1 known to prec - d, so pi^d is known to prec
+    return diagonal([one.one_at(one.prec - d).shifted(d) for d in mu.weights])
+
+
+def full_inverse(m: Mat) -> Mat:
+    """Gauss-Jordan with minimal-valuation pivot selection, every column of
+    w updated by a product and then a difference."""
+    n = m.n
+    w = [list(r) for r in m.rows]
+    one = m.rows[0][0].one_at(m.min_precision())
+    aug = [list(r) for r in Mat.identity(n, one).rows]
+    for col in range(n):
+        piv = _select_pivot(w, rows=range(col, n), cols=[col])
+        if piv is None:
+            raise NotInvertible(f"no usable pivot in column {col}")
+        i, _ = piv
+        if i != col:
+            w[col], w[i] = w[i], w[col]
+            aug[col], aug[i] = aug[i], aug[col]
+        pinv = w[col][col].inverse()
+        w[col] = [pinv * x for x in w[col]]
+        aug[col] = [pinv * x for x in aug[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            c = w[r][col]
+            if c.valuation() is None:
+                continue
+            w[r] = [x - c * y for x, y in zip(w[r], w[col])]
+            aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+    return Mat(aug)
+
+
+# -- closed forms against the forms they replaced ---------------------------------------
+
+
+def entry_form(x) -> tuple:
+    """What a closed form must reproduce of an entry: the stored window and
+    coefficients (v, prec, codes) of a Laurent series, the exponent, window
+    and numerator coordinates (e, known, coords) of a Witt fraction."""
+    if isinstance(x, LaurentElt):
+        return x.v, x.prec, x.codes
+    return x.e, x.known, x.ctx.coords(x.num)
+
+
+def stored(build):
+    """The entry forms of what build() returns, an entry or a matrix, or the
+    class and message of the loopzip error it raises."""
+    try:
+        out = build()
+    except LoopZipError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, Mat):
+        return [entry_form(x) for r in out.rows for x in r]
+    return entry_form(out)
+
+
+def raised(form) -> bool:
+    """Whether a `stored` result is an error."""
+    return isinstance(form, tuple) and isinstance(form[0], str)
+
+
+def random_entry(one, rng):
+    """An entry in the ring of `one` of random shape: a Laurent series with
+    poles, stored leading zeros or an empty window, or a Witt fraction with
+    a denominator, an unstripped numerator or a short window."""
+    if isinstance(one, WittFraction):
+        ctx = one.ctx
+        e = rng.choice((0, 0, 1, rng.randrange(ctx.length)))
+        num = tuple(rng.randrange(ctx.mod) * ctx.p ** rng.randrange(ctx.length) % ctx.mod
+                    for _ in range(ctx.spec.m))
+        return WittFraction(ctx, e, num, rng.randrange(1, ctx.length - e + 1))
+    v = rng.randrange(-2, 3)
+    n = rng.choice((0, 1, 2, 3, 5, 8))
+    codes = [rng.randrange(one.spec.q) for _ in range(n)]
+    if rng.random() < 0.3:
+        zeros = rng.randrange(n + 1)
+        codes[:zeros] = [0] * zeros
+    return LaurentElt(one.spec, v, v + n, codes)
+
+
+def random_matrix(one, n: int, rng, wild: float) -> Mat:
+    """n x n matrix whose entries are random integral elements at the window
+    of `one`, each replaced by a `random_entry` with probability `wild`."""
+    q = one.spec.q
+    return Mat([[random_entry(one, rng) if rng.random() < wild
+                 else one.from_codes([rng.randrange(q) for _ in range(one.prec)])
+                 for _ in range(n)] for _ in range(n)])
+
+
+def random_ones(rng):
+    """A Laurent or Witt-fraction 1 over a random small field and window."""
+    q = rng.choice((2, 3, 4, 5, 9))
+    spec = FieldSpec.for_q(q)
+    if rng.random() < 0.5:
+        return LaurentElt.one(spec, rng.randrange(2, 9))
+    return WittFraction.one(WittCtx.get(spec, rng.randrange(2, 5 if spec.p <= 3 else 3)))
+
+
+def times_mu_mismatches(cases: int, seed: int) -> tuple:
+    """(cases, mismatches, errors): `times_mu` against the product by
+    `mu_matrix` on random Laurent matrices, n <= 3 and weights in -2..3."""
+    rng = random.Random(seed)
+    bad = errors = 0
+    for _ in range(cases):
+        one = LaurentElt.one(FieldSpec.for_q(rng.choice((2, 3, 4, 9))), 1)
+        n = rng.randrange(1, 4)
+        mu = Cocharacter(sorted((rng.randrange(-2, 4) for _ in range(n)), reverse=True))
+        prec = max(max(mu.weights) + 1, 1) + rng.randrange(6)
+        x = random_matrix(LaurentElt.one(one.spec, rng.randrange(1, 9)), n, rng, 0.4)
+        got = stored(lambda: times_mu(x, mu, prec))
+        bad += got != stored(lambda: x * mu_matrix(mu, LaurentElt.one(one.spec, prec)))
+        errors += raised(got)
+    return cases, bad, errors
+
+
+def sub_mul_mismatches(cases: int, seed: int) -> tuple:
+    """(cases, mismatches, errors): x.sub_mul(c, y) against x - c * y on
+    random entries of both rings."""
+    rng = random.Random(seed)
+    bad = errors = 0
+    for _ in range(cases):
+        one = random_ones(rng)
+        x, c, y = (random_entry(one, rng) for _ in range(3))
+        got = stored(lambda: x.sub_mul(c, y))
+        bad += got != stored(lambda: x - c * y)
+        errors += raised(got)
+    return cases, bad, errors
+
+
+def inverse_mismatches(cases: int, seed: int) -> tuple:
+    """(cases, mismatches, errors): `Mat.inverse` against `full_inverse` on
+    random matrices of both rings, n <= 3, with some entries of random shape."""
+    rng = random.Random(seed)
+    bad = errors = 0
+    for _ in range(cases):
+        x = random_matrix(random_ones(rng), rng.randrange(1, 4), rng, rng.choice((0, 0.1, 0.3)))
+        got = stored(x.inverse)
+        bad += got != stored(lambda: full_inverse(x))
+        errors += raised(got)
+    return cases, bad, errors
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:tests python tests/laurent_oracle.py: the full comparisons
+    total = 0
+    for name, compare, cases in [("times_mu", times_mu_mismatches, 40_000),
+                                 ("sub_mul", sub_mul_mismatches, 320_000),
+                                 ("inverse", inverse_mismatches, 90_000)]:
+        cases, bad, errors = compare(cases, seed=1)
+        total += bad
+        print(f"{name}: {cases} cases, {errors} raised, {bad} mismatches")
+    sys.exit(1 if total else 0)

@@ -316,6 +316,20 @@ def test_cartan_undecomposable_matrix_exit_2(capsys, monkeypatch, matrix):
     assert err.startswith("bad matrix input: ")
 
 
+@pytest.mark.parametrize("matrix", [
+    # 4 J over W_3(F_2): the products of unstripped entries once claimed a
+    # digit they did not have, and cartan printed d = [2, 2]
+    _witt_json(2, 1, 3, [[(0, [[0], [0], [1]])] * 2] * 2),
+    # its Laurent twin, t^2 J at prec 3
+    {"n": 2, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 3, [0, 0, 1])] * 2] * 2},
+], ids=["witt-4J", "laurent-t2J"])
+def test_cartan_rank_one_multiple_of_the_uniformizer_exit_2(capsys, monkeypatch, matrix):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
+    code, out, err = run_cli(["cartan"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad matrix input: remaining minor is zero within precision")
+
+
 def test_verify_prec_below_mu_exit_2_before_suites(capsys, monkeypatch):
     import loopzip.cli as cli
 

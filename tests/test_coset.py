@@ -10,7 +10,6 @@ from loopzip.grpdata import (
     enumerate_gl_flat,
     enumerate_unipotent_flat,
     enumerate_zip_pairs_flat,
-    mu_matrix,
     random_k1_mat,
 )
 from loopzip.coset import (
@@ -40,6 +39,7 @@ from loopzip.matring import (
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
+from laurent_oracle import mu_matrix
 from coset_oracle import (
     lift,
     oracle_canonical_flat,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from coset_oracle import lift
-from laurent_oracle import from_coeff_list
+from laurent_oracle import from_coeff_list, mu_matrix, times_mu_mismatches
 from orbits_oracle import ORBIT_CASES
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
@@ -24,7 +24,6 @@ from loopzip.grpdata import (
     in_parabolic,
     in_zip_loop,
     levi_component,
-    mu_matrix,
     random_k1_mat,
     random_left_h_mat,
     random_series_subgroup,
@@ -87,6 +86,14 @@ def test_mu_matrix_witt():
     # the (1,1) entry is the image of 2, whose coordinates are (0,1,0)
     assert wctx.coords(m.rows[0][0].num) == (0, 1, 0)
     assert wctx.coords(m.rows[1][1].num)[0] == 1
+
+
+def test_times_mu_stores_what_the_product_by_mu_matrix_stores():
+    # windows, stored leading zeros and codes, or the error and its message,
+    # on matrices with poles, stored zeros and empty windows
+    cases, bad, errors = times_mu_mismatches(2000, seed=3)
+    assert bad == 0
+    assert 0 < errors < cases
 
 
 def test_conj_by_mu_blocks():

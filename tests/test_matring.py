@@ -21,7 +21,7 @@ from loopzip.matring import (
 )
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
-from laurent_oracle import from_coeff_list
+from laurent_oracle import diagonal, from_coeff_list, inverse_mismatches, sub_mul_mismatches
 from witt_oracle import p_power
 
 F2 = FieldSpec.get(2, 1)
@@ -36,7 +36,7 @@ def lau(spec, codes_by_entry, prec):
 
 
 def t_diag(spec, weights, prec):
-    return Mat.diagonal([LaurentElt.t_power(spec, d, prec) for d in weights])
+    return diagonal([LaurentElt.t_power(spec, d, prec) for d in weights])
 
 
 def test_identity_multiplication():
@@ -47,7 +47,7 @@ def test_identity_multiplication():
 
 def test_diag_t_times_diag_tinv():
     d1 = t_diag(F2, (1, 0), 6)
-    d2 = Mat.diagonal([LaurentElt.t_power(F2, -1, 4), LaurentElt.one(F2, 4)])
+    d2 = diagonal([LaurentElt.t_power(F2, -1, 4), LaurentElt.one(F2, 4)])
     prod = d1 * d2
     ident = Mat.identity(2, LaurentElt.one(F2, prod.min_precision()))
     assert prod.congruent_mod(ident, prod.min_precision())
@@ -229,14 +229,14 @@ def test_from_codes_on_both_rings(q):
 def test_witt_snf_remultiplication():
     wctx = WittCtx.get(F2, 3)
     rng = random.Random(31)
-    p_diag = Mat.diagonal([p_power(wctx, 1), p_power(wctx, 0)])
+    p_diag = diagonal([p_power(wctx, 1), p_power(wctx, 0)])
     for _ in range(20):
         k1 = random_k1_mat(WittFraction.one(wctx), 2, rng)
         k2 = random_k1_mat(WittFraction.one(wctx), 2, rng)
         x = k1 * p_diag * k2
         a, d, b = snf_dvr(x)
         assert d == (1, 0)
-        prod = a * Mat.diagonal([p_power(wctx, dd) for dd in d]) * b
+        prod = a * diagonal([p_power(wctx, dd) for dd in d]) * b
         assert prod.congruent_mod(x, min(prod.min_precision(), x.min_precision()))
 
 
@@ -248,6 +248,21 @@ def test_witt_matrix_inverse():
         prod = k * k.inverse()
         ident = Mat.identity(2, WittFraction.one(wctx))
         assert prod.congruent_mod(ident, prod.min_precision())
+
+
+def test_sub_mul_stores_what_product_then_difference_stores():
+    cases, bad, errors = sub_mul_mismatches(8000, seed=5)
+    assert bad == 0
+    assert 0 < errors < cases
+
+
+def test_live_column_inverse_matches_the_full_loop():
+    # the same entries, or the same error and message, as the loop that
+    # updates every column; the sweep reaches the errors that only products
+    # left of the pivot raise
+    cases, bad, errors = inverse_mismatches(2000, seed=7)
+    assert bad == 0
+    assert 0 < errors < cases
 
 
 def test_snf_rejects_zero_window_matrix():

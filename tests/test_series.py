@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from laurent_oracle import BoxedLaurent, FqElem, from_coeff_list
+from laurent_oracle import BoxedLaurent, FqElem, from_coeff_list, mu_matrix
 from loopzip import matring
 from loopzip.errors import InsufficientPrecision, LoopZipError, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import Cocharacter, mu_matrix, random_integral_mat, random_laurent
+from loopzip.grpdata import Cocharacter, random_integral_mat, random_laurent
 from loopzip.matring import Mat, snf_dvr
 from loopzip.series import LaurentElt
 

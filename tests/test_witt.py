@@ -12,6 +12,7 @@ from witt_oracle import (
     ghost_poly,
     p_power,
     witt_neg_polys,
+    window_overclaims,
     witt_structure_polys,
 )
 
@@ -396,3 +397,12 @@ def test_fraction_json():
     # canonical form strips the shared p factor
     assert data["e"] == 0
     assert data["p"] == 2 and data["N"] == 3
+
+
+@pytest.mark.parametrize("p,length", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_fraction_windows_hold_the_exact_value(p, length):
+    # +, -, *, inverse and shifted on fractions with unstripped numerators:
+    # every digit a result claims is a digit of the exact result
+    checked, bad = window_overclaims(p, length, 400, seed=length)
+    assert bad == 0
+    assert checked > 1000

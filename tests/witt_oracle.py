@@ -5,14 +5,23 @@ ghost recursion, reduced mod p and evaluated coordinatewise on F_q
 codes.  Every division by p^n in the recursion is exact, so the
 polynomials are correct by construction; the tests compare the
 Galois-ring arithmetic of `loopzip.witt` against this model.
+
+Over F_p the Witt ring is Z/p^N, so a fraction p^(-e) num known modulo
+p^known stands for every rational num / p^e + p^known t with t a p-adic
+integer.  `window_overclaims` draws such true values, applies each fraction
+operation to them exactly, and counts the results whose window claims a
+digit the true value does not have.
 """
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from functools import lru_cache
 
-from loopzip.errors import InsufficientPrecision
-from loopzip.witt import WittFraction
+from loopzip.errors import InsufficientPrecision, LoopZipError
+from loopzip.gf import FieldSpec
+from loopzip.witt import WittCtx, WittFraction
 
 # -- exact multivariate integer polynomials ------------------------------------
 
@@ -264,3 +273,62 @@ def _frob_code(spec, c: int, times: int) -> int:
     for _ in range(abs(times)):
         c = table[c]
     return c
+
+
+# -- exact windows over W_N(F_p) = Z/p^N -------------------------------------------
+
+
+def frac_value(x: WittFraction) -> Fraction:
+    """The rational num / p^e that a fraction over F_p stores."""
+    return Fraction(x.num[0], x.ctx.p ** x.e)
+
+
+def _valuation(q: Fraction, p: int):
+    """p-adic valuation of a nonzero rational; None for 0."""
+    if not q:
+        return None
+    v, a, b = 0, q.numerator, q.denominator
+    while a % p == 0:
+        a, v = a // p, v + 1
+    while b % p == 0:
+        b, v = b // p, v - 1
+    return v
+
+
+def honest(x: WittFraction, true: Fraction) -> bool:
+    """Whether x agrees with the exact value `true` modulo p^x.known."""
+    v = _valuation(frac_value(x) - true, x.ctx.p)
+    return v is None or v >= x.known
+
+
+def random_fraction(ctx: WittCtx, rng) -> WittFraction:
+    """p^(-e) num with a random exponent, window and number of p-factors in
+    num, so that unstripped operands are common."""
+    e = rng.randrange(ctx.length)
+    num = rng.randrange(ctx.mod) * ctx.p ** rng.randrange(ctx.length) % ctx.mod
+    return WittFraction(ctx, e, (num,), rng.randrange(1, ctx.length - e + 1))
+
+
+def window_overclaims(p: int, length: int, samples: int, seed: int) -> tuple:
+    """(results checked, results whose window overclaims) for +, -, *, inverse
+    and shifted on random fractions of W_length(F_p), each operand standing
+    for a random true value in its window."""
+    ctx = WittCtx.get(FieldSpec.get(p, 1), length)
+    rng = random.Random(seed)
+    checked = bad = 0
+    for _ in range(samples):
+        x, y = random_fraction(ctx, rng), random_fraction(ctx, rng)
+        tx = frac_value(x) + p**x.known * rng.randrange(ctx.mod)
+        ty = frac_value(y) + p**y.known * rng.randrange(ctx.mod)
+        k = rng.randrange(-length, length + 1)
+        ops = [(lambda: x + y, lambda: tx + ty), (lambda: x - y, lambda: tx - ty),
+               (lambda: x * y, lambda: tx * ty), (lambda: x.inverse(), lambda: 1 / tx),
+               (lambda: x.shifted(k), lambda: tx * Fraction(p) ** k)]
+        for op, exact in ops:
+            try:
+                out = op()
+            except LoopZipError:
+                continue
+            checked += 1
+            bad += not honest(out, exact())
+    return checked, bad
