@@ -126,7 +126,7 @@ def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
         2P + min(d_k, 0)   otherwise,
     which a Witt fraction caps by its denominator as usual.
     """
-    check_mu_window(mu, one)  # raise what mu_matrix raises at this window
+    check_mu_window(mu, one)  # mu(pi) exists at this window
     n, d, big = mu.n, mu.weights, one.prec
     mul = one.spec.mul_table
     windows = [(big + min(dk, 0), big + dk, 2 * big + min(dk, 0)) for dk in d]

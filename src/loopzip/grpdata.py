@@ -80,7 +80,7 @@ class Cocharacter:
 
 
 def check_mu_window(mu: Cocharacter, one) -> None:
-    """Raise what mu_matrix raises at the window of `one`, building nothing."""
+    """Raise what diag(pi^(d_j)) raises at the window of `one`, building nothing."""
     prec = one.prec
     if prec <= max(mu.weights):
         raise InsufficientPrecision(f"window {prec} cannot represent pi^{max(mu.weights)}")
