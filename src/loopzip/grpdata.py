@@ -2,13 +2,14 @@
 
 A cocharacter is a non-increasing integer weight vector d. Its blocks
 give, over F_q, the parabolic pair P_+/P_-, their unipotent radicals U_+/U_-
-and the common Levi M, enumerated as flat code tuples for the orbit
-engines together with generating sets and the zip groups; and, in the loop
-group, the depth-one kernel K_1, the integral groups H_+/H_- (integral,
-reducing into P_+ or P_-) and the loop zip group. Each subgroup that a
-suite tests has its own membership predicate (`in_parabolic`, `in_k1`,
-`in_h`, `in_conj_integral`, `in_zip_loop`). Every element of U_+/U_-(R),
-P_+/P_-(R) (R = F_q[t]/t^N) and K_1 that a check uses is built here.
+and the common Levi M, as flat code tuples: GL_n enumerated, uniform draws
+from U_+/U_- and M, and small generating sets of GL_n and of the zip groups
+for the orbit engines; and, in the loop group, the depth-one kernel K_1,
+the integral groups H_+/H_- (integral, reducing into P_+ or P_-) and the
+loop zip group. Each subgroup that a suite tests has its own membership
+predicate (`in_parabolic`, `in_k1`, `in_h`, `in_conj_integral`,
+`in_zip_loop`). Every element of U_+/U_-(R), P_+/P_-(R) (R = F_q[t]/t^N)
+and K_1 that a check uses is built here.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from .matring import (
     flat_frobenius,
     flat_identity,
     flat_invertible,
-    flat_mul,
     flat_residue,
 )
 from .series import LaurentElt, _raw
 
 _ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
-PAIR_CAP = 2_000_000  # pairs built by a zip group enumeration
 CLASS_CAP = 33_000  # points the class pipeline classifies: census classes, mixed-census pairs
 
 
@@ -171,7 +170,7 @@ def in_zip_loop(hm: Mat, hp: Mat, mu: Cocharacter) -> bool:
     return levi_component(flat_residue(hm), mu) == levi_component(flat_residue(hp), mu)
 
 
-# -- exhaustive enumeration (flat encodings) -------------------------------
+# -- finite groups over F_q (flat encodings) -------------------------------
 
 
 def gl_order(n: int, q: int) -> int:
@@ -194,18 +193,15 @@ def zip_group_order(mu: Cocharacter, q: int) -> int:
     return out
 
 
-def _budget_check(engine: str, spec: FieldSpec, n: int, candidates: int) -> None:
-    check_budget(candidates <= _ENUM_CAP,
-                 f"{engine} enumeration", f"n={n}, q={spec.q} scans {candidates:,} candidates",
-                 f"{_ENUM_CAP:,} candidates")
-
-
 @lru_cache(maxsize=None)
 def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     """All invertible n x n matrices over F_q, encoded, in lexicographic order.
 
     Cached with the field object in the key, so a dead field's id is never reused."""
-    _budget_check(f"GL_{n}", spec, n, spec.q ** (n * n))
+    candidates = spec.q ** (n * n)
+    check_budget(candidates <= _ENUM_CAP, f"GL_{n} enumeration",
+                 f"n={n}, q={spec.q} scans {candidates:,} candidates",
+                 f"{_ENUM_CAP:,} candidates")
     out = tuple(
         flat for flat in itertools.product(range(spec.q), repeat=n * n)
         if flat_invertible(spec, n, flat)
@@ -224,69 +220,29 @@ def block_positions(mu: Cocharacter, sign: int) -> list:
     return upper if sign > 0 else [(j, i) for i, j in upper]
 
 
-def enumerate_unipotent_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> list:
-    """U_+ (sign=+1) or U_- (sign=-1) as flat matrices."""
+def random_unipotent_flat(spec: FieldSpec, mu: Cocharacter, sign: int, rng) -> tuple:
+    """A uniform element of U_+ (sign=+1) or U_- (sign=-1): uniform codes at
+    its free entries."""
     n = mu.n
-    positions = block_positions(mu, sign)
-    _budget_check("unipotent U_+" if sign > 0 else "unipotent U_-", spec, n,
-                  spec.q ** len(positions))
-    out = []
-    base = list(flat_identity(n))
-    for vals in itertools.product(range(spec.q), repeat=len(positions)):
-        flat = base[:]
-        for (i, j), c in zip(positions, vals):
-            flat[i * n + j] = c
-        out.append(tuple(flat))
-    return out
+    flat = list(flat_identity(n))
+    for i, j in block_positions(mu, sign):
+        flat[i * n + j] = rng.randrange(spec.q)
+    return tuple(flat)
 
 
-def enumerate_levi_flat(spec: FieldSpec, mu: Cocharacter) -> list:
-    """The common Levi M: block-diagonal matrices with invertible blocks."""
+def random_levi_flat(spec: FieldSpec, mu: Cocharacter, rng) -> tuple:
+    """A uniform element of the Levi M: each diagonal block drawn from the
+    cached enumeration of its GL_s."""
     n = mu.n
-    offs = []
-    pos = 0
+    flat = [0] * (n * n)
+    start = 0
     for _, s in mu.blocks:
-        offs.append((pos, s))
-        pos += s
-    per_block = [enumerate_gl_flat(spec, s) for _, s in offs]
-    out = []
-    for combo in itertools.product(*per_block):
-        flat = [0] * (n * n)
-        for (start, s), blk in zip(offs, combo):
-            for i in range(s):
-                for j in range(s):
-                    flat[(start + i) * n + (start + j)] = blk[i * s + j]
-        out.append(tuple(flat))
-    return out
-
-
-def enumerate_parabolic_flat(spec: FieldSpec, mu: Cocharacter, sign: int) -> list:
-    """P_+ (sign=+1) or P_- (sign=-1) as pairs (u m, m): each element with its Levi part."""
-    n = mu.n
-    levi = enumerate_levi_flat(spec, mu)
-    return [
-        (flat_mul(spec, n, u, m), m)
-        for u in enumerate_unipotent_flat(spec, mu, sign)
-        for m in levi
-    ]
-
-
-def enumerate_zip_pairs_flat(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
-    """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau^tau_power(m);
-    tau_power 0 is the untwisted group."""
-    n, size = mu.n, zip_group_order(mu, spec.q)
-    check_budget(size <= PAIR_CAP, "zip group enumeration",
-                 f"n={n}, q={spec.q} builds {size:,} pairs", f"{PAIR_CAP:,} pairs")
-    ups = enumerate_unipotent_flat(spec, mu, +1)
-    downs = enumerate_unipotent_flat(spec, mu, -1)
-    out = []
-    for m in enumerate_levi_flat(spec, mu):
-        mt = flat_frobenius(spec, m, tau_power)
-        for um in downs:
-            pm = flat_mul(spec, n, um, mt)
-            for up in ups:
-                out.append((pm, flat_mul(spec, n, up, m)))
-    return out
+        block = rng.choice(enumerate_gl_flat(spec, s))
+        for i in range(s):
+            row = (start + i) * n + start
+            flat[row:row + s] = block[i * s:(i + 1) * s]
+        start += s
+    return tuple(flat)
 
 
 # -- generator sets for the orbit engines ------------------------------------------
@@ -316,7 +272,7 @@ def gl_generators(spec: FieldSpec, n: int) -> list:
 
 
 def zip_pair_generators(spec: FieldSpec, mu: Cocharacter, tau_power: int = 0) -> list:
-    """Pairs generating the zip group of `enumerate_zip_pairs_flat`: the root
+    """Pairs generating the zip group {(u_- tau^tau_power(m), u_+ m)}: the root
     elements of U_- and of U_+, each paired with the identity, and each
     generator m of the Levi M as (tau^tau_power(m), m), where M is generated
     by the root elements inside its blocks and one torus element per block."""

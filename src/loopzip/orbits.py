@@ -24,10 +24,10 @@ from .gf import FieldSpec
 from .grpdata import (
     Cocharacter,
     enumerate_gl_flat,
-    enumerate_parabolic_flat,
-    enumerate_zip_pairs_flat,
     gl_generators,
     gl_order,
+    random_levi_flat,
+    random_unipotent_flat,
     zip_group_order,
     zip_pair_generators,
 )
@@ -66,7 +66,7 @@ class Action(NamedTuple):
     gens: list  # a generating set of the acting group
     law: Callable  # the group multiplication
     identity: tuple
-    elements: Callable  # () -> every group element, for sampling
+    draw: Callable  # rng -> one uniformly drawn group element, for sampling
     act: Callable
     order: int
 
@@ -90,7 +90,8 @@ def _action(aspec: ActionSpec) -> Action:
             return lambda pair: canonical_flat(spec, mu, mul(pair[0], g), mul(pair[1], tg))
 
         return Action(list(class_census(mu, spec)), gl_generators(spec, n), mul, ident,
-                      lambda: enumerate_gl_flat(spec, n), act, gl_order(n, aspec.q))
+                      lambda rng: rng.choice(enumerate_gl_flat(spec, n)), act,
+                      gl_order(n, aspec.q))
 
     # zip-style: the zip group {(p_-, p_+)}, twisted by tau^group_tau, on G by
     # g.(p_-, p_+) = p_+^(-1) g tau^act_tau(p_-)
@@ -103,12 +104,18 @@ def _action(aspec: ActionSpec) -> Action:
         right = flat_frobenius(spec, pm, act_tau)
         return lambda g: mul(mul(left, g), right)
 
+    def draw(rng):
+        # (u_-, m, u_+) -> (u_- tau^group_tau(m), u_+ m) is a bijection onto the group
+        m = random_levi_flat(spec, mu, rng)
+        return (mul(random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(spec, m, group_tau)),
+                mul(random_unipotent_flat(spec, mu, +1, rng), m))
+
     return Action(
         list(enumerate_gl_flat(spec, n)),
         zip_pair_generators(spec, mu, group_tau),
         lambda u, v: (mul(u[0], v[0]), mul(u[1], v[1])),
         (ident, ident),
-        lambda: enumerate_zip_pairs_flat(spec, mu, group_tau),
+        draw,
         act,
         zip_group_order(mu, aspec.q),
     )
@@ -162,13 +169,12 @@ def enumerate_orbits(aspec: ActionSpec) -> OrbitPartition:
 def check_action_axioms(aspec: ActionSpec, samples: int = 20, seed: int = 0) -> bool:
     """Spot-check: identity acts trivially; (x.g).h = x.(g h) on random triples."""
     action = _action(aspec)
-    points, elements = action.points, action.elements()
     act = action.act
     rng = random.Random(seed)
     for _ in range(samples):
-        x = points[rng.randrange(len(points))]
-        g = elements[rng.randrange(len(elements))]
-        h = elements[rng.randrange(len(elements))]
+        x = rng.choice(action.points)
+        g = action.draw(rng)
+        h = action.draw(rng)
         if act(action.identity)(x) != x:
             return False
         if act(h)(act(g)(x)) != act(action.law(g, h))(x):
@@ -268,14 +274,14 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
 
 
 def _equivariance_draws(spec: FieldSpec, mu: Cocharacter, samples: int, seed: int):
-    """`samples` random (g in G, p in P_-, Levi part of p), drawn in that order."""
+    """`samples` uniform (g in G, p in P_-, Levi part of p): g, then the Levi
+    part m, then p = u_- m for a uniform u_- in U_-."""
     rng = random.Random(seed)
     gl = enumerate_gl_flat(spec, mu.n)
-    pminus = enumerate_parabolic_flat(spec, mu, -1)
     for _ in range(samples):
-        g = gl[rng.randrange(len(gl))]
-        pf, mf = pminus[rng.randrange(len(pminus))]
-        yield g, pf, mf
+        g = rng.choice(gl)
+        mf = random_levi_flat(spec, mu, rng)
+        yield g, flat_mul(spec, mu.n, random_unipotent_flat(spec, mu, -1, rng), mf), mf
 
 
 def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> dict:

@@ -22,16 +22,12 @@ from functools import lru_cache
 
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import (
-    Cocharacter,
-    enumerate_gl_flat,
-    enumerate_parabolic_flat,
-    enumerate_unipotent_flat,
-)
+from loopzip.grpdata import Cocharacter, enumerate_gl_flat
 from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 from laurent_oracle import entry_form, mu_matrix
+from orbits_oracle import enumerate_parabolic_flat, enumerate_unipotent_flat
 
 
 @lru_cache(maxsize=None)

@@ -8,18 +8,29 @@ for GL_n, and over all of U_-, U_+ and the Levi M for the zip groups, where
 the engine uses root elements over an F_p-basis and one torus element per
 Levi block. Its orbit list, blocks and point -> representative map are what
 the engine must reproduce.
+
+The whole groups it unions over are listed here, as flat code tuples: U_+,
+U_-, the Levi M, P_+ and P_- and the zip groups. src never lists them; it
+draws their elements (`Action.draw`, `orbits._equivariance_draws`), and the
+support of those draws must be the listing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import sys
 
+from loopzip.errors import check_budget
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import Cocharacter, enumerate_levi_flat, enumerate_unipotent_flat
-from loopzip.matring import flat_frobenius, flat_identity
-from loopzip.orbits import ACTION_KINDS, ActionSpec, _action, enumerate_orbits
+from loopzip.grpdata import (Cocharacter, block_positions, enumerate_gl_flat, unipotent_order,
+                             zip_group_order)
+from loopzip.matring import flat_frobenius, flat_identity, flat_mul
+from loopzip.orbits import (ACTION_KINDS, ActionSpec, _action, _equivariance_draws,
+                            enumerate_orbits)
+
+PAIR_CAP = 2_000_000  # pairs built by a zip group enumeration
 
 # (kind, q, weights, tau): every kind on GL2 over F2, F3 and F4 and on GL3(F2),
 # each in three weights, and on GL2(F4) twisted by the square of Frobenius
@@ -45,6 +56,94 @@ WIDE_ORBIT_CASES = [
     )
     for kind in ACTION_KINDS
 ]
+
+# (q, weights): the groups whose draws tier-1 compares with their listing, in
+# every twist tau^0, tau^1 and tau^2 for the zip groups
+DRAW_CASES = ([(q, w) for q in (2, 3, 4) for w in [(1, 0), (0, 0), (1, -1)]]
+              + [(2, (1, 1, 0)), (2, (2, 1, 0))])
+
+
+def enumerate_unipotent_flat(spec, mu, sign: int) -> list:
+    """U_+ (sign=+1) or U_- (sign=-1) as flat matrices."""
+    n = mu.n
+    positions = block_positions(mu, sign)
+    out = []
+    base = list(flat_identity(n))
+    for vals in itertools.product(range(spec.q), repeat=len(positions)):
+        flat = base[:]
+        for (i, j), c in zip(positions, vals):
+            flat[i * n + j] = c
+        out.append(tuple(flat))
+    return out
+
+
+def enumerate_levi_flat(spec, mu) -> list:
+    """The common Levi M: block-diagonal matrices with invertible blocks."""
+    n = mu.n
+    offs = []
+    pos = 0
+    for _, s in mu.blocks:
+        offs.append((pos, s))
+        pos += s
+    per_block = [enumerate_gl_flat(spec, s) for _, s in offs]
+    out = []
+    for combo in itertools.product(*per_block):
+        flat = [0] * (n * n)
+        for (start, s), blk in zip(offs, combo):
+            for i in range(s):
+                for j in range(s):
+                    flat[(start + i) * n + (start + j)] = blk[i * s + j]
+        out.append(tuple(flat))
+    return out
+
+
+def enumerate_parabolic_flat(spec, mu, sign: int) -> list:
+    """P_+ (sign=+1) or P_- (sign=-1) as pairs (u m, m): each element with its Levi part."""
+    n = mu.n
+    levi = enumerate_levi_flat(spec, mu)
+    return [
+        (flat_mul(spec, n, u, m), m)
+        for u in enumerate_unipotent_flat(spec, mu, sign)
+        for m in levi
+    ]
+
+
+def enumerate_zip_pairs_flat(spec, mu, tau_power: int = 0) -> list:
+    """Zip group as pairs (p_-, p_+) = (u_- m', u_+ m), m' = tau^tau_power(m);
+    tau_power 0 is the untwisted group."""
+    n, size = mu.n, zip_group_order(mu, spec.q)
+    check_budget(size <= PAIR_CAP, "zip group enumeration",
+                 f"n={n}, q={spec.q} builds {size:,} pairs", f"{PAIR_CAP:,} pairs")
+    ups = enumerate_unipotent_flat(spec, mu, +1)
+    downs = enumerate_unipotent_flat(spec, mu, -1)
+    out = []
+    for m in enumerate_levi_flat(spec, mu):
+        mt = flat_frobenius(spec, m, tau_power)
+        for um in downs:
+            pm = flat_mul(spec, n, um, mt)
+            for up in ups:
+                out.append((pm, flat_mul(spec, n, up, m)))
+    return out
+
+
+def zip_draws_mismatch(spec, mu, tau_power: int) -> bool:
+    """The support of 30 |group| seeded `Action.draw` draws of the zip group
+    twisted by tau^tau_power is not its enumeration: a draw outside the group,
+    or an element never drawn, which a uniform draw misses with probability
+    below |group| e^(-30)."""
+    group = set(enumerate_zip_pairs_flat(spec, mu, tau_power))
+    draw = _action(ActionSpec("zip-frobenius", mu, spec.q, tau_power)).draw
+    rng = random.Random(0)
+    return {draw(rng) for _ in range(30 * len(group))} != group
+
+
+def parabolic_draws_mismatch(spec, mu) -> bool:
+    """As `zip_draws_mismatch`, for the (p, Levi part of p) pairs of P_- that
+    the transport check draws, with every g drawn beside them in GL_n."""
+    group = set(enumerate_parabolic_flat(spec, mu, -1))
+    draws = list(_equivariance_draws(spec, mu, 30 * len(group), 0))
+    gl = set(enumerate_gl_flat(spec, mu.n))
+    return {(p, m) for _, p, m in draws} != group or not {g for g, _, _ in draws} <= gl
 
 
 def transvection_generators(spec, n: int) -> list:
@@ -151,6 +250,31 @@ def partition_mismatch(aspec) -> bool:
     return (part.orbits, part.blocks, dict(part.root)) != oracle_partition(aspec)
 
 
+def full_draw_comparison() -> int:
+    """The draws against the enumerations on every group of ORBIT_CASES and
+    WIDE_ORBIT_CASES: each zip group in the twists tau^0 and tau^tau of its
+    cases, and each P_-.  Prints one line per group and returns the number of
+    mismatching groups."""
+    zips, parabolics = set(), set()
+    for _, q, weights, tau in ORBIT_CASES + WIDE_ORBIT_CASES:
+        zips.update({(q, weights, 0), (q, weights, tau)})
+        parabolics.add((q, weights))
+    total = 0
+    for q, weights, tau in sorted(zips):
+        spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+        bad = zip_draws_mismatch(spec, mu, tau)
+        total += bad
+        print(f"zip group q={q} mu={weights} tau={tau}: {zip_group_order(mu, q)} elements, "
+              f"{'mismatch' if bad else 'equal'}")
+    for q, weights in sorted(parabolics):
+        spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+        bad = parabolic_draws_mismatch(spec, mu)
+        total += bad
+        print(f"P_- q={q} mu={weights}: {zip_group_order(mu, q) // unipotent_order(mu, q)} "
+              f"elements, {'mismatch' if bad else 'equal'}")
+    return total
+
+
 def full_orbit_comparison() -> int:
     """The engine against union-find on every case of ORBIT_CASES and
     WIDE_ORBIT_CASES.  Prints one line per case and returns the number of
@@ -167,5 +291,5 @@ def full_orbit_comparison() -> int:
 
 
 if __name__ == "__main__":
-    # python tests/orbits_oracle.py  (with src on PYTHONPATH): the full comparison
-    sys.exit(1 if full_orbit_comparison() else 0)
+    # python tests/orbits_oracle.py  (with src on PYTHONPATH): the full comparisons
+    sys.exit(1 if full_draw_comparison() + full_orbit_comparison() else 0)

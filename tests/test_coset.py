@@ -8,8 +8,6 @@ from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
     Cocharacter,
     enumerate_gl_flat,
-    enumerate_unipotent_flat,
-    enumerate_zip_pairs_flat,
     random_k1_mat,
 )
 from loopzip.coset import (
@@ -52,6 +50,7 @@ from coset_oracle import (
     pair_mismatches,
     ring_one,
 )
+from orbits_oracle import enumerate_unipotent_flat, enumerate_zip_pairs_flat
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -222,7 +221,6 @@ FULL_ORBIT_CASES = [
 def test_canonicalization_matches_full_group_orbit(q, weights, samples):
     """The canonical pair is the definition: the least pair over the orbit
     under every element of the enumerated zip group."""
-    from loopzip.grpdata import enumerate_zip_pairs_flat
     from loopzip.matring import flat_mul
 
     spec = FieldSpec.for_q(q)
@@ -324,7 +322,7 @@ def test_echelon_halves_match_min_over_products_at_lifted_sizes(q, weights, samp
 
 
 def test_zip_pair_enumeration_size_gl3():
-    from loopzip.grpdata import enumerate_zip_pairs_flat, zip_group_order
+    from loopzip.grpdata import zip_group_order
 
     mu3 = Cocharacter((1, 1, 0))
     pairs = enumerate_zip_pairs_flat(F2, mu3)

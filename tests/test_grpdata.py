@@ -4,7 +4,8 @@ import pytest
 
 from coset_oracle import lift
 from laurent_oracle import from_coeff_list, mu_matrix, times_mu_mismatches
-from orbits_oracle import ORBIT_CASES
+from orbits_oracle import (DRAW_CASES, ORBIT_CASES, enumerate_levi_flat,
+                           enumerate_unipotent_flat, enumerate_zip_pairs_flat)
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
@@ -13,9 +14,6 @@ from loopzip.grpdata import (
     block_positions,
     conj_by_mu,
     enumerate_gl_flat,
-    enumerate_levi_flat,
-    enumerate_unipotent_flat,
-    enumerate_zip_pairs_flat,
     gl_generators,
     gl_order,
     in_conj_integral,
@@ -39,6 +37,7 @@ from loopzip.matring import (
     flat_residue,
 )
 from loopzip.series import LaurentElt
+from loopzip.suites import zip_rescaling_check
 from loopzip.witt import WittCtx, WittFraction
 
 F2 = FieldSpec.get(2, 1)
@@ -258,10 +257,17 @@ def test_generator_counts_are_positions_times_m_plus_torus(q):
 
 
 def test_zip_group_rescaling():
-    mu = Cocharacter((1, 0))
-    base = set(enumerate_zip_pairs_flat(F2, mu))
-    for k in (2, 3):
-        assert set(enumerate_zip_pairs_flat(F2, mu.scaled(k))) == base
+    # the rescaling check compares generating sets; equal sets must mean equal
+    # groups, and unequal sets unequal groups, against the listed groups, over
+    # every other weight of the same n as well as the rescaled ones
+    others = [Cocharacter(w) for w in [(1, 0), (0, 0), (1, -1), (1, 1, 0), (2, 1, 0), (1, 0, 0)]]
+    for q, weights in DRAW_CASES:
+        spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+        assert zip_rescaling_check(spec, mu)["passed"]
+        group = set(enumerate_zip_pairs_flat(spec, mu))
+        for nu in [mu.scaled(2), mu.scaled(3)] + [nu for nu in others if nu.n == mu.n]:
+            same = zip_pair_generators(spec, nu) == zip_pair_generators(spec, mu)
+            assert same == (set(enumerate_zip_pairs_flat(spec, nu)) == group)
 
 
 def test_budget_guard():
@@ -272,20 +278,6 @@ def test_budget_guard():
 def test_gl4_enumerates():
     # 2^16 candidates: inside the candidate cap, whatever n is
     assert len(enumerate_gl_flat(F2, 4)) == gl_order(4, 2) == 20_160
-
-
-def test_zip_pair_budget_refuses_before_building(monkeypatch):
-    import loopzip.grpdata as grpdata
-
-    def no_build(*args):
-        raise AssertionError("zip group enumeration started building")
-
-    monkeypatch.setattr(grpdata, "enumerate_levi_flat", no_build)
-    mu = Cocharacter((1, 0, 0))
-    assert zip_group_order(mu, 8) == 101_154_816
-    with pytest.raises(BudgetExceeded, match="zip group enumeration at n=3, q=8 builds "
-                                             "101,154,816 pairs; the caps are 2,000,000 pairs"):
-        enumerate_zip_pairs_flat(FieldSpec.for_q(8), mu)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

@@ -13,7 +13,8 @@ from loopzip.orbits import (
     weyl_reps_report,
 )
 
-from orbits_oracle import ORBIT_CASES, oracle_generators, partition_mismatch
+from orbits_oracle import (DRAW_CASES, ORBIT_CASES, oracle_generators, parabolic_draws_mismatch,
+                           partition_mismatch, zip_draws_mismatch)
 
 MU = Cocharacter((1, 0))
 
@@ -48,6 +49,16 @@ def test_action_axioms_catch_a_missing_inverse(monkeypatch, kind):
     assert check_action_axioms(aspec)
     monkeypatch.setattr(orbits, "_action", broken_action)
     assert not check_action_axioms(aspec)
+
+
+@pytest.mark.parametrize("q, weights", DRAW_CASES)
+def test_draws_are_uniform_over_the_group(q, weights):
+    # each draw is a member of the listed group, and 30 |group| seeded draws
+    # reach every member: the zip group in three twists, and P_-
+    spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+    for tau in (0, 1, 2):
+        assert not zip_draws_mismatch(spec, mu, tau)
+    assert not parabolic_draws_mismatch(spec, mu)
 
 
 def test_orbit_partition_invariants():

@@ -96,7 +96,7 @@ def test_every_budget_check_compares_a_count_with_a_named_cap():
         for target in node.targets
         if isinstance(target, ast.Name) and target.id.isupper()
     }
-    calls, found = 0, []
+    calls, found, used = 0, [], set()
     for path, tree in trees:
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -109,8 +109,12 @@ def test_every_budget_check_compares_a_count_with_a_named_cap():
                     and isinstance(fits.comparators[0], ast.Name)
                     and fits.comparators[0].id in caps):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(fits) if fits else None}")
-    assert calls >= 3
+            else:
+                used.add(fits.comparators[0].id)
+    assert calls >= 2
     assert found == []
+    # and every cap is read by a check: a cap that no check compares guards nothing
+    assert sorted(cap for cap in caps if cap.endswith("_CAP")) == sorted(used)
 
 
 def test_every_src_def_is_referenced():
