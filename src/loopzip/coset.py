@@ -22,6 +22,7 @@ from .grpdata import (
     conj_by_mu,
     enumerate_gl_flat,
     gl_order,
+    random_gl_flat,
     random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
@@ -240,18 +241,20 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int, census: 
         classes.add(c)
         if c != rep:
             roundtrip = False
-    orbit_count = len(census)
-    class_count = len(classes)
+    injective = len(classes) == len(census) and roundtrip
+    surjective = classes == set(census)
     return {
+        "name": "class-orbit-bijection",
         "mu": list(mu.weights),
         "q": spec.q,
         "precision": prec,
         "pair_count": gl_order(mu.n, spec.q) ** 2,
-        "orbit_count": orbit_count,
-        "class_count": class_count,
+        "orbit_count": len(census),
+        "class_count": len(classes),
         "round_trip": roundtrip,
-        "injective": class_count == orbit_count and roundtrip,
-        "surjective": classes == set(census),
+        "injective": injective,
+        "surjective": surjective,
+        "passed": injective and surjective and roundtrip,
     }
 
 
@@ -277,22 +280,23 @@ def kernel_invariance_report(mu: Cocharacter, one, samples: int, seed: int) -> d
     random g, h in the ring of `one` and random depth-one kernel k1, k2."""
     rng = random.Random(seed)
     spec, n = one.spec, mu.n
-    gl = enumerate_gl_flat(spec, n)
     passed = 0
     for _ in range(samples):
-        g = gl[rng.randrange(len(gl))]
-        h = gl[rng.randrange(len(gl))]
+        g = random_gl_flat(spec, n, rng)
+        h = random_gl_flat(spec, n, rng)
         k1 = random_k1_mat(one, n, rng)
         k2 = random_k1_mat(one, n, rng)
         got = class_of(k1 * pair_matrix(mu, g, h, one) * k2, mu)
         passed += got == canonical_flat(spec, mu, g, h)
-    window = "witt_length" if isinstance(one, WittFraction) else "precision"
+    witt = isinstance(one, WittFraction)
     return {
+        "name": "mixed-kernel-bi-invariance" if witt else "kernel-bi-invariance",
         "mu": list(mu.weights),
         "q": spec.q,
-        window: one.prec,
+        "witt_length" if witt else "precision": one.prec,
         "samples": samples,
         "passed_samples": passed,
+        "passed": passed == samples,
     }
 
 
@@ -307,15 +311,19 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
         fibers_a[ca] = fibers_a.get(ca, 0) + 1
         fibers_b[cb] = fibers_b.get(cb, 0) + 1
     u_order = unipotent_order(mu, spec.q)
+    alpha_ok = set(fibers_a.values()) == {u_order}
+    beta_ok = set(fibers_b.values()) == {u_order}
     return {
+        "name": "embedding-fibers",
         "mu": list(mu.weights),
         "q": spec.q,
         "alpha_fiber_sizes": sorted(set(fibers_a.values())),
         "beta_fiber_sizes": sorted(set(fibers_b.values())),
         "expected_alpha": u_order,
         "expected_beta": u_order,
-        "alpha_ok": set(fibers_a.values()) == {u_order},
-        "beta_ok": set(fibers_b.values()) == {u_order},
+        "alpha_ok": alpha_ok,
+        "beta_ok": beta_ok,
+        "passed": alpha_ok and beta_ok,
     }
 
 
@@ -341,7 +349,9 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
         laurent_classes.add(ct)
         witt_classes.add(cw)
         pointwise &= ct == cw
+    census_equal = laurent_classes == witt_classes
     return {
+        "name": "mixed-census-equality",
         "mu": list(mu.weights),
         "q": spec.q,
         "witt_length": length,
@@ -349,7 +359,8 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
         "laurent_classes": len(laurent_classes),
         "witt_classes": len(witt_classes),
         "pointwise_equal": pointwise,
-        "census_equal": laurent_classes == witt_classes,
+        "census_equal": census_equal,
+        "passed": census_equal and pointwise,
     }
 
 
@@ -380,10 +391,12 @@ def prozip_invariance_report(mu: Cocharacter, spec: FieldSpec, prec: int,
             raise InsufficientPrecision("no overlap window in invariance check")
         passed += base.congruent_mod(moved, window)
     return {
+        "name": "conjugate-pair-invariance",
         "mu": list(mu.weights),
         "q": spec.q,
         "precision": prec,
         "samples": samples,
         "passed_samples": passed,
         "window": min_window,
+        "passed": passed == samples,
     }

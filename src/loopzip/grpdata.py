@@ -3,7 +3,7 @@
 A cocharacter is a non-increasing integer weight vector d. Its blocks
 give, over F_q, the parabolic pair P_+/P_-, their unipotent radicals U_+/U_-
 and the common Levi M, as flat code tuples: GL_n enumerated, uniform draws
-from U_+/U_- and M, and small generating sets of GL_n and of the zip groups
+from GL_n, U_+/U_- and M, and small generating sets of GL_n and of the zip groups
 for the orbit engines; and, in the loop group, the depth-one kernel K_1,
 the integral groups H_+/H_- (integral, reducing into P_+ or P_-) and the
 loop zip group. Each subgroup that a suite tests has its own membership
@@ -213,6 +213,11 @@ def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
     return out
 
 
+def random_gl_flat(spec: FieldSpec, n: int, rng) -> tuple:
+    """A uniform element of GL_n(F_q), drawn from the cached listing."""
+    return rng.choice(enumerate_gl_flat(spec, n))
+
+
 def block_positions(mu: Cocharacter, sign: int) -> list:
     """Free entries of U_+ (sign=+1), row-major, or their transposes for U_- (sign=-1)."""
     b = mu.block_of
@@ -237,7 +242,7 @@ def random_levi_flat(spec: FieldSpec, mu: Cocharacter, rng) -> tuple:
     flat = [0] * (n * n)
     start = 0
     for _, s in mu.blocks:
-        block = rng.choice(enumerate_gl_flat(spec, s))
+        block = random_gl_flat(spec, s, rng)
         for i in range(s):
             row = (start + i) * n + start
             flat[row:row + s] = block[i * s:(i + 1) * s]

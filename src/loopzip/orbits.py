@@ -26,6 +26,7 @@ from .grpdata import (
     enumerate_gl_flat,
     gl_generators,
     gl_order,
+    random_gl_flat,
     random_levi_flat,
     random_unipotent_flat,
     zip_group_order,
@@ -90,7 +91,7 @@ def _action(aspec: ActionSpec) -> Action:
             return lambda pair: canonical_flat(spec, mu, mul(pair[0], g), mul(pair[1], tg))
 
         return Action(list(class_census(mu, spec)), gl_generators(spec, n), mul, ident,
-                      lambda rng: rng.choice(enumerate_gl_flat(spec, n)), act,
+                      lambda rng: random_gl_flat(spec, n, rng), act,
                       gl_order(n, aspec.q))
 
     # zip-style: the zip group {(p_-, p_+)}, twisted by tau^group_tau, on G by
@@ -216,6 +217,7 @@ def chain_compare(mu: Cocharacter, q: int, m: int) -> dict:
     cycles = current == part_r
 
     return {
+        "name": "partition-chain",
         "mu": list(mu.weights),
         "q": q,
         "tau_power": m,
@@ -258,6 +260,7 @@ def transport_check(mu: Cocharacter, q: int, m: int, samples: int = 50,
         equivariant &= lhs == rhs
         compared += 1
     return {
+        "name": "orbit-transport",
         "mu": list(mu.weights),
         "q": q,
         "tau_power": m,
@@ -277,9 +280,8 @@ def _equivariance_draws(spec: FieldSpec, mu: Cocharacter, samples: int, seed: in
     """`samples` uniform (g in G, p in P_-, Levi part of p): g, then the Levi
     part m, then p = u_- m for a uniform u_- in U_-."""
     rng = random.Random(seed)
-    gl = enumerate_gl_flat(spec, mu.n)
     for _ in range(samples):
-        g = rng.choice(gl)
+        g = random_gl_flat(spec, mu.n, rng)
         mf = random_levi_flat(spec, mu, rng)
         yield g, flat_mul(spec, mu.n, random_unipotent_flat(spec, mu, -1, rng), mf), mf
 
@@ -306,6 +308,7 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
         roots.append(sigma_part.root[class_of(lifted_product(mu, flat, ident, one), mu)])
     distinct = len(set(roots)) == len(roots)
     return {
+        "name": "representative-conjugacy-distinctness",
         "mu": list(mu.weights),
         "q": q,
         "tau_power": m,

@@ -1,8 +1,9 @@
 """Named verification suites behind the command-line front door.
 
-Each suite returns a list of check dicts {name, passed, ...}; the CLI
-wraps them into a versioned report.  Everything is deterministic given
-the configuration and the seed.
+Each suite lists its check dicts {name, passed, ...}, each finished where
+it is built; `run_suites` parses the configuration once, tags every check
+with its suite and wraps them into a report of version `SCHEMA`.
+Everything is deterministic given the configuration and the seed.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .weyl import (
 )
 from .witt import WittCtx, WittFraction, ghost_selftest
 
+SCHEMA = 1  # the "schema" of the verify report and of the orbits JSON documents
 
 # -- loop-group inclusion checks --------------------------------------------------
 
@@ -189,9 +191,7 @@ def zip_rescaling_check(spec: FieldSpec, mu: Cocharacter, factors=(2, 3)) -> dic
 # -- suites -------------------------------------------------------------------------
 
 
-def suite_lemmas(cfg: dict) -> list:
-    spec = FieldSpec.for_q(cfg["q"])
-    mu = Cocharacter(cfg["mu"])
+def suite_lemmas(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     prec = cfg["prec"]
     seed = cfg["seed"]
     samples = cfg["samples"]
@@ -220,24 +220,14 @@ def suite_lemmas(cfg: dict) -> list:
     return checks
 
 
-def suite_psi(cfg: dict) -> list:
-    spec = FieldSpec.for_q(cfg["q"])
-    mu = Cocharacter(cfg["mu"])
+def suite_psi(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     prec = max(cfg["prec"], default_precision(mu))
-    checks = []
     census = class_census(mu, spec)
-    rep = verify_class_bijection(mu, spec, prec, census)
-    rep["name"] = "class-orbit-bijection"
-    rep["passed"] = rep["injective"] and rep["surjective"] and rep["round_trip"]
-    checks.append(rep)
-    inv = kernel_invariance_report(mu, LaurentElt.one(spec, prec), cfg["samples"], cfg["seed"])
-    inv["name"] = "kernel-bi-invariance"
-    inv["passed"] = inv["passed_samples"] == inv["samples"]
-    checks.append(inv)
-    fib = embedding_fiber_report(mu, spec)
-    fib["name"] = "embedding-fibers"
-    fib["passed"] = fib["alpha_ok"] and fib["beta_ok"]
-    checks.append(fib)
+    checks = [
+        verify_class_bijection(mu, spec, prec, census),
+        kernel_invariance_report(mu, LaurentElt.one(spec, prec), cfg["samples"], cfg["seed"]),
+        embedding_fiber_report(mu, spec),
+    ]
     # rescaling consistency on every class representative
     ok = True
     for factor in (2, 3):
@@ -257,47 +247,29 @@ def suite_psi(cfg: dict) -> list:
     return checks
 
 
-def suite_witt(cfg: dict) -> list:
-    spec = FieldSpec.for_q(cfg["q"])
-    mu = Cocharacter(cfg["mu"])
-    checks = []
-    for p in MIXED_PRIMES:
-        for length in (2, 3, 4):
-            rep = ghost_selftest(p, length, cfg["samples"], cfg["seed"])
-            rep["name"] = f"ghost-oracle-p{p}-N{length}"
-            rep["passed"] = rep["passed_samples"] == rep["samples"]
-            checks.append(rep)
+def suite_witt(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
+    checks = [ghost_selftest(p, length, cfg["samples"], cfg["seed"])
+              for p in MIXED_PRIMES for length in (2, 3, 4)]
     if mixed_census_applies(spec, mu):
-        rep = witt_census_report(mu, spec, MIXED_LENGTH, max(cfg["prec"], default_precision(mu)))
-        rep["name"] = "mixed-census-equality"
-        rep["passed"] = rep["census_equal"] and rep["pointwise_equal"]
-        checks.append(rep)
-        one = WittFraction.one(WittCtx.get(spec, MIXED_LENGTH))
-        inv = kernel_invariance_report(mu, one, cfg["samples"], cfg["seed"])
-        inv["name"] = "mixed-kernel-bi-invariance"
-        inv["passed"] = inv["passed_samples"] == inv["samples"]
-        checks.append(inv)
+        checks += [
+            witt_census_report(mu, spec, MIXED_LENGTH, max(cfg["prec"], default_precision(mu))),
+            kernel_invariance_report(mu, WittFraction.one(WittCtx.get(spec, MIXED_LENGTH)),
+                                     cfg["samples"], cfg["seed"]),
+        ]
     return checks
 
 
-def suite_chain(cfg: dict) -> list:
-    mu = Cocharacter(cfg["mu"])
+def suite_chain(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     q, m = cfg["q"], cfg["tau"]
-    checks = []
-    for kind in ACTION_KINDS:
-        ok = check_action_axioms(ActionSpec(kind, mu, q, m), seed=cfg["seed"])
-        checks.append({"name": f"action-axioms-{kind}", "q": q, "passed": ok})
-    rep = chain_compare(mu, q, m)
-    rep["name"] = "partition-chain"
-    checks.append(rep)
-    rep = transport_check(mu, q, m, seed=cfg["seed"])
-    rep["name"] = "orbit-transport"
-    checks.append(rep)
-    return checks
+    checks = [
+        {"name": f"action-axioms-{kind}", "q": q,
+         "passed": check_action_axioms(ActionSpec(kind, mu, q, m), seed=cfg["seed"])}
+        for kind in ACTION_KINDS
+    ]
+    return checks + [chain_compare(mu, q, m), transport_check(mu, q, m, seed=cfg["seed"])]
 
 
-def suite_weyl(cfg: dict) -> list:
-    mu = Cocharacter(cfg["mu"])
+def suite_weyl(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     n = mu.n
     checks = []
     # first, so that the class-census budget refuses before the exhaustive checks run
@@ -361,20 +333,12 @@ def suite_weyl(cfg: dict) -> list:
         "passed": inj,
     })
 
-    rep["name"] = "representative-conjugacy-distinctness"
     checks.append(rep)
     return checks
 
 
-def suite_prozip(cfg: dict) -> list:
-    spec = FieldSpec.for_q(cfg["q"])
-    mu = Cocharacter(cfg["mu"])
-    rep = prozip_invariance_report(
-        spec=spec, mu=mu, prec=cfg["prec"], samples=cfg["samples"], seed=cfg["seed"]
-    )
-    rep["name"] = "conjugate-pair-invariance"
-    rep["passed"] = rep["passed_samples"] == rep["samples"]
-    return [rep]
+def suite_prozip(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
+    return [prozip_invariance_report(mu, spec, cfg["prec"], cfg["samples"], cfg["seed"])]
 
 
 SUITES = {
@@ -388,14 +352,10 @@ SUITES = {
 
 
 def run_suites(names, cfg: dict) -> dict:
-    checks = []
-    for name in names:
-        for check in SUITES[name](cfg):
-            check = dict(check)
-            check["suite"] = name
-            checks.append(check)
+    spec, mu = FieldSpec.for_q(cfg["q"]), Cocharacter(cfg["mu"])
+    checks = [dict(check, suite=name) for name in names for check in SUITES[name](cfg, spec, mu)]
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "suites": list(names),
         "checks": checks,

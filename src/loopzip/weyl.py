@@ -4,8 +4,11 @@ the twisted coset partial order, and the two strata parametrizations."""
 from __future__ import annotations
 
 import itertools
+from math import factorial, prod
 
-from .errors import ConventionError, NotMinimalRep
+from .errors import ConventionError, NotMinimalRep, check_budget
+
+POSET_CAP = 600_000  # Bruhat tests of a coset order: m^2 |W_J| = (n!)^2 / |W_J|
 
 
 class Perm:
@@ -160,6 +163,10 @@ class CosetPoset:
     def __init__(self, n: int, J, twist=None):
         self.n = n
         self.J = frozenset(J)
+        tests = factorial(n) ** 2 // prod(factorial(b - a + 1) for a, b in _runs(n, self.J))
+        check_budget(tests <= POSET_CAP, "coset order",
+                     f"n={n}, J={sorted(self.J)} makes {tests:,} Bruhat tests",
+                     f"{POSET_CAP:,} Bruhat tests")
         self.elements = min_coset_reps(n, self.J)
         self.index = {w: i for i, w in enumerate(self.elements)}
         wj = parabolic_subgroup(n, self.J)

@@ -414,4 +414,5 @@ def ghost_selftest(p: int, length: int, samples: int, seed: int = 0) -> dict:
         ok_sum = ctx.coords((wx + wy).num) == int_to_coords((x + y) % mod, p, length)
         ok_prod = ctx.coords((wx * wy).num) == int_to_coords((x * y) % mod, p, length)
         passed += ok_sum and ok_prod
-    return {"p": p, "N": length, "samples": samples, "passed_samples": passed}
+    return {"name": f"ghost-oracle-p{p}-N{length}", "p": p, "N": length, "samples": samples,
+            "passed_samples": passed, "passed": passed == samples}

@@ -377,6 +377,18 @@ def test_poset_dot(capsys):
     assert len(node_lines) == 3
 
 
+def test_poset_refuses_n7_with_distinct_weights_before_listing(capsys):
+    # (7!)^2 = 25,401,600 Bruhat tests: refused before any permutation is listed
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(["poset", "--mu", "6,5,4,3,2,1,0"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: coset order at n=7, J=[] makes 25,401,600 Bruhat "
+                   "tests; the caps are 600,000 Bruhat tests\n")
+
+
 def test_witt_selftest(capsys):
     code, out, _ = run_cli(
         ["witt-selftest", "--q", "2", "--prec", "3", "--samples", "50"], capsys

@@ -343,6 +343,63 @@ def test_bijection_reports():
     assert rep["injective"] and rep["class_count"] == 9
 
 
+def test_bijection_fails_on_a_census_with_a_non_canonical_pair():
+    census = class_census(MU, F2)
+    extra = next((g, h) for g in enumerate_gl_flat(F2, 2) for h in enumerate_gl_flat(F2, 2)
+                 if (g, h) not in census)
+    rep = verify_class_bijection(MU, F2, 6, {**census, extra: 2})
+    assert rep["name"] == "class-orbit-bijection"
+    assert rep["round_trip"] is False and rep["surjective"] is False
+    assert rep["passed"] is False
+
+
+def _class_mover(monkeypatch, moves):
+    """Patch coset.class_of so that it returns a sentinel for the first class
+    it computes on a matrix that `moves` selects, and for every later one equal to it."""
+    import loopzip.coset as coset
+
+    real = coset.class_of
+    moved = []
+
+    def class_of(x, mu):
+        c = real(x, mu)
+        if not moves(x):
+            return c
+        if not moved:
+            moved.append(c)
+        return "moved" if c == moved[0] else c
+
+    monkeypatch.setattr(coset, "class_of", class_of)
+    return moved
+
+
+def test_kernel_invariance_fails_when_one_class_moves(monkeypatch):
+    moved = _class_mover(monkeypatch, lambda x: True)
+    rep = kernel_invariance_report(MU, LaurentElt.one(F3, 6), 20, seed=5)
+    assert moved and 0 < rep["passed_samples"] < 20
+    assert rep["name"] == "kernel-bi-invariance"
+    assert rep["passed"] is False
+
+
+def test_witt_census_fails_when_one_witt_class_moves(monkeypatch):
+    moved = _class_mover(monkeypatch, lambda x: isinstance(x.rows[0][0], WittFraction))
+    rep = witt_census_report(MU, F2, 3, 6)
+    assert moved and rep["pointwise_equal"] is False and rep["census_equal"] is False
+    assert rep["passed"] is False
+
+
+def test_embedding_fibers_fail_when_one_point_moves(monkeypatch):
+    import loopzip.coset as coset
+
+    real = coset.embed_before_mu
+    ident = flat_identity(2)
+    monkeypatch.setattr(coset, "embed_before_mu",
+                        lambda spec, mu, g: "moved" if g == ident else real(spec, mu, g))
+    rep = embedding_fiber_report(MU, F2)
+    assert rep["alpha_fiber_sizes"] == [1, 2] and rep["beta_ok"]
+    assert rep["passed"] is False
+
+
 def test_bijection_budget():
     # GL_3(F_4) with mu (1,0,0) has 181,440^2 / 138,240 = 238,140 classes
     with pytest.raises(BudgetExceeded):
@@ -488,6 +545,21 @@ def test_witt_pair_matrix_reduces_to_inputs():
 def test_prozip_invariance():
     rep = prozip_invariance_report(MU, F2, 6, 50, seed=3)
     assert rep["passed_samples"] == 50
+    assert rep["name"] == "conjugate-pair-invariance" and rep["passed"]
+
+
+def test_prozip_invariance_fails_when_a_sample_is_not_congruent(monkeypatch):
+    real = Mat.congruent_mod
+    calls = []
+
+    def congruent_mod(self, other, k):
+        calls.append(k)
+        return len(calls) != 3 and real(self, other, k)
+
+    monkeypatch.setattr(Mat, "congruent_mod", congruent_mod)
+    rep = prozip_invariance_report(MU, F2, 6, 10, seed=3)
+    assert rep["passed_samples"] == 9
+    assert rep["passed"] is False
 
 
 def test_prozip_levi_pair_commutes_exactly():

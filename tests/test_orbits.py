@@ -161,6 +161,26 @@ def test_chain_compare_tau_trivial():
     assert rep["passed"]
 
 
+def test_chain_cycles_back_after_exactly_one_period(monkeypatch):
+    # a partition of GL_2(F_4) that sigma moves: {I, diag(w, 1)} is one block
+    # and every other element a singleton. sigma has period 2 on F_4, so the
+    # chain returns after two steps and not after one or three
+    import loopzip.orbits as orbits
+    from loopzip.grpdata import enumerate_gl_flat
+
+    ident, diag_w = (1, 0, 0, 1), (2, 0, 0, 1)  # w has code 2
+    blocks = frozenset([frozenset([ident, diag_w])]
+                       + [frozenset([g]) for g in enumerate_gl_flat(FieldSpec.for_q(4), 2)
+                          if g not in (ident, diag_w)])
+    monkeypatch.setattr(orbits, "enumerate_orbits",
+                        lambda aspec: orbits.OrbitPartition((), 180, 0, blocks, {}))
+    rep = chain_compare(MU, 4, 1)
+    assert rep["partitions_coincide"] is True
+    assert rep["tau_transport"] is False
+    assert rep["chain_cycles_back"] is True
+    assert rep["passed"] is False
+
+
 def test_transport_q2():
     rep = transport_check(MU, 2, 1, samples=30, seed=2)
     assert rep["passed"]
@@ -253,10 +273,10 @@ def test_sigma_conj_action_matches_class_pipeline():
 def test_chain_suite_enumeration_count():
     # mu is its own Frobenius twist, so chain_compare reuses its partition,
     # and transport_check reads the partial-Frobenius one from the cache
-    from loopzip.suites import suite_chain
+    from loopzip.suites import run_suites
 
     enumerate_orbits.cache_clear()
     cfg = {"mu": [1, 0], "q": 2, "tau": 1, "seed": 0}
-    assert all(c["passed"] for c in suite_chain(cfg))
+    assert run_suites(["chain"], cfg)["passed"]
     info = enumerate_orbits.cache_info()
     assert (info.misses, info.hits) == (3, 1)

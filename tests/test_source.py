@@ -150,3 +150,59 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = loaded("import loopzip.cli") - loaded("pass")
     assert "loopzip.cli" in added
     assert sorted(added & {"dataclasses", "inspect"}) == []
+
+
+def _calls(tree, owner, attr):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == owner]
+
+
+def test_report_bytes_have_one_writer_and_one_schema_number():
+    # every JSON document goes through one json.dumps, every CSV table
+    # through one csv.writer, and every "schema" key reads the one SCHEMA
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    dumps = [f"{name}:{node.lineno}" for name, tree in trees.items()
+             for node in _calls(tree, "json", "dumps")]
+    writers = [f"{name}:{node.lineno}" for name, tree in trees.items()
+               for node in _calls(tree, "csv", "writer")]
+    assert len(dumps) == 1 and len(writers) == 1, (dumps, writers)
+    schema_values = [
+        (f"{name}:{key.lineno}", ast.unparse(value))
+        for name, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "schema"
+    ]
+    assert len(schema_values) >= 3
+    assert [where for where, value in schema_values if value != "SCHEMA"] == []
+    numbers = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "SCHEMA" for t in node.targets)]
+    assert len(numbers) == 1
+
+
+def test_suites_only_list_checks():
+    # a check is finished where it is built: suites.py never sets "passed" or
+    # "name" on a dict through a subscript, and only run_suites parses the
+    # configuration's field and weights
+    tree = ast.parse((SRC / "suites.py").read_text())
+    found = [
+        f"suites.py:{target.lineno}: {ast.unparse(target)}"
+        for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Constant)
+        and target.slice.value in ("passed", "name")
+    ]
+    assert found == []
+    parses = [
+        f"{func.name}: {ast.unparse(node)}"
+        for func in tree.body if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func) if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("FieldSpec.for_q", "Cocharacter")
+        and "cfg" in ast.unparse(node)
+    ]
+    assert parses == ["run_suites: FieldSpec.for_q(cfg['q'])",
+                      "run_suites: Cocharacter(cfg['mu'])"]

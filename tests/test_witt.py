@@ -199,8 +199,10 @@ def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys, requ
     request.addfinalizer(WittCtx.get.cache_clear)
     rep = ghost_selftest(3, 3, 100, seed=0)
     assert rep["passed_samples"] < rep["samples"]
+    assert rep["passed"] is False
     code = main(["verify", "--suite", "witt", "--mu", "1,0", "--q", "2",
                  "--samples", "20"])
+    assert main(["witt-selftest", "--q", "3", "--prec", "3", "--samples", "100"]) == 1
     capsys.readouterr()
     assert code == 1
 
