@@ -3,10 +3,12 @@
 W_N(F_q) is computed as the Galois ring GR(p^N, m) = (Z/p^N)[w]/(f), with
 f the F_q modulus read as a monic integer polynomial (Serre, Local
 Fields, II.5-6).  An element is the tuple of its m coefficients mod p^N,
-and the ring operations are `WittCtx` functions on such tuples.  The Witt
-vector (a_0, ..., a_{N-1}) is sum_i p^i [a_i^(1/p^i)], [b] being the
-Teichmuller lift; coordinates appear only at the edges, read back by
-peeling Teichmuller digits.
+and the ring operations are `WittCtx` functions on such tuples: sums and
+products by arithmetic, valuations, Teichmuller digits and unit inverses
+by lookup in tables each context builds once over its p^(Nm) elements.
+The Witt vector (a_0, ..., a_{N-1}) is sum_i p^i [a_i^(1/p^i)], [b] being
+the Teichmuller lift; coordinates appear only at the edges, read back
+from the digit table.
 
 A WittFraction stores p^(-e) * num for a ring tuple num, together with
 the exponent `known` of the modulus it is provably correct to.  Stripping
@@ -16,7 +18,9 @@ without ever raising `known`, so canonical forms stay honest.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
+from itertools import product
 
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
 from .gf import FieldSpec, json_int, poly_mul_reduce
@@ -35,6 +39,15 @@ class WittCtx:
         self.length = length
         self.mod = spec.p**length
         self._teich = tuple(self._teichmuller_lift(a) for a in range(spec.q))
+        # ring tables: each of the p^(Nm) elements is sum_i p^i [b_i] for
+        # exactly one tuple b of Teichmuller digits, and its valuation is
+        # the index of the first nonzero digit
+        self._element = {b: self.teichmuller_sum(enumerate(b))
+                         for b in product(range(spec.q), repeat=length)}
+        self._digits = {v: b for b, v in self._element.items()}
+        self._valuation = {v: next((i for i, c in enumerate(b) if c), None)
+                           for v, b in self._digits.items()}
+        self._inverse = {v: self._newton_inverse(v) for v, j in self._valuation.items() if j == 0}
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -45,6 +58,8 @@ class WittCtx:
     # -- Galois-ring arithmetic on coefficient tuples ---------------------------
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
+        if self.spec.m == 1:  # W_N(F_p) is Z/p^N
+            return (a[0] * b[0] % self.mod,)
         return tuple(poly_mul_reduce(a, b, self.spec.modulus, self.mod))
 
     def _teichmuller_lift(self, code: int) -> tuple:
@@ -59,32 +74,20 @@ class WittCtx:
             e >>= 1
         return acc
 
-    def _digits(self, v: tuple) -> list:
-        """Teichmuller digits: the codes b_i with v = sum_i p^i [b_i]."""
-        p, mod = self.p, self.mod
-        out = []
-        for _ in range(self.length):
-            b = self.spec._vec_to_code(v)
-            out.append(b)
-            v = tuple((x - t) % mod // p for x, t in zip(v, self._teich[b]))
-        return out
-
-    def _from_digits(self, digits) -> tuple:
-        acc = [0] * self.spec.m
-        for i, b in enumerate(digits):
-            for k, t in enumerate(self._teich[b]):
-                acc[k] += self.p**i * t
-        return tuple(c % self.mod for c in acc)
+    def _newton_inverse(self, v: tuple) -> tuple:
+        """Newton lift x -> 2x - v x^2 of the residue inverse of a unit v."""
+        spec = self.spec
+        x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(v)]))
+        prec = 1
+        while prec < self.length:
+            vxx = self._mul(self._mul(v, x), x)
+            x = tuple((2 * y - z) % self.mod for y, z in zip(x, vxx))
+            prec *= 2
+        return x
 
     def valuation(self, v: tuple):
         """p-adic valuation (index of the first nonzero coordinate), or None."""
-        if not any(v):
-            return None
-        p = self.p
-        j, pj = 0, p
-        while not any(x % pj for x in v):
-            j, pj = j + 1, pj * p
-        return j
+        return self._valuation[v]
 
     def times_p(self, v: tuple, k: int) -> tuple:
         """p^k * v."""
@@ -102,28 +105,22 @@ class WittCtx:
         """
         if not k:
             return v
-        digits = self._digits(v)
+        digits = self._digits[v]
         if any(digits[:k]):
             raise NotIntegral(f"not divisible by p^{k}")
-        return self._from_digits(digits[k:])
+        return self._element[digits[k:] + (0,) * k]
 
     def unit_inverse(self, v: tuple) -> tuple:
-        """Newton lift x -> 2x - v x^2 of the residue inverse."""
-        if self.valuation(v) != 0:
+        """The inverse of a unit, read from the table of inverses."""
+        inv = self._inverse.get(v)
+        if inv is None:
             raise NotAUnit("Witt vector with zero first coordinate")
-        spec = self.spec
-        x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(v)]))
-        prec = 1
-        while prec < self.length:
-            vxx = self._mul(self._mul(v, x), x)
-            x = tuple((2 * y - z) % self.mod for y, z in zip(x, vxx))
-            prec *= 2
-        return x
+        return inv
 
     def coords(self, v: tuple) -> tuple:
         """Codes of the Witt coordinates a_i = b_i^(p^i), b_i the Teichmuller digits."""
         spec = self.spec
-        return tuple(spec.frob_code(b, i) for i, b in enumerate(self._digits(v)))
+        return tuple(spec.frob_code(b, i) for i, b in enumerate(self._digits[v]))
 
     # element constructors
 
@@ -141,7 +138,7 @@ class WittCtx:
         codes = self.spec.checked_codes(codes)
         if len(codes) != self.length:
             raise ValueError(f"need {self.length} coordinates")
-        return self._from_digits([self.spec.frob_code(c, -i) for i, c in enumerate(codes)])
+        return self._element[tuple(self.spec.frob_code(c, -i) for i, c in enumerate(codes))]
 
     def from_int(self, n: int) -> tuple:
         """Image of the integer n: n mod p^N in the constant coefficient."""
@@ -158,10 +155,17 @@ def _cancel_p(ctx: WittCtx, e: int, num: tuple) -> tuple:
     return e, num
 
 
+def _reduced(ctx: WittCtx, e: int, num: tuple, known: int) -> "WittFraction":
+    """p^(-e) num modulo p^known with its detectable p-factors cancelled: the
+    fraction that building p^(-e) num and then stripping it gives."""
+    cancelled, num = _cancel_p(ctx, e, num)
+    return WittFraction(ctx, cancelled, num, min(known, ctx.length - e))
+
+
 class WittFraction:
     """p^(-e) * num for a Galois-ring tuple num, provably correct modulo p^known."""
 
-    __slots__ = ("ctx", "e", "num", "known")
+    __slots__ = ("ctx", "e", "num", "known", "num_val", "val")
 
     def __init__(self, ctx: WittCtx, e: int, num: tuple, known: int | None = None):
         if e < 0:
@@ -177,6 +181,12 @@ class WittFraction:
         self.known = cap if known is None else min(known, cap)
         if self.known <= 0:
             raise InsufficientPrecision("fraction with non-positive known precision")
+        # read once per value: the numerator's valuation, which stripping
+        # needs, and the value's provable valuation (None when zero within
+        # the window: numerator digits at or beyond it are representative
+        # junk, so a leading coordinate there proves nothing)
+        j = self.num_val = ctx.valuation(num)
+        self.val = None if j is None or j - e >= self.known else j - e
 
     # -- constructors ------------------------------------------------------
 
@@ -222,15 +232,8 @@ class WittFraction:
     # -- structure ---------------------------------------------------------
 
     def valuation(self):
-        """Provable valuation of the value, or None when zero within precision.
-
-        Numerator digits at or beyond the known window are representative
-        junk, so a leading coordinate there proves nothing.
-        """
-        j = self.ctx.valuation(self.num)
-        if j is None or j - self.e >= self.known:
-            return None
-        return j - self.e
+        """Provable valuation of the value, or None when zero within precision."""
+        return self.val
 
     def stripped(self) -> "WittFraction":
         """Canonical representative: remove detectable p-factors from num.
@@ -238,10 +241,9 @@ class WittFraction:
         `known` never increases, so the congruence class the fraction
         promises is preserved.
         """
-        e, num = _cancel_p(self.ctx, self.e, self.num)
-        if e == self.e:
+        if not self.e or self.num_val == 0:
             return self
-        return WittFraction(self.ctx, e, num, self.known)
+        return _reduced(self.ctx, self.e, self.num, self.known)
 
     def is_integral(self) -> bool:
         """No denominator left once detectable p-factors are stripped."""
@@ -264,8 +266,7 @@ class WittFraction:
         e, a, b = self._aligned(other)
         mod = self.ctx.mod
         num = tuple((x + y) % mod for x, y in zip(a, b))
-        known = min(self.known, other.known)
-        return WittFraction(self.ctx, e, num, known).stripped()
+        return _reduced(self.ctx, e, num, min(self.known, other.known))
 
     def __neg__(self) -> "WittFraction":
         mod = self.ctx.mod
@@ -274,15 +275,15 @@ class WittFraction:
     def __sub__(self, other: "WittFraction") -> "WittFraction":
         return self + (-other)
 
-    def __mul__(self, other: "WittFraction") -> "WittFraction":
-        """Product of the stripped operands: the numerator product mod p^N of
-        an operand p^(-e) num with e > 0 and p | num holds fewer digits than
-        the window below claims."""
+    def _product(self, other: "WittFraction") -> tuple:
+        """(e, num, known) of the product of the stripped operands, known not
+        yet capped at length - e: the numerator product mod p^N of an operand
+        p^(-e) num with e > 0 and p | num holds fewer digits than the window
+        below claims."""
         self._coerce(other)
         a, b = self.stripped(), other.stripped()
-        v1, v2 = a.valuation(), b.valuation()
-        v1b = v1 if v1 is not None else a.known
-        v2b = v2 if v2 is not None else b.known
+        v1b = a.known if a.val is None else a.val
+        v2b = b.known if b.val is None else b.val
         known = min(a.known + v2b, b.known + v1b)
         if known <= 0:
             raise InsufficientPrecision("product has no provable digits")
@@ -291,11 +292,21 @@ class WittFraction:
         e, num = _cancel_p(self.ctx, a.e + b.e, self.ctx._mul(a.num, b.num))
         if e >= self.ctx.length:
             raise InsufficientPrecision("denominator exceeds Witt length")
-        return WittFraction(self.ctx, e, num, known)
+        return e, num, known
+
+    def __mul__(self, other: "WittFraction") -> "WittFraction":
+        return WittFraction(self.ctx, *self._product(other))
 
     def sub_mul(self, c: "WittFraction", y: "WittFraction") -> "WittFraction":
-        """self - c * y."""
-        return self - c * y
+        """self - c * y as one fraction, stored and raising as the product,
+        its negation and their sum store it and raise."""
+        e_prod, prod, known = c._product(y)
+        self._coerce(c)
+        e = max(self.e, e_prod)
+        times_p, mod = self.ctx.times_p, self.ctx.mod
+        a, b = times_p(self.num, e - self.e), times_p(prod, e - e_prod)
+        num = tuple((x - z) % mod for x, z in zip(a, b))
+        return _reduced(self.ctx, e, num, min(self.known, known))
 
     def shifted(self, k: int) -> "WittFraction":
         """Multiply by p^k exactly (exponent bookkeeping only)."""
@@ -308,7 +319,7 @@ class WittFraction:
     def inverse(self) -> "WittFraction":
         """Invert; requires a unit numerator after p-factor stripping."""
         s = self.stripped()
-        val = s.valuation()
+        val = s.val
         if val is None:
             raise NotAUnit("not provably a unit within precision")
         ctx = self.ctx
@@ -333,7 +344,7 @@ class WittFraction:
         s = self.stripped()
         if s.e > 0:
             raise NotIntegral(f"denominator p^{s.e} remains")
-        return self.ctx.spec._vec_to_code(s.num)
+        return self.ctx._digits[s.num][0]
 
     # -- comparisons ----------------------------------------------------------------
 
@@ -386,6 +397,7 @@ def teichmuller_int(a: int, p: int, length: int) -> int:
         x = y
     return x
 
+
 def int_to_coords(n: int, p: int, length: int) -> tuple:
     """Witt coordinates of n in W_N(F_p) via the Teichmuller expansion."""
     coords = []
@@ -399,8 +411,6 @@ def int_to_coords(n: int, p: int, length: int) -> tuple:
 
 def ghost_selftest(p: int, length: int, samples: int, seed: int = 0) -> dict:
     """Compare Witt-fraction arithmetic on W_N(F_p) against plain integers mod p^N."""
-    import random
-
     spec = FieldSpec.get(p, 1)
     ctx = WittCtx.get(spec, length)
     one = WittFraction.one(ctx)

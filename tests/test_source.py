@@ -152,6 +152,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert sorted(added & {"dataclasses", "inspect"}) == []
 
 
+def test_cli_import_builds_no_witt_context():
+    # a WittCtx builds its ring tables in its constructor; no command that
+    # stays off Witt vectors may pay for them at start-up
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import loopzip.cli; from loopzip.witt import WittCtx; "
+            "print(WittCtx.get.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["0"]
+
+
 def _calls(tree, owner, attr):
     return [node for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)

@@ -5,12 +5,15 @@ import pytest
 from loopzip.cli import main
 from loopzip.errors import InsufficientPrecision, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
+from loopzip.matring import Mat, snf_dvr
 from loopzip.witt import WittCtx, WittFraction, ghost_selftest
 from witt_oracle import (
     IntPoly,
     PolyWitt,
+    factorization_overclaims,
     ghost_poly,
     p_power,
+    table_mismatches,
     witt_neg_polys,
     window_overclaims,
     witt_structure_polys,
@@ -125,6 +128,15 @@ ORACLE_CONFIGS = [
     for length in (1, 2, 3, 4)
     if q % 5 or length <= 2
 ]
+
+
+@pytest.mark.parametrize("q,length", ORACLE_CONFIGS)
+def test_ring_tables_match_the_per_element_loops(q, length):
+    # every admitted context: its valuation, digit and inverse tables against
+    # trial division, digit peeling and Newton lifting on every element
+    elements, bad = table_mismatches(WittCtx.get(FieldSpec.for_q(q), length))
+    assert elements == q**length
+    assert bad == 0
 
 
 @pytest.mark.parametrize("q,length", ORACLE_CONFIGS)
@@ -408,3 +420,28 @@ def test_fraction_windows_hold_the_exact_value(p, length):
     checked, bad = window_overclaims(p, length, 400, seed=length)
     assert bad == 0
     assert checked > 1000
+
+
+def _w2f2_cell(value: int, e: int = 0) -> dict:
+    """The W_2(F_2) cell p^(-e) value, stored as given: p^(-1) 2 stays unstripped."""
+    return {"coords": [[value % 2], [value // 2]], "e": e}
+
+
+def test_factorization_check_flags_a_dropped_remainder():
+    # snf_dvr drops the entry its elimination leaves zero within its window,
+    # here 2 - x_31 * 1, known only mod 2: a diag(p^d) b is 0 mod 4 at (3, 2),
+    # where x_32 = 2 is known mod 4
+    cells = [[_w2f2_cell(1), _w2f2_cell(1), _w2f2_cell(2, 1)],
+             [_w2f2_cell(0, 1), _w2f2_cell(2, 1), _w2f2_cell(0)],
+             [_w2f2_cell(0, 1), _w2f2_cell(2), _w2f2_cell(1)]]
+    x = Mat.from_json({"n": 3, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
+                       "entries": cells})
+    a, d, b = snf_dvr(x)
+    assert d == (0, 0, 0)
+    assert factorization_overclaims(x, a, d, b) == [(2, 1)]
+    # with its poles replaced by their numerators, every window is full and
+    # the decomposition is honest
+    y = Mat([[WittFraction(z.ctx, 0, z.num) for z in row] for row in x.rows])
+    a, d, b = snf_dvr(y)
+    assert d == (1, 0, 0)
+    assert factorization_overclaims(y, a, d, b) == []

@@ -6,21 +6,30 @@ codes.  Every division by p^n in the recursion is exact, so the
 polynomials are correct by construction; the tests compare the
 Galois-ring arithmetic of `loopzip.witt` against this model.
 
+The per-element loops that `WittCtx` once ran on every call (valuation by
+trial division, Teichmuller digits by peeling, unit inverses by Newton
+lifting) are kept here as the oracles of its lookup tables.
+
 Over F_p the Witt ring is Z/p^N, so a fraction p^(-e) num known modulo
 p^known stands for every rational num / p^e + p^known t with t a p-adic
 integer.  `window_overclaims` draws such true values, applies each fraction
 operation to them exactly, and counts the results whose window claims a
-digit the true value does not have.
+digit the true value does not have.  `factorization_overclaims` does the
+same for a decomposition x = a diag(p^d) b over any W_N(F_q), with values in
+Q[w]/(f).
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
-from loopzip.errors import InsufficientPrecision, LoopZipError
-from loopzip.gf import FieldSpec
+from loopzip.errors import InsufficientPrecision, LoopZipError, NotAUnit
+from loopzip.gf import FieldSpec, poly_mul_reduce
+from loopzip.matring import Mat, snf_dvr
 from loopzip.witt import WittCtx, WittFraction
 
 # -- exact multivariate integer polynomials ------------------------------------
@@ -249,6 +258,71 @@ class PolyWitt:
         return acc
 
 
+# -- the per-element ring functions behind the WittCtx tables ------------------------
+
+
+def valuation(ctx: WittCtx, v: tuple):
+    """p-adic valuation of a ring tuple by trial division, or None for 0."""
+    if not any(v):
+        return None
+    p = ctx.p
+    j, pj = 0, p
+    while not any(x % pj for x in v):
+        j, pj = j + 1, pj * p
+    return j
+
+
+def digits(ctx: WittCtx, v: tuple) -> tuple:
+    """Teichmuller digits by peeling: the codes b_i with v = sum_i p^i [b_i]."""
+    p, mod = ctx.p, ctx.mod
+    out = []
+    for _ in range(ctx.length):
+        b = ctx.spec._vec_to_code(v)
+        out.append(b)
+        v = tuple((x - t) % mod // p for x, t in zip(v, ctx._teich[b]))
+    return tuple(out)
+
+
+def unit_inverse(ctx: WittCtx, v: tuple) -> tuple:
+    """Newton lift x -> 2x - v x^2 of the residue inverse."""
+    if valuation(ctx, v) != 0:
+        raise NotAUnit("Witt vector with zero first coordinate")
+    spec = ctx.spec
+
+    def mul(a, b):
+        return tuple(poly_mul_reduce(a, b, spec.modulus, ctx.mod))
+
+    x = tuple(spec._code_to_vec(spec.inv_table[spec._vec_to_code(v)]))
+    prec = 1
+    while prec < ctx.length:
+        vxx = mul(mul(v, x), x)
+        x = tuple((2 * y - z) % ctx.mod for y, z in zip(x, vxx))
+        prec *= 2
+    return x
+
+
+def table_mismatches(ctx: WittCtx) -> tuple:
+    """(elements, mismatches): `valuation`, `unshift`'s digits, `coords` and
+    `unit_inverse` of ctx against the loops above, on every ring element."""
+    bad = 0
+    elements = list(product(range(ctx.mod), repeat=ctx.spec.m))
+    for v in elements:
+        b = digits(ctx, v)
+        coords = tuple(ctx.spec.frob_code(c, i) for i, c in enumerate(b))
+        try:
+            inv = unit_inverse(ctx, v)
+        except NotAUnit:
+            inv = None
+        try:
+            got_inv = ctx.unit_inverse(v)
+        except NotAUnit:
+            got_inv = None
+        bad += (ctx.valuation(v) != valuation(ctx, v) or ctx._digits[v] != b
+                or ctx._element[b] != v or ctx.coords(v) != coords or got_inv != inv)
+    bad += len(ctx._digits) != len(elements)
+    return len(elements), bad
+
+
 def p_power(ctx, d: int):
     """The WittFraction p^d of the context `ctx`, for -length < d < length."""
     if d >= 0:
@@ -332,3 +406,112 @@ def window_overclaims(p: int, length: int, samples: int, seed: int) -> tuple:
             checked += 1
             bad += not honest(out, exact())
     return checked, bad
+
+
+# -- exact check of a decomposition x = a diag(p^d) b ---------------------------------
+
+
+def exact_value(x: WittFraction) -> tuple:
+    """The element num / p^e of Q[w]/(f) that x stores, as its coefficients."""
+    return tuple(Fraction(c, x.ctx.p ** x.e) for c in x.num)
+
+
+def _exact_mul(a, b, modulus) -> list:
+    """a * b in Q[w]/(f), f the monic integer lift of the F_q modulus."""
+    m = len(modulus) - 1
+    prod = [Fraction(0)] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for k in range(2 * m - 2, m - 1, -1):
+        for i in range(m):
+            prod[k - m + i] -= prod[k] * modulus[i]
+    return prod[:m]
+
+
+def factorization_overclaims(x: Mat, a: Mat, d, b: Mat) -> list:
+    """Cells (i, j) where a diag(p^d) b, computed exactly from the stored
+    representatives, differs from x_ij modulo p^k, k the lesser of the window
+    of x_ij and the window the fraction arithmetic gives that product entry.
+
+    The basis 1, w, ..., w^(m-1) is integral with independent reductions,
+    so an element's valuation is the least valuation of its coefficients.
+    """
+    ctx = x.rows[0][0].ctx
+    n, p = x.n, ctx.p
+    zero = WittFraction.zero(ctx)
+    diag = Mat([[p_power(ctx, d[i]) if i == j else zero for j in range(n)] for i in range(n)])
+    claimed = a * diag * b
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            diff = list(exact_value(x.rows[i][j]))
+            for k in range(n):
+                term = _exact_mul(exact_value(a.rows[i][k]), exact_value(b.rows[k][j]),
+                                  ctx.spec.modulus)
+                diff = [s - Fraction(p) ** d[k] * t for s, t in zip(diff, term)]
+            vals = [v for v in (_valuation(c, p) for c in diff) if v is not None]
+            window = min(x.rows[i][j].known, claimed.rows[i][j].known)
+            if vals and min(vals) < window:
+                bad.append((i, j))
+    return bad
+
+
+def random_pole_matrix(rng) -> Mat:
+    """An n x n matrix over W_N(F_q), q in {2, 3, 4, 9}, N in 2..4 and n in
+    {2, 3}, with at least one p^(-1) cell; each numerator is a random element
+    times p^k, k in {0, 1, N}, so many poles are stored unstripped and about
+    one cell in five is 0."""
+    ctx = WittCtx.get(FieldSpec.for_q(rng.choice((2, 3, 4, 9))), rng.randrange(2, 5))
+    n = rng.choice((2, 3))
+    poles = [rng.random() < 0.3 for _ in range(n * n)]
+    poles[rng.randrange(n * n)] = True
+    cells = [WittFraction(ctx, int(pole), ctx.times_p(
+                 tuple(rng.randrange(ctx.mod) for _ in range(ctx.spec.m)),
+                 rng.choice((0, 0, 1, 1, ctx.length))))
+             for pole in poles]
+    return Mat([cells[i * n:(i + 1) * n] for i in range(n)])
+
+
+def factorization_sweep(samples: int, seed: int) -> tuple:
+    """(decomposed, flagged, refused): `snf_dvr` on `random_pole_matrix`
+    draws, counting the decompositions `factorization_overclaims` flags and
+    the matrices snf_dvr refuses."""
+    rng = random.Random(seed)
+    decomposed = flagged = refused = 0
+    for _ in range(samples):
+        x = random_pole_matrix(rng)
+        try:
+            a, d, b = snf_dvr(x)
+        except LoopZipError:
+            refused += 1
+            continue
+        decomposed += 1
+        flagged += bool(factorization_overclaims(x, a, d, b))
+    return decomposed, flagged, refused
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src:tests python tests/witt_oracle.py: the full comparisons;
+    # exits 1 while any count below is nonzero
+    total = 0
+    elements = bad = 0
+    for q in (2, 3, 4, 5, 8, 9, 25):
+        for length in range(1, 3 if q % 5 == 0 else 5):  # every admitted context
+            count, wrong = table_mismatches(WittCtx.get(FieldSpec.for_q(q), length))
+            elements, bad = elements + count, bad + wrong
+    print(f"ring tables: {elements} elements, {bad} mismatches")
+    total += bad
+    checked = bad = 0
+    for p in (2, 3):
+        for length in (2, 3, 4):
+            count, wrong = window_overclaims(p, length, 5000, seed=100 + length)
+            checked, bad = checked + count, bad + wrong
+    print(f"window_overclaims: {checked} results, {bad} overclaims")
+    total += bad
+    for seed in (0, 1):
+        decomposed, flagged, refused = factorization_sweep(2000, seed)
+        print(f"factorization sweep, seed {seed}: 2000 matrices, {refused} refused, "
+              f"{decomposed} decomposed, {flagged} flagged")
+        total += flagged
+    sys.exit(1 if total else 0)
