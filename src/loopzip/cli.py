@@ -6,8 +6,9 @@ input, precision or budget error.  Input errors include a `verify
 representable, so no suite runs), a `verify --suite witt` whose mixed
 census cannot run, and a `cartan` matrix that is singular or whose
 pivots cannot be decided within its precision.  `verify --suite all`
-runs suite witt without that census and notes it on stderr.  All output
-is deterministic given the flags and the seed.
+runs suite witt without that census and notes it on stderr, as `verify`
+notes a suite lemmas run without its exhaustive checks.  All output is
+deterministic given the flags and the seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .gf import PRIMES, SIZES, FieldSpec
 from .grpdata import Cocharacter
 from .matring import Mat, snf_dvr
 from .orbits import ACTION_KINDS, ActionSpec, enumerate_orbits
-from .suites import SCHEMA, SUITES, run_suites
+from .suites import LEMMAS_EXHAUSTIVE_NEEDS, SCHEMA, SUITES, lemmas_exhaustive, run_suites
 from .weyl import CosetPoset
 from .witt import ghost_selftest
 
@@ -123,7 +124,8 @@ def cmd_verify(args) -> int:
     _check_n(args, mu)
     if args.prec <= max(mu.weights):
         raise ValueError(f"--prec {args.prec} cannot represent t^{max(mu.weights)}")
-    witt_census = mixed_census_applies(FieldSpec.for_q(args.q), mu)
+    spec = FieldSpec.for_q(args.q)
+    witt_census = mixed_census_applies(spec, mu)
     if args.suite == "witt" and not witt_census:
         raise ValueError(MIXED_CENSUS_NEEDS)
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
@@ -137,6 +139,9 @@ def cmd_verify(args) -> int:
         "tau": 1 if args.tau is None else args.tau,
     }
     report = run_suites(names, cfg)
+    if "lemmas" in names and not lemmas_exhaustive(spec, mu):
+        sys.stderr.write("note: suite lemmas ran without its exhaustive checks: "
+                         f"{LEMMAS_EXHAUSTIVE_NEEDS}\n")
     if args.suite == "all" and not witt_census:
         sys.stderr.write(f"note: suite witt ran without its mixed census: {MIXED_CENSUS_NEEDS}\n")
     if args.format == "csv":

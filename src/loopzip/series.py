@@ -107,21 +107,6 @@ class LaurentElt:
             add[a][b] for a, b in zip(self._window(v, prec), other._window(v, prec))
         ]))
 
-    def __neg__(self) -> "LaurentElt":
-        neg = self.spec.neg_table
-        return _raw(
-            self.spec, self.v, self.prec, tuple([neg[c] for c in self.codes])
-        )
-
-    def __sub__(self, other: "LaurentElt") -> "LaurentElt":
-        self._coerce(other)
-        prec = min(self.prec, other.prec)
-        v = min(self.v, other.v, prec)
-        add, neg = self.spec.add_table, self.spec.neg_table
-        return _raw(self.spec, v, prec, tuple([
-            add[a][neg[b]] for a, b in zip(self._window(v, prec), other._window(v, prec))
-        ]))
-
     def __mul__(self, other: "LaurentElt") -> "LaurentElt":
         """Exact convolution; the window follows the min-rule on trimmed
         operands, since stored leading zeros are exact and cost nothing."""

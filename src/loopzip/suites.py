@@ -59,6 +59,8 @@ from .weyl import (
 from .witt import WittCtx, WittFraction, ghost_selftest
 
 SCHEMA = 1  # the "schema" of the verify report and of the orbits JSON documents
+LEMMAS_EXHAUSTIVE_NEEDS = ("the exhaustive checks of suite lemmas need n = 2, q = 2, "
+                           "1x1 blocks and a weight gap <= 3")
 
 # -- loop-group inclusion checks --------------------------------------------------
 
@@ -191,6 +193,13 @@ def zip_rescaling_check(spec: FieldSpec, mu: Cocharacter, factors=(2, 3)) -> dic
 # -- suites -------------------------------------------------------------------------
 
 
+def lemmas_exhaustive(spec: FieldSpec, mu: Cocharacter) -> bool:
+    """Whether suite lemmas runs its exhaustive checks, as LEMMAS_EXHAUSTIVE_NEEDS states."""
+    # each step of the weight gap makes the exhaustive precisions eight times larger
+    return (mu.n == 2 and spec.q == 2 and all(s == 1 for _, s in mu.blocks)
+            and mu.weights[0] - mu.weights[-1] <= 3)
+
+
 def suite_lemmas(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     prec = cfg["prec"]
     seed = cfg["seed"]
@@ -198,9 +207,8 @@ def suite_lemmas(cfg: dict, spec: FieldSpec, mu: Cocharacter) -> list:
     checks = []
     # Conjugating by mu moves precision windows by up to the weight gap, so
     # the exhaustive precisions start above it (two 1x1 blocks make gap >= 1).
-    # Each step of the gap makes them eight times larger; past 3 they are skipped.
-    gap = mu.weights[0] - mu.weights[-1]
-    if mu.n == 2 and spec.q == 2 and all(s == 1 for _, s in mu.blocks) and gap <= 3:
+    if lemmas_exhaustive(spec, mu):
+        gap = mu.weights[0] - mu.weights[-1]
         for small in (gap + 1, gap + 2):
             checks.append(
                 dict(integral_conjugation_checks(spec, mu, small, 0, seed, True),

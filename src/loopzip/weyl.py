@@ -1,5 +1,5 @@
 """S_n as the Weyl group of GL_n: Bruhat order, coset representatives,
-the twisted coset partial order, and the two strata parametrizations."""
+the coset partial order, and the two strata parametrizations."""
 
 from __future__ import annotations
 
@@ -102,13 +102,9 @@ def longest_element(n: int, J=None) -> Perm:
 
 
 def parabolic_subgroup(n: int, J) -> list:
-    """All elements of W_J: permutations preserving each J-interval."""
-    runs = _runs(n, set(J))
-    out = []
-    for w in all_permutations(n):
-        if all(a <= w(i) <= b for a, b in runs for i in range(a, b + 1)):
-            out.append(w)
-    return out
+    """All elements of W_J in lex order: the permutations of each J-run, side by side."""
+    runs = [itertools.permutations(range(a, b + 1)) for a, b in _runs(n, set(J))]
+    return [Perm(itertools.chain.from_iterable(parts)) for parts in itertools.product(*runs)]
 
 
 def min_coset_reps(n: int, J) -> list:
@@ -124,17 +120,11 @@ def min_coset_reps(n: int, J) -> list:
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:
-    """Rank-matrix criterion for the Bruhat order."""
+    """Tableau criterion: for each i, sorted u(1..i) <= sorted w(1..i) entrywise."""
     if u.n != w.n:
         raise ValueError("mismatched sizes")
-    n = u.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cu = sum(1 for a in range(1, i + 1) if u(a) >= j)
-            cw = sum(1 for a in range(1, i + 1) if w(a) >= j)
-            if cu > cw:
-                return False
-    return True
+    return all(all(a <= b for a, b in zip(sorted(u.line[:i]), sorted(w.line[:i])))
+               for i in range(1, u.n))
 
 
 def reduced_word(w: Perm) -> tuple:
@@ -150,18 +140,24 @@ def reduced_word(w: Perm) -> tuple:
     return tuple(reversed(word))
 
 
+def _bits(row: int):
+    """Indices of the set bits of row, ascending."""
+    while row:
+        yield (row & -row).bit_length() - 1
+        row &= row - 1
+
+
 class CosetPoset:
     """The set of minimal coset representatives with a partial order.
 
-    The order is the twisted refinement of the Bruhat order: w' <= w when
-    y * w' * delta(y)^(-1) <=_Bruhat w for some y in W_J, where
-    delta(y) = twist(x y x^(-1)) and x = w_0 w_{0,J}.  Construction
-    verifies the partial-order axioms and raises ConventionError on
-    failure: a broken twist convention must never be silently accepted.
+    w' <= w when y * w' * delta(y)^(-1) <=_Bruhat w for some y in W_J,
+    where delta(y) = x y x^(-1) and x = w_0 w_{0,J}.  Bit j of rows[i] is
+    elements[i] <= elements[j]; a pair is not tested again once a y has
+    decided it.  Construction verifies the partial-order axioms and raises
+    ConventionError on failure: a broken convention is never accepted.
     """
 
-    def __init__(self, n: int, J, twist=None):
-        self.n = n
+    def __init__(self, n: int, J):
         self.J = frozenset(J)
         tests = factorial(n) ** 2 // prod(factorial(b - a + 1) for a, b in _runs(n, self.J))
         check_budget(tests <= POSET_CAP, "coset order",
@@ -169,57 +165,45 @@ class CosetPoset:
                      f"{POSET_CAP:,} Bruhat tests")
         self.elements = min_coset_reps(n, self.J)
         self.index = {w: i for i, w in enumerate(self.elements)}
-        wj = parabolic_subgroup(n, self.J)
         x = longest_element(n) * longest_element(n, self.J)
-        xinv = x.inverse()
-        twist = twist or (lambda w: w)
-        deltas = [(y, twist(x * y * xinv).inverse()) for y in wj]
-        m = len(self.elements)
-        self.relation = [
-            [
-                any(bruhat_leq(y * wp * dinv, w) for y, dinv in deltas)
-                for w in self.elements
-            ]
-            for wp in self.elements
-        ]
+        full = (1 << len(self.elements)) - 1
+        self.rows = []
+        for wp in self.elements:
+            row = 0
+            for y in parabolic_subgroup(n, self.J):
+                u = y * wp * (x * y * x.inverse()).inverse()
+                row |= sum(1 << j for j in _bits(full & ~row) if bruhat_leq(u, self.elements[j]))
+                if row == full:
+                    break
+            self.rows.append(row)
         self._verify_axioms()
 
     def _verify_axioms(self) -> None:
-        m = len(self.elements)
-        rel = self.relation
-        for i in range(m):
-            if not rel[i][i]:
-                raise ConventionError("order is not reflexive")
-        for i in range(m):
-            for j in range(m):
-                if i != j and rel[i][j] and rel[j][i]:
-                    raise ConventionError(
-                        f"antisymmetry fails between {self.elements[i]} "
-                        f"and {self.elements[j]}; check the twist convention"
-                    )
-        for i in range(m):
-            for j in range(m):
-                if not rel[i][j]:
-                    continue
-                for k in range(m):
-                    if rel[j][k] and not rel[i][k]:
-                        raise ConventionError("transitivity fails")
+        rows = self.rows
+        if not all(row >> i & 1 for i, row in enumerate(rows)):
+            raise ConventionError("order is not reflexive")
+        for i, row in enumerate(rows):
+            for j in _bits(row):
+                if i != j and rows[j] >> i & 1:
+                    raise ConventionError(f"antisymmetry fails between {self.elements[i]} "
+                                          f"and {self.elements[j]}; check the twist convention")
+        for row in rows:
+            for j in _bits(row):
+                if rows[j] & ~row:
+                    raise ConventionError("transitivity fails")
 
     def leq(self, u: Perm, w: Perm) -> bool:
-        return self.relation[self.index[u]][self.index[w]]
+        return bool(self.rows[self.index[u]] >> self.index[w] & 1)
 
     def hasse_edges(self) -> list:
-        """Covering relations only (transitive reduction of the order)."""
-        m = len(self.elements)
-        rel = self.relation
+        """Covering relations: each strict up-set minus its members' strict up-sets."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.rows)]
         edges = []
-        for i in range(m):
-            for j in range(m):
-                if i == j or not rel[i][j]:
-                    continue
-                if any(rel[i][k] and rel[k][j] for k in range(m) if k not in (i, j)):
-                    continue
-                edges.append((self.elements[i], self.elements[j]))
+        for i, up in enumerate(strict):
+            covered = 0
+            for j in _bits(up):
+                covered |= strict[j]
+            edges += [(self.elements[i], self.elements[j]) for j in _bits(up & ~covered)]
         return edges
 
     def to_dot(self) -> str:
@@ -237,12 +221,8 @@ class CosetPoset:
     def to_json(self) -> dict:
         return {
             "elements": [list(w.line) for w in self.elements],
-            "relation": [
-                [list(u.line), list(w.line)]
-                for u in self.elements
-                for w in self.elements
-                if self.leq(u, w) and u != w
-            ],
+            "relation": [[list(self.elements[i].line), list(self.elements[j].line)]
+                         for i, row in enumerate(self.rows) for j in _bits(row) if j != i],
         }
 
 

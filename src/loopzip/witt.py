@@ -268,13 +268,6 @@ class WittFraction:
         num = tuple((x + y) % mod for x, y in zip(a, b))
         return _reduced(self.ctx, e, num, min(self.known, other.known))
 
-    def __neg__(self) -> "WittFraction":
-        mod = self.ctx.mod
-        return WittFraction(self.ctx, self.e, tuple(-x % mod for x in self.num), self.known)
-
-    def __sub__(self, other: "WittFraction") -> "WittFraction":
-        return self + (-other)
-
     def _product(self, other: "WittFraction") -> tuple:
         """(e, num, known) of the product of the stripped operands, known not
         yet capped at length - e: the numerator product mod p^N of an operand

@@ -390,6 +390,21 @@ def mu_matrix(mu, one) -> Mat:
     return diagonal([one.one_at(one.prec - d).shifted(d) for d in mu.weights])
 
 
+def negated(x):
+    """-x at the window of x, each coefficient or numerator coordinate negated."""
+    if isinstance(x, LaurentElt):
+        neg = x.spec.neg_table
+        return LaurentElt(x.spec, x.v, x.prec, [neg[c] for c in x.codes])
+    mod = x.ctx.mod
+    return WittFraction(x.ctx, x.e, tuple(-c % mod for c in x.num), x.known)
+
+
+def difference(x, y):
+    """x - y as x + (-y): stored at the least of the two windows, and raising
+    as the sum does."""
+    return x + negated(y)
+
+
 def full_inverse(m: Mat) -> Mat:
     """Gauss-Jordan with minimal-valuation pivot selection, every column of
     w updated by a product and then a difference."""
@@ -414,8 +429,8 @@ def full_inverse(m: Mat) -> Mat:
             c = w[r][col]
             if c.valuation() is None:
                 continue
-            w[r] = [x - c * y for x, y in zip(w[r], w[col])]
-            aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
+            w[r] = [difference(x, c * y) for x, y in zip(w[r], w[col])]
+            aug[r] = [difference(x, c * y) for x, y in zip(aug[r], aug[col])]
     return Mat(aug)
 
 
@@ -511,7 +526,7 @@ def sub_mul_mismatches(cases: int, seed: int) -> tuple:
         one = random_one(rng)
         x, c, y = (random_entry(one, rng) for _ in range(3))
         got = stored(lambda: x.sub_mul(c, y))
-        bad += got != stored(lambda: x - c * y)
+        bad += got != stored(lambda: difference(x, c * y))
         errors += raised(got)
     return cases, bad, errors
 

@@ -7,6 +7,10 @@ import pytest
 from loopzip.cli import main
 
 
+LEMMA_NOTE = ("note: suite lemmas ran without its exhaustive checks: the exhaustive checks "
+              "of suite lemmas need n = 2, q = 2, 1x1 blocks and a weight gap <= 3\n")
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
@@ -519,6 +523,20 @@ def test_verify_lemmas_wide_gap_passes(mu, capsys):
     assert f"integral-conjugation-inclusions-exhaustive-N{gap + 2}" in names
 
 
+@pytest.mark.parametrize("mu,q,skipped", [
+    ("3,0", "2", False), ("4,0", "2", True), ("5,0", "2", True), ("0,0", "2", True),
+    ("1,0", "3", True), ("1,0,0", "2", True),
+])
+def test_lemmas_note_their_skipped_exhaustive_checks(mu, q, skipped, capsys):
+    # one stderr line says that the exhaustive checks did not run; the exit code does not
+    code, out, err = run_cli(
+        ["verify", "--suite", "lemmas", "--q", q, "--mu", mu, "--samples", "5"], capsys
+    )
+    assert code == 0 and json.loads(out)["passed"]
+    exhaustive = [c for c in json.loads(out)["checks"] if "exhaustive-N" in c["name"]]
+    assert (err, len(exhaustive)) == ((LEMMA_NOTE, 0) if skipped else ("", 2))
+
+
 @pytest.mark.parametrize("suite,mu,q,prec", [
     ("psi", "1,-1", "2", "2"),
     ("psi", "1,-1", "2", "12"),
@@ -574,7 +592,8 @@ def test_suite_all_notes_a_skipped_witt_census(mu, digest, noted, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     note = ("note: suite witt ran without its mixed census: the mixed census of suite "
             "witt needs p in {2, 3}, n <= 2 and weights with |d_i| <= 1\n")
-    assert err == (note if noted else "")
+    # n = 3 also skips the exhaustive lemma checks, and says so first
+    assert err == (LEMMA_NOTE + note if noted else "")
 
 
 def test_every_cli_option_is_read(capsys, monkeypatch):
@@ -629,7 +648,7 @@ def test_class_census_refuses_tau(capsys):
 
 
 @pytest.mark.parametrize("argv,code,err", [
-    (["verify", "--suite", "lemmas", "--mu", "2,2,0,0"], 0, ""),
+    (["verify", "--suite", "lemmas", "--mu", "2,2,0,0"], 0, LEMMA_NOTE),
     (["verify", "--suite", "prozip", "--mu", "1,1,0,0", "--samples", "20"], 0, ""),
     (["verify", "--suite", "psi", "--mu", "1,1,0,0"], 2,
      "configuration error: class census at n=4, q=2 classifies 44,100 classes; "
@@ -680,5 +699,5 @@ def test_lemmas_run_on_a_zip_group_too_large_to_list(capsys):
     # rescaling check compares generating sets and lists none of them
     code, out, err = run_cli(["verify", "--suite", "lemmas", "--mu", "1,0,0", "--q", "8"],
                              capsys)
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, LEMMA_NOTE)
     assert json.loads(out)["passed"]

@@ -191,8 +191,6 @@ def mismatches(a, b):
     A, B = boxed(a), boxed(b)
     cases = [
         (lambda: a + b, lambda: A + B),
-        (lambda: a - b, lambda: A - B),
-        (lambda: -a, lambda: -A),
         (lambda: a * b, lambda: A * B),
         (lambda: a.inverse(), lambda: A.inverse()),
         (lambda: a.valuation(), lambda: A.valuation()),

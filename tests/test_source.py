@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mutants import MUTANTS
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "loopzip"
 
 
@@ -217,3 +219,15 @@ def test_suites_only_list_checks():
     ]
     assert parses == ["run_suites: FieldSpec.for_q(cfg['q'])",
                       "run_suites: Cocharacter(cfg['mu'])"]
+
+
+def test_every_catalogued_mutant_applies_to_one_place():
+    # tests/mutants.py replaces each old text once; a refactor that moves the
+    # code must update the catalogue rather than orphan the mutant
+    root = SRC.parent.parent
+    assert len({m[0] for m in MUTANTS}) == len(MUTANTS) >= 15
+    for ident, name, old, _, killers in MUTANTS:
+        assert (SRC / name).read_text().count(old) == 1, ident
+        for killer in killers:
+            path, _, func = killer.partition("::")
+            assert f"def {func}(" in (root / path).read_text(), (ident, killer)

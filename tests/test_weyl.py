@@ -1,7 +1,9 @@
 import itertools
+from math import factorial
 
 import pytest
 
+from loopzip import weyl
 from loopzip.errors import ConventionError, NotMinimalRep
 from loopzip.grpdata import Cocharacter
 from loopzip.weyl import (
@@ -18,6 +20,7 @@ from loopzip.weyl import (
     simple_reflection,
     zip_parametrization,
 )
+from weyl_oracle import all_types, bruhat_mismatches, listed_parabolic, poset_mismatches
 
 
 def subword_oracle(u, w):
@@ -109,16 +112,35 @@ def test_coset_poset_empty_type_is_bruhat():
             assert poset.leq(u, w) == bruhat_leq(u, w)
 
 
-def test_broken_twist_raises_convention_error():
-    # composing the reversed conjugation breaks antisymmetry for J={1}
-    x = longest_element(3) * longest_element(3, {1})
-    xinv = x.inverse()
+def test_order_that_is_not_reflexive_raises_convention_error(monkeypatch):
+    monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: False)
+    with pytest.raises(ConventionError, match="not reflexive"):
+        CosetPoset(3, {1})
 
-    def reversed_conj(w):
-        return xinv * (xinv * w * x) * x
 
-    with pytest.raises(ConventionError):
-        CosetPoset(3, {1}, twist=reversed_conj)
+def test_order_that_is_not_antisymmetric_raises_convention_error(monkeypatch):
+    monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: True)
+    with pytest.raises(ConventionError, match="antisymmetry fails"):
+        CosetPoset(3, {1})
+
+
+def test_order_that_is_not_transitive_raises_convention_error(monkeypatch):
+    # the covering relations of S_3 alone: reflexive, antisymmetric, not transitive
+    perms = list(all_permutations(3))
+    covers = {(u, w) for u in perms for w in perms
+              if bruhat_leq(u, w) and w.length() == u.length() + 1}
+    monkeypatch.setattr(weyl, "bruhat_leq", lambda u, w: u == w or (u, w) in covers)
+    with pytest.raises(ConventionError, match="transitivity fails"):
+        CosetPoset(3, set())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coset_order_matches_the_rank_matrix_oracle(n):
+    # tests/weyl_oracle.py runs the same comparison up to n = 6
+    assert bruhat_mismatches(n) == (factorial(n) ** 2, 0)
+    for J in all_types(n):
+        assert parabolic_subgroup(n, J) == listed_parabolic(n, J)
+        assert poset_mismatches(n, J)[1] == 0
 
 
 def test_dot_output():
