@@ -155,42 +155,33 @@ def cmd_verify(args) -> int:
 def cmd_orbits(args) -> int:
     mu = _parse_mu(args.mu)
     _check_n(args, mu)
+    weights = ",".join(map(str, mu.weights))
     if args.action == "class-census":
         if args.tau is not None:
             raise ValueError("orbits --action class-census takes no --tau")
-        census = class_census(mu, FieldSpec.for_q(args.q))
-        rows = [
-            {"mu": list(mu.weights), "q": args.q, "rep_g": list(g),
-             "rep_h": list(h), "orbit_size": size}
-            for (g, h), size in census.items()
-        ]
-        if args.format == "json":
-            _write_json({"schema": SCHEMA, "census": rows}, args.out)
-            return 0
-        _write_csv([["mu", "q", "rep_g", "rep_h", "orbit_size"]]
-                   + [[",".join(map(str, row["mu"])), row["q"], _flat_str(row["rep_g"]),
-                       _flat_str(row["rep_h"]), row["orbit_size"]] for row in rows], args.out)
-        return 0
-    tau = 1 if args.tau is None else args.tau
-    part = enumerate_orbits(ActionSpec(args.action, mu, args.q, tau))
+        census = class_census(mu, FieldSpec.for_q(args.q)).items()
+        doc = {"schema": SCHEMA, "census": [
+            {"mu": list(mu.weights), "q": args.q, "rep_g": list(g), "rep_h": list(h),
+             "orbit_size": size} for (g, h), size in census]}
+        table = [["mu", "q", "rep_g", "rep_h", "orbit_size"]] + [
+            [weights, args.q, _flat_str(g), _flat_str(h), size] for (g, h), size in census]
+    else:
+        tau = 1 if args.tau is None else args.tau
+        part = enumerate_orbits(ActionSpec(args.action, mu, args.q, tau))
+        # a representative as its matrices: a sigma-conjugation one is a pair
+        orbits = [(rep if args.action == "sigma-conj" else (rep,), size, digest)
+                  for rep, size, digest in part.orbits]
+        doc = {"schema": SCHEMA, "action": args.action, "mu": list(mu.weights), "q": args.q,
+               "tau": tau, "total": part.total, "acting_order": part.acting_order,
+               "orbits": [{"rep": [c for flat in mats for c in flat], "size": size,
+                           "members_hash": digest} for mats, size, digest in orbits]}
+        table = [["action", "mu", "q", "rep", "size"]] + [
+            [args.action, weights, args.q, "|".join(map(_flat_str, mats)), size]
+            for mats, size, _ in orbits]
     if args.format == "json":
-        rows = [
-            {"rep": list(rep[0]) + list(rep[1]) if args.action == "sigma-conj"
-             else list(rep), "size": size, "members_hash": digest}
-            for rep, size, digest in part.orbits
-        ]
-        _write_json({"schema": SCHEMA, "action": args.action, "mu": list(mu.weights),
-                     "q": args.q, "tau": tau, "total": part.total,
-                     "acting_order": part.acting_order, "orbits": rows}, args.out)
-        return 0
-    rows = [["action", "mu", "q", "rep", "size"]]
-    for rep, size, _ in part.orbits:
-        if args.action == "sigma-conj":
-            rep_str = _flat_str(rep[0]) + "|" + _flat_str(rep[1])
-        else:
-            rep_str = _flat_str(rep)
-        rows.append([args.action, ",".join(map(str, mu.weights)), args.q, rep_str, size])
-    _write_csv(rows, args.out)
+        _write_json(doc, args.out)
+    else:
+        _write_csv(table, args.out)
     return 0
 
 

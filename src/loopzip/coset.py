@@ -43,14 +43,14 @@ from .series import LaurentElt, _raw
 from .witt import WittCtx, WittFraction
 
 
-def default_precision(mu: Cocharacter, floor: int = 6) -> int:
-    """Working window for the class pipeline of mu.
+def default_precision(mu: Cocharacter) -> int:
+    """Working window for the class pipeline of mu, at least 6.
 
     A pair matrix built at window P is known only to P + min(0, d_min),
     so a negative weight raises the window by -d_min above the Cartan floor.
     """
     w = mu.weights
-    return max(floor, cartan_precision_floor(w) + max(0, -min(w)))
+    return max(6, cartan_precision_floor(w) + max(0, -min(w)))
 
 
 def _left_half(spec: FieldSpec, mu: Cocharacter, g, h) -> tuple:

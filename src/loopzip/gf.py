@@ -122,17 +122,14 @@ class FieldSpec:
                     break
             else:
                 raise AssertionError(f"no inverse for code {a}; modulus not irreducible?")
-        self.frob_table = [self._pow_code(a, self.p) for a in range(q)]
-        self.frob_inv_table = [0] * q
-        for a in range(q):
-            self.frob_inv_table[self.frob_table[a]] = a
+        frob = [self._pow_code(a, self.p) for a in range(q)]
+        self.frob_powers = [list(range(q))]  # sigma^0 .. sigma^(m-1); sigma has order m
+        for _ in range(1, self.m):
+            self.frob_powers.append([frob[c] for c in self.frob_powers[-1]])
 
-    def frob_code(self, code: int, times: int = 1) -> int:
-        """Code of the `times`-fold p-power Frobenius image (negative for roots)."""
-        table = self.frob_table if times >= 0 else self.frob_inv_table
-        for _ in range(abs(times)):
-            code = table[code]
-        return code
+    def frob_code(self, code: int, k: int = 1) -> int:
+        """Code of sigma^k(code), sigma the p-power Frobenius; any integer k."""
+        return self.frob_powers[k % self.m][code]
 
     def primitive_code(self) -> int:
         """The least code of multiplicative order q - 1, a generator of F_q^*.

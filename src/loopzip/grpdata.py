@@ -28,7 +28,7 @@ from .matring import (
 )
 from .series import LaurentElt, _raw
 
-_ENUM_CAP = 600_000  # candidate matrices scanned by an exhaustive enumeration
+_ENUM_CAP = 600_000  # matrices listed by the GL_n enumeration
 CLASS_CAP = 33_000  # points the class pipeline classifies: census classes, mixed-census pairs
 
 
@@ -195,22 +195,32 @@ def zip_group_order(mu: Cocharacter, q: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_gl_flat(spec: FieldSpec, n: int) -> tuple:
-    """All invertible n x n matrices over F_q, encoded, in lexicographic order.
+    """All invertible n x n matrices over F_q, encoded, in lexicographic order:
+    row by row, each row running over F_q^n in lex order outside the span of
+    the rows above it.
 
     Cached with the field object in the key, so a dead field's id is never reused."""
-    candidates = spec.q ** (n * n)
-    check_budget(candidates <= _ENUM_CAP, f"GL_{n} enumeration",
-                 f"n={n}, q={spec.q} scans {candidates:,} candidates",
-                 f"{_ENUM_CAP:,} candidates")
-    out = tuple(
-        flat for flat in itertools.product(range(spec.q), repeat=n * n)
-        if flat_invertible(spec, n, flat)
-    )
-    if len(out) != gl_order(n, spec.q):
-        raise AssertionError(
-            f"enumerated {len(out)} matrices, |GL_{n}(F_{spec.q})| = {gl_order(n, spec.q)}"
-        )
-    return out
+    size = gl_order(n, spec.q)
+    check_budget(size <= _ENUM_CAP, f"GL_{n} enumeration",
+                 f"n={n}, q={spec.q} lists {size:,} matrices", f"{_ENUM_CAP:,} matrices")
+    add, mul = spec.add_table, spec.mul_table
+    vectors = list(itertools.product(range(spec.q), repeat=n))
+    out = []
+
+    def extend(prefix, span):
+        # append the matrices that continue the rows `prefix`, whose span is `span`
+        last = len(prefix) == n * (n - 1)
+        for v in vectors:
+            if v in span:
+                continue
+            if last:
+                out.append(prefix + v)
+            else:
+                extend(prefix + v, {tuple(add[a][mul[c][b]] for a, b in zip(s, v))
+                                    for s in span for c in range(spec.q)})
+
+    extend((), {(0,) * n})
+    return tuple(out)
 
 
 def random_gl_flat(spec: FieldSpec, n: int, rng) -> tuple:

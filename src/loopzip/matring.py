@@ -232,12 +232,9 @@ def flat_mul(spec: FieldSpec, n: int, a, b) -> tuple:
     return tuple(out)
 
 
-def flat_frobenius(spec: FieldSpec, flat, times: int = 1) -> tuple:
-    table = spec.frob_table if times >= 0 else spec.frob_inv_table
-    out = flat
-    for _ in range(abs(times)):
-        out = tuple(table[c] for c in out)
-    return out
+def flat_frobenius(spec: FieldSpec, flat, k: int) -> tuple:
+    table = spec.frob_powers[k % spec.m]
+    return tuple(table[c] for c in flat)
 
 
 def gauss_jordan(spec: FieldSpec, n: int, a, b, block_of) -> tuple:

@@ -56,9 +56,6 @@ class Perm:
     def __hash__(self):
         return hash(self.line)
 
-    def __lt__(self, other):
-        return self.line < other.line
-
     def __repr__(self):
         return "[" + " ".join(map(str, self.line)) + "]"
 
@@ -101,10 +98,20 @@ def longest_element(n: int, J=None) -> Perm:
     return Perm(line)
 
 
-def parabolic_subgroup(n: int, J) -> list:
-    """All elements of W_J in lex order: the permutations of each J-run, side by side."""
-    runs = [itertools.permutations(range(a, b + 1)) for a, b in _runs(n, set(J))]
-    return [Perm(itertools.chain.from_iterable(parts)) for parts in itertools.product(*runs)]
+def parabolic_subgroup(n: int, J):
+    """The elements of W_J in lex order, one at a time: the permutations of
+    each J-run, side by side."""
+    runs = _runs(n, set(J))
+
+    def fill(prefix):
+        if len(runs) == len(prefix):
+            yield Perm(itertools.chain.from_iterable(prefix))
+            return
+        a, b = runs[len(prefix)]
+        for part in itertools.permutations(range(a, b + 1)):
+            yield from fill(prefix + (part,))
+
+    return fill(())
 
 
 def min_coset_reps(n: int, J) -> list:

@@ -32,7 +32,7 @@ from loopzip.errors import (
 )
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, check_mu_window, times_mu
-from loopzip.matring import Mat, _select_pivot
+from loopzip.matring import Mat, _select_pivot, snf_dvr
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -544,6 +544,75 @@ def inverse_mismatches(cases: int, seed: int) -> tuple:
     return cases, bad, errors
 
 
+# -- exact check of a decomposition x = a diag(t^d) b ---------------------------------
+
+
+def _stored_terms(x: LaurentElt) -> dict:
+    """The Laurent polynomial that x stores, as exponent -> nonzero code."""
+    return {x.v + i: c for i, c in enumerate(x.codes) if c}
+
+
+def factorization_overclaims(x: Mat, a: Mat, d, b: Mat) -> list:
+    """Cells (i, j) where a diag(t^d) b, computed exactly over F_q from the
+    stored coefficient windows, differs from x_ij modulo t^k, k the lesser of
+    the window of x_ij and the window the series arithmetic gives that
+    product entry.  The series product takes t^d and 0 at a window so wide
+    that it never binds: the windows of a and b alone decide its own."""
+    spec, n = x.rows[0][0].spec, x.n
+    add, mul, neg = spec.add_table, spec.mul_table, spec.neg_table
+    wide = sum(abs(e.v) + abs(e.prec) for m in (x, a, b) for r in m.rows for e in r)
+    wide += sum(abs(k) for k in d) + 1
+    diag = Mat([[LaurentElt.t_power(spec, d[i], wide) if i == j else LaurentElt.zero(spec, wide)
+                 for j in range(n)] for i in range(n)])
+    claimed = a * diag * b
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            diff = _stored_terms(x.rows[i][j])
+            for k in range(n):
+                for ea, ca in _stored_terms(a.rows[i][k]).items():
+                    for eb, cb in _stored_terms(b.rows[k][j]).items():
+                        e = ea + d[k] + eb
+                        diff[e] = add[diff.get(e, 0)][neg[mul[ca][cb]]]
+            window = min(x.rows[i][j].prec, claimed.rows[i][j].prec)
+            if any(c and e < window for e, c in diff.items()):
+                bad.append((i, j))
+    return bad
+
+
+def random_pole_matrix(rng) -> Mat:
+    """An n x n Laurent matrix over F_q, q in {2, 3, 4, 9}, n in {2, 3}, at a
+    window in 2..6: `random_matrix` cells, with a pole t^(-1) in one of them;
+    a `random_entry` cell has a pole, stored leading zeros or an empty window."""
+    spec = FieldSpec.for_q(rng.choice((2, 3, 4, 9)))
+    one = LaurentElt.one(spec, rng.randrange(2, 7))
+    n = rng.choice((2, 3))
+    rows = [list(r) for r in random_matrix(one, n, rng, 0.4).rows]
+    pole = rng.randrange(n * n)
+    rows[pole // n][pole % n] = LaurentElt(
+        spec, -1, one.prec, [rng.randrange(1, spec.q)] + [rng.randrange(spec.q)
+                                                          for _ in range(one.prec)])
+    return Mat(rows)
+
+
+def factorization_sweep(samples: int, seed: int) -> tuple:
+    """(decomposed, flagged, refused): `snf_dvr` on `random_pole_matrix`
+    draws, counting the decompositions `factorization_overclaims` flags and
+    the matrices snf_dvr refuses."""
+    rng = random.Random(seed)
+    decomposed = flagged = refused = 0
+    for _ in range(samples):
+        x = random_pole_matrix(rng)
+        try:
+            a, d, b = snf_dvr(x)
+        except LoopZipError:
+            refused += 1
+            continue
+        decomposed += 1
+        flagged += bool(factorization_overclaims(x, a, d, b))
+    return decomposed, flagged, refused
+
+
 if __name__ == "__main__":
     # PYTHONPATH=src:tests python tests/laurent_oracle.py: the full comparisons
     total = 0
@@ -553,4 +622,9 @@ if __name__ == "__main__":
         cases, bad, errors = compare(cases, seed=1)
         total += bad
         print(f"{name}: {cases} cases, {errors} raised, {bad} mismatches")
+    for seed in (0, 1):
+        decomposed, flagged, refused = factorization_sweep(2000, seed)
+        print(f"factorization sweep, seed {seed}: 2000 matrices, {refused} refused, "
+              f"{decomposed} decomposed, {flagged} flagged")
+        total += flagged
     sys.exit(1 if total else 0)

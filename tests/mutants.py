@@ -57,6 +57,13 @@ MUTANTS = [
      ["tests/test_coset.py::test_prozip_invariance_fails_when_a_sample_is_not_congruent"]),
     ("V6", "witt.py", '"passed": passed == samples}', '"passed": True}',
      ["tests/test_witt.py::test_ghost_oracle_catches_a_wrong_teichmuller_lift"]),
+    # verdict branches that no real run reaches
+    ("V7", "orbits.py", "if act(action.identity)(x) != x:", "if False:",
+     ["tests/test_orbits.py::test_action_axioms_catch_an_identity_that_moves_a_point"]),
+    ("V8", "orbits.py", "well_defined = False", "well_defined = True",
+     ["tests/test_orbits.py::test_transport_is_not_well_defined_when_two_orbits_merge"]),
+    ("V9", "suites.py", '"passed": all(round_trips),', '"passed": True,',
+     ["tests/test_coset.py::test_rescaling_check_fails_when_one_class_moves_only_at_k_mu"]),
     # the coset order
     ("W1", "weyl.py", "all(a <= b for a, b in zip(", "all(a < b for a, b in zip(",
      ["tests/test_weyl.py::test_bruhat_matches_subword_oracle",

@@ -23,10 +23,10 @@ import random
 import sys
 
 from loopzip.errors import check_budget
-from loopzip.gf import FieldSpec
+from loopzip.gf import SIZES, FieldSpec
 from loopzip.grpdata import (Cocharacter, block_positions, enumerate_gl_flat, unipotent_order,
                              zip_group_order)
-from loopzip.matring import flat_frobenius, flat_identity, flat_mul
+from loopzip.matring import flat_frobenius, flat_identity, flat_invertible, flat_mul
 from loopzip.orbits import (ACTION_KINDS, ActionSpec, _action, _equivariance_draws,
                             enumerate_orbits)
 
@@ -57,10 +57,34 @@ WIDE_ORBIT_CASES = [
     for kind in ACTION_KINDS
 ]
 
+# (n, q): the GL_n whose row-by-row listing tier-1 compares with the scan, and
+# the larger ones only the full comparison adds
+GL_CASES = [(1, q) for q in SIZES] + [(2, q) for q in SIZES if q < 25] + [(3, 2), (3, 3)]
+WIDE_GL_CASES = [(4, 2), (3, 4), (2, 25)]
+
 # (q, weights): the groups whose draws tier-1 compares with their listing, in
 # every twist tau^0, tau^1 and tau^2 for the zip groups
 DRAW_CASES = ([(q, w) for q in (2, 3, 4) for w in [(1, 0), (0, 0), (1, -1)]]
               + [(2, (1, 1, 0)), (2, (2, 1, 0))])
+
+
+def scan_gl_flat(spec, n: int) -> tuple:
+    """GL_n(F_q) by the scan that the row-by-row listing replaced: all q^(n^2)
+    candidates in lex order, each kept when it is invertible."""
+    return tuple(flat for flat in itertools.product(range(spec.q), repeat=n * n)
+                 if flat_invertible(spec, n, flat))
+
+
+def gl_listing_mismatches(cases) -> tuple:
+    """(matrices listed, mismatching groups): `enumerate_gl_flat` against
+    `scan_gl_flat` on each (n, q) of `cases`."""
+    listed = bad = 0
+    for n, q in cases:
+        spec = FieldSpec.for_q(q)
+        gl = enumerate_gl_flat(spec, n)
+        listed += len(gl)
+        bad += gl != scan_gl_flat(spec, n)
+    return listed, bad
 
 
 def enumerate_unipotent_flat(spec, mu, sign: int) -> list:
@@ -290,6 +314,19 @@ def full_orbit_comparison() -> int:
     return total
 
 
+def full_gl_comparison() -> int:
+    """The GL_n listing against the scan on every case of GL_CASES and
+    WIDE_GL_CASES.  Prints one line per group and returns the number of
+    mismatching groups."""
+    total = 0
+    for n, q in GL_CASES + WIDE_GL_CASES:
+        listed, bad = gl_listing_mismatches([(n, q)])
+        total += bad
+        print(f"GL_{n}(F_{q}): {listed} matrices, {'mismatch' if bad else 'equal'}")
+    return total
+
+
 if __name__ == "__main__":
     # python tests/orbits_oracle.py  (with src on PYTHONPATH): the full comparisons
-    sys.exit(1 if full_draw_comparison() + full_orbit_comparison() else 0)
+    sys.exit(1 if full_gl_comparison() + full_draw_comparison() + full_orbit_comparison()
+             else 0)

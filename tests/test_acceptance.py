@@ -204,7 +204,7 @@ def test_criterion_8_weyl_layer():
         total = 1
         for i in range(2, mu.n + 1):
             total *= i
-        ok = ok and len(reps) * len(parabolic_subgroup(mu.n, mu.type_J)) == total
+        ok = ok and len(reps) * len(list(parabolic_subgroup(mu.n, mu.type_J))) == total
         zips = {zip_parametrization(w, mu) for w in reps}
         shts = {shtuka_parametrization(w, mu)[0] for w in reps}
         ok = ok and len(zips) == len(reps) and len(shts) == len(reps)

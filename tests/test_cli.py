@@ -102,6 +102,19 @@ def test_orbits_csv_sums_to_group_order(capsys):
     assert sum(sizes) == 6
 
 
+def test_orbits_class_census_json(capsys):
+    code, out, _ = run_cli(
+        ["orbits", "--action", "class-census", "--q", "2", "--mu", "1,0", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "3e70bba33732331b62f56ccb66172e7ccb1e7e85e154efb352d921e1d1203fd9")
+    doc = json.loads(out)
+    assert doc["schema"] == 1 and len(doc["census"]) == 9
+    assert sum(row["orbit_size"] for row in doc["census"]) == 6 * 6
+
+
 def test_orbits_class_census(capsys):
     code, out, _ = run_cli(
         ["orbits", "--action", "class-census", "--n", "2", "--q", "2", "--mu", "1,0"],
@@ -355,8 +368,8 @@ def test_budget_message_names_engine_and_caps(capsys):
     )
     assert code == 2
     assert out == ""
-    assert "GL_3 enumeration at n=3, q=5 scans 1,953,125 candidates" in err
-    assert "the caps are 600,000 candidates" in err
+    assert ("GL_3 enumeration at n=3, q=5 lists 1,488,000 matrices; "
+            "the caps are 600,000 matrices") in err
     # every exhaustive engine names itself, the requested size and its caps
     for argv, engine, size, caps in [
         (["verify", "--suite", "psi", "--mu", "1,0,0", "--q", "4"],
@@ -567,6 +580,15 @@ def test_precision_error_exits_2(suite, prec, message, capsys):
     )
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_sampler_window_past_the_precision_exits_2(capsys):
+    # the sampler of H_+ draws an entry from t^10, the weight gap of mu, at
+    # window 6, and the series constructor refuses that window
+    code, out, err = run_cli(["verify", "--suite", "prozip", "--mu", "5,-5", "--prec", "6"],
+                             capsys)
+    assert code == 2
+    assert out == "" and err == "configuration error: v=10 exceeds prec=6\n"
 
 
 @pytest.mark.parametrize("q,mu", [("5", "1,0"), ("2", "1,1,0"), ("2", "2,0")])

@@ -448,6 +448,31 @@ def test_rescaling_classes():
         assert got == rep_pair
 
 
+def test_rescaling_check_fails_when_one_class_moves_only_at_k_mu(monkeypatch):
+    # class_of moves one class in the cells of 2 mu and 3 mu and none in the
+    # cell of mu, so the bijection at mu passes and the rescaling check fails
+    import loopzip.coset as coset
+    from loopzip.suites import run_suites
+
+    real = coset.class_of
+    moved = []
+
+    def class_of(x, mu):
+        c = real(x, mu)
+        if mu.weights == MU.weights:
+            return c
+        moved.append(c)
+        return "moved" if c == moved[0] else c
+
+    monkeypatch.setattr(coset, "class_of", class_of)
+    checks = run_suites(["psi"], {"q": 2, "mu": [1, 0], "prec": 6, "samples": 5,
+                                  "seed": 0})["checks"]
+    verdicts = {c["name"]: c["passed"] for c in checks}
+    assert moved
+    assert verdicts == {"class-orbit-bijection": True, "kernel-bi-invariance": True,
+                        "embedding-fibers": True, "rescaling-representative-match": False}
+
+
 @pytest.mark.parametrize("weights", [(1, -1), (0, -1), (2, -1), (1, 0, -1), (1, 0), (2, 0)])
 def test_default_precision_covers_negative_weights(weights):
     # a pair matrix built at window P is known to P + min(0, d_min), which

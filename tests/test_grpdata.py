@@ -4,8 +4,9 @@ import pytest
 
 from coset_oracle import lift
 from laurent_oracle import from_coeff_list, mu_matrix, times_mu_mismatches
-from orbits_oracle import (DRAW_CASES, ORBIT_CASES, enumerate_levi_flat,
-                           enumerate_unipotent_flat, enumerate_zip_pairs_flat)
+from orbits_oracle import (DRAW_CASES, GL_CASES, ORBIT_CASES, enumerate_levi_flat,
+                           enumerate_unipotent_flat, enumerate_zip_pairs_flat,
+                           gl_listing_mismatches)
 from loopzip.errors import BudgetExceeded, NotInParabolic
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
@@ -272,12 +273,18 @@ def test_zip_group_rescaling():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        enumerate_gl_flat(FieldSpec.get(3, 2), 3)  # 9^9 candidates
+        enumerate_gl_flat(FieldSpec.get(3, 2), 3)  # 339,655,680 matrices
 
 
 def test_gl4_enumerates():
-    # 2^16 candidates: inside the candidate cap, whatever n is
+    # 20,160 matrices: inside the matrix cap, whatever n is
     assert len(enumerate_gl_flat(F2, 4)) == gl_order(4, 2) == 20_160
+
+
+def test_gl_listing_matches_the_scan():
+    # row by row, the same tuple as the scan of every candidate: GL_1 over
+    # every field, GL_2 over F_2 .. F_9, GL_3(F_2) and GL_3(F_3)
+    assert gl_listing_mismatches(GL_CASES) == (21_451, 0)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

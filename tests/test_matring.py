@@ -21,7 +21,8 @@ from loopzip.matring import (
 )
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
-from laurent_oracle import diagonal, from_coeff_list, inverse_mismatches, sub_mul_mismatches
+from laurent_oracle import (diagonal, factorization_overclaims, factorization_sweep,
+                            from_coeff_list, inverse_mismatches, sub_mul_mismatches)
 from witt_oracle import p_power
 
 F2 = FieldSpec.get(2, 1)
@@ -444,3 +445,18 @@ def test_snf_residues_raise_like_snf_dvr_on_short_windows(q, weights):
     # a Laurent window below 1 has no constant term, and a, b no identity
     assert ("InsufficientPrecision", "constant needs prec >= 1") in outcomes
     assert any(not isinstance(o[0], str) for o in outcomes)  # some still decompose
+
+
+def test_laurent_factorization_check_flags_an_overclaim():
+    # a = 1 and d = 0, so a diag(t^d) b is b, whose 1 + t claims the digit at
+    # t^1 of x_00 = 1 + O(t^4); known only mod t, x_00 = 1 has no such digit
+    one = LaurentElt.one(F2, 4)
+    zero, ident = one.zero_at(4), Mat.identity(2, one)
+    b = Mat([[from_coeff_list(F2, 0, [1, 1, 0, 0], 4), zero], [zero, one]])
+    assert factorization_overclaims(ident, ident, (0, 0), b) == [(0, 0)]
+    short = Mat([[from_coeff_list(F2, 0, [1], 1), zero], [zero, one]])
+    assert factorization_overclaims(short, ident, (0, 0), b) == []
+    # snf_dvr claims no digit that x lacks on seeded matrices with poles,
+    # stored leading zeros and empty windows
+    decomposed, flagged, refused = factorization_sweep(300, seed=0)
+    assert (flagged, decomposed + refused) == (0, 300) and decomposed > 100

@@ -51,6 +51,23 @@ def test_action_axioms_catch_a_missing_inverse(monkeypatch, kind):
     assert not check_action_axioms(aspec)
 
 
+def test_action_axioms_catch_an_identity_that_moves_a_point(monkeypatch):
+    # the action names a root element as its identity; products and their
+    # action are the real ones, so only the identity check can fail
+    import loopzip.orbits as orbits
+
+    real = orbits._action
+
+    def wrong_identity(aspec):
+        action = real(aspec)
+        return action._replace(identity=action.gens[0])
+
+    aspec = ActionSpec("partial-frobenius", MU, 3, 1)
+    assert check_action_axioms(aspec)
+    monkeypatch.setattr(orbits, "_action", wrong_identity)
+    assert not check_action_axioms(aspec)
+
+
 @pytest.mark.parametrize("q, weights", DRAW_CASES)
 def test_draws_are_uniform_over_the_group(q, weights):
     # each draw is a member of the listed group, and 30 |group| seeded draws
@@ -137,7 +154,7 @@ def test_orbits_deterministic():
 
 
 def test_budget_guard():
-    # the zip engines enumerate GL_3(F_5), 1,953,125 candidates; sigma-conj
+    # the zip engines enumerate GL_3(F_5), 1,488,000 matrices; sigma-conj
     # on GL_3(F_4) needs the class census, 238,140 classes
     for kind, q in (("zip-normal", 5), ("sigma-conj", 4)):
         with pytest.raises(BudgetExceeded):
@@ -201,6 +218,25 @@ def test_transport_fails_when_no_equivariance_sample_is_compared(monkeypatch):
     rep = transport_check(MU, 2, 1, samples=30, seed=2)
     assert rep["equivariance_samples"] == 0
     assert rep["equivariant"] and not rep["passed"]
+
+
+def test_transport_is_not_well_defined_when_two_orbits_merge(monkeypatch):
+    # one partial-Frobenius block holding two orbits maps to two conjugacy orbits
+    import loopzip.orbits as orbits
+
+    enumerate_real = orbits.enumerate_orbits
+
+    def merged(aspec):
+        part = enumerate_real(aspec)
+        if aspec.kind != "partial-frobenius":
+            return part
+        first, second, *rest = sorted(part.blocks, key=min)
+        return part._replace(blocks=frozenset([first | second, *rest]))
+
+    monkeypatch.setattr(orbits, "enumerate_orbits", merged)
+    rep = transport_check(MU, 2, 1, samples=30, seed=2)
+    assert rep["well_defined"] is False and rep["equivariant"]
+    assert rep["passed"] is False
 
 
 def test_weyl_reps_gl2():

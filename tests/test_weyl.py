@@ -89,7 +89,7 @@ def test_min_coset_reps_counts():
     assert len(reps) == 3
     assert len(min_coset_reps(4, {1, 2})) == 4
     # product decomposition: every w is uniquely (element of W_J) * rep
-    wj = parabolic_subgroup(3, {1})
+    wj = list(parabolic_subgroup(3, {1}))
     prods = {y * w for y in wj for w in reps}
     assert len(prods) == 6
 
@@ -139,7 +139,7 @@ def test_coset_order_matches_the_rank_matrix_oracle(n):
     # tests/weyl_oracle.py runs the same comparison up to n = 6
     assert bruhat_mismatches(n) == (factorial(n) ** 2, 0)
     for J in all_types(n):
-        assert parabolic_subgroup(n, J) == listed_parabolic(n, J)
+        assert list(parabolic_subgroup(n, J)) == listed_parabolic(n, J)
         assert poset_mismatches(n, J)[1] == 0
 
 

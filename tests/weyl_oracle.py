@@ -134,7 +134,7 @@ def full_comparison(top: int = 6) -> int:
         pairs, bad = bruhat_mismatches(n)
         orders = elements = 0
         for J in all_types(n):
-            bad += parabolic_subgroup(n, J) != listed_parabolic(n, J)
+            bad += list(parabolic_subgroup(n, J)) != listed_parabolic(n, J)
             m, bad_order = poset_mismatches(n, J)
             orders += 1
             elements += m

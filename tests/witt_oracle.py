@@ -343,11 +343,9 @@ def _pow_code(spec, a: int, k: int) -> int:
     return acc
 
 
-def _frob_code(spec, c: int, times: int) -> int:
-    table = spec.frob_table if times >= 0 else spec.frob_inv_table
-    for _ in range(abs(times)):
-        c = table[c]
-    return c
+def _frob_code(spec, c: int, k: int) -> int:
+    """sigma^k(c) as the p^(k mod m)-th power, apart from the field's tables."""
+    return _pow_code(spec, c, spec.p ** (k % spec.m))
 
 
 # -- exact windows over W_N(F_p) = Z/p^N -------------------------------------------
