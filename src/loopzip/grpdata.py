@@ -376,6 +376,9 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
     """
     n = mu.n
     d = mu.weights
+    if max(d) - min(d) > prec:
+        raise ValueError(f"drawing g with integral mu-conjugate needs entries divisible by "
+                         f"t^{max(d) - min(d)}, the weight gap of mu, beyond precision {prec}")
     while True:
         rows = []
         for i in range(n):

@@ -34,7 +34,7 @@ from .grpdata import (
 )
 from .matring import flat_frobenius, flat_identity, flat_inverse, flat_mul
 from .series import LaurentElt
-from .weyl import longest_element, min_coset_reps
+from .weyl import min_coset_reps, shtuka_parametrization
 
 ACTION_KINDS = ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj")
 
@@ -293,15 +293,13 @@ def weyl_reps_report(mu: Cocharacter, q: int, m: int = 1, prec: int = None) -> d
     n = mu.n
     prec = prec or default_precision(mu)
     reps = min_coset_reps(n, mu.type_J)
-    w0 = longest_element(n)
-    w0j = longest_element(n, mu.type_J)
     sigma_part = enumerate_orbits(ActionSpec("sigma-conj", mu, q, m))
 
     one = LaurentElt.one(spec, prec)
     ident = flat_identity(n)
     roots = []
     for w in reps:
-        perm = w * w0 * w0j
+        perm = shtuka_parametrization(w, mu)[0]
         flat = [0] * (n * n)
         for j in range(1, n + 1):
             flat[(perm(j) - 1) * n + (j - 1)] = 1

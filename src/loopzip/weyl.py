@@ -71,11 +71,6 @@ def simple_reflection(n: int, i: int) -> Perm:
     return Perm(line)
 
 
-def all_permutations(n: int):
-    for line in itertools.permutations(range(1, n + 1)):
-        yield Perm(line)
-
-
 def _runs(n: int, J) -> list:
     """Maximal intervals of 1..n glued by the simple reflections in J."""
     runs = []
@@ -115,15 +110,20 @@ def parabolic_subgroup(n: int, J):
 
 
 def min_coset_reps(n: int, J) -> list:
-    """Minimal length representatives of W_J \\ W."""
-    J = set(J)
-    out = []
-    for w in all_permutations(n):
-        winv = w.inverse()
-        if all(winv(i) < winv(i + 1) for i in J):
-            out.append(w)
-    out.sort(key=lambda w: (w.length(), w.line))
-    return out
+    """Minimal length representatives of W_J \\ W, by length, then one-line
+    notation: the permutations whose one-line notation lists the values of
+    each J-run in increasing order (Bjorner-Brenti, Ch. 2), dealt position
+    by position from the runs.  S_n is the case J = {}."""
+    runs = _runs(n, set(J))
+
+    def deal(line, nexts):
+        if len(line) == n:
+            yield Perm(line)
+        for r, (v, (_, b)) in enumerate(zip(nexts, runs)):
+            if v <= b:
+                yield from deal(line + (v,), nexts[:r] + (v + 1,) + nexts[r + 1:])
+
+    return sorted(deal((), tuple(a for a, _ in runs)), key=lambda w: (w.length(), w.line))
 
 
 def bruhat_leq(u: Perm, w: Perm) -> bool:

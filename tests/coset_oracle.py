@@ -12,20 +12,28 @@ The canonical pair in two slower forms that the echelon eliminations of
 The pair matrix as two matrix products of constant lifts, the form that the
 closed-form `lifted_product` replaced; its entries and their windows are the
 reference that the closed form must reproduce.
+
+The matrices that the class pipeline hands `snf_dvr`, decomposed and checked
+by the exact factorization oracles of `laurent_oracle` and `witt_oracle`: a
+dropped remainder that `class_of` met would show there as an overclaim.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
+from loopzip.coset import MIXED_LENGTH, class_census, default_precision, pair_matrix
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import Cocharacter, enumerate_gl_flat
-from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
+from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_gl_flat, random_k1_mat
+from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul, snf_dvr
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
+import laurent_oracle
+import witt_oracle
 from laurent_oracle import entry_form, mu_matrix
 from orbits_oracle import enumerate_parabolic_flat, enumerate_unipotent_flat
 
@@ -209,8 +217,6 @@ def full_pair_comparison():
     over Laurent series at the floor window and the pipeline's default, and
     GL2(F3) over Witt vectors at every length from the floor to 4.  Prints one
     line per configuration and returns the total number of mismatches."""
-    from loopzip.coset import default_precision, pair_matrix
-
     configs = []
     for q, weights in [(4, (1, 0)), (4, (1, -1)), (4, (2, -1)), (4, (0, -2)), (4, (-1, -1)),
                        (2, (1, 1, 0)), (2, (2, 1, 0)), (2, (1, 0, -1))]:
@@ -233,6 +239,71 @@ def full_pair_comparison():
     return total
 
 
+# (q, weights): GL_2 and GL_3(F_2) in the weights |d_i| <= 1 that the mixed
+# pipeline accepts, so that both rings classify the same inputs
+PIPELINE_CASES = [(2, (1, 0)), (2, (0, 0)), (2, (1, -1)), (3, (1, 0)), (3, (1, -1)),
+                  (4, (1, 0)), (4, (0, -1)), (2, (1, 0, 0)), (2, (1, 1, 0)), (2, (1, 0, -1))]
+
+
+def _sandwich(k1, mu, g, h, one, k2) -> Mat:
+    return k1 * pair_matrix(mu, g, h, one) * k2
+
+
+def pipeline_inputs(q: int, weights, kernel_samples: int, seed: int):
+    """(ring, build) for the matrices the class pipeline decomposes on
+    GL_n(F_q), each built by calling build():
+    the pair matrix of every census representative at mu, 2 mu and 3 mu (the
+    bijection and the rescaling round trips), at the Laurent window
+    `default_precision` and at the least Witt length >= 3 that holds the
+    weights; then `kernel_samples` products k1 x k2 per ring, drawn as
+    `kernel_invariance_report` draws them at mu."""
+    spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+    census = class_census(mu, spec)
+    for nu in (mu.scaled(k) for k in (1, 2, 3)):
+        for ring, prec in (("laurent", default_precision(nu)),
+                           ("witt", max(MIXED_LENGTH, pair_floor(nu, "witt")))):
+            one = ring_one(spec, ring, prec)
+            for g, h in census:
+                yield ring, partial(pair_matrix, nu, g, h, one)
+    for ring, prec in (("laurent", default_precision(mu)), ("witt", MIXED_LENGTH)):
+        one, rng = ring_one(spec, ring, prec), random.Random(seed)
+        for _ in range(kernel_samples):
+            g = random_gl_flat(spec, mu.n, rng)
+            h = random_gl_flat(spec, mu.n, rng)
+            k1 = random_k1_mat(one, mu.n, rng)
+            k2 = random_k1_mat(one, mu.n, rng)
+            yield ring, partial(_sandwich, k1, mu, g, h, one, k2)
+
+
+def pipeline_factorization_sweep(cases, kernel_samples: int, share: float, seed: int) -> dict:
+    """ring -> [decomposed, flagged, refused]: `snf_dvr` on a seeded share of
+    `pipeline_inputs` over the (q, weights) cases, counting the
+    decompositions the ring's `factorization_overclaims` flags."""
+    oracles = {"laurent": laurent_oracle.factorization_overclaims,
+               "witt": witt_oracle.factorization_overclaims}
+    counts = {ring: [0, 0, 0] for ring in oracles}
+    pick = random.Random(seed)
+    for q, weights in cases:
+        for ring, build in pipeline_inputs(q, weights, kernel_samples, seed):
+            if pick.random() >= share:
+                continue
+            x = build()
+            try:
+                a, d, b = snf_dvr(x)
+            except LoopZipError:
+                counts[ring][2] += 1
+                continue
+            counts[ring][0] += 1
+            counts[ring][1] += bool(oracles[ring](x, a, d, b))
+    return counts
+
+
 if __name__ == "__main__":
-    # python tests/coset_oracle.py  (with src on PYTHONPATH): both full comparisons
-    sys.exit(1 if full_pair_comparison() + full_trie_comparison() else 0)
+    # python tests/coset_oracle.py  (with src on PYTHONPATH): the full comparisons
+    # and the factorization check of every pipeline input
+    counts = pipeline_factorization_sweep(PIPELINE_CASES, 200, 1.0, 0)
+    for ring, (decomposed, flagged, refused) in counts.items():
+        print(f"pipeline inputs, {ring}: {decomposed} decomposed, {flagged} flagged, "
+              f"{refused} refused")
+    flagged = sum(c[1] for c in counts.values())
+    sys.exit(1 if flagged + full_pair_comparison() + full_trie_comparison() else 0)

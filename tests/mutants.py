@@ -73,6 +73,32 @@ MUTANTS = [
     ("W3", "weyl.py", "_bits(up & ~covered)", "_bits(up)",
      ["tests/test_weyl.py::test_coset_poset_for_s3",
       "tests/test_weyl.py::test_coset_order_matches_the_rank_matrix_oracle"]),
+    # the dealt listing of the minimal coset representatives
+    ("W4", "weyl.py", "key=lambda w: (w.length(), w.line))", "key=lambda w: w.line)",
+     ["tests/test_weyl.py::test_min_coset_reps_match_the_filter"]),
+    # the live columns of Mat.inverse
+    ("L1", "matring.py",
+     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "live = True",
+     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+    ("L2", "matring.py",
+     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "live = isinstance(one, LaurentElt)",
+     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+    ("L3", "matring.py",
+     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "live = not isinstance(one, LaurentElt) or all(x.v < x.prec for r in w for x in r)",
+     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+    # the group draws
+    ("D1", "orbits.py", "random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(spec, m, group_tau))",
+     "random_unipotent_flat(spec, mu, -1, rng), m)",
+     ["tests/test_orbits.py::test_draws_are_uniform_over_the_group"]),
+    ("D2", "orbits.py", "mul(random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(",
+     "mul(random_unipotent_flat(spec, mu, +1, rng), flat_frobenius(",
+     ["tests/test_orbits.py::test_draws_are_uniform_over_the_group"]),
+    ("D3", "orbits.py", "yield g, flat_mul(spec, mu.n, random_unipotent_flat(spec, mu, -1, rng), mf), mf",
+     "yield g, mf, mf",
+     ["tests/test_orbits.py::test_draws_are_uniform_over_the_group"]),
 ]
 
 

@@ -583,12 +583,14 @@ def test_precision_error_exits_2(suite, prec, message, capsys):
 
 
 def test_sampler_window_past_the_precision_exits_2(capsys):
-    # the sampler of H_+ draws an entry from t^10, the weight gap of mu, at
-    # window 6, and the series constructor refuses that window
+    # the sampler of g with integral mu-conjugate draws an entry from t^10, the
+    # weight gap of mu, so it refuses window 6 and names both numbers
     code, out, err = run_cli(["verify", "--suite", "prozip", "--mu", "5,-5", "--prec", "6"],
                              capsys)
     assert code == 2
-    assert out == "" and err == "configuration error: v=10 exceeds prec=6\n"
+    assert out == "" and err == (
+        "configuration error: drawing g with integral mu-conjugate needs entries divisible "
+        "by t^10, the weight gap of mu, beyond precision 6\n")
 
 
 @pytest.mark.parametrize("q,mu", [("5", "1,0"), ("2", "1,1,0"), ("2", "2,0")])

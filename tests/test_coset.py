@@ -48,6 +48,8 @@ from coset_oracle import (
     outcome,
     pair_floor,
     pair_mismatches,
+    pipeline_factorization_sweep,
+    PIPELINE_CASES,
     ring_one,
 )
 from orbits_oracle import enumerate_unipotent_flat, enumerate_zip_pairs_flat
@@ -617,3 +619,13 @@ def test_prozip_identity_pair_trivial():
     base = x.inverse() * mt * y
     moved = (one.inverse() * x).inverse() * mt * (one.inverse() * y)
     assert base.congruent_mod(moved, min(base.min_precision(), moved.min_precision()))
+
+
+def test_class_pipeline_inputs_meet_no_dropped_remainder():
+    # the census pair matrices at mu, 2 mu and 3 mu and the K1 x K1 products,
+    # in both rings: a seeded twentieth of the inputs, with 20 products per
+    # case, where tests/coset_oracle.py checks them all with 200 (6,893
+    # Laurent and 6,193 Witt decompositions, none flagged)
+    counts = pipeline_factorization_sweep(PIPELINE_CASES, 20, 0.05, 1)
+    assert {ring: flagged for ring, (_, flagged, _) in counts.items()} == {"laurent": 0, "witt": 0}
+    assert min(decomposed for decomposed, _, _ in counts.values()) >= 200  # 250 and 249

@@ -9,7 +9,6 @@ from loopzip.grpdata import Cocharacter
 from loopzip.weyl import (
     CosetPoset,
     Perm,
-    all_permutations,
     bruhat_leq,
     identity,
     longest_element,
@@ -20,7 +19,8 @@ from loopzip.weyl import (
     simple_reflection,
     zip_parametrization,
 )
-from weyl_oracle import all_types, bruhat_mismatches, listed_parabolic, poset_mismatches
+from weyl_oracle import (all_permutations, all_types, bruhat_mismatches, coset_rep_mismatches,
+                         listed_parabolic, poset_mismatches)
 
 
 def subword_oracle(u, w):
@@ -81,6 +81,11 @@ def test_longest_elements():
     assert longest_element(3, {1}).line == (2, 1, 3)
     assert longest_element(4, {1, 3}).line == (2, 1, 4, 3)
     assert longest_element(3, set()).is_identity()
+
+
+def test_min_coset_reps_match_the_filter():
+    # every J for n <= 6, list and order; tests/weyl_oracle.py runs n <= 8
+    assert coset_rep_mismatches(6) == (63, 0)
 
 
 def test_min_coset_reps_counts():

@@ -1,13 +1,14 @@
 """Reference coset order built the way `loopzip.weyl` used to build it.
 
-The computation that the tableau test and the bit-row order replaced: the
-Bruhat order by the rank-matrix criterion (n^2 counting sums per pair),
-W_J listed by filtering all n! permutations, and the order kept as a list
-of boolean lists, with the partial-order axioms and the Hasse diagram read
-off by loops cubic in the number of coset representatives.  The order is
-the same: w' <= w when y * w' * delta(y)^(-1) <=_Bruhat w for some y in
-W_J, where delta(y) = x y x^(-1) and x = w_0 w_{0,J}.  Its elements,
-`leq`, `hasse_edges` and `to_json` are what `CosetPoset` must reproduce.
+The computation that the tableau test, the bit-row order and the dealt
+listing replaced: the Bruhat order by the rank-matrix criterion (n^2
+counting sums per pair), W_J and ^JW listed by filtering all n!
+permutations, and the order kept as a list of boolean lists, with the
+partial-order axioms and the Hasse diagram read off by loops cubic in the
+number of coset representatives.  The order is the same: w' <= w when
+y * w' * delta(y)^(-1) <=_Bruhat w for some y in W_J, where
+delta(y) = x y x^(-1) and x = w_0 w_{0,J}.  Its elements, `leq`,
+`hasse_edges` and `to_json` are what `CosetPoset` must reproduce.
 """
 
 from __future__ import annotations
@@ -16,8 +17,27 @@ import itertools
 import sys
 
 from loopzip.errors import ConventionError
-from loopzip.weyl import (CosetPoset, all_permutations, bruhat_leq, longest_element,
-                          min_coset_reps, parabolic_subgroup)
+from loopzip.weyl import (CosetPoset, Perm, bruhat_leq, longest_element, min_coset_reps,
+                          parabolic_subgroup)
+
+
+def all_permutations(n: int):
+    """S_n in lex order of one-line notation."""
+    for line in itertools.permutations(range(1, n + 1)):
+        yield Perm(line)
+
+
+def filtered_min_coset_reps(n: int, J) -> list:
+    """^JW by filtering S_n: the w with w^(-1)(i) < w^(-1)(i + 1) for i in J,
+    sorted by length, then one-line notation."""
+    J = set(J)
+    out = []
+    for w in all_permutations(n):
+        winv = w.inverse()
+        if all(winv(i) < winv(i + 1) for i in J):
+            out.append(w)
+    out.sort(key=lambda w: (w.length(), w.line))
+    return out
 
 
 def rank_bruhat_leq(u, w) -> bool:
@@ -46,7 +66,7 @@ class OraclePoset:
     """The coset order as a list of boolean lists, checked by cubic loops."""
 
     def __init__(self, n: int, J):
-        self.elements = min_coset_reps(n, J)
+        self.elements = filtered_min_coset_reps(n, J)
         x = longest_element(n) * longest_element(n, J)
         xinv = x.inverse()
         deltas = [(y, (x * y * xinv).inverse()) for y in listed_parabolic(n, J)]
@@ -125,6 +145,17 @@ def all_types(n: int):
         yield from (set(J) for J in itertools.combinations(range(1, n), r))
 
 
+def coset_rep_mismatches(top: int) -> tuple:
+    """(types, mismatches): `min_coset_reps(n, J)` against the filter, list
+    and order, for every n <= top and every J."""
+    types = bad = 0
+    for n in range(1, top + 1):
+        for J in all_types(n):
+            types += 1
+            bad += min_coset_reps(n, J) != filtered_min_coset_reps(n, J)
+    return types, bad
+
+
 def full_comparison(top: int = 6) -> int:
     """Bruhat pairs, W_J listings and coset orders for every n <= top and
     every J (`POSET_CAP` admits them all up to n = 6).  Prints one line per
@@ -146,5 +177,7 @@ def full_comparison(top: int = 6) -> int:
 
 
 if __name__ == "__main__":
-    # python tests/weyl_oracle.py  (with src on PYTHONPATH): the full comparison
-    sys.exit(1 if full_comparison() else 0)
+    # python tests/weyl_oracle.py  (with src on PYTHONPATH): the full comparisons
+    types, rep_bad = coset_rep_mismatches(8)
+    print(f"n<=8: min_coset_reps against the S_n filter on {types} types J, {rep_bad} mismatches")
+    sys.exit(1 if rep_bad + full_comparison() else 0)
