@@ -16,7 +16,8 @@ against it:
                      is exact to the full length.
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
-valuation rings (pi = t or p), with a and b integral of unit reduction.
+valuation rings (pi = t or p), with a and b integral of unit reduction;
+on a `_live` matrix both skip the entries they never read again.
 F_q elements are int codes throughout: F_q matrices of any size are flat
 row-major tuples of them, which one Gauss-Jordan loop inverts, tests and puts
 in `coset`'s canonical form; JSON writes each code as its coefficient vector.
@@ -97,17 +98,14 @@ class Mat:
     def inverse(self) -> "Mat":
         """Gauss-Jordan with minimal-valuation pivot selection.
 
-        The columns of w at and left of the pivot are never read again.  A
-        Laurent matrix with no empty window skips them: products of nonempty
-        windows are nonempty and cannot raise.  Other matrices update them,
-        to raise what a product there raises (an empty window, or a Witt
-        product left with no provable digit).
+        The columns of w at and left of the pivot are never read again, and
+        a `_live` matrix skips them.
         """
         n = self.n
         w = [list(r) for r in self.rows]
         one = self.rows[0][0].one_at(self.min_precision())
         aug = [list(r) for r in Mat.identity(n, one).rows]
-        live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)
+        live = _live(w)
         for col in range(n):
             piv = _select_pivot(w, rows=range(col, n), cols=[col])
             if piv is None:
@@ -181,6 +179,13 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in r) for r in self.rows)
         return f"Mat[{body}]"
+
+
+def _live(w) -> bool:
+    """Laurent entries with no empty window: products, sub_mul, shifts and
+    inverses keep windows nonempty, so no product an elimination skips could
+    raise.  Others update every entry, to raise what a product there raises."""
+    return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)
 
 
 def _select_pivot(w, rows, cols):
@@ -302,7 +307,8 @@ def snf_residues(x: Mat):
     valuation), and reduction mod pi commutes with integral row and column
     operations (Serre, Local Fields, II), so a and b are carried mod pi
     from the start.  Their windows never fall below 1, so every error is
-    one that snf_dvr raises too.
+    one that snf_dvr raises too.  Both eliminate only the live submatrix of
+    a `_live` x, where no skipped product could raise.
     """
     a, d, b = _diagonalize(x, residues=True)
     return tuple(c for r in a for c in r), d, tuple(c for r in b for c in r)
@@ -310,7 +316,11 @@ def snf_residues(x: Mat):
 
 def _diagonalize(x: Mat, residues: bool):
     """snf_dvr's elimination on a copy of x; a and b as rows of entries, or of
-    residue codes when `residues`."""
+    residue codes when `residues`.  d, a and b read only the pivot and the
+    trailing submatrix of w, so at step k a `_live` x scales the pivot row
+    and clears column k on columns >= k (the zeros left in column k cut the
+    windows they meet), clears row k on rows > k, and at the last step
+    neither inverts nor scales."""
     n = x.n
     w = [list(r) for r in x.rows]
     # built in both modes, so that a window below 1 raises in both
@@ -323,6 +333,7 @@ def _diagonalize(x: Mat, residues: bool):
     a = [list(r) for r in ident]
     b = [list(r) for r in ident]
     d = [0] * n
+    live = _live(w)
 
     for k in range(n):
         piv = _select_pivot(w, rows=range(k, n), cols=range(k, n))
@@ -342,9 +353,11 @@ def _diagonalize(x: Mat, residues: bool):
         v = w[k][k].valuation()
         d[k] = v
         unit = w[k][k].shifted(-v)
-        uinv = unit.inverse()
-        # scale the pivot row to pi^v; a picks up the unit on its column
-        w[k] = [uinv * c for c in w[k]]
+        lo, rest = (k, range(k + 1, n)) if live else (0, range(n))
+        if rest:  # scale the pivot row to pi^v
+            uinv = unit.inverse()
+            w[k][lo:] = [uinv * c for c in w[k][lo:]]
+        # a picks up the unit on its column
         if residues:
             by_u = mul[unit.residue_code()]
             for r in range(n):
@@ -353,11 +366,11 @@ def _diagonalize(x: Mat, residues: bool):
             for r in range(n):
                 a[r][k] = a[r][k] * unit
         # pivot row is now normalized to pi^v, so quotients are plain shifts
-        for i in range(n):
+        for i in rest:
             if i == k or w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
-            w[i] = [p.sub_mul(c, q) for p, q in zip(w[i], w[k])]
+            w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]
             if residues:
                 by_c = mul[c.residue_code()]
                 for r in range(n):
@@ -365,11 +378,11 @@ def _diagonalize(x: Mat, residues: bool):
             else:
                 for r in range(n):
                     a[r][k] = a[r][k] + a[r][i] * c
-        for j in range(n):
+        for j in rest:
             if j == k or w[k][j].valuation() is None:
                 continue
             c = w[k][j].shifted(-v)
-            for r in range(n):
+            for r in rest:
                 w[r][j] = w[r][j].sub_mul(w[r][k], c)
             if residues:
                 by_c = mul[c.residue_code()]
@@ -379,10 +392,7 @@ def _diagonalize(x: Mat, residues: bool):
 
     # sort d non-increasing, stably, and conjugate by the permutation
     order = sorted(range(n), key=lambda i: (-d[i], i))
-    d_sorted = tuple(d[i] for i in order)
-    a_sorted = [[a[r][order[c]] for c in range(n)] for r in range(n)]
-    b_sorted = [b[order[r]] for r in range(n)]
-    return a_sorted, d_sorted, b_sorted
+    return [[r[c] for c in order] for r in a], tuple(d[i] for i in order), [b[i] for i in order]
 
 
 def cartan_precision_floor(weights) -> int:

@@ -16,6 +16,11 @@ reference that the closed form must reproduce.
 The matrices that the class pipeline hands `snf_dvr`, decomposed and checked
 by the exact factorization oracles of `laurent_oracle` and `witt_oracle`: a
 dropped remainder that `class_of` met would show there as an overclaim.
+
+The K_1 double cosets of a cell of GL_2(F_2) modulo t^P, walked from their
+definition, each of which must lie in one fibre of `class_of`; and the
+GL_3(F_2) mixed census, which the witt suite does not run, through
+`witt_census_report` itself.
 """
 
 from __future__ import annotations
@@ -23,9 +28,11 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from functools import lru_cache, partial
 
-from loopzip.coset import MIXED_LENGTH, class_census, default_precision, pair_matrix
+from loopzip.coset import (MIXED_LENGTH, class_census, class_of, default_precision, pair_matrix,
+                           witt_census_report)
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_gl_flat, random_k1_mat
@@ -298,6 +305,76 @@ def pipeline_factorization_sweep(cases, kernel_samples: int, share: float, seed:
     return counts
 
 
+
+# -- the K_1 double cosets of a cell of GL_2(F_2), from their definition -------------
+
+
+def _bit_mul(a: int, b: int, mask: int) -> int:
+    """Product of two F_2[t] polynomials as bit ints (bit i is the t^i
+    coefficient), cut mod t^P by mask = 2^P - 1."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out & mask
+
+
+def _bit_val(a: int) -> int:
+    """t-adic valuation of a nonzero bit polynomial."""
+    return (a & -a).bit_length() - 1
+
+
+def _k1_moves(x: tuple, P: int, mask: int):
+    """The images of x = (x00, x01, x10, x11) under left and right products by
+    the generators I + t^k E_ij, k = 1..P-1, of K_1 mod t^P: row i plus
+    t^k row j, and column j plus t^k column i."""
+    for k in range(1, P):
+        for i in (0, 1):
+            for j in (0, 1):
+                y = list(x)
+                y[2 * i], y[2 * i + 1] = (y[2 * i] ^ (x[2 * j] << k) & mask,
+                                          y[2 * i + 1] ^ (x[2 * j + 1] << k) & mask)
+                yield tuple(y)
+                y = list(x)
+                y[j], y[2 + j] = y[j] ^ (x[i] << k) & mask, y[2 + j] ^ (x[2 + i] << k) & mask
+                yield tuple(y)
+
+
+def finite_model_partition(weights, P: int) -> tuple:
+    """(points, orbits, classes, split) for the cell of mu = weights, d_1 >=
+    d_2 >= 0 with d_1 + d_2 < P, in GL_2(F_2[t]/t^P): the points x mod t^P
+    whose entries have least valuation d_2 and whose determinant has
+    valuation d_1 + d_2 (the elementary divisors of x, Serre, Local Fields,
+    II), the orbits of K_1 x K_1 on them walked by the generators of both
+    sides, the distinct `class_of` values of the points at the window P, and
+    the number of orbits that meet more than one class.  The cell is scanned
+    through all 2^(4P) matrices, so P <= 4."""
+    d1, d2 = weights
+    mask, spec, mu = (1 << P) - 1, FieldSpec.for_q(2), Cocharacter(weights)
+    cell = []
+    for x in itertools.product(range(1 << P), repeat=4):
+        det = _bit_mul(x[0], x[3], mask) ^ _bit_mul(x[1], x[2], mask)
+        if det and _bit_val(det) == d1 + d2 and min(_bit_val(e) for e in x if e) == d2:
+            cell.append(x)
+    parent = {x: x for x in cell}
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x in cell:
+        for y in _k1_moves(x, P, mask):
+            parent[root(y)] = root(x)
+    fibres: dict = {}
+    for x in cell:
+        entries = [LaurentElt(spec, 0, P, [e >> i & 1 for i in range(P)]) for e in x]
+        fibres.setdefault(root(x), set()).add(class_of(Mat([entries[:2], entries[2:]]), mu))
+    classes = set().union(*fibres.values())
+    split = sum(len(f) > 1 for f in fibres.values())
+    return len(cell), len(fibres), len(classes), split
+
 if __name__ == "__main__":
     # python tests/coset_oracle.py  (with src on PYTHONPATH): the full comparisons
     # and the factorization check of every pipeline input
@@ -306,4 +383,16 @@ if __name__ == "__main__":
         print(f"pipeline inputs, {ring}: {decomposed} decomposed, {flagged} flagged, "
               f"{refused} refused")
     flagged = sum(c[1] for c in counts.values())
-    sys.exit(1 if flagged + full_pair_comparison() + full_trie_comparison() else 0)
+    start = time.perf_counter()
+    points, orbits, classes, split = finite_model_partition((1, 0), 4)
+    print(f"finite model, mu=(1, 0), P=4: {points} points, {orbits} K1 x K1 orbits, "
+          f"{classes} classes, {split} orbits split ({time.perf_counter() - start:.1f} s)")
+    failed = split + (orbits != classes)
+    for weights in ((1, 0, 0), (1, 0, -1)):
+        mu, start = Cocharacter(weights), time.perf_counter()
+        report = witt_census_report(mu, FieldSpec.for_q(2), MIXED_LENGTH, default_precision(mu))
+        print(f"mixed census, GL_3(F_2), mu={weights}: {report['laurent_classes']} Laurent and "
+              f"{report['witt_classes']} Witt classes, pointwise equal "
+              f"{report['pointwise_equal']} ({time.perf_counter() - start:.1f} s)")
+        failed += not report["passed"]
+    sys.exit(1 if flagged + failed + full_pair_comparison() + full_trie_comparison() else 0)

@@ -9,8 +9,10 @@ plainly correct; the tests compare the code-based `LaurentElt` against it.
 
 `mu_matrix` and `full_inverse` are the diagonal matrix of mu(pi) and the
 Gauss-Jordan loop that updates every column with a product and then a
-difference; the tests compare `grpdata.times_mu`, `sub_mul` and the
-live-column `Mat.inverse` against them, in both rings.
+difference, and `full_diagonalize` is the diagonal decomposition that
+updates every row and column at every step; the tests compare
+`grpdata.times_mu`, `sub_mul`, the live-column `Mat.inverse` and the
+live-submatrix `snf_dvr` and `snf_residues` against them, in both rings.
 
     PYTHONPATH=src:tests python tests/laurent_oracle.py
 
@@ -32,7 +34,7 @@ from loopzip.errors import (
 )
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, check_mu_window, times_mu
-from loopzip.matring import Mat, _select_pivot, snf_dvr
+from loopzip.matring import Mat, _select_pivot, snf_dvr, snf_residues
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -434,6 +436,85 @@ def full_inverse(m: Mat) -> Mat:
     return Mat(aug)
 
 
+def full_diagonalize(x: Mat, residues: bool):
+    """snf_dvr's elimination updating every row and column of w at every
+    step: snf_dvr's (a, d, b), or snf_residues' triple when `residues`."""
+    n = x.n
+    w = [list(r) for r in x.rows]
+    # built in both modes, so that a window below 1 raises in both
+    one = x.rows[0][0].one_at(x.min_precision())
+    if residues:
+        mul, add = one.spec.mul_table, one.spec.add_table
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        ident = Mat.identity(n, one).rows
+    a = [list(r) for r in ident]
+    b = [list(r) for r in ident]
+    d = [0] * n
+
+    for k in range(n):
+        piv = _select_pivot(w, rows=range(k, n), cols=range(k, n))
+        if piv is None:
+            raise NotInvertible(
+                "remaining minor is zero within precision; no finite determinant valuation"
+            )
+        pi, pj = piv
+        if pi != k:
+            w[k], w[pi] = w[pi], w[k]
+            for r in range(n):
+                a[r][k], a[r][pi] = a[r][pi], a[r][k]
+        if pj != k:
+            for r in range(n):
+                w[r][k], w[r][pj] = w[r][pj], w[r][k]
+            b[k], b[pj] = b[pj], b[k]
+        v = w[k][k].valuation()
+        d[k] = v
+        unit = w[k][k].shifted(-v)
+        uinv = unit.inverse()
+        # scale the pivot row to pi^v; a picks up the unit on its column
+        w[k] = [uinv * c for c in w[k]]
+        if residues:
+            by_u = mul[unit.residue_code()]
+            for r in range(n):
+                a[r][k] = by_u[a[r][k]]
+        else:
+            for r in range(n):
+                a[r][k] = a[r][k] * unit
+        # pivot row is now normalized to pi^v, so quotients are plain shifts
+        for i in range(n):
+            if i == k or w[i][k].valuation() is None:
+                continue
+            c = w[i][k].shifted(-v)
+            w[i] = [p.sub_mul(c, q) for p, q in zip(w[i], w[k])]
+            if residues:
+                by_c = mul[c.residue_code()]
+                for r in range(n):
+                    a[r][k] = add[a[r][k]][by_c[a[r][i]]]
+            else:
+                for r in range(n):
+                    a[r][k] = a[r][k] + a[r][i] * c
+        for j in range(n):
+            if j == k or w[k][j].valuation() is None:
+                continue
+            c = w[k][j].shifted(-v)
+            for r in range(n):
+                w[r][j] = w[r][j].sub_mul(w[r][k], c)
+            if residues:
+                by_c = mul[c.residue_code()]
+                b[k] = [add[p][by_c[q]] for p, q in zip(b[k], b[j])]
+            else:
+                b[k] = [p + c * q for p, q in zip(b[k], b[j])]
+
+    # sort d non-increasing, stably, and conjugate by the permutation
+    order = sorted(range(n), key=lambda i: (-d[i], i))
+    d_sorted = tuple(d[i] for i in order)
+    a_sorted = [[a[r][order[c]] for c in range(n)] for r in range(n)]
+    b_sorted = [b[order[r]] for r in range(n)]
+    if residues:
+        return tuple(c for r in a_sorted for c in r), d_sorted, tuple(c for r in b_sorted for c in r)
+    return Mat(a_sorted), d_sorted, Mat(b_sorted)
+
+
 # -- closed forms against the forms they replaced ---------------------------------------
 
 
@@ -544,6 +625,45 @@ def inverse_mismatches(cases: int, seed: int) -> tuple:
     return cases, bad, errors
 
 
+def diagonal_form(build) -> tuple:
+    """What build(), snf_dvr or snf_residues or their full forms, gives: the
+    entry forms of a and b with d, the residue triple, or the class and
+    message of the loopzip error it raises."""
+    try:
+        a, d, b = build()
+    except LoopZipError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(a, Mat):
+        return stored(lambda: a), d, stored(lambda: b)
+    return a, d, b
+
+
+def diagonalize_mismatches(cases: int, seed: int) -> tuple:
+    """(cases, mismatches, errors, empty): snf_dvr and snf_residues against
+    `full_diagonalize`, the draws taken in turn from `random_matrix` over
+    both rings (n <= 3, some entries of random shape) and from the
+    `random_pole_matrix` of this module and of `witt_oracle`.  A case is a
+    mismatch when either result differs, an error when snf_dvr raises, and
+    `empty` counts the Laurent inputs with an empty window."""
+    from witt_oracle import random_pole_matrix as witt_pole_matrix  # witt_oracle imports this module
+    rng = random.Random(seed)
+    draws = (lambda: random_matrix(random_one(rng), rng.randrange(1, 4), rng,
+                                   rng.choice((0, 0.1, 0.3))),
+             lambda: random_pole_matrix(rng),
+             lambda: witt_pole_matrix(rng))
+    bad = errors = empty = 0
+    for case in range(cases):
+        x = draws[case % 3]()
+        got = diagonal_form(lambda: snf_dvr(x))
+        bad += (got != diagonal_form(lambda: full_diagonalize(x, False))
+                or diagonal_form(lambda: snf_residues(x))
+                != diagonal_form(lambda: full_diagonalize(x, True)))
+        errors += raised(got)
+        empty += isinstance(x.rows[0][0], LaurentElt) and any(
+            e.v == e.prec for r in x.rows for e in r)
+    return cases, bad, errors, empty
+
+
 # -- exact check of a decomposition x = a diag(t^d) b ---------------------------------
 
 
@@ -622,6 +742,11 @@ if __name__ == "__main__":
         cases, bad, errors = compare(cases, seed=1)
         total += bad
         print(f"{name}: {cases} cases, {errors} raised, {bad} mismatches")
+    # 20,000 draws from each of the three generators
+    cases, bad, errors, empty = diagonalize_mismatches(60_000, seed=1)
+    total += bad
+    print(f"diagonalize: {cases} cases, {empty} with an empty Laurent window, "
+          f"{errors} raised, {bad} mismatches")
     for seed in (0, 1):
         decomposed, flagged, refused = factorization_sweep(2000, seed)
         print(f"factorization sweep, seed {seed}: 2000 matrices, {refused} refused, "

@@ -76,19 +76,26 @@ MUTANTS = [
     # the dealt listing of the minimal coset representatives
     ("W4", "weyl.py", "key=lambda w: (w.length(), w.line))", "key=lambda w: w.line)",
      ["tests/test_weyl.py::test_min_coset_reps_match_the_filter"]),
-    # the live columns of Mat.inverse
+    # the shared predicate of the live eliminations, Mat.inverse and _diagonalize
     ("L1", "matring.py",
-     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "live = True",
-     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "return True",
+     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop",
+      "tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
     ("L2", "matring.py",
-     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "live = isinstance(one, LaurentElt)",
-     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "return isinstance(w[0][0], LaurentElt)",
+     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop",
+      "tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
     ("L3", "matring.py",
-     "live = isinstance(one, LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "live = not isinstance(one, LaurentElt) or all(x.v < x.prec for r in w for x in r)",
+     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
+     "return not isinstance(w[0][0], LaurentElt) or all(x.v < x.prec for r in w for x in r)",
      ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
+    # the live row elimination of _diagonalize leaves column k's zeros out
+    ("L4", "matring.py",
+     "w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]",
+     "w[i][lo + live:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo + live:], w[k][lo + live:])]",
+     ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
     # the group draws
     ("D1", "orbits.py", "random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(spec, m, group_tau))",
      "random_unipotent_flat(spec, mu, -1, rng), m)",

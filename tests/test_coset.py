@@ -39,6 +39,7 @@ from loopzip.witt import WittCtx, WittFraction
 
 from laurent_oracle import mu_matrix
 from coset_oracle import (
+    finite_model_partition,
     lift,
     oracle_canonical_flat,
     oracle_class_census,
@@ -629,3 +630,10 @@ def test_class_pipeline_inputs_meet_no_dropped_remainder():
     counts = pipeline_factorization_sweep(PIPELINE_CASES, 20, 0.05, 1)
     assert {ring: flagged for ring, (_, flagged, _) in counts.items()} == {"laurent": 0, "witt": 0}
     assert min(decomposed for decomposed, _, _ in counts.values()) >= 200  # 250 and 249
+
+
+def test_k1_double_cosets_of_a_finite_model_are_the_class_of_fibres():
+    # the cell of (0,0) in GL_2(F_2[t]/t^3) is GL_2 of that ring: 6 * 16^2
+    # points, whose K1 x K1 orbits are the 6 classes, one per element of
+    # GL_2(F_2); tests/coset_oracle.py runs (1,0) at P = 4 (18,432 points, 9)
+    assert finite_model_partition((0, 0), 3) == (1536, 6, 6, 0)

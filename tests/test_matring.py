@@ -21,8 +21,9 @@ from loopzip.matring import (
 )
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
-from laurent_oracle import (diagonal, factorization_overclaims, factorization_sweep,
-                            from_coeff_list, inverse_mismatches, sub_mul_mismatches)
+from laurent_oracle import (diagonal, diagonalize_mismatches, factorization_overclaims,
+                            factorization_sweep, from_coeff_list, inverse_mismatches,
+                            sub_mul_mismatches)
 from witt_oracle import p_power
 
 F2 = FieldSpec.get(2, 1)
@@ -264,6 +265,16 @@ def test_live_column_inverse_matches_the_full_loop():
     cases, bad, errors = inverse_mismatches(2000, seed=7)
     assert bad == 0
     assert 0 < errors < cases
+
+
+def test_live_submatrix_snf_matches_the_full_loop():
+    # snf_dvr and snf_residues give what the loop that updates every row and
+    # column gives, entries and windows or error and message; the slice holds
+    # Laurent inputs with an empty window, where only the full loop is safe
+    cases, bad, errors, empty = diagonalize_mismatches(2000, seed=1)
+    assert bad == 0
+    assert 0 < errors < cases
+    assert empty > 0
 
 
 def test_snf_rejects_zero_window_matrix():
