@@ -17,7 +17,7 @@ from .errors import (
 )
 from .gf import FieldSpec
 from .grpdata import Cocharacter
-from .matring import Mat, snf_dvr
+from .matring import Mat
 from .series import LaurentElt
 from .witt import WittCtx, WittFraction
 
@@ -39,5 +39,4 @@ __all__ = [
     "WittCtx",
     "WittFraction",
     "WrongCell",
-    "snf_dvr",
 ]

@@ -1,14 +1,13 @@
-"""Batch front door: verification suites, censuses, posets, decompositions.
+"""Batch front door: verification suites, censuses, posets.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage,
 input, precision or budget error.  Input errors include a `verify
 --prec` at or below the largest weight of `--mu` (t^mu is not
-representable, so no suite runs), a `verify --suite witt` whose mixed
-census cannot run, and a `cartan` matrix that is singular or whose
-pivots cannot be decided within its precision.  `verify --suite all`
-runs suite witt without that census and notes it on stderr, as `verify`
-notes a suite lemmas run without its exhaustive checks.  All output is
-deterministic given the flags and the seed.
+representable, so no suite runs) and a `verify --suite witt` whose mixed
+census cannot run.  `verify --suite all` runs suite witt without that
+census and notes it on stderr, as `verify` notes a suite lemmas run
+without its exhaustive checks.  All output is deterministic given the
+flags and the seed.
 """
 
 from __future__ import annotations
@@ -20,10 +19,9 @@ import json
 import sys
 
 from .coset import MIXED_CENSUS_NEEDS, class_census, mixed_census_applies
-from .errors import BudgetExceeded, InsufficientPrecision, LoopZipError, NotInvertible
+from .errors import BudgetExceeded, InsufficientPrecision, LoopZipError
 from .gf import PRIMES, SIZES, FieldSpec
 from .grpdata import Cocharacter
-from .matring import Mat, snf_dvr
 from .orbits import ACTION_KINDS, ActionSpec, enumerate_orbits
 from .suites import LEMMAS_EXHAUSTIVE_NEEDS, SCHEMA, SUITES, lemmas_exhaustive, run_suites
 from .weyl import CosetPoset
@@ -91,9 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("orbits", help="orbit census as CSV")
     common(po)
     po.add_argument("--action", required=True, choices=ACTION_KINDS + ("class-census",))
-
-    pc = sub.add_parser("cartan", help="decompose a JSON matrix from standard input")
-    pc.add_argument("--out", default=None)
 
     pp = sub.add_parser("poset", help="coset order as a DOT Hasse diagram")
     pp.add_argument("--n", type=int, default=None)
@@ -185,23 +180,6 @@ def cmd_orbits(args) -> int:
     return 0
 
 
-def cmd_cartan(args) -> int:
-    try:
-        data = json.loads(sys.stdin.read())
-        x = Mat.from_json(data)
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"bad matrix input: {exc}\n")
-        return 2
-    try:
-        a, d, b = snf_dvr(x)
-    except (NotInvertible, InsufficientPrecision) as exc:
-        # cartan checks nothing, so an undecomposable matrix is bad input
-        sys.stderr.write(f"bad matrix input: {exc}\n")
-        return 2
-    _write_json({"a": a.to_json(), "d": list(d), "b": b.to_json()}, args.out)
-    return 0
-
-
 def cmd_poset(args) -> int:
     mu = _parse_mu(args.mu)
     _check_n(args, mu)
@@ -232,7 +210,6 @@ def main(argv=None) -> int:
     handlers = {
         "verify": cmd_verify,
         "orbits": cmd_orbits,
-        "cartan": cmd_cartan,
         "poset": cmd_poset,
         "witt-selftest": cmd_witt_selftest,
     }

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 # Monic irreducible modulus for each supported (p, m), little-endian
 # coefficients including the leading 1.  The table is fixed so that
-# serialized elements are portable: one modulus per (p, m), forever.
+# the codes in reports are portable: one modulus per (p, m), forever.
 _MODULI = {
     (2, 1): (0, 1),
     (2, 2): (1, 1, 1),  # w^2 + w + 1
@@ -25,13 +25,6 @@ _MODULI = {
 # the field sizes and the primes of the table, ascending
 SIZES = tuple(sorted(p**m for p, m in _MODULI))
 PRIMES = tuple(sorted(p for p, m in _MODULI if m == 1))
-
-
-def json_int(value, what: str) -> int:
-    """A JSON integer; bool and float values are rejected, not rounded."""
-    if type(value) is not int:
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
 
 
 def poly_mul_reduce(a, b, modulus, n: int) -> list[int]:
@@ -158,15 +151,6 @@ class FieldSpec:
             if type(c) is not int or not 0 <= c < self.q:
                 raise ValueError(f"coefficient code {c!r} is not an int in 0..{self.q - 1}")
         return codes
-
-    def from_coeffs(self, coeffs) -> int:
-        """Code of the element with little-endian coefficients in the basis 1, w, w^2."""
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients")
-        for c in coeffs:
-            if type(c) is not int or not 0 <= c < self.p:
-                raise ValueError(f"coefficient {c!r} outside 0..{self.p - 1}")
-        return self._vec_to_code(list(coeffs))
 
     def code_repr(self, code: int) -> str:
         """The element as text: its code over F_p, else a sum of powers of w."""

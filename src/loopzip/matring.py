@@ -16,19 +16,19 @@ against it:
                      is exact to the full length.
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
-valuation rings (pi = t or p), with a and b integral of unit reduction;
-on a `_live` matrix both skip the entries they never read again.
+valuation rings (pi = t or p), which yields d and the reductions of a and
+b, the integral factors of unit reduction; on a `_live` matrix both skip
+the entries they never read again.
 F_q elements are int codes throughout: F_q matrices of any size are flat
 row-major tuples of them, which one Gauss-Jordan loop inverts, tests and puts
-in `coset`'s canonical form; JSON writes each code as its coefficient vector.
+in `coset`'s canonical form.
 """
 
 from __future__ import annotations
 
 from .errors import InsufficientPrecision, NotInvertible, SpecMismatch
-from .gf import FieldSpec, json_int
+from .gf import FieldSpec
 from .series import LaurentElt
-from .witt import WittCtx, WittFraction
 
 _INF = 10**9
 
@@ -128,47 +128,6 @@ class Mat:
                 w[r][first:] = [x.sub_mul(c, y) for x, y in zip(w[r][first:], prow)]
                 aug[r] = [x.sub_mul(c, y) for x, y in zip(aug[r], aug[col])]
         return Mat(aug)
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        x = self.rows[0][0]
-        ring = {"tag": "laurent", "p": x.spec.p, "m": x.spec.m}
-        if isinstance(x, WittFraction):
-            ring.update(tag="wittfrac", N=x.ctx.length)
-        entries = [[y.to_json() for y in r] for r in self.rows]
-        return {"n": self.n, "ring": ring, "entries": entries}
-
-    @staticmethod
-    def from_json(data) -> "Mat":
-        """Parse the `to_json` format; malformed input raises ValueError."""
-        try:
-            ring, n, entries = data["ring"], data["n"], data["entries"]
-            tag = ring["tag"]
-            spec = FieldSpec.get(json_int(ring["p"], "p"), json_int(ring.get("m", 1), "m"))
-            # what the cell parser reads: the field, or the Witt ring over it
-            base = WittCtx.get(spec, json_int(ring["N"], "N")) if tag == "wittfrac" else spec
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed matrix header: {exc!r}") from exc
-        if tag not in ("laurent", "wittfrac"):
-            raise ValueError(f"unknown ring tag {tag!r}")
-        parse = LaurentElt.from_json if tag == "laurent" else WittFraction.from_json
-        if type(n) is not int or n < 1:
-            raise ValueError(f"declared n={n!r} is not a positive integer")
-        if not isinstance(entries, list) or len(entries) != n:
-            raise ValueError(f"declared n={n!r} does not match the entry rows")
-        rows = []
-        for i, row in enumerate(entries):
-            if not isinstance(row, list) or len(row) != n:
-                raise ValueError(f"row {i + 1}: expected {n} entries")
-            out = []
-            for j, cell in enumerate(row):
-                try:
-                    out.append(parse(base, cell))
-                except (KeyError, TypeError, ValueError, InsufficientPrecision) as exc:
-                    raise ValueError(f"entry ({i + 1},{j + 1}): {exc}") from exc
-            rows.append(out)
-        return Mat(rows)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and other.rows == self.rows
@@ -288,50 +247,30 @@ def flat_inverse(spec: FieldSpec, n: int, a) -> tuple:
 # -- diagonal decomposition over a DVR ------------------------------------------
 
 
-def snf_dvr(x: Mat):
-    """Decompose x = a * diag(pi^d) * b with a, b integral of unit reduction.
+def snf_residues(x: Mat):
+    """(abar, d, bbar): the decomposition x = a * diag(pi^d) * b, a and b
+    integral of unit reduction, with a and b as flat codes of their reductions.
 
     Pivoting is deterministic: among entries of provably minimal valuation
     take the smallest row index, then column index.  d is returned sorted
-    non-increasing, conjugating a and b by the sorting permutation.
+    non-increasing, conjugating a and b by the sorting permutation.  Every
+    update of a and b multiplies by an integral element (a unit, or an entry
+    divided by the pivot of least valuation), and reduction mod pi commutes
+    with integral row and column operations (Serre, Local Fields, II), so a
+    and b are carried mod pi from the start.  d, a and b read only the pivot
+    and the trailing submatrix of w, so at step k a `_live` x scales the pivot
+    row and clears column k on columns >= k (the zeros left in column k cut
+    the windows they meet), clears row k on rows > k, and at the last step
+    neither inverts nor scales.
     """
-    a, d, b = _diagonalize(x, residues=False)
-    return Mat(a), d, Mat(b)
-
-
-def snf_residues(x: Mat):
-    """(abar, d, bbar): snf_dvr's d, with a and b as flat codes of their reductions.
-
-    The pivot sequence on x is snf_dvr's.  Every update of a and b multiplies
-    by an integral element (a unit, or an entry divided by the pivot of least
-    valuation), and reduction mod pi commutes with integral row and column
-    operations (Serre, Local Fields, II), so a and b are carried mod pi
-    from the start.  Their windows never fall below 1, so every error is
-    one that snf_dvr raises too.  Both eliminate only the live submatrix of
-    a `_live` x, where no skipped product could raise.
-    """
-    a, d, b = _diagonalize(x, residues=True)
-    return tuple(c for r in a for c in r), d, tuple(c for r in b for c in r)
-
-
-def _diagonalize(x: Mat, residues: bool):
-    """snf_dvr's elimination on a copy of x; a and b as rows of entries, or of
-    residue codes when `residues`.  d, a and b read only the pivot and the
-    trailing submatrix of w, so at step k a `_live` x scales the pivot row
-    and clears column k on columns >= k (the zeros left in column k cut the
-    windows they meet), clears row k on rows > k, and at the last step
-    neither inverts nor scales."""
     n = x.n
     w = [list(r) for r in x.rows]
-    # built in both modes, so that a window below 1 raises in both
+    # a window below 1 leaves an entry with no residue: one_at raises there
     one = x.rows[0][0].one_at(x.min_precision())
-    if residues:
-        mul, add = one.spec.mul_table, one.spec.add_table
-        ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    else:
-        ident = Mat.identity(n, one).rows
-    a = [list(r) for r in ident]
-    b = [list(r) for r in ident]
+    mul, add = one.spec.mul_table, one.spec.add_table
+    # a row-major and b column-major: a's column k and b's row k are [k::n]
+    a = list(flat_identity(n))
+    b = list(flat_identity(n))
     d = [0] * n
     live = _live(w)
 
@@ -344,12 +283,11 @@ def _diagonalize(x: Mat, residues: bool):
         pi, pj = piv
         if pi != k:
             w[k], w[pi] = w[pi], w[k]
-            for r in range(n):
-                a[r][k], a[r][pi] = a[r][pi], a[r][k]
+            a[k::n], a[pi::n] = a[pi::n], a[k::n]
         if pj != k:
             for r in range(n):
                 w[r][k], w[r][pj] = w[r][pj], w[r][k]
-            b[k], b[pj] = b[pj], b[k]
+            b[k::n], b[pj::n] = b[pj::n], b[k::n]
         v = w[k][k].valuation()
         d[k] = v
         unit = w[k][k].shifted(-v)
@@ -358,41 +296,29 @@ def _diagonalize(x: Mat, residues: bool):
             uinv = unit.inverse()
             w[k][lo:] = [uinv * c for c in w[k][lo:]]
         # a picks up the unit on its column
-        if residues:
-            by_u = mul[unit.residue_code()]
-            for r in range(n):
-                a[r][k] = by_u[a[r][k]]
-        else:
-            for r in range(n):
-                a[r][k] = a[r][k] * unit
+        by_u = mul[unit.residue_code()]
+        a[k::n] = [by_u[c] for c in a[k::n]]
         # pivot row is now normalized to pi^v, so quotients are plain shifts
         for i in rest:
             if i == k or w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
             w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]
-            if residues:
-                by_c = mul[c.residue_code()]
-                for r in range(n):
-                    a[r][k] = add[a[r][k]][by_c[a[r][i]]]
-            else:
-                for r in range(n):
-                    a[r][k] = a[r][k] + a[r][i] * c
+            by_c = mul[c.residue_code()]
+            a[k::n] = [add[p][by_c[q]] for p, q in zip(a[k::n], a[i::n])]
         for j in rest:
             if j == k or w[k][j].valuation() is None:
                 continue
             c = w[k][j].shifted(-v)
             for r in rest:
                 w[r][j] = w[r][j].sub_mul(w[r][k], c)
-            if residues:
-                by_c = mul[c.residue_code()]
-                b[k] = [add[p][by_c[q]] for p, q in zip(b[k], b[j])]
-            else:
-                b[k] = [p + c * q for p, q in zip(b[k], b[j])]
+            by_c = mul[c.residue_code()]
+            b[k::n] = [add[p][by_c[q]] for p, q in zip(b[k::n], b[j::n])]
 
     # sort d non-increasing, stably, and conjugate by the permutation
     order = sorted(range(n), key=lambda i: (-d[i], i))
-    return [[r[c] for c in order] for r in a], tuple(d[i] for i in order), [b[i] for i in order]
+    abar = tuple(a[r + c] for r in range(0, n * n, n) for c in order)
+    return abar, tuple(d[i] for i in order), tuple(c for i in order for c in b[i::n])
 
 
 def cartan_precision_floor(weights) -> int:

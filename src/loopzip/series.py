@@ -5,7 +5,7 @@ with the promise that nothing is known at exponent prec and above.
 
 Coefficients are stored as the field's int codes 0..q-1, and every ring
 operation indexes the `FieldSpec` tables directly; `residue_code` is the
-reduction mod t.  The JSON form writes each code as its coefficient vector.
+reduction mod t.
 """
 
 from __future__ import annotations
@@ -190,23 +190,6 @@ class LaurentElt:
             )
         lo = min(self.v, other.v)
         return self._window(lo, n) == other._window(lo, n)
-
-    # -- serialization ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "prec": self.prec,
-            "coeffs": [self.spec._code_to_vec(c) for c in self.codes],
-        }
-
-    @staticmethod
-    def from_json(spec: FieldSpec, data: dict) -> "LaurentElt":
-        v, prec = data["v"], data["prec"]
-        if type(v) is not int or type(prec) is not int:
-            raise ValueError(f"v={v!r} and prec={prec!r} must be integers")
-        codes = [spec.from_coeffs(c) for c in data["coeffs"]]
-        return LaurentElt(spec, v, prec, codes)
 
     def __repr__(self):
         terms = []

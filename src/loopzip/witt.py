@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
-from .gf import FieldSpec, json_int, poly_mul_reduce
+from .gf import FieldSpec, poly_mul_reduce
 
 
 class WittCtx:
@@ -198,17 +198,6 @@ class WittFraction:
     def one(ctx: WittCtx) -> "WittFraction":
         return WittFraction(ctx, 0, ctx.from_int(1))
 
-    @staticmethod
-    def from_json(ctx: WittCtx, cell: dict) -> "WittFraction":
-        """Parse a `to_json` cell; its p and N, where given, must be those of ctx."""
-        coords = cell["coords"]
-        for key, want in (("p", ctx.p), ("N", ctx.length)):
-            got = json_int(cell.get(key, want), key)
-            if got != want:
-                raise ValueError(f"cell {key}={got} but the header has {want}")
-        num = ctx.from_coord_codes([ctx.spec.from_coeffs(c) for c in coords])
-        return WittFraction(ctx, json_int(cell.get("e", 0), "e"), num)
-
     # a Witt constant is exact to the full length, whatever window is asked
     def zero_at(self, prec: int) -> "WittFraction":
         return WittFraction.zero(self.ctx)
@@ -358,15 +347,6 @@ class WittFraction:
 
     def __hash__(self):
         raise TypeError("WittFraction compares by congruence; not hashable")
-
-    def to_json(self) -> dict:
-        s = self.stripped()
-        return {
-            "p": self.ctx.p,
-            "N": self.ctx.length,
-            "coords": [self.ctx.spec._code_to_vec(c) for c in self.ctx.coords(s.num)],
-            "e": s.e,
-        }
 
     def __repr__(self):
         spec = self.ctx.spec

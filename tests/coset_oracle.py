@@ -13,9 +13,11 @@ The pair matrix as two matrix products of constant lifts, the form that the
 closed-form `lifted_product` replaced; its entries and their windows are the
 reference that the closed form must reproduce.
 
-The matrices that the class pipeline hands `snf_dvr`, decomposed and checked
-by the exact factorization oracles of `laurent_oracle` and `witt_oracle`: a
-dropped remainder that `class_of` met would show there as an overclaim.
+The matrices that the class pipeline hands `snf_residues`, decomposed in
+full by `laurent_oracle.full_diagonalize`, whose pivots and d are those of
+snf_residues, and checked by the exact factorization oracles of
+`laurent_oracle` and `witt_oracle`: a dropped remainder that `class_of` met
+would show there as an overclaim.
 
 The K_1 double cosets of a cell of GL_2(F_2) modulo t^P, walked from their
 definition, each of which must lie in one fibre of `class_of`; and the
@@ -36,12 +38,12 @@ from loopzip.coset import (MIXED_LENGTH, class_census, class_of, default_precisi
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_gl_flat, random_k1_mat
-from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul, snf_dvr
+from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 import laurent_oracle
 import witt_oracle
-from laurent_oracle import entry_form, mu_matrix
+from laurent_oracle import entry_form, full_diagonalize, mu_matrix
 from orbits_oracle import enumerate_parabolic_flat, enumerate_unipotent_flat
 
 
@@ -283,8 +285,8 @@ def pipeline_inputs(q: int, weights, kernel_samples: int, seed: int):
 
 
 def pipeline_factorization_sweep(cases, kernel_samples: int, share: float, seed: int) -> dict:
-    """ring -> [decomposed, flagged, refused]: `snf_dvr` on a seeded share of
-    `pipeline_inputs` over the (q, weights) cases, counting the
+    """ring -> [decomposed, flagged, refused]: `full_diagonalize` on a seeded
+    share of `pipeline_inputs` over the (q, weights) cases, counting the
     decompositions the ring's `factorization_overclaims` flags."""
     oracles = {"laurent": laurent_oracle.factorization_overclaims,
                "witt": witt_oracle.factorization_overclaims}
@@ -296,7 +298,7 @@ def pipeline_factorization_sweep(cases, kernel_samples: int, share: float, seed:
                 continue
             x = build()
             try:
-                a, d, b = snf_dvr(x)
+                a, d, b = full_diagonalize(x, False)
             except LoopZipError:
                 counts[ring][2] += 1
                 continue

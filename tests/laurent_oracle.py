@@ -12,7 +12,9 @@ Gauss-Jordan loop that updates every column with a product and then a
 difference, and `full_diagonalize` is the diagonal decomposition that
 updates every row and column at every step; the tests compare
 `grpdata.times_mu`, `sub_mul`, the live-column `Mat.inverse` and the
-live-submatrix `snf_dvr` and `snf_residues` against them, in both rings.
+live-submatrix `snf_residues` against them, in both rings.  Only
+`full_diagonalize` carries a and b in full, and `factorization_overclaims`
+checks its decompositions against x.
 
     PYTHONPATH=src:tests python tests/laurent_oracle.py
 
@@ -34,7 +36,7 @@ from loopzip.errors import (
 )
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, check_mu_window, times_mu
-from loopzip.matring import Mat, _select_pivot, snf_dvr, snf_residues
+from loopzip.matring import Mat, _select_pivot, snf_residues
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -333,20 +335,6 @@ class BoxedLaurent:
         lo = min(self.v, other.v)
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, n))
 
-    # -- serialization ------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "prec": self.prec,
-            "coeffs": [list(c.coeffs) for c in self.coeffs],
-        }
-
-    @staticmethod
-    def from_json(spec: FieldSpec, data: dict) -> "BoxedLaurent":
-        coeffs = [FqElem(spec, spec.from_coeffs(c)) for c in data["coeffs"]]
-        return BoxedLaurent(spec, data["v"], data["prec"], coeffs)
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -437,8 +425,9 @@ def full_inverse(m: Mat) -> Mat:
 
 
 def full_diagonalize(x: Mat, residues: bool):
-    """snf_dvr's elimination updating every row and column of w at every
-    step: snf_dvr's (a, d, b), or snf_residues' triple when `residues`."""
+    """`snf_residues`' decomposition x = a * diag(pi^d) * b, updating every
+    row and column of w at every step: (a, d, b) with a and b integral
+    matrices of unit reduction, or snf_residues' triple when `residues`."""
     n = x.n
     w = [list(r) for r in x.rows]
     # built in both modes, so that a window below 1 raises in both
@@ -520,23 +509,27 @@ def full_diagonalize(x: Mat, residues: bool):
 
 def entry_form(x) -> tuple:
     """What a closed form must reproduce of an entry: the stored window and
-    coefficients (v, prec, codes) of a Laurent series, the exponent, window
-    and numerator coordinates (e, known, coords) of a Witt fraction."""
+    coefficients (v, prec, codes) of a Laurent series, boxed or not, the
+    exponent, window and numerator coordinates (e, known, coords) of a Witt
+    fraction."""
     if isinstance(x, LaurentElt):
         return x.v, x.prec, x.codes
+    if isinstance(x, BoxedLaurent):
+        return x.v, x.prec, tuple(c.code for c in x.coeffs)
     return x.e, x.known, x.ctx.coords(x.num)
 
 
 def stored(build):
-    """The entry forms of what build() returns, an entry or a matrix, or the
-    class and message of the loopzip error it raises."""
+    """The entry forms of what build() returns, an entry or a matrix, the
+    residue triple of a decomposition as it is, or the class and message of
+    the loopzip error it raises."""
     try:
         out = build()
     except LoopZipError as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, Mat):
         return [entry_form(x) for r in out.rows for x in r]
-    return entry_form(out)
+    return out if isinstance(out, tuple) else entry_form(out)
 
 
 def raised(form) -> bool:
@@ -625,26 +618,14 @@ def inverse_mismatches(cases: int, seed: int) -> tuple:
     return cases, bad, errors
 
 
-def diagonal_form(build) -> tuple:
-    """What build(), snf_dvr or snf_residues or their full forms, gives: the
-    entry forms of a and b with d, the residue triple, or the class and
-    message of the loopzip error it raises."""
-    try:
-        a, d, b = build()
-    except LoopZipError as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(a, Mat):
-        return stored(lambda: a), d, stored(lambda: b)
-    return a, d, b
-
-
 def diagonalize_mismatches(cases: int, seed: int) -> tuple:
-    """(cases, mismatches, errors, empty): snf_dvr and snf_residues against
+    """(cases, mismatches, errors, empty): snf_residues against
     `full_diagonalize`, the draws taken in turn from `random_matrix` over
     both rings (n <= 3, some entries of random shape) and from the
     `random_pole_matrix` of this module and of `witt_oracle`.  A case is a
-    mismatch when either result differs, an error when snf_dvr raises, and
-    `empty` counts the Laurent inputs with an empty window."""
+    mismatch when the residue triples or the errors differ, an error when
+    snf_residues raises, and `empty` counts the Laurent inputs with an
+    empty window."""
     from witt_oracle import random_pole_matrix as witt_pole_matrix  # witt_oracle imports this module
     rng = random.Random(seed)
     draws = (lambda: random_matrix(random_one(rng), rng.randrange(1, 4), rng,
@@ -654,10 +635,8 @@ def diagonalize_mismatches(cases: int, seed: int) -> tuple:
     bad = errors = empty = 0
     for case in range(cases):
         x = draws[case % 3]()
-        got = diagonal_form(lambda: snf_dvr(x))
-        bad += (got != diagonal_form(lambda: full_diagonalize(x, False))
-                or diagonal_form(lambda: snf_residues(x))
-                != diagonal_form(lambda: full_diagonalize(x, True)))
+        got = stored(lambda: snf_residues(x))
+        bad += got != stored(lambda: full_diagonalize(x, True))
         errors += raised(got)
         empty += isinstance(x.rows[0][0], LaurentElt) and any(
             e.v == e.prec for r in x.rows for e in r)
@@ -716,15 +695,15 @@ def random_pole_matrix(rng) -> Mat:
 
 
 def factorization_sweep(samples: int, seed: int) -> tuple:
-    """(decomposed, flagged, refused): `snf_dvr` on `random_pole_matrix`
-    draws, counting the decompositions `factorization_overclaims` flags and
-    the matrices snf_dvr refuses."""
+    """(decomposed, flagged, refused): `full_diagonalize` on
+    `random_pole_matrix` draws, counting the decompositions
+    `factorization_overclaims` flags and the matrices it refuses."""
     rng = random.Random(seed)
     decomposed = flagged = refused = 0
     for _ in range(samples):
         x = random_pole_matrix(rng)
         try:
-            a, d, b = snf_dvr(x)
+            a, d, b = full_diagonalize(x, False)
         except LoopZipError:
             refused += 1
             continue

@@ -76,7 +76,7 @@ MUTANTS = [
     # the dealt listing of the minimal coset representatives
     ("W4", "weyl.py", "key=lambda w: (w.length(), w.line))", "key=lambda w: w.line)",
      ["tests/test_weyl.py::test_min_coset_reps_match_the_filter"]),
-    # the shared predicate of the live eliminations, Mat.inverse and _diagonalize
+    # the shared predicate of the live eliminations, Mat.inverse and snf_residues
     ("L1", "matring.py",
      "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
      "return True",
@@ -91,10 +91,13 @@ MUTANTS = [
      "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
      "return not isinstance(w[0][0], LaurentElt) or all(x.v < x.prec for r in w for x in r)",
      ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
-    # the live row elimination of _diagonalize leaves column k's zeros out
+    # the live row elimination of snf_residues leaves column k's zeros out
     ("L4", "matring.py",
      "w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]",
      "w[i][lo + live:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo + live:], w[k][lo + live:])]",
+     ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
+    # the residue elimination: a's column k picks up the pivot's unit
+    ("R1", "matring.py", "a[k::n] = [by_u[c] for c in a[k::n]]", "pass",
      ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
     # the group draws
     ("D1", "orbits.py", "random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(spec, m, group_tau))",

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 
 import pytest
@@ -126,225 +125,13 @@ def test_orbits_class_census(capsys):
     assert len(lines) - 1 == 9
 
 
-def test_cartan_roundtrip(capsys, monkeypatch):
-    matrix = {
-        "n": 2,
-        "ring": {"tag": "laurent", "p": 2, "m": 1},
-        "entries": [
-            [{"v": 1, "prec": 6, "coeffs": [[1], [0], [0], [0], [0]]},
-             {"v": 0, "prec": 6, "coeffs": [[0]] * 6}],
-            [{"v": 0, "prec": 6, "coeffs": [[0]] * 6},
-             {"v": 0, "prec": 6, "coeffs": [[1], [0], [0], [0], [0], [0]]}],
-        ],
-    }
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
-    code, out, _ = run_cli(["cartan"], capsys)
-    assert code == 0
-    result = json.loads(out)
-    assert result["d"] == [1, 0]
-    # the identity factors reduce to the identity matrix
-    a_const = [[cell["coeffs"][0] if cell["coeffs"] else [0]
-                for cell in row] for row in result["a"]["entries"]]
-    assert a_const == [[[1], [0]], [[0], [1]]]
-
-
-def test_cartan_bad_input_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
-    code, _, err = run_cli(["cartan"], capsys)
-    assert code == 2
-    monkeypatch.setattr(
-        "sys.stdin",
-        io.StringIO('{"n":2,"ring":{"tag":"laurent","p":2,"m":1},'
-                    '"entries":[[{"v":0},{"v":0}],[{"v":0},{"v":0}]]}'),
-    )
-    code, _, err = run_cli(["cartan"], capsys)
-    assert code == 2
-    assert "entry (1,1)" in err
-
-
-_LAURENT_F2 = {"tag": "laurent", "p": 2, "m": 1}
-_WITT_F2_N2 = {"tag": "wittfrac", "p": 2, "m": 1, "N": 2}
-
-
-def _lau_cell(v, prec, codes):
-    return {"v": v, "prec": prec, "coeffs": [[c] for c in codes]}
-
-
-# (matrix, a fragment of the reason cartan gives for refusing it)
-_MALFORMED = {
-    "top-level-list": ([[1]], "malformed matrix header"),
-    "fq-coefficient-7": (
-        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [7])]]},
-        "coefficient 7 outside 0..1"),
-    "fq-coefficient-negative": (
-        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [-1])]]},
-        "coefficient -1 outside 0..1"),
-    "witt-coordinate-5": (
-        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[5], [0]]}]]},
-        "coefficient 5 outside 0..1"),
-    "declared-n-mismatch": (
-        {"n": 3, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [1])] * 2] * 2},
-        "declared n=3 does not match the entry rows"),
-    "witt-denominator-beyond-length": (
-        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "e": 2}]]},
-        "denominator p^2 leaves no precision"),
-    "n-zero-laurent": ({"n": 0, "ring": _LAURENT_F2, "entries": []},
-                       "not a positive integer"),
-    "n-zero-witt": ({"n": 0, "ring": _WITT_F2_N2, "entries": []},
-                    "not a positive integer"),
-    # JSON integers only: a bool or float is refused, not read as 0, 1 or 3
-    "laurent-prec-float": (
-        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 3.0, [1, 0, 0])]]},
-        "must be integers"),
-    "laurent-v-bool": (
-        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(False, 2, [1, 0])]]},
-        "must be integers"),
-    "coefficient-bool": (
-        {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 1, [True])]]},
-        "coefficient True outside 0..1"),
-    "header-p-float": (
-        {"n": 1, "ring": dict(_LAURENT_F2, p=2.0), "entries": [[_lau_cell(0, 1, [1])]]},
-        "p 2.0 is not an integer"),
-    "header-m-bool": (
-        {"n": 1, "ring": dict(_LAURENT_F2, m=True), "entries": [[_lau_cell(0, 1, [1])]]},
-        "m True is not an integer"),
-    "witt-N-bool": (
-        {"n": 1, "ring": dict(_WITT_F2_N2, N=True), "entries": [[{"coords": [[1]]}]]},
-        "N True is not an integer"),
-    "witt-e-bool": (
-        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "e": True}]]},
-        "e True is not an integer"),
-    # a Witt cell's own p and N must be the header's
-    "witt-cell-p-mismatch": (
-        {"n": 1, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 3},
-         "entries": [[{"coords": [[1], [0], [1]], "e": 0, "p": 3, "N": 2}]]},
-        "cell p=3 but the header has 2"),
-    "witt-cell-N-mismatch": (
-        {"n": 1, "ring": _WITT_F2_N2, "entries": [[{"coords": [[1], [0]], "p": 2, "N": 3}]]},
-        "cell N=3 but the header has 2"),
-    # decompositions live over the two loop rings; F_q has no ring tag
-    "fq-ring-tag": (
-        {"n": 2, "ring": {"tag": "fq", "p": 2, "m": 1}, "entries": [[[1], [0]], [[0], [1]]]},
-        "bad matrix input: unknown ring tag 'fq'\n"),
-}
-
-
-@pytest.mark.parametrize("case", list(_MALFORMED))
-def test_cartan_rejects_malformed_input(capsys, monkeypatch, case):
-    matrix, reason = _MALFORMED[case]
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
-    code, out, err = run_cli(["cartan"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("bad matrix input")
-    assert reason in err
-
-
-def test_cartan_witt_cells_may_omit_p_and_n(capsys, monkeypatch):
-    cells = [[{"coords": [[0], [1], [0]], "e": 0}, {"coords": [[0], [0], [0]]}],
-             [{"coords": [[0], [0], [0]]}, {"coords": [[1], [0], [0]]}]]
-    outs = []
-    for extra in ({}, {"p": 2, "N": 3}):
-        matrix = {"n": 2, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 3},
-                  "entries": [[dict(cell, **extra) for cell in row] for row in cells]}
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
-        code, out, _ = run_cli(["cartan"], capsys)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["d"] == [1, 0]
-
-
-def _witt_json(p, m, length, cells):
-    return {
-        "n": len(cells),
-        "ring": {"tag": "wittfrac", "p": p, "m": m, "N": length},
-        "entries": [[{"N": length, "coords": coords, "e": e, "p": p}
-                     for e, coords in row] for row in cells],
-    }
-
-
-# Inputs with p-factors in their denominators, and the decomposition the
-# structure-polynomial implementation printed for them; the top
-# coordinates that WittCtx.unshift sets to zero are part of the pinned bytes.
-_WITT_CARTAN_CASES = {
-    "F4-N3": (
-        (2, 2, 3),
-        [[(2, [[0, 0], [1, 1], [0, 1]]), (0, [[0, 1], [0, 1], [1, 1]])],
-         [(0, [[1, 1], [1, 0], [1, 1]]), (1, [[0, 0], [0, 1], [1, 0]])]],
-        [[(0, [[0, 0], [0, 0], [0, 0]]), (0, [[0, 1], [1, 1], [0, 0]])],
-         [(0, [[1, 1], [1, 1], [0, 0]]), (0, [[0, 0], [0, 1], [1, 0]])]],
-        [0, -1],
-        [[(0, [[0, 0], [0, 0], [0, 0]]), (0, [[1, 0], [0, 0], [0, 0]])],
-         [(0, [[1, 0], [0, 0], [0, 0]]), (0, [[0, 0], [1, 0], [1, 1]])]],
-    ),
-    "F3-N4": (
-        (3, 1, 4),
-        [[(2, [[0], [2], [1], [2]]), (0, [[1], [1], [0], [2]])],
-         [(1, [[2], [0], [1], [1]]), (0, [[0], [0], [2], [1]])]],
-        [[(0, [[0], [0], [0], [0]]), (0, [[2], [1], [2], [0]])],
-         [(0, [[2], [1], [1], [2]]), (0, [[2], [0], [1], [1]])]],
-        [0, -1],
-        [[(0, [[0], [0], [0], [0]]), (0, [[1], [0], [0], [0]])],
-         [(0, [[1], [0], [0], [0]]), (0, [[0], [2], [1], [1]])]],
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_WITT_CARTAN_CASES))
-def test_cartan_witt_bytes_pinned(capsys, monkeypatch, case):
-    from loopzip.witt import WittCtx
-
-    ring, cells, a, d, b = _WITT_CARTAN_CASES[case]
-    unshifts = []
-    unshift = WittCtx.unshift
-
-    def counted(self, v, k):
-        if k:
-            unshifts.append(k)
-        return unshift(self, v, k)
-
-    monkeypatch.setattr(WittCtx, "unshift", counted)
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_witt_json(*ring, cells))))
-    code, out, _ = run_cli(["cartan"], capsys)
-    assert code == 0
-    assert unshifts
-    expected = {"a": _witt_json(*ring, a), "d": d, "b": _witt_json(*ring, b)}
-    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("matrix", [
-    # equal rows: singular
-    {"n": 2, "ring": _LAURENT_F2,
-     "entries": [[_lau_cell(0, 3, [1, 0, 0]), _lau_cell(0, 3, [1, 0, 0])]] * 2},
-    # zero known to t^1 only, beside entries of valuation 2: no provable pivot
-    {"n": 2, "ring": _LAURENT_F2,
-     "entries": [[_lau_cell(0, 1, [0]), _lau_cell(2, 3, [1])],
-                 [_lau_cell(2, 3, [1]), _lau_cell(0, 1, [0])]]},
-    # over F4 with N=3 the determinant is not provably a unit in the known digits
-    _witt_json(2, 2, 3, [[(1, [[0, 0], [1, 1], [0, 1]]), (0, [[1, 0], [0, 1], [1, 1]])],
-                         [(0, [[0, 1], [1, 0], [1, 1]]), (2, [[0, 0], [0, 0], [1, 0]])]]),
-], ids=["laurent-singular", "laurent-precision", "witt-F4-N3-minor"])
-def test_cartan_undecomposable_matrix_exit_2(capsys, monkeypatch, matrix):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
-    code, out, err = run_cli(["cartan"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("bad matrix input: ")
-
-
-@pytest.mark.parametrize("matrix", [
-    # 4 J over W_3(F_2): the products of unstripped entries once claimed a
-    # digit they did not have, and cartan printed d = [2, 2]
-    _witt_json(2, 1, 3, [[(0, [[0], [0], [1]])] * 2] * 2),
-    # its Laurent twin, t^2 J at prec 3
-    {"n": 2, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 3, [0, 0, 1])] * 2] * 2},
-], ids=["witt-4J", "laurent-t2J"])
-def test_cartan_rank_one_multiple_of_the_uniformizer_exit_2(capsys, monkeypatch, matrix):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(matrix)))
-    code, out, err = run_cli(["cartan"], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("bad matrix input: remaining minor is zero within precision")
+def test_cartan_is_not_a_command(capsys):
+    # the decomposition printer checked nothing and is retired: argparse
+    # refuses the command before any input is read
+    with pytest.raises(SystemExit) as info:
+        main(["cartan"])
+    assert info.value.code == 2
+    assert "invalid choice: 'cartan'" in capsys.readouterr().err
 
 
 def test_verify_prec_below_mu_exit_2_before_suites(capsys, monkeypatch):
@@ -620,7 +407,7 @@ def test_suite_all_notes_a_skipped_witt_census(mu, digest, noted, capsys):
     assert err == (LEMMA_NOTE + note if noted else "")
 
 
-def test_every_cli_option_is_read(capsys, monkeypatch):
+def test_every_cli_option_is_read(capsys):
     # an option that its command never reads is accepted and silently ignored
     import argparse
 
@@ -631,14 +418,11 @@ def test_every_cli_option_is_read(capsys, monkeypatch):
         *(("orbits", ["--action", action, "--mu", "1,0"])
           for action in ("zip-normal", "zip-frobenius", "partial-frobenius", "sigma-conj",
                          "class-census")),
-        ("cartan", []),
         ("poset", ["--mu", "1,0"]),
         ("witt-selftest", ["--samples", "5"]),
     ]
-    handlers = {"verify": cli.cmd_verify, "orbits": cli.cmd_orbits, "cartan": cli.cmd_cartan,
-                "poset": cli.cmd_poset, "witt-selftest": cli.cmd_witt_selftest}
-    identity = {"n": 1, "ring": _LAURENT_F2, "entries": [[_lau_cell(0, 2, [1, 0])]]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(identity)))
+    handlers = {"verify": cli.cmd_verify, "orbits": cli.cmd_orbits, "poset": cli.cmd_poset,
+                "witt-selftest": cli.cmd_witt_selftest}
     parser = cli.build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted({c for c, _ in argvs}) == sorted(commands.choices) == sorted(handlers)

@@ -43,7 +43,7 @@ def test_char2_basics():
 
 def test_f4_generator_relations():
     F4 = FieldSpec.get(2, 2)
-    w = F4.from_coeffs([0, 1])
+    w = 2  # the code of w, pinned by test_serialization_little_endian
     mul, add = F4.mul_table, F4.add_table
     # w^2 reduces to w + 1 by the modulus w^2 + w + 1
     assert mul[w][w] == add[w][1]
@@ -110,12 +110,11 @@ def test_spec_mismatch():
 
 def test_serialization_little_endian():
     F4 = FieldSpec.get(2, 2)
-    w_plus_1 = F4.add_table[F4.from_coeffs([0, 1])][1]
+    # integer codes follow the little-endian base-p encoding: w is code 2
+    assert F4._code_to_vec(2) == [0, 1]
+    w_plus_1 = F4.add_table[2][1]
     assert F4._code_to_vec(w_plus_1) == [1, 1]
-    assert F4.from_coeffs([1, 1]) == w_plus_1
-    # integer codes follow the little-endian base-p encoding
-    assert w_plus_1 == 3
-    assert F4.from_coeffs([0, 1]) == 2
+    assert F4._vec_to_code([1, 1]) == w_plus_1 == 3
     assert F4.code_repr(w_plus_1) == "1 + w"
 
 

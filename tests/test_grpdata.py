@@ -167,7 +167,7 @@ def test_zip_membership_pairs():
     # Frobenius-twisted matching over F4
     F4 = FieldSpec.get(2, 2)
     mu4 = Cocharacter((1, 0))
-    w = F4.from_coeffs([0, 1])
+    w = 2  # the code of w
     m4 = (w, 0, 0, 1)
     m4_frob = (F4.mul_table[w][w], 0, 0, 1)
     assert in_zip_group(m4_frob, m4, mu4, F4, tau_power=1)

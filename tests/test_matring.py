@@ -4,7 +4,7 @@ import random
 import pytest
 
 from loopzip.coset import class_census, default_precision, pair_matrix
-from loopzip.errors import InsufficientPrecision, LoopZipError, NotInvertible
+from loopzip.errors import InsufficientPrecision, NotInvertible
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_integral_mat, random_k1_mat
 from loopzip.matring import (
@@ -16,15 +16,14 @@ from loopzip.matring import (
     flat_invertible,
     flat_mul,
     flat_residue,
-    snf_dvr,
     snf_residues,
 )
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 from laurent_oracle import (diagonal, diagonalize_mismatches, factorization_overclaims,
-                            factorization_sweep, from_coeff_list, inverse_mismatches,
-                            sub_mul_mismatches)
-from witt_oracle import p_power
+                            factorization_sweep, from_coeff_list, full_diagonalize,
+                            inverse_mismatches, stored, sub_mul_mismatches)
+from witt_oracle import p_power, witt_mat
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -88,7 +87,7 @@ def test_reduce_examples():
 
 
 def test_snf_diag_examples():
-    a, d, b = snf_dvr(t_diag(F2, (1, 0), 6))
+    a, d, b = full_diagonalize(t_diag(F2, (1, 0), 6), False)
     assert d == (1, 0)
     assert flat_residue(a) == flat_identity(2)
     assert flat_residue(b) == flat_identity(2)
@@ -96,11 +95,11 @@ def test_snf_diag_examples():
                for r in a.rows for x in r)
 
     antidiag = lau(F2, [[(0, []), (1, [1])], [(1, [1]), (0, [])]], 5)
-    a, d, b = snf_dvr(antidiag)
+    a, d, b = full_diagonalize(antidiag, False)
     assert d == (1, 1)
 
     upper = lau(F2, [[(1, [1]), (0, [1])], [(0, []), (0, [1])]], 6)
-    a, d, b = snf_dvr(upper)
+    a, d, b = full_diagonalize(upper, False)
     assert d == (1, 0)
     prod = a * t_diag(F2, d, 6) * b
     assert prod.congruent_mod(upper, min(prod.min_precision(), 6))
@@ -125,8 +124,9 @@ def test_snf_remultiplication_oracle(spec, n, weights):
         k1 = _random_k(spec, n, prec, rng)
         k2 = _random_k(spec, n, prec, rng)
         x = k1 * t_diag(spec, weights, prec) * k2
-        a, d, b = snf_dvr(x)
+        a, d, b = full_diagonalize(x, False)
         assert d == tuple(sorted(weights, reverse=True))
+        assert snf_residues(x) == (flat_residue(a), d, flat_residue(b))
         prod = a * t_diag(spec, d, prec) * b
         w = min(prod.min_precision(), x.min_precision())
         assert prod.congruent_mod(x, w)
@@ -146,8 +146,9 @@ def test_snf_bulk_oracle_1000():
         k1 = _random_k(F2, 2, prec, rng)
         k2 = _random_k(F2, 2, prec, rng)
         x = k1 * t_diag(F2, weights, prec) * k2
-        a, d, b = snf_dvr(x)
+        a, d, b = full_diagonalize(x, False)
         assert d == weights
+        assert snf_residues(x) == (flat_residue(a), d, flat_residue(b))
         prod = a * t_diag(F2, d, prec) * b
         assert prod.congruent_mod(x, min(prod.min_precision(), x.min_precision()))
         count += 1
@@ -171,8 +172,9 @@ def test_snf_wide_gap_on_gl3_minor():
     g = (0, 0, 1, 0, 1, 0, 1, 0, 0)
     h = (0, 0, 1, 0, 1, 1, 1, 0, 0)
     x = pair_matrix(mu, g, h, LaurentElt.one(F2, 6))
-    a, d, b = snf_dvr(x)
+    a, d, b = full_diagonalize(x, False)
     assert d == (2, 2, 0)
+    assert snf_residues(x) == (flat_residue(a), d, flat_residue(b))
     prod = a * t_diag(F2, d, 6) * b
     assert prod.congruent_mod(x, min(prod.min_precision(), x.min_precision()))
 
@@ -181,7 +183,7 @@ def test_cartan_invariance_of_weights():
     rng = random.Random(17)
     for _ in range(50):
         x = _random_k(F2, 2, 6, rng) * t_diag(F2, (2, 1), 6) * _random_k(F2, 2, 6, rng)
-        _, d, _ = snf_dvr(x)
+        _, d, _ = snf_residues(x)
         assert d == (2, 1)
 
 
@@ -196,8 +198,8 @@ def test_witt_snf_agrees_with_laurent():
     for _ in range(20):
         g = gl[rng.randrange(len(gl))]
         h = gl[rng.randrange(len(gl))]
-        _, d_t, _ = snf_dvr(pair_matrix(mu, g, h, LaurentElt.one(F2, 6)))
-        _, d_p, _ = snf_dvr(pair_matrix(mu, g, h, WittFraction.one(wctx)))
+        _, d_t, _ = snf_residues(pair_matrix(mu, g, h, LaurentElt.one(F2, 6)))
+        _, d_p, _ = snf_residues(pair_matrix(mu, g, h, WittFraction.one(wctx)))
         assert d_t == d_p == (1, 0)
 
 
@@ -236,8 +238,9 @@ def test_witt_snf_remultiplication():
         k1 = random_k1_mat(WittFraction.one(wctx), 2, rng)
         k2 = random_k1_mat(WittFraction.one(wctx), 2, rng)
         x = k1 * p_diag * k2
-        a, d, b = snf_dvr(x)
+        a, d, b = full_diagonalize(x, False)
         assert d == (1, 0)
+        assert snf_residues(x) == (flat_residue(a), d, flat_residue(b))
         prod = a * diagonal([p_power(wctx, dd) for dd in d]) * b
         assert prod.congruent_mod(x, min(prod.min_precision(), x.min_precision()))
 
@@ -268,9 +271,9 @@ def test_live_column_inverse_matches_the_full_loop():
 
 
 def test_live_submatrix_snf_matches_the_full_loop():
-    # snf_dvr and snf_residues give what the loop that updates every row and
-    # column gives, entries and windows or error and message; the slice holds
-    # Laurent inputs with an empty window, where only the full loop is safe
+    # snf_residues gives what the loop that updates every row and column
+    # gives, residues or error and message; the slice holds Laurent inputs
+    # with an empty window, where only the full loop is safe
     cases, bad, errors, empty = diagonalize_mismatches(2000, seed=1)
     assert bad == 0
     assert 0 < errors < cases
@@ -280,7 +283,7 @@ def test_live_submatrix_snf_matches_the_full_loop():
 def test_snf_rejects_zero_window_matrix():
     zero = Mat([[LaurentElt.zero(F2, 4)] * 2 for _ in range(2)])
     with pytest.raises(NotInvertible):
-        snf_dvr(zero)
+        snf_residues(zero)
 
 
 def test_snf_insufficient_precision():
@@ -290,7 +293,62 @@ def test_snf_insufficient_precision():
         [LaurentElt.zero(F2, 6), LaurentElt.t_power(F2, 2, 6)],
     ]
     with pytest.raises(InsufficientPrecision):
-        snf_dvr(Mat(rows))
+        snf_residues(Mat(rows))
+
+
+def _full_residues(x):
+    """The reductions of the a and b that the full loop carries, and d."""
+    a, d, b = full_diagonalize(x, False)
+    return flat_residue(a), d, flat_residue(b)
+
+
+def _lau(v, prec, codes):
+    return LaurentElt(F2, v, prec, codes)
+
+
+_MINOR_ZERO = "remaining minor is zero within precision; no finite determinant valuation"
+
+
+@pytest.mark.parametrize("x, error, message", [
+    # equal rows: singular
+    (Mat([[_lau(0, 3, [1, 0, 0])] * 2] * 2), NotInvertible, _MINOR_ZERO),
+    # zero known to t^1 only, beside entries of valuation 2: no provable pivot
+    (Mat([[_lau(0, 1, [0]), _lau(2, 3, [1])], [_lau(2, 3, [1]), _lau(0, 1, [0])]]),
+     InsufficientPrecision, "entry window ends at valuation 1, below pivot 2"),
+    # over F4 with N = 3 the determinant is not provably a unit in the known digits
+    (witt_mat(WittCtx.get(FieldSpec.for_q(4), 3), [[(1, (0, 3, 2)), (0, (1, 2, 3))],
+                                                   [(0, (2, 1, 3)), (2, (0, 0, 1))]]),
+     NotInvertible, _MINOR_ZERO),
+    # 4 J over W_3(F_2): the products of unstripped entries once claimed a
+    # digit they did not have, and the decomposition gave d = (2, 2)
+    (witt_mat(WittCtx.get(F2, 3), [[(0, (0, 0, 1))] * 2] * 2), NotInvertible, _MINOR_ZERO),
+    # its Laurent twin, t^2 J at prec 3
+    (Mat([[_lau(0, 3, [0, 0, 1])] * 2] * 2), NotInvertible, _MINOR_ZERO),
+], ids=["laurent-singular", "laurent-precision", "witt-F4-N3-minor", "witt-4J", "laurent-t2J"])
+def test_snf_residues_refuse_an_undecomposable_matrix(x, error, message):
+    with pytest.raises(error) as info:
+        snf_residues(x)
+    assert str(info.value) == message
+    assert stored(lambda: full_diagonalize(x, True)) == (error.__name__, message)
+
+
+# Witt inputs with p-factors in their denominators, as (q, N, cells (e,
+# coordinate codes)), and the residues of the a and b, with the d, that the
+# structure-polynomial implementation decomposed them into
+_WITT_PINNED = {
+    "F4-N3": (4, 3, [[(2, (0, 3, 2)), (0, (2, 2, 3))], [(0, (3, 1, 3)), (1, (0, 2, 1))]],
+              ((0, 2, 3, 0), (0, -1), (0, 1, 1, 0))),
+    "F3-N4": (3, 4, [[(2, (0, 2, 1, 2)), (0, (1, 1, 0, 2))],
+                     [(1, (2, 0, 1, 1)), (0, (0, 0, 2, 1))]],
+              ((0, 2, 2, 2), (0, -1), (0, 1, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITT_PINNED))
+def test_snf_residues_pinned_on_witt_denominators(case):
+    q, length, cells, triple = _WITT_PINNED[case]
+    x = witt_mat(WittCtx.get(FieldSpec.for_q(q), length), cells)
+    assert snf_residues(x) == triple == _full_residues(x)
 
 
 def test_precision_floor():
@@ -377,29 +435,6 @@ def test_flat_invertible_beyond_the_cofactor_oracle():
             assert not flat_invertible(spec, 4, sum(rows, ()))
 
 
-def test_json_roundtrip():
-    m = t_diag(F2, (1, 0), 4)
-    again = Mat.from_json(m.to_json())
-    assert again == m
-    bad = {"n": 2, "ring": {"tag": "laurent", "p": 2, "m": 1},
-           "entries": [[{"v": 0}, {"v": 0}], [{"v": 0}, {"v": 0}]]}
-    with pytest.raises(ValueError, match=r"entry \(1,1\)"):
-        Mat.from_json(bad)
-
-
-def _residue_outcome(decompose, x):
-    """decompose(x), or the class and message of the loopzip error it raises."""
-    try:
-        return decompose(x)
-    except LoopZipError as exc:
-        return type(exc).__name__, str(exc)
-
-
-def _snf_dvr_residues(x):
-    a, d, b = snf_dvr(x)
-    return flat_residue(a), d, flat_residue(b)
-
-
 def _class_matrices(q, weights, seed):
     """k1 x k2 for every class representative x of mu over F_q and random
     depth-one kernel factors k1, k2, on the Laurent ring and on the Witt ring
@@ -421,7 +456,7 @@ def test_snf_residues_match_snf_dvr_on_every_class(q, weights):
     count = 0
     for x in _class_matrices(q, weights, seed=7):
         abar, d, bbar = snf_residues(x)
-        assert (abar, d, bbar) == _snf_dvr_residues(x)
+        assert (abar, d, bbar) == _full_residues(x)
         assert d == weights
         count += 1
     assert count == 2 * len(class_census(Cocharacter(weights), FieldSpec.for_q(q)))
@@ -448,8 +483,8 @@ def test_snf_residues_raise_like_snf_dvr_on_short_windows(q, weights):
             continue
         for top in (3, 7):
             cut = Mat([[_cut(y, rng.randrange(top)) for y in r] for r in x.rows])
-            got = _residue_outcome(snf_residues, cut)
-            assert got == _residue_outcome(_snf_dvr_residues, cut)
+            got = stored(lambda: snf_residues(cut))
+            assert got == stored(lambda: _full_residues(cut))
             outcomes.append(got)
     errors = {o[0] for o in outcomes if isinstance(o[0], str)}
     assert errors == {"InsufficientPrecision", "NotInvertible"}
@@ -467,7 +502,7 @@ def test_laurent_factorization_check_flags_an_overclaim():
     assert factorization_overclaims(ident, ident, (0, 0), b) == [(0, 0)]
     short = Mat([[from_coeff_list(F2, 0, [1], 1), zero], [zero, one]])
     assert factorization_overclaims(short, ident, (0, 0), b) == []
-    # snf_dvr claims no digit that x lacks on seeded matrices with poles,
-    # stored leading zeros and empty windows
+    # the full loop claims no digit that x lacks on seeded matrices with
+    # poles, stored leading zeros and empty windows
     decomposed, flagged, refused = factorization_sweep(300, seed=0)
     assert (flagged, decomposed + refused) == (0, 300) and decomposed > 100

@@ -5,7 +5,7 @@ import pytest
 from loopzip.cli import main
 from loopzip.errors import InsufficientPrecision, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
-from loopzip.matring import Mat, snf_dvr
+from loopzip.matring import Mat
 from loopzip.witt import WittCtx, WittFraction, ghost_selftest
 from witt_oracle import (
     IntPoly,
@@ -16,8 +16,10 @@ from witt_oracle import (
     table_mismatches,
     witt_neg_polys,
     window_overclaims,
+    witt_mat,
     witt_structure_polys,
 )
+from laurent_oracle import full_diagonalize
 
 F2 = FieldSpec.get(2, 1)
 F3 = FieldSpec.get(3, 1)
@@ -401,15 +403,6 @@ def test_residue_code_is_the_first_coordinate(q):
         assert w.residue_code() == coords(teichmuller(ctx, codes[0]))[0]
 
 
-def test_fraction_json():
-    ctx = WittCtx.get(F2, 3)
-    frac = WittFraction(ctx, 1, ctx.from_int(2))
-    data = frac.to_json()
-    # canonical form strips the shared p factor
-    assert data["e"] == 0
-    assert data["p"] == 2 and data["N"] == 3
-
-
 @pytest.mark.parametrize("p,length", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
 def test_fraction_windows_hold_the_exact_value(p, length):
     # +, -, *, inverse and shifted on fractions with unstripped numerators:
@@ -419,26 +412,24 @@ def test_fraction_windows_hold_the_exact_value(p, length):
     assert checked > 1000
 
 
-def _w2f2_cell(value: int, e: int = 0) -> dict:
-    """The W_2(F_2) cell p^(-e) value, stored as given: p^(-1) 2 stays unstripped."""
-    return {"coords": [[value % 2], [value // 2]], "e": e}
+def _w2f2_cell(value: int, e: int = 0) -> tuple:
+    """The W_2(F_2) cell p^(-e) value as (e, coordinate codes): 2 is (0, 1)."""
+    return e, (value % 2, value // 2)
 
 
 def test_factorization_check_flags_a_dropped_remainder():
-    # snf_dvr drops the entry its elimination leaves zero within its window,
-    # here 2 - x_31 * 1, known only mod 2: a diag(p^d) b is 0 mod 4 at (3, 2),
-    # where x_32 = 2 is known mod 4
-    cells = [[_w2f2_cell(1), _w2f2_cell(1), _w2f2_cell(2, 1)],
-             [_w2f2_cell(0, 1), _w2f2_cell(2, 1), _w2f2_cell(0)],
-             [_w2f2_cell(0, 1), _w2f2_cell(2), _w2f2_cell(1)]]
-    x = Mat.from_json({"n": 3, "ring": {"tag": "wittfrac", "p": 2, "m": 1, "N": 2},
-                       "entries": cells})
-    a, d, b = snf_dvr(x)
+    # the full loop drops the entry its elimination leaves zero within its
+    # window, here 2 - x_31 * 1, known only mod 2: a diag(p^d) b is 0 mod 4
+    # at (3, 2), where x_32 = 2 is known mod 4; p^(-1) 2 stays unstripped
+    x = witt_mat(WittCtx.get(F2, 2), [[_w2f2_cell(1), _w2f2_cell(1), _w2f2_cell(2, 1)],
+                                      [_w2f2_cell(0, 1), _w2f2_cell(2, 1), _w2f2_cell(0)],
+                                      [_w2f2_cell(0, 1), _w2f2_cell(2), _w2f2_cell(1)]])
+    a, d, b = full_diagonalize(x, False)
     assert d == (0, 0, 0)
     assert factorization_overclaims(x, a, d, b) == [(2, 1)]
     # with its poles replaced by their numerators, every window is full and
     # the decomposition is honest
     y = Mat([[WittFraction(z.ctx, 0, z.num) for z in row] for row in x.rows])
-    a, d, b = snf_dvr(y)
+    a, d, b = full_diagonalize(y, False)
     assert d == (1, 0, 0)
     assert factorization_overclaims(y, a, d, b) == []
