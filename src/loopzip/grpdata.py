@@ -308,13 +308,25 @@ def random_laurent(spec: FieldSpec, rng, v: int, prec: int) -> LaurentElt:
     return LaurentElt(spec, v, prec, [rng.randrange(spec.q) for _ in range(prec - v)])
 
 
+def _random_unit_residue_mat(spec: FieldSpec, starts, prec: int, rng) -> Mat:
+    """Integral matrix whose entry (i, j) has uniform codes at t^starts[i][j]..
+    t^(prec-1), drawn row by row and redrawn until the residue is invertible.
+    The residue is read from the codes (codes[0] at start 0, else 0), so only
+    the draw that is kept becomes series."""
+    if prec < 1:  # no residue: raise what building and reading one raises
+        LaurentElt(spec, 0, prec, ()).residue_code()
+    n = len(starts)
+    while True:
+        draw = [[[rng.randrange(spec.q) for _ in range(s, prec)] for s in row] for row in starts]
+        residue = [c[0] if s == 0 else 0 for cs, row in zip(draw, starts) for c, s in zip(cs, row)]
+        if flat_invertible(spec, n, residue):
+            return Mat([[_raw(spec, s, prec, tuple(c)) for c, s in zip(cs, row)]
+                        for cs, row in zip(draw, starts)])
+
+
 def random_integral_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
     """Random element of the integral loop group at the given precision."""
-    while True:
-        rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
-        m = Mat(rows)
-        if flat_invertible(spec, n, flat_residue(m)):
-            return m
+    return _random_unit_residue_mat(spec, [[0] * n] * n, prec, rng)
 
 
 def all_series_subgroup(spec: FieldSpec, mu: Cocharacter, sign: int, parabolic: bool,
@@ -374,24 +386,13 @@ def random_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
     by t^(d_i - d_j); the reduction of k is then block lower triangular, so
     we resample until its diagonal blocks are invertible.
     """
-    n = mu.n
     d = mu.weights
     if max(d) - min(d) > prec:
         raise ValueError(f"drawing g with integral mu-conjugate needs entries divisible by "
                          f"t^{max(d) - min(d)}, the weight gap of mu, beyond precision {prec}")
-    while True:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                gap = d[i] - d[j]
-                row.append(random_laurent(spec, rng, max(gap, 0), prec))
-            rows.append(row)
-        k = Mat(rows)
-        if not flat_invertible(spec, n, flat_residue(k)):
-            continue
-        g = conj_by_mu(k, mu, +1)
-        if not g.is_integral():
-            raise AssertionError("mu-conjugate of a block-divisible matrix is not integral")
-        return g
+    k = _random_unit_residue_mat(spec, [[max(a - b, 0) for b in d] for a in d], prec, rng)
+    g = conj_by_mu(k, mu, +1)
+    if not g.is_integral():
+        raise AssertionError("mu-conjugate of a block-divisible matrix is not integral")
+    return g
 

@@ -8,6 +8,8 @@ against it:
   residue_code()     field code of the reduction of an integral entry;
   shifted(k)         multiplication by pi^k;
   sub_mul(c, y)      x - c * y, stored as the product and the difference store it;
+  dot(xs, ys)        the sum of the x_k * y_k, stored as the running sum of the
+                     products stores it;
   inverse()          inverse of an entry of provable valuation;
   zero_at(prec), one_at(prec)  the ring's constants at a given window;
   from_codes(codes)  the integral element with expansion coordinates `codes`
@@ -62,20 +64,9 @@ class Mat:
 
     def __mul__(self, other: "Mat") -> "Mat":
         self._coerce(other)
-        n = self.n
+        dot = type(self.rows[0][0]).dot
         cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = self.rows[i]
-            orow = []
-            for j in range(n):
-                col = cols[j]
-                acc = row[0] * col[0]
-                for k in range(1, n):
-                    acc = acc + row[k] * col[k]
-                orow.append(acc)
-            out.append(orow)
-        return Mat(out)
+        return Mat([[dot(row, col) for col in cols] for row in self.rows])
 
     # -- entry inspection --------------------------------------------------------
 

@@ -113,8 +113,26 @@ class LaurentElt:
         self._coerce(other)
         za, zb, prec = _product_window(self, other)
         v = min(self.v + other.v, prec)
-        out = _convolve([0] * (prec - v), v, self, za, other, zb, False)
-        return _raw(self.spec, v, prec, out)
+        out = [0] * (prec - v)
+        _convolve(out, v, self, za, other, zb, False)
+        return _raw(self.spec, v, prec, tuple(out))
+
+    @staticmethod
+    def dot(xs, ys) -> "LaurentElt":
+        """The sum of the x_k * y_k, stored and raising as the running sum of
+        the products stores it and raises, with no product or partial sum built:
+        its window ends where the least product window ends."""
+        terms = []
+        for x, y in zip(xs, ys):
+            x._coerce(y)
+            terms.append((x, y, *_product_window(x, y)))
+            xs[0]._coerce(x)
+        prec = min(term[4] for term in terms)
+        v = min(min(x.v + y.v for x, y, *_ in terms), prec)
+        out = [0] * (prec - v)
+        for x, y, za, zb, _ in terms:
+            _convolve(out, v, x, za, y, zb, False)
+        return _raw(xs[0].spec, v, prec, tuple(out))
 
     def sub_mul(self, c: "LaurentElt", y: "LaurentElt") -> "LaurentElt":
         """self - c * y, stored as the product and then the difference store
@@ -124,8 +142,9 @@ class LaurentElt:
         self._coerce(c)
         prec = min(self.prec, pprec)
         v = min(self.v, c.v + y.v, prec)
-        out = _convolve(list(self._window(v, prec)), v, c, za, y, zb, True)
-        return _raw(self.spec, v, prec, out)
+        out = list(self._window(v, prec))
+        _convolve(out, v, c, za, y, zb, True)
+        return _raw(self.spec, v, prec, tuple(out))
 
     def shifted(self, k: int) -> "LaurentElt":
         """Multiply by t^k exactly (window slides by k)."""
@@ -219,9 +238,9 @@ def _product_window(a: LaurentElt, b: LaurentElt) -> tuple:
 
 
 def _convolve(out: list, v: int, a: LaurentElt, za: int, b: LaurentElt, zb: int,
-              negate: bool) -> tuple:
-    """out, the codes of exponents v.., plus a * b (minus it when `negate`)
-    on the terms that reach its end; za and zb skip the leading zeros."""
+              negate: bool) -> None:
+    """Add a * b (subtract it when `negate`) to out, the codes of exponents
+    v.., on the terms that reach its end; za and zb skip the leading zeros."""
     base = a.v + za + b.v + zb - v  # out index of a[za] * b[zb]
     m = len(out) - base  # only the first m terms of each reach the window
     if m > 0:
@@ -233,7 +252,6 @@ def _convolve(out: list, v: int, a: LaurentElt, za: int, b: LaurentElt, zb: int,
                 for k, bj in enumerate(bw[:m - i], base + i):
                     if bj:
                         out[k] = add[out[k]][row[bj]]
-    return tuple(out)
 
 
 def _raw(spec: FieldSpec, v: int, prec: int, codes: tuple) -> LaurentElt:

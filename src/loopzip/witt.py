@@ -279,6 +279,14 @@ class WittFraction:
     def __mul__(self, other: "WittFraction") -> "WittFraction":
         return WittFraction(self.ctx, *self._product(other))
 
+    @staticmethod
+    def dot(xs, ys) -> "WittFraction":
+        """The sum of the x_k * y_k, as a running sum of the products."""
+        acc = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            acc = acc + x * y
+        return acc
+
     def sub_mul(self, c: "WittFraction", y: "WittFraction") -> "WittFraction":
         """self - c * y as one fraction, stored and raising as the product,
         its negation and their sum store it and raise."""

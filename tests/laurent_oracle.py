@@ -14,7 +14,11 @@ updates every row and column at every step; the tests compare
 `grpdata.times_mu`, `sub_mul`, the live-column `Mat.inverse` and the
 live-submatrix `snf_residues` against them, in both rings.  Only
 `full_diagonalize` carries a and b in full, and `factorization_overclaims`
-checks its decompositions against x.
+checks its decompositions against x.  `running_sum_product` is the matrix
+product that builds every entry as a running sum of built products, which
+the tests compare `Mat.__mul__` against, and `full_integral_mat` and
+`full_left_h_mat` are the random draws that build every series of every
+rejected matrix, which they compare `grpdata`'s draws against.
 
     PYTHONPATH=src:tests python tests/laurent_oracle.py
 
@@ -35,8 +39,8 @@ from loopzip.errors import (
     SpecMismatch,
 )
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import Cocharacter, check_mu_window, times_mu
-from loopzip.matring import Mat, _select_pivot, snf_residues
+from loopzip.grpdata import Cocharacter, check_mu_window, conj_by_mu, random_laurent, times_mu
+from loopzip.matring import Mat, _select_pivot, flat_invertible, flat_residue, snf_residues
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 
@@ -395,6 +399,64 @@ def difference(x, y):
     return x + negated(y)
 
 
+def running_sum_product(x: Mat, y: Mat) -> Mat:
+    """x * y with each entry the running sum acc = acc + x_ik * y_kj, every
+    product and partial sum built."""
+    x._coerce(y)
+    n = x.n
+    cols = list(zip(*y.rows))
+    out = []
+    for i in range(n):
+        row = x.rows[i]
+        orow = []
+        for j in range(n):
+            col = cols[j]
+            acc = row[0] * col[0]
+            for k in range(1, n):
+                acc = acc + row[k] * col[k]
+            orow.append(acc)
+        out.append(orow)
+    return Mat(out)
+
+
+def full_integral_mat(spec: FieldSpec, n: int, prec: int, rng) -> Mat:
+    """Random element of the integral loop group at the given precision."""
+    while True:
+        rows = [[random_laurent(spec, rng, 0, prec) for _ in range(n)] for _ in range(n)]
+        m = Mat(rows)
+        if flat_invertible(spec, n, flat_residue(m)):
+            return m
+
+
+def full_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
+    """Random element of L+G intersected with mu(t)^(-1) L+G mu(t).
+
+    Built as mu(t)^(-1) k mu(t) for k integral with upper blocks divisible
+    by t^(d_i - d_j); the reduction of k is then block lower triangular, so
+    we resample until its diagonal blocks are invertible.
+    """
+    n = mu.n
+    d = mu.weights
+    if max(d) - min(d) > prec:
+        raise ValueError(f"drawing g with integral mu-conjugate needs entries divisible by "
+                         f"t^{max(d) - min(d)}, the weight gap of mu, beyond precision {prec}")
+    while True:
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                gap = d[i] - d[j]
+                row.append(random_laurent(spec, rng, max(gap, 0), prec))
+            rows.append(row)
+        k = Mat(rows)
+        if not flat_invertible(spec, n, flat_residue(k)):
+            continue
+        g = conj_by_mu(k, mu, +1)
+        if not g.is_integral():
+            raise AssertionError("mu-conjugate of a block-divisible matrix is not integral")
+        return g
+
+
 def full_inverse(m: Mat) -> Mat:
     """Gauss-Jordan with minimal-valuation pivot selection, every column of
     w updated by a product and then a difference."""
@@ -605,6 +667,65 @@ def sub_mul_mismatches(cases: int, seed: int) -> tuple:
     return cases, bad, errors
 
 
+def _shapes(m: Mat) -> set:
+    """The entry shapes a product sweep must reach that occur in m."""
+    found = set()
+    for x in (x for r in m.rows for x in r):
+        if isinstance(x, WittFraction):
+            if x.e:
+                found.add("pole")
+            continue
+        val = x.valuation()
+        found |= {name for name, hit in (("empty window", x.v == x.prec),
+                                         ("pole", val is not None and val < 0),
+                                         ("stored leading zeros", x.codes[:1] == (0,)))
+                  if hit}
+    return found
+
+
+def product_mismatches(cases: int, seed: int) -> tuple:
+    """(cases, mismatches, errors, shapes): `Mat.__mul__` against
+    `running_sum_product`, entry forms or error class and message.  The
+    factors come in turn from `random_matrix` over both rings (n <= 3, some
+    entries of random shape) and from the `random_pole_matrix` of this module
+    and of `witt_oracle`, each paired with a `random_matrix` on its side, in
+    either order; in every tenth case one entry of a factor is over another
+    field.  `shapes` names the entry shapes and the mixed-field case that the
+    factors reached."""
+    from witt_oracle import random_pole_matrix as witt_pole_matrix  # witt_oracle imports this module
+    rng = random.Random(seed)
+
+    def random_pair():
+        one, n = random_one(rng), rng.randrange(1, 4)
+        return [random_matrix(one, n, rng, rng.choice((0, 0.2, 0.5))) for _ in range(2)]
+
+    def pole_pair(x):
+        y = random_matrix(x.rows[0][0].one_at(rng.randrange(1, 7)), x.n, rng, 0.3)
+        return (x, y) if rng.random() < 0.5 else (y, x)
+
+    draws = (random_pair,
+             lambda: pole_pair(random_pole_matrix(rng)),
+             lambda: pole_pair(witt_pole_matrix(rng)))
+    bad = errors = 0
+    shapes = set()
+    for case in range(cases):
+        x, y = draws[case % 3]()
+        if case % 10 == 9:
+            other = random_one(rng)
+            while type(other) is not type(x.rows[0][0]) or other.spec is x.rows[0][0].spec:
+                other = random_one(rng)
+            factor = rng.choice((x, y))
+            rows = [list(r) for r in factor.rows]
+            rows[rng.randrange(x.n)][rng.randrange(x.n)] = random_entry(other, rng)
+            x, y = (Mat(rows), y) if factor is x else (x, Mat(rows))
+            shapes.add("mixed fields")
+        got = stored(lambda: x * y)
+        bad += got != stored(lambda: running_sum_product(x, y))
+        errors += raised(got)
+        shapes |= _shapes(x) | _shapes(y)
+    return cases, bad, errors, shapes
+
+
 def inverse_mismatches(cases: int, seed: int) -> tuple:
     """(cases, mismatches, errors): `Mat.inverse` against `full_inverse` on
     random matrices of both rings, n <= 3, with some entries of random shape."""
@@ -721,6 +842,10 @@ if __name__ == "__main__":
         cases, bad, errors = compare(cases, seed=1)
         total += bad
         print(f"{name}: {cases} cases, {errors} raised, {bad} mismatches")
+    cases, bad, errors, shapes = product_mismatches(60_000, seed=1)
+    total += bad
+    print(f"product: {cases} cases, {errors} raised, {bad} mismatches; reached "
+          + ", ".join(sorted(shapes)))
     # 20,000 draws from each of the three generators
     cases, bad, errors, empty = diagonalize_mismatches(60_000, seed=1)
     total += bad

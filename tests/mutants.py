@@ -99,6 +99,12 @@ MUTANTS = [
     # the residue elimination: a's column k picks up the pivot's unit
     ("R1", "matring.py", "a[k::n] = [by_u[c] for c in a[k::n]]", "pass",
      ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
+    # the fused matrix product: its window ends where the least product window ends
+    ("P1", "series.py", "prec = min(term[4] for term in terms)", "prec = terms[0][4]",
+     ["tests/test_matring.py::test_fused_product_matches_the_running_sum"]),
+    # the draws that read the residue from the codes: codes[0] is the t^0 coefficient
+    ("P2", "grpdata.py", "residue = [c[0] if s == 0 else 0", "residue = [c[-1] if s == 0 else 0",
+     ["tests/test_grpdata.py::test_draws_match_the_full_loops_draw_for_draw"]),
     # the group draws
     ("D1", "orbits.py", "random_unipotent_flat(spec, mu, -1, rng), flat_frobenius(spec, m, group_tau))",
      "random_unipotent_flat(spec, mu, -1, rng), m)",

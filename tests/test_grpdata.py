@@ -3,11 +3,12 @@ import random
 import pytest
 
 from coset_oracle import lift
-from laurent_oracle import from_coeff_list, mu_matrix, times_mu_mismatches
+from laurent_oracle import (entry_form, from_coeff_list, full_integral_mat, full_left_h_mat,
+                            mu_matrix, times_mu_mismatches)
 from orbits_oracle import (DRAW_CASES, GL_CASES, ORBIT_CASES, enumerate_levi_flat,
                            enumerate_unipotent_flat, enumerate_zip_pairs_flat,
                            gl_listing_mismatches)
-from loopzip.errors import BudgetExceeded, NotInParabolic
+from loopzip.errors import BudgetExceeded, LoopZipError, NotInParabolic
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
     Cocharacter,
@@ -23,6 +24,7 @@ from loopzip.grpdata import (
     in_parabolic,
     in_zip_loop,
     levi_component,
+    random_integral_mat,
     random_k1_mat,
     random_left_h_mat,
     random_series_subgroup,
@@ -118,6 +120,44 @@ def test_membership_block_predicates():
     assert not in_parabolic(lower, mu, +1)
     assert in_parabolic(lower, mu, -1)
     assert not in_parabolic(upper, mu, -1)
+
+
+def _drawn(draw):
+    """The entry forms of draw()'s matrix, or the class and message of its error."""
+    try:
+        return [entry_form(x) for r in draw().rows for x in r]
+    except (LoopZipError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_draws_match_the_full_loops_draw_for_draw(q):
+    # the draws that read the residue from the codes keep the matrix, the
+    # error and the random stream of the loops that build every series
+    spec = FieldSpec.for_q(q)
+    pick = random.Random(q)
+    errors = set()
+    for n in (1, 2, 3):
+        for gap in range(4 if n > 1 else 1):
+            for prec in range(-1, 13):
+                low = pick.randrange(-2, 2)
+                mu = Cocharacter(sorted([low, low + gap] + [low + pick.randrange(gap + 1)
+                                                            for _ in range(n - 2)],
+                                        reverse=True)[:n])
+                seed = pick.randrange(10**6)
+                new, old = random.Random(seed), random.Random(seed)
+                for draw, full in ((lambda: random_integral_mat(spec, n, prec, new),
+                                    lambda: full_integral_mat(spec, n, prec, old)),
+                                   (lambda: random_left_h_mat(spec, mu, prec, new),
+                                    lambda: full_left_h_mat(spec, mu, prec, old))):
+                    got = _drawn(draw)
+                    assert got == _drawn(full), (n, mu, prec)
+                    assert new.getstate() == old.getstate(), (n, mu, prec)
+                    if isinstance(got[0], str):
+                        errors.add((got[0], prec))
+    # the weight-gap refusal, and the windows below 1 of both draws
+    assert ("ValueError", 1) in errors and ("ValueError", 2) in errors
+    assert ("InsufficientPrecision", 0) in errors and ("ValueError", -1) in errors
 
 
 def test_membership_loop_level():

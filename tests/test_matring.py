@@ -22,7 +22,8 @@ from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 from laurent_oracle import (diagonal, diagonalize_mismatches, factorization_overclaims,
                             factorization_sweep, from_coeff_list, full_diagonalize,
-                            inverse_mismatches, stored, sub_mul_mismatches)
+                            inverse_mismatches, product_mismatches, stored,
+                            sub_mul_mismatches)
 from witt_oracle import p_power, witt_mat
 
 F2 = FieldSpec.get(2, 1)
@@ -259,6 +260,16 @@ def test_sub_mul_stores_what_product_then_difference_stores():
     cases, bad, errors = sub_mul_mismatches(8000, seed=5)
     assert bad == 0
     assert 0 < errors < cases
+
+
+def test_fused_product_matches_the_running_sum():
+    # Mat.__mul__ stores, or raises, what the running sum of built products
+    # stores or raises, on empty windows, poles, stored leading zeros and
+    # entries over another field
+    cases, bad, errors, shapes = product_mismatches(1500, seed=2)
+    assert bad == 0
+    assert 0 < errors < cases
+    assert shapes == {"empty window", "pole", "stored leading zeros", "mixed fields"}
 
 
 def test_live_column_inverse_matches_the_full_loop():

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,33 @@ def test_every_src_def_is_referenced():
                 read.add(node.attr)
     assert len(defined) >= 100
     assert sorted(f"{where}: {name}" for name, where in defined.items() if name not in read) == []
+
+
+def _class_names(path, name):
+    """The methods and the __slots__ entries of class `name` in `path`."""
+    cls = next(node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    for node in cls.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__slots__":
+            names |= set(ast.literal_eval(node.value))
+    return names
+
+
+def test_matrix_entry_protocol_is_what_both_entry_types_share():
+    # both entry types define every name of matring's protocol docstring, and
+    # share no other public name but the ones listed here, so a method that
+    # one class keeps while the matrix code reads the other's name is seen
+    doc = ast.get_docstring(ast.parse((SRC / "matring.py").read_text()))
+    block = doc.split("against it:\n")[1].split("\nOn it rest")[0]
+    protocol = {name for pair in re.findall(r"^  (\w+)(?:\([^)]*\))?(?:, (\w+)\()?", block, re.M)
+                for name in pair if name}
+    assert {"dot", "sub_mul", "inverse", "zero_at", "one_at", "from_codes"} <= protocol
+    laurent = _class_names(SRC / "series.py", "LaurentElt")
+    witt = _class_names(SRC / "witt.py", "WittFraction")
+    assert sorted(protocol - laurent) == [] and sorted(protocol - witt) == []
+    shared = {name for name in laurent & witt if not name.startswith("_")}
+    assert sorted(shared) == sorted(protocol | {"one", "zero", "is_integral", "congruent_mod"})
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
