@@ -67,11 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact loop-group double-coset verification over small finite fields",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    mu_help = "weights, e.g. 1,0; write --mu=-1,-1 when the first weight is negative"
 
     def common(p):
         p.add_argument("--n", type=int, default=None, help="matrix size (inferred from --mu)")
         p.add_argument("--q", type=int, default=2, choices=SIZES)
-        p.add_argument("--mu", required=True, help="weights, e.g. 1,0")
+        p.add_argument("--mu", required=True, help=mu_help)
         p.add_argument("--tau", type=int, default=None, help="Frobenius power (default 1)")
         p.add_argument("--out", default=None)
         p.add_argument("--format", default=None, choices=("json", "csv"))
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("poset", help="coset order as a DOT Hasse diagram")
     pp.add_argument("--n", type=int, default=None)
-    pp.add_argument("--mu", required=True)
+    pp.add_argument("--mu", required=True, help=mu_help)
     pp.add_argument("--out", default=None)
     pp.add_argument("--format", default="dot", choices=("dot", "json"))
 

@@ -19,8 +19,8 @@ against it:
 On it rest Gaussian inversion with valuation-aware pivoting and the
 diagonal decomposition x = a * diag(pi^d) * b over the two discrete
 valuation rings (pi = t or p), which yields d and the reductions of a and
-b, the integral factors of unit reduction; on a `_live` matrix both skip
-the entries they never read again.
+b, the integral factors of unit reduction.  Both compute only the entries
+they read again, one loop for either ring.
 F_q elements are int codes throughout: F_q matrices of any size are flat
 row-major tuples of them, which one Gauss-Jordan loop inverts, tests and puts
 in `coset`'s canonical form.
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from .errors import InsufficientPrecision, NotInvertible, SpecMismatch
 from .gf import FieldSpec
-from .series import LaurentElt
 
 _INF = 10**9
 
@@ -87,16 +86,13 @@ class Mat:
     # -- inversion --------------------------------------------------------------
 
     def inverse(self) -> "Mat":
-        """Gauss-Jordan with minimal-valuation pivot selection.
-
-        The columns of w at and left of the pivot are never read again, and
-        a `_live` matrix skips them.
-        """
+        """Gauss-Jordan with minimal-valuation pivot selection.  The columns
+        of w at and left of the pivot are never read again, so each step
+        updates only the columns right of it."""
         n = self.n
         w = [list(r) for r in self.rows]
         one = self.rows[0][0].one_at(self.min_precision())
         aug = [list(r) for r in Mat.identity(n, one).rows]
-        live = _live(w)
         for col in range(n):
             piv = _select_pivot(w, rows=range(col, n), cols=[col])
             if piv is None:
@@ -105,10 +101,9 @@ class Mat:
             if i != col:
                 w[col], w[i] = w[i], w[col]
                 aug[col], aug[i] = aug[i], aug[col]
-            first = col + 1 if live else 0
             pinv = w[col][col].inverse()
-            prow = [pinv * x for x in w[col][first:]]
-            w[col][first:] = prow
+            prow = [pinv * x for x in w[col][col + 1:]]
+            w[col][col + 1:] = prow
             aug[col] = [pinv * x for x in aug[col]]
             for r in range(n):
                 if r == col:
@@ -116,12 +111,12 @@ class Mat:
                 c = w[r][col]
                 if c.valuation() is None:
                     continue
-                w[r][first:] = [x.sub_mul(c, y) for x, y in zip(w[r][first:], prow)]
+                w[r][col + 1:] = [x.sub_mul(c, y) for x, y in zip(w[r][col + 1:], prow)]
                 aug[r] = [x.sub_mul(c, y) for x, y in zip(aug[r], aug[col])]
         return Mat(aug)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and other.rows == self.rows
+        return type(other) is Mat and other.rows == self.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -129,13 +124,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(", ".join(repr(x) for x in r) for r in self.rows)
         return f"Mat[{body}]"
-
-
-def _live(w) -> bool:
-    """Laurent entries with no empty window: products, sub_mul, shifts and
-    inverses keep windows nonempty, so no product an elimination skips could
-    raise.  Others update every entry, to raise what a product there raises."""
-    return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)
 
 
 def _select_pivot(w, rows, cols):
@@ -249,9 +237,9 @@ def snf_residues(x: Mat):
     divided by the pivot of least valuation), and reduction mod pi commutes
     with integral row and column operations (Serre, Local Fields, II), so a
     and b are carried mod pi from the start.  d, a and b read only the pivot
-    and the trailing submatrix of w, so at step k a `_live` x scales the pivot
-    row and clears column k on columns >= k (the zeros left in column k cut
-    the windows they meet), clears row k on rows > k, and at the last step
+    and the trailing submatrix of w, so step k scales the pivot row and
+    clears column k on columns >= k (the zeros left in column k cut the
+    windows they meet), clears row k on rows > k, and at the last step
     neither inverts nor scales.
     """
     n = x.n
@@ -263,7 +251,6 @@ def snf_residues(x: Mat):
     a = list(flat_identity(n))
     b = list(flat_identity(n))
     d = [0] * n
-    live = _live(w)
 
     for k in range(n):
         piv = _select_pivot(w, rows=range(k, n), cols=range(k, n))
@@ -282,23 +269,23 @@ def snf_residues(x: Mat):
         v = w[k][k].valuation()
         d[k] = v
         unit = w[k][k].shifted(-v)
-        lo, rest = (k, range(k + 1, n)) if live else (0, range(n))
+        rest = range(k + 1, n)
         if rest:  # scale the pivot row to pi^v
             uinv = unit.inverse()
-            w[k][lo:] = [uinv * c for c in w[k][lo:]]
+            w[k][k:] = [uinv * c for c in w[k][k:]]
         # a picks up the unit on its column
         by_u = mul[unit.residue_code()]
         a[k::n] = [by_u[c] for c in a[k::n]]
         # pivot row is now normalized to pi^v, so quotients are plain shifts
         for i in rest:
-            if i == k or w[i][k].valuation() is None:
+            if w[i][k].valuation() is None:
                 continue
             c = w[i][k].shifted(-v)
-            w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]
+            w[i][k:] = [p.sub_mul(c, q) for p, q in zip(w[i][k:], w[k][k:])]
             by_c = mul[c.residue_code()]
             a[k::n] = [add[p][by_c[q]] for p, q in zip(a[k::n], a[i::n])]
         for j in rest:
-            if j == k or w[k][j].valuation() is None:
+            if w[k][j].valuation() is None:
                 continue
             c = w[k][j].shifted(-v)
             for r in rest:

@@ -11,8 +11,11 @@ plainly correct; the tests compare the code-based `LaurentElt` against it.
 Gauss-Jordan loop that updates every column with a product and then a
 difference, and `full_diagonalize` is the diagonal decomposition that
 updates every row and column at every step; the tests compare
-`grpdata.times_mu`, `sub_mul`, the live-column `Mat.inverse` and the
-live-submatrix `snf_residues` against them, in both rings.  Only
+`grpdata.times_mu`, `sub_mul`, `Mat.inverse` and `snf_residues` against
+them, in both rings.  `Mat.inverse` and `snf_residues` compute only the
+entries they read again, so the two loops have a poison mode: an update
+of an entry that those skip, if it raises, leaves POISON, which no later
+step may read, where the plain loop would raise.  Only
 `full_diagonalize` carries a and b in full, and `factorization_overclaims`
 checks its decompositions against x.  `running_sum_product` is the matrix
 product that builds every entry as a running sum of built products, which
@@ -457,9 +460,50 @@ def full_left_h_mat(spec: FieldSpec, mu: Cocharacter, prec: int, rng) -> Mat:
         return g
 
 
-def full_inverse(m: Mat) -> Mat:
+class PoisonRead(AssertionError):
+    """An oracle read an entry that a poison-mode update left poisoned."""
+
+
+class _Poison:
+    """What a raising update leaves, in poison mode, in an entry of w that the
+    one rule of `Mat.inverse` and `snf_residues` never computes.  Reading it
+    in any way, an attribute or an operator, raises `PoisonRead`."""
+
+    def _read(self, *args):
+        raise PoisonRead("a poison entry was read")
+
+    __getattr__ = __mul__ = __rmul__ = __add__ = __radd__ = _read
+
+
+POISON = _Poison()
+
+
+def _update(skipped: bool, build, *operands):
+    """build(), an update of an entry of w.  `skipped` marks, in poison mode,
+    an entry the one rule never computes: it is POISON when an operand is
+    POISON or build() raises.  Any other update reads a POISON operand."""
+    if not skipped:
+        return build()
+    if any(x is POISON for x in operands):
+        return POISON
+    try:
+        return build()
+    except LoopZipError:
+        return POISON
+
+
+def _zero(x, skipped: bool) -> bool:
+    """Whether x, an elimination's guard entry, is zero within its window.
+    In a row or column that the one rule skips (`skipped`), every entry an
+    update computes is zero, so POISON there counts as zero."""
+    return skipped and x is POISON or x.valuation() is None
+
+
+def full_inverse(m: Mat, poison: bool = False) -> Mat:
     """Gauss-Jordan with minimal-valuation pivot selection, every column of
-    w updated by a product and then a difference."""
+    w updated by a product and then a difference.  With `poison`, an update
+    of a column at or left of the pivot, which `Mat.inverse` skips, leaves
+    POISON where it raises."""
     n = m.n
     w = [list(r) for r in m.rows]
     one = m.rows[0][0].one_at(m.min_precision())
@@ -473,7 +517,8 @@ def full_inverse(m: Mat) -> Mat:
             w[col], w[i] = w[i], w[col]
             aug[col], aug[i] = aug[i], aug[col]
         pinv = w[col][col].inverse()
-        w[col] = [pinv * x for x in w[col]]
+        w[col] = [_update(poison and j <= col, lambda x=x: pinv * x, x)
+                  for j, x in enumerate(w[col])]
         aug[col] = [pinv * x for x in aug[col]]
         for r in range(n):
             if r == col:
@@ -481,15 +526,21 @@ def full_inverse(m: Mat) -> Mat:
             c = w[r][col]
             if c.valuation() is None:
                 continue
-            w[r] = [difference(x, c * y) for x, y in zip(w[r], w[col])]
+            w[r] = [_update(poison and j <= col, lambda x=x, y=y: difference(x, c * y), x, y)
+                    for j, (x, y) in enumerate(zip(w[r], w[col]))]
             aug[r] = [difference(x, c * y) for x, y in zip(aug[r], aug[col])]
     return Mat(aug)
 
 
-def full_diagonalize(x: Mat, residues: bool):
+def full_diagonalize(x: Mat, residues: bool, poison: bool = False):
     """`snf_residues`' decomposition x = a * diag(pi^d) * b, updating every
     row and column of w at every step: (a, d, b) with a and b integral
-    matrices of unit reduction, or snf_residues' triple when `residues`."""
+    matrices of unit reduction, or snf_residues' triple when `residues`.
+    With `poison`, an update that snf_residues skips leaves POISON where it
+    raises: at step k, of an entry in a row or column left of k, of the
+    pivot row right of the pivot in the column elimination, and at the last
+    step the unit's inverse and the scaled pivot row; a guard entry left of
+    k that is POISON counts as zero (`_zero`)."""
     n = x.n
     w = [list(r) for r in x.rows]
     # built in both modes, so that a window below 1 raises in both
@@ -521,9 +572,11 @@ def full_diagonalize(x: Mat, residues: bool):
         v = w[k][k].valuation()
         d[k] = v
         unit = w[k][k].shifted(-v)
-        uinv = unit.inverse()
+        last = poison and k == n - 1
+        uinv = _update(last, unit.inverse)
         # scale the pivot row to pi^v; a picks up the unit on its column
-        w[k] = [uinv * c for c in w[k]]
+        w[k] = [_update(last or poison and j < k, lambda c=c: uinv * c, uinv, c)
+                for j, c in enumerate(w[k])]
         if residues:
             by_u = mul[unit.residue_code()]
             for r in range(n):
@@ -533,10 +586,11 @@ def full_diagonalize(x: Mat, residues: bool):
                 a[r][k] = a[r][k] * unit
         # pivot row is now normalized to pi^v, so quotients are plain shifts
         for i in range(n):
-            if i == k or w[i][k].valuation() is None:
+            if i == k or _zero(w[i][k], poison and i < k):
                 continue
             c = w[i][k].shifted(-v)
-            w[i] = [p.sub_mul(c, q) for p, q in zip(w[i], w[k])]
+            w[i] = [_update(poison and (i < k or j < k), lambda p=p, q=q: p.sub_mul(c, q), p, q)
+                    for j, (p, q) in enumerate(zip(w[i], w[k]))]
             if residues:
                 by_c = mul[c.residue_code()]
                 for r in range(n):
@@ -545,11 +599,12 @@ def full_diagonalize(x: Mat, residues: bool):
                 for r in range(n):
                     a[r][k] = a[r][k] + a[r][i] * c
         for j in range(n):
-            if j == k or w[k][j].valuation() is None:
+            if j == k or _zero(w[k][j], poison and j < k):
                 continue
             c = w[k][j].shifted(-v)
             for r in range(n):
-                w[r][j] = w[r][j].sub_mul(w[r][k], c)
+                w[r][j] = _update(poison and (r <= k or j < k),
+                                  lambda: w[r][j].sub_mul(w[r][k], c), w[r][j], w[r][k])
             if residues:
                 by_c = mul[c.residue_code()]
                 b[k] = [add[p][by_c[q]] for p, q in zip(b[k], b[j])]
@@ -584,10 +639,10 @@ def entry_form(x) -> tuple:
 def stored(build):
     """The entry forms of what build() returns, an entry or a matrix, the
     residue triple of a decomposition as it is, or the class and message of
-    the loopzip error it raises."""
+    the loopzip error or the `PoisonRead` it raises."""
     try:
         out = build()
-    except LoopZipError as exc:
+    except (LoopZipError, PoisonRead) as exc:
         return type(exc).__name__, str(exc)
     if isinstance(out, Mat):
         return [entry_form(x) for r in out.rows for x in r]
@@ -726,42 +781,62 @@ def product_mismatches(cases: int, seed: int) -> tuple:
     return cases, bad, errors, shapes
 
 
+def _against_poison_oracle(got, oracle) -> tuple:
+    """(mismatch, poison read, returned): whether got differs from the poison
+    mode of the oracle, whether that mode read a poison entry, and whether
+    got is a result where the plain oracle raises."""
+    want = stored(lambda: oracle(True))
+    return (got != want, want[0] == PoisonRead.__name__,
+            not raised(got) and raised(stored(lambda: oracle(False))))
+
+
 def inverse_mismatches(cases: int, seed: int) -> tuple:
-    """(cases, mismatches, errors): `Mat.inverse` against `full_inverse` on
-    random matrices of both rings, n <= 3, with some entries of random shape."""
+    """(cases, mismatches, errors, poison reads, returned): `Mat.inverse`
+    against the poison mode of `full_inverse` on random matrices of both
+    rings, n <= 3, with some entries of random shape; `returned` counts the
+    inverses that the plain `full_inverse` refuses."""
     rng = random.Random(seed)
-    bad = errors = 0
+    bad = errors = poisoned = returned = 0
     for _ in range(cases):
         x = random_matrix(random_one(rng), rng.randrange(1, 4), rng, rng.choice((0, 0.1, 0.3)))
         got = stored(x.inverse)
-        bad += got != stored(lambda: full_inverse(x))
+        mismatch, poison_read, rescued = _against_poison_oracle(
+            got, lambda poison: full_inverse(x, poison))
+        bad += mismatch
+        poisoned += poison_read
+        returned += rescued
         errors += raised(got)
-    return cases, bad, errors
+    return cases, bad, errors, poisoned, returned
 
 
 def diagonalize_mismatches(cases: int, seed: int) -> tuple:
-    """(cases, mismatches, errors, empty): snf_residues against
-    `full_diagonalize`, the draws taken in turn from `random_matrix` over
-    both rings (n <= 3, some entries of random shape) and from the
-    `random_pole_matrix` of this module and of `witt_oracle`.  A case is a
-    mismatch when the residue triples or the errors differ, an error when
-    snf_residues raises, and `empty` counts the Laurent inputs with an
-    empty window."""
+    """(cases, mismatches, errors, empty, poison reads, returned):
+    snf_residues against the poison mode of `full_diagonalize`, the draws
+    taken in turn from `random_matrix` over both rings (n <= 3, some entries
+    of random shape) and from the `random_pole_matrix` of this module and of
+    `witt_oracle`.  A case is a mismatch when the residue triples or the
+    errors differ, an error when snf_residues raises; `empty` counts the
+    Laurent inputs with an empty window, and `returned` the decompositions
+    that the plain `full_diagonalize` refuses."""
     from witt_oracle import random_pole_matrix as witt_pole_matrix  # witt_oracle imports this module
     rng = random.Random(seed)
     draws = (lambda: random_matrix(random_one(rng), rng.randrange(1, 4), rng,
                                    rng.choice((0, 0.1, 0.3))),
              lambda: random_pole_matrix(rng),
              lambda: witt_pole_matrix(rng))
-    bad = errors = empty = 0
+    bad = errors = empty = poisoned = returned = 0
     for case in range(cases):
         x = draws[case % 3]()
         got = stored(lambda: snf_residues(x))
-        bad += got != stored(lambda: full_diagonalize(x, True))
+        mismatch, poison_read, rescued = _against_poison_oracle(
+            got, lambda poison: full_diagonalize(x, True, poison))
+        bad += mismatch
+        poisoned += poison_read
+        returned += rescued
         errors += raised(got)
         empty += isinstance(x.rows[0][0], LaurentElt) and any(
             e.v == e.prec for r in x.rows for e in r)
-    return cases, bad, errors, empty
+    return cases, bad, errors, empty, poisoned, returned
 
 
 # -- exact check of a decomposition x = a diag(t^d) b ---------------------------------
@@ -837,20 +912,24 @@ if __name__ == "__main__":
     # PYTHONPATH=src:tests python tests/laurent_oracle.py: the full comparisons
     total = 0
     for name, compare, cases in [("times_mu", times_mu_mismatches, 40_000),
-                                 ("sub_mul", sub_mul_mismatches, 320_000),
-                                 ("inverse", inverse_mismatches, 90_000)]:
+                                 ("sub_mul", sub_mul_mismatches, 320_000)]:
         cases, bad, errors = compare(cases, seed=1)
         total += bad
         print(f"{name}: {cases} cases, {errors} raised, {bad} mismatches")
+    cases, bad, errors, poisoned, returned = inverse_mismatches(90_000, seed=1)
+    total += bad
+    print(f"inverse: {cases} cases, {errors} raised, {bad} mismatches, {poisoned} poison reads; "
+          f"{returned} inverted where the plain full loop raises")
     cases, bad, errors, shapes = product_mismatches(60_000, seed=1)
     total += bad
     print(f"product: {cases} cases, {errors} raised, {bad} mismatches; reached "
           + ", ".join(sorted(shapes)))
     # 20,000 draws from each of the three generators
-    cases, bad, errors, empty = diagonalize_mismatches(60_000, seed=1)
+    cases, bad, errors, empty, poisoned, returned = diagonalize_mismatches(60_000, seed=1)
     total += bad
     print(f"diagonalize: {cases} cases, {empty} with an empty Laurent window, "
-          f"{errors} raised, {bad} mismatches")
+          f"{errors} raised, {bad} mismatches, {poisoned} poison reads; "
+          f"{returned} decomposed where the plain full loop raises")
     for seed in (0, 1):
         decomposed, flagged, refused = factorization_sweep(2000, seed)
         print(f"factorization sweep, seed {seed}: 2000 matrices, {refused} refused, "

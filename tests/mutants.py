@@ -76,29 +76,23 @@ MUTANTS = [
     # the dealt listing of the minimal coset representatives
     ("W4", "weyl.py", "key=lambda w: (w.length(), w.line))", "key=lambda w: w.line)",
      ["tests/test_weyl.py::test_min_coset_reps_match_the_filter"]),
-    # the shared predicate of the live eliminations, Mat.inverse and snf_residues
-    ("L1", "matring.py",
-     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "return True",
-     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop",
-      "tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
-    ("L2", "matring.py",
-     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "return isinstance(w[0][0], LaurentElt)",
-     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop",
-      "tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
-    ("L3", "matring.py",
-     "return isinstance(w[0][0], LaurentElt) and all(x.v < x.prec for r in w for x in r)",
-     "return not isinstance(w[0][0], LaurentElt) or all(x.v < x.prec for r in w for x in r)",
-     ["tests/test_matring.py::test_live_column_inverse_matches_the_full_loop"]),
-    # the live row elimination of snf_residues leaves column k's zeros out
+    # the one elimination rule: Mat.inverse updates the columns right of the pivot
+    ("E1", "matring.py",
+     "w[r][col + 1:] = [x.sub_mul(c, y) for x, y in zip(w[r][col + 1:], prow)]",
+     "w[r][col + 2:] = [x.sub_mul(c, y) for x, y in zip(w[r][col + 2:], prow[1:])]",
+     ["tests/test_matring.py::test_inverse_matches_the_full_loop_with_poisoned_skips"]),
+    # snf_residues scales the pivot itself, and its row elimination leaves
+    # column k's zeros in place
+    ("E2", "matring.py", "w[k][k:] = [uinv * c for c in w[k][k:]]",
+     "w[k][k + 1:] = [uinv * c for c in w[k][k + 1:]]",
+     ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),
     ("L4", "matring.py",
-     "w[i][lo:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo:], w[k][lo:])]",
-     "w[i][lo + live:] = [p.sub_mul(c, q) for p, q in zip(w[i][lo + live:], w[k][lo + live:])]",
-     ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
+     "w[i][k:] = [p.sub_mul(c, q) for p, q in zip(w[i][k:], w[k][k:])]",
+     "w[i][k + 1:] = [p.sub_mul(c, q) for p, q in zip(w[i][k + 1:], w[k][k + 1:])]",
+     ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),
     # the residue elimination: a's column k picks up the pivot's unit
     ("R1", "matring.py", "a[k::n] = [by_u[c] for c in a[k::n]]", "pass",
-     ["tests/test_matring.py::test_live_submatrix_snf_matches_the_full_loop"]),
+     ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),
     # the fused matrix product: its window ends where the least product window ends
     ("P1", "series.py", "prec = min(term[4] for term in terms)", "prec = terms[0][4]",
      ["tests/test_matring.py::test_fused_product_matches_the_running_sum"]),

@@ -62,6 +62,22 @@ def test_verify_nonsorted_mu_exit_2(capsys):
     assert code == 2
 
 
+def test_negative_first_weight_after_a_space_reads_as_an_option(capsys):
+    # argparse takes "-1,-1" for an option, so --mu gets no value
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "psi", "--q", "2", "--mu", "-1,-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("loopzip verify: error: argument --mu: expected one argument\n")
+
+
+def test_negative_first_weight_in_the_equals_form_passes_psi(capsys):
+    code, out, _ = run_cli(["verify", "--suite", "psi", "--q", "2", "--mu=-1,-1"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] and report["config"]["mu"] == [-1, -1]
+
+
 def test_unknown_suite_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nope", "--mu", "1,0"])

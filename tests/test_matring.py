@@ -22,7 +22,7 @@ from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
 from laurent_oracle import (diagonal, diagonalize_mismatches, factorization_overclaims,
                             factorization_sweep, from_coeff_list, full_diagonalize,
-                            inverse_mismatches, product_mismatches, stored,
+                            full_inverse, inverse_mismatches, product_mismatches, stored,
                             sub_mul_mismatches)
 from witt_oracle import p_power, witt_mat
 
@@ -256,6 +256,21 @@ def test_witt_matrix_inverse():
         assert prod.congruent_mod(ident, prod.min_precision())
 
 
+def test_witt_inverse_skips_a_product_left_of_the_pivot_that_has_no_digits():
+    # over W_2(F_4), the full loop's update left of the second pivot has no
+    # provable digits and refuses this matrix; nothing reads that entry, so
+    # Mat.inverse inverts it
+    x = witt_mat(WittCtx.get(FieldSpec.for_q(4), 2), [[(0, (2, 1)), (1, (1, 2))],
+                                                      [(0, (1, 2)), (0, (3, 2))]])
+    assert repr(x) == ("Mat[(w, 1) + O(p^2), p^-1*(1, w) + O(p^1); "
+                       "(1, w) + O(p^2), (1 + w, w) + O(p^2)]")
+    assert stored(lambda: full_inverse(x)) == ("InsufficientPrecision",
+                                               "product has no provable digits")
+    prod = x * x.inverse()
+    assert prod.min_precision() == 1
+    assert prod.congruent_mod(Mat.identity(2, x.rows[0][0].one_at(1)), 1)
+
+
 def test_sub_mul_stores_what_product_then_difference_stores():
     cases, bad, errors = sub_mul_mismatches(8000, seed=5)
     assert bad == 0
@@ -272,23 +287,27 @@ def test_fused_product_matches_the_running_sum():
     assert shapes == {"empty window", "pole", "stored leading zeros", "mixed fields"}
 
 
-def test_live_column_inverse_matches_the_full_loop():
+def test_inverse_matches_the_full_loop_with_poisoned_skips():
     # the same entries, or the same error and message, as the loop that
-    # updates every column; the sweep reaches the errors that only products
-    # left of the pivot raise
-    cases, bad, errors = inverse_mismatches(2000, seed=7)
-    assert bad == 0
+    # updates every column, once an update left of the pivot that raises
+    # leaves a poison entry that no later step may read; the sweep reaches
+    # the matrices that the plain full loop refuses and Mat.inverse inverts
+    cases, bad, errors, poisoned, returned = inverse_mismatches(2000, seed=7)
+    assert bad == poisoned == 0
     assert 0 < errors < cases
+    assert returned > 0
 
 
-def test_live_submatrix_snf_matches_the_full_loop():
+def test_snf_matches_the_full_loop_with_poisoned_skips():
     # snf_residues gives what the loop that updates every row and column
-    # gives, residues or error and message; the slice holds Laurent inputs
-    # with an empty window, where only the full loop is safe
-    cases, bad, errors, empty = diagonalize_mismatches(2000, seed=1)
-    assert bad == 0
+    # gives, residues or error and message, once an update outside the
+    # trailing submatrix that raises leaves a poison entry; the slice holds
+    # Laurent inputs with an empty window and decompositions that the plain
+    # full loop refuses
+    cases, bad, errors, empty, poisoned, returned = diagonalize_mismatches(2000, seed=1)
+    assert bad == poisoned == 0
     assert 0 < errors < cases
-    assert empty > 0
+    assert empty > 0 and returned > 0
 
 
 def test_snf_rejects_zero_window_matrix():

@@ -165,6 +165,60 @@ def test_matrix_entry_protocol_is_what_both_entry_types_share():
     assert sorted(shared) == sorted(protocol | {"one", "zero", "is_integral", "congruent_mod"})
 
 
+def test_matrix_kernel_reads_its_entries_only_through_the_protocol():
+    # matring imports neither entry module and tests no type with isinstance,
+    # so Mat.inverse and snf_residues cannot fork on the ring
+    tree = ast.parse((SRC / "matring.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert sorted(imported & {"series", "witt", "loopzip.series", "loopzip.witt"}) == []
+    assert "gf" in imported
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == "isinstance"] == []
+
+
+def _code_names() -> set:
+    """Every name that the Python files under src/, tests/ and perfbench/
+    define or read: module, class, function, argument and keyword names,
+    names and attributes, imported names and identifier-like string
+    constants."""
+    root = SRC.parent.parent
+    names = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in sorted((root / top).rglob("*.py")):
+            names |= set(path.relative_to(root / top).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, (ast.arg, ast.keyword)):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."), [node.asname or node.name])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and re.fullmatch(r"\w+", node.value):
+                    names.add(node.value)
+    return names
+
+
+def test_readme_names_only_what_the_code_defines_or_reads():
+    # every backticked identifier in README.md, dotted or not and with or
+    # without an argument list, is a file at the root of the repository or
+    # has every part defined or read in the code, so a deleted name is seen
+    root = SRC.parent.parent
+    names = _code_names()
+    spans = re.findall(r"`([^`\n]+)`", (root / "README.md").read_text())
+    dotted = [m.group(1) for m in (re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?",
+                                                span) for span in spans) if m]
+    assert len(dotted) >= 100
+    assert sorted({name for name in dotted if not (root / name).is_file()
+                   and any(part not in names for part in name.split("."))}) == []
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # every command pays for the modules `import loopzip.cli` adds to a bare
     # interpreter at start-up; dataclasses alone pulls in inspect, dis, ast
