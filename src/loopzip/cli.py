@@ -4,10 +4,11 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage,
 input, precision or budget error.  Input errors include a `verify
 --prec` at or below the largest weight of `--mu` (t^mu is not
 representable, so no suite runs) and a `verify --suite witt` whose mixed
-census cannot run.  `verify --suite all` runs suite witt without that
-census and notes it on stderr, as `verify` notes a suite lemmas run
-without its exhaustive checks.  All output is deterministic given the
-flags and the seed.
+census cannot run.  Suites psi, witt and weyl raise `--prec` to the
+working precision of `--mu`, `coset.default_precision`.  `verify --suite
+all` runs suite witt without that census and notes it on stderr, as
+`verify` notes a suite lemmas run without its exhaustive checks.  All
+output is deterministic given the flags and the seed.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=tuple(SUITES) + ("all",))
     pv.add_argument("--prec", type=int, default=6,
                     help="working precision; psi, witt and weyl raise it to the "
-                         "safe floor of --mu, lemmas and prozip run at it as given")
+                         "working precision of --mu, lemmas and prozip run at it as given")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--samples", type=_positive_int, default=100)
 

@@ -32,8 +32,6 @@ from .grpdata import (
 )
 from .matring import (
     Mat,
-    assert_cartan_precision,
-    cartan_precision_floor,
     flat_identity,
     flat_inverse,
     gauss_jordan,
@@ -44,13 +42,13 @@ from .witt import WittCtx, WittFraction
 
 
 def default_precision(mu: Cocharacter) -> int:
-    """Working window for the class pipeline of mu, at least 6.
-
-    A pair matrix built at window P is known only to P + min(0, d_min),
-    so a negative weight raises the window by -d_min above the Cartan floor.
-    """
-    w = mu.weights
-    return max(6, cartan_precision_floor(w) + max(0, -min(w)))
+    """The suites' Laurent window for mu, which reports print as "precision":
+    the Cartan bound max(2 (d_max - d_min) + 2, 2 max|d_i| + 1), at least 6,
+    raised by -d_min, since a pair matrix built at window P is known only to
+    P + min(0, d_min).  class_of needs less: entries known past pi^(d_max)."""
+    dmax, dmin = max(mu.weights), min(mu.weights)
+    cartan = max(2 * (dmax - dmin) + 2, 2 * max(dmax, -dmin) + 1)
+    return max(6, cartan + max(0, -dmin))
 
 
 def _left_half(spec: FieldSpec, mu: Cocharacter, g, h) -> tuple:
@@ -169,25 +167,15 @@ def _witt_entry(one: WittFraction, d, codes, known: int) -> WittFraction:
     return WittFraction(one.ctx, e, num, known).stripped()
 
 
-MIXED_PRIMES = (2, 3)  # residue characteristics the Witt pipeline runs at
-MIXED_LENGTH = 3  # the least Witt length it runs at, and the mixed census's length
+MIXED_PRIMES = (2, 3)  # residue characteristics of suite witt's ghost checks and census
+MIXED_LENGTH = 3  # the Witt length of the mixed census
 MIXED_CENSUS_NEEDS = ("the mixed census of suite witt needs p in {2, 3}, n <= 2 "
                       "and weights with |d_i| <= 1")
 
 
-def _mixed_refusal(p: int, length: int, mu: Cocharacter) -> str | None:
-    """Why class_of cannot classify Witt matrices of length `length` over
-    residue characteristic p in the cell of mu, or None when it can."""
-    if p not in MIXED_PRIMES or length < MIXED_LENGTH:
-        return "mixed pipeline needs p in {2,3} and length >= 3"
-    if max(abs(w) for w in mu.weights) > 1:
-        return "mixed pipeline supports weights |d| <= 1"
-    return None
-
-
 def mixed_census_applies(spec: FieldSpec, mu: Cocharacter) -> bool:
-    """Whether the mixed census runs on (spec, mu), as MIXED_CENSUS_NEEDS states."""
-    return mu.n <= 2 and _mixed_refusal(spec.p, MIXED_LENGTH, mu) is None
+    """Whether suite witt runs its mixed census on (spec, mu), as MIXED_CENSUS_NEEDS states."""
+    return mu.n <= 2 and spec.p in MIXED_PRIMES and max(map(abs, mu.weights)) <= 1
 
 
 def class_of(x: Mat, mu: Cocharacter) -> tuple:
@@ -196,18 +184,18 @@ def class_of(x: Mat, mu: Cocharacter) -> tuple:
     Decomposes x = a mu(pi) b, reduces a and b modulo pi, and canonicalizes
     the pair (abar^(-1), bbar); replacing a by abar or b by bbar moves x
     only by depth-one kernel factors, which the double coset absorbs.
+    Minimal-valuation pivoting never shrinks a window and reduction mod pi
+    commutes with integral row and column operations (Serre, Local Fields,
+    II), so in either ring this decides every x known past pi^(d_max).
     """
-    entry = x.rows[0][0]
-    if isinstance(entry, WittFraction):
-        refusal = _mixed_refusal(entry.ctx.p, entry.ctx.length, mu)
-        if refusal:
-            raise InsufficientPrecision(refusal)
-    else:
-        assert_cartan_precision(mu.weights, x.min_precision())
+    known, top = x.min_precision(), max(0, *mu.weights)
+    if known <= top:
+        raise InsufficientPrecision(
+            f"precision {known} below safe floor {top + 1} for weights {mu.weights}")
     abar, d, bbar = snf_residues(x)
     if tuple(d) != mu.weights:
         raise WrongCell(f"diagonal weights {d} differ from {mu.weights}")
-    spec = entry.spec
+    spec = x.rows[0][0].spec
     return canonical_flat(spec, mu, flat_inverse(spec, mu.n, abar), bbar)
 
 

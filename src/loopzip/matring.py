@@ -298,16 +298,3 @@ def snf_residues(x: Mat):
     abar = tuple(a[r + c] for r in range(0, n * n, n) for c in order)
     return abar, tuple(d[i] for i in order), tuple(c for i in order for c in b[i::n])
 
-
-def cartan_precision_floor(weights) -> int:
-    """Minimal safe Laurent working precision for the given weight vector."""
-    dmax, dmin = max(weights), min(weights)
-    return max(2 * (dmax - dmin) + 2, 2 * max(abs(dmax), abs(dmin)) + 1)
-
-
-def assert_cartan_precision(weights, prec: int) -> None:
-    floor = cartan_precision_floor(weights)
-    if prec < floor:
-        raise InsufficientPrecision(
-            f"precision {prec} below safe floor {floor} for weights {tuple(weights)}"
-        )

@@ -22,18 +22,22 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch
+from .errors import InsufficientPrecision, NotAUnit, NotIntegral, SpecMismatch, check_budget
 from .gf import FieldSpec, poly_mul_reduce
+
+# elements of the largest ring whose tables a context builds, W_4(F_9)
+WITT_TABLE_CAP = 6_561
 
 
 class WittCtx:
     """W_N(F_q) as GR(p^N, m); elements are tuples of m ints in [0, p^N)."""
 
     def __init__(self, spec: FieldSpec, length: int):
-        if not 1 <= length <= 4:
-            raise ValueError("length must be 1..4")
-        if spec.p > 3 and length > 2:
-            raise ValueError(f"p={spec.p} supported only to length 2")
+        if length < 1:
+            raise ValueError("length must be at least 1")
+        size = spec.q**length
+        check_budget(size <= WITT_TABLE_CAP, "Witt ring tables",
+                     f"W_{length}(F_{spec.q}) of {size:,} elements", f"{WITT_TABLE_CAP:,} elements")
         self.spec = spec
         self.p = spec.p
         self.length = length

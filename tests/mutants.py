@@ -90,6 +90,9 @@ MUTANTS = [
      "w[i][k:] = [p.sub_mul(c, q) for p, q in zip(w[i][k:], w[k][k:])]",
      "w[i][k + 1:] = [p.sub_mul(c, q) for p, q in zip(w[i][k + 1:], w[k][k + 1:])]",
      ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),
+    # class_of's one precision guard: a window at d_max is refused
+    ("G1", "coset.py", "if known <= top:", "if known < top:",
+     ["tests/test_coset.py::test_class_of_refuses_a_pair_matrix_known_only_to_d_max"]),
     # the residue elimination: a's column k picks up the pivot's unit
     ("R1", "matring.py", "a[k::n] = [by_u[c] for c in a[k::n]]", "pass",
      ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),

@@ -8,6 +8,7 @@ from loopzip.gf import FieldSpec
 from loopzip.grpdata import (
     Cocharacter,
     enumerate_gl_flat,
+    random_gl_flat,
     random_k1_mat,
 )
 from loopzip.coset import (
@@ -28,7 +29,6 @@ from loopzip.coset import (
 )
 from loopzip.matring import (
     Mat,
-    cartan_precision_floor,
     flat_identity,
     flat_inverse,
     flat_invertible,
@@ -480,13 +480,17 @@ def test_rescaling_check_fails_when_one_class_moves_only_at_k_mu(monkeypatch):
 @pytest.mark.parametrize("weights", [(1, -1), (0, -1), (2, -1), (1, 0, -1), (1, 0), (2, 0)])
 def test_default_precision_covers_negative_weights(weights):
     # a pair matrix built at window P is known to P + min(0, d_min), which
-    # must still reach the floor that class_of asserts
+    # class_of admits from P = max(0, d_max) - min(0, d_min) + 1 on; the
+    # suites' window is at or above that, and one window below it is refused
     mu = Cocharacter(weights)
-    one = LaurentElt.one(F2, default_precision(mu))
+    least = max(0, *weights) - min(0, *weights) + 1
+    assert default_precision(mu) >= least
     ident = flat_identity(mu.n)
-    x = pair_matrix(mu, ident, ident, one)
-    assert x.min_precision() >= cartan_precision_floor(mu.weights)
-    assert class_of(x, mu) == canonical_flat(F2, mu, ident, ident)
+    for prec in (least, default_precision(mu)):
+        x = pair_matrix(mu, ident, ident, LaurentElt.one(F2, prec))
+        assert class_of(x, mu) == canonical_flat(F2, mu, ident, ident)
+    with pytest.raises(InsufficientPrecision):
+        class_of(pair_matrix(mu, ident, ident, LaurentElt.one(F2, least - 1)), mu)
 
 
 def test_rescaling_gl3_block_weights():
@@ -542,17 +546,63 @@ def test_witt_class_of_p_mu():
     assert c == (flat_identity(2), flat_identity(2))
 
 
-@pytest.mark.parametrize("p,length,weights,message", [
-    (5, 2, (1, 0), "mixed pipeline needs p in {2,3} and length >= 3"),
-    (2, 2, (1, 0), "mixed pipeline needs p in {2,3} and length >= 3"),
-    (2, 3, (2, 0), "mixed pipeline supports weights |d| <= 1"),
-], ids=["p5-N2", "p2-N2", "mu2,0-N3"])
-def test_class_of_refuses_witt_matrices_outside_the_mixed_domain(p, length, weights, message):
-    mu = Cocharacter(weights)
-    x = mu_matrix(mu, WittFraction.one(WittCtx.get(FieldSpec.get(p, 1), length)))
+@pytest.mark.parametrize("p,length,weights", [(5, 2, (1, 0)), (2, 2, (1, 0)), (2, 3, (2, 0))],
+                         ids=["p5-N2", "p2-N2", "mu2,0-N3"])
+def test_class_of_refuses_witt_matrices_known_only_to_d_max(p, length, weights):
+    # p^mu classifies at any length that holds it, whatever p and the weights;
+    # with its unit entry cut to the window p^(d_max) it is refused
+    mu, top = Cocharacter(weights), max(weights)
+    one = WittFraction.one(WittCtx.get(FieldSpec.get(p, 1), length))
+    x = mu_matrix(mu, one)
+    assert class_of(x, mu) == (flat_identity(2), flat_identity(2))
+    cut = [list(r) for r in x.rows]
+    cut[1][1] = WittFraction(one.ctx, 0, one.num, top)
     with pytest.raises(InsufficientPrecision) as exc:
-        class_of(x, mu)
-    assert str(exc.value) == message
+        class_of(Mat(cut), mu)
+    assert str(exc.value) == f"precision {top} below safe floor {top + 1} for weights {weights}"
+
+
+def test_class_of_refuses_a_pair_matrix_known_only_to_d_max():
+    # at (1, -1) and P = 2 every pair matrix of GL_2(F_2) is known only to
+    # t^1 = t^(d_max); 20 of the 36 would raise NotInvertible in the
+    # decomposition (a failed check, where the window is what is short)
+    mu = Cocharacter((1, -1))
+    one = LaurentElt.one(F2, 2)
+    gl = enumerate_gl_flat(F2, 2)
+    for g, h in itertools.product(gl, gl):
+        with pytest.raises(InsufficientPrecision,
+                           match=r"^precision 1 below safe floor 2 for weights \(1, -1\)$"):
+            class_of(pair_matrix(mu, g, h, one), mu)
+
+
+SWEEP_WEIGHTS = [(0, 0), (1, 0), (1, 1), (1, -1), (0, -1), (-1, -1), (2, 0), (2, 1), (2, -1),
+                 (0, -2), (3, 0), (1, 0, 0), (1, 0, -1)]
+
+
+@pytest.mark.parametrize("ring", ["laurent", "witt"])
+def test_class_of_decides_every_perturbed_pair_matrix_it_admits(ring):
+    # k1 x k2 for the pair matrix x of random g, h and random k1, k2 in K_1,
+    # at every window 1..5 that holds mu: admitted when known past pi^(d_max),
+    # and then of the class of (g, h), else refused with InsufficientPrecision
+    admitted = refused = 0
+    for q in (2, 3, 4):
+        spec = FieldSpec.for_q(q)
+        for weights in SWEEP_WEIGHTS:
+            mu, rng = Cocharacter(weights), random.Random(f"{ring}{q}{weights}")
+            for prec in range(pair_floor(mu, ring), 6):
+                one = ring_one(spec, ring, prec)
+                for _ in range(4):
+                    g, h = random_gl_flat(spec, mu.n, rng), random_gl_flat(spec, mu.n, rng)
+                    x = random_k1_mat(one, mu.n, rng) * pair_matrix(mu, g, h, one)
+                    x = x * random_k1_mat(one, mu.n, rng)
+                    if x.min_precision() > max(0, *weights):
+                        assert class_of(x, mu) == canonical_flat(spec, mu, g, h)
+                        admitted += 1
+                    else:
+                        with pytest.raises(InsufficientPrecision):
+                            class_of(x, mu)
+                        refused += 1
+    assert admitted and refused  # 528 and 84 Laurent, 528 and 36 Witt
 
 
 def test_witt_census_matches_laurent():
@@ -638,3 +688,7 @@ def test_k1_double_cosets_of_a_finite_model_are_the_class_of_fibres():
     # points, whose K1 x K1 orbits are the 6 classes, one per element of
     # GL_2(F_2); tests/coset_oracle.py runs (1,0) at P = 4 (18,432 points, 9)
     assert finite_model_partition((0, 0), 3) == (1536, 6, 6, 0)
+    # the cell of (1,0) at windows known past t^1 but under the Cartan bound
+    # of 4: its K1 x K1 orbits are the 9 classes, none split
+    assert finite_model_partition((1, 0), 2) == (72, 9, 9, 0)
+    assert finite_model_partition((1, 0), 3) == (1152, 9, 9, 0)

@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from loopzip.coset import class_census, default_precision, pair_matrix
+from loopzip.coset import class_census, class_of, default_precision, pair_matrix
 from loopzip.errors import InsufficientPrecision, NotInvertible
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_integral_mat, random_k1_mat
 from loopzip.matring import (
     Mat,
-    assert_cartan_precision,
-    cartan_precision_floor,
     flat_identity,
     flat_inverse,
     flat_invertible,
@@ -119,7 +117,7 @@ def _random_k(spec, n, prec, rng):
     (F2, 2, (1, -1)),
 ])
 def test_snf_remultiplication_oracle(spec, n, weights):
-    prec = max(6, cartan_precision_floor(weights))
+    prec = 6
     rng = random.Random(hash(weights) & 0xFFFF)
     for _ in range(60):
         k1 = _random_k(spec, n, prec, rng)
@@ -143,7 +141,7 @@ def test_snf_bulk_oracle_1000():
     menu = [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0)]
     while count < 1000:
         weights = menu[rng.randrange(len(menu))]
-        prec = max(6, cartan_precision_floor(weights))
+        prec = 6
         k1 = _random_k(F2, 2, prec, rng)
         k2 = _random_k(F2, 2, prec, rng)
         x = k1 * t_diag(F2, weights, prec) * k2
@@ -382,10 +380,22 @@ def test_snf_residues_pinned_on_witt_denominators(case):
 
 
 def test_precision_floor():
-    assert cartan_precision_floor((1, 0)) == 4
-    assert cartan_precision_floor((2, 0)) == 6
-    with pytest.raises(InsufficientPrecision):
-        assert_cartan_precision((2, 0), 5)
+    # the windows the reports print as "precision" keep their values
+    assert [default_precision(Cocharacter(w)) for w in ((1, 0), (2, 0), (3, 0), (1, -1))] == [
+        6, 6, 8, 7]
+    # class_of classifies a matrix known past t^(d_max) and refuses one whose
+    # least window is t^(d_max), whichever entry holds it: a unit or a zero
+    for weights in ((1, 0), (2, 0)):
+        mu, top = Cocharacter(weights), max(weights)
+        x = t_diag(F2, weights, top + 1)
+        assert class_of(x, mu) == (flat_identity(2), flat_identity(2))
+        one = LaurentElt.one(F2, top)
+        for (i, j), entry in (((1, 1), one), ((0, 1), one.zero_at(top))):
+            cut = [list(r) for r in x.rows]
+            cut[i][j] = entry
+            with pytest.raises(InsufficientPrecision) as exc:
+                class_of(Mat(cut), mu)
+            assert str(exc.value) == f"precision {top} below safe floor {top + 1} for weights {weights}"
 
 
 def test_flat_helpers_match_objects():

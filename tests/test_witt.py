@@ -3,7 +3,7 @@ import random
 import pytest
 
 from loopzip.cli import main
-from loopzip.errors import InsufficientPrecision, NotAUnit, NotIntegral
+from loopzip.errors import BudgetExceeded, InsufficientPrecision, NotAUnit, NotIntegral
 from loopzip.gf import FieldSpec
 from loopzip.matring import Mat
 from loopzip.witt import WittCtx, WittFraction, ghost_selftest
@@ -106,15 +106,24 @@ def test_structure_polys_deterministic():
 
 
 def test_length_cap():
+    # the structure polynomials of the oracle stop where their expansion grows
+    # too large; the Galois ring counts the elements of its tables instead
     with pytest.raises(ValueError):
         witt_structure_polys(2, 5)
     with pytest.raises(ValueError):
         witt_structure_polys(5, 3)
-    for length in (0, 5):
-        with pytest.raises(ValueError, match="length must be 1..4"):
-            WittCtx.get(F2, length)
-    with pytest.raises(ValueError, match="p=5 supported only to length 2"):
-        WittCtx.get(FieldSpec.get(5, 1), 3)
+    with pytest.raises(ValueError, match="length must be at least 1"):
+        WittCtx.get(F2, 0)
+    # W_4(F_9) (6,561 elements) is the largest ring; at each q, the longest
+    # ring within it is built and the next is refused
+    for q, longest in ((2, 12), (3, 8), (4, 6), (5, 5), (8, 4), (9, 4), (25, 2)):
+        spec = FieldSpec.for_q(q)
+        assert WittCtx.get(spec, longest).mod == spec.p**longest
+        size = q ** (longest + 1)
+        with pytest.raises(BudgetExceeded) as exc:
+            WittCtx.get(spec, longest + 1)
+        assert str(exc.value) == (f"Witt ring tables at W_{longest + 1}(F_{q}) of {size:,} "
+                                  "elements; the caps are 6,561 elements")
 
 
 def test_p5_short_length():
@@ -132,9 +141,11 @@ ORACLE_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("q,length", ORACLE_CONFIGS)
+@pytest.mark.parametrize("q,length", ORACLE_CONFIGS + [(2, 5), (2, 8), (3, 5), (4, 5), (5, 3),
+                                                       (5, 4)])
 def test_ring_tables_match_the_per_element_loops(q, length):
-    # every admitted context: its valuation, digit and inverse tables against
+    # the contexts of the structure polynomials and some beyond them (all in
+    # tests/witt_oracle.py): valuation, digit and inverse tables against
     # trial division, digit peeling and Newton lifting on every element
     elements, bad = table_mismatches(WittCtx.get(FieldSpec.for_q(q), length))
     assert elements == q**length
@@ -223,7 +234,7 @@ def test_ghost_oracle_catches_a_wrong_teichmuller_lift(monkeypatch, capsys, requ
 # -- arithmetic against the integer oracle ----------------------------------------
 
 
-@pytest.mark.parametrize("p,length", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p,length", [(2, 2), (2, 3), (3, 2), (2, 5), (5, 2)])
 def test_prime_field_arith_exhaustive(p, length):
     spec = FieldSpec.get(p, 1)
     ctx = WittCtx.get(spec, length)
@@ -238,10 +249,10 @@ def test_prime_field_arith_exhaustive(p, length):
 
 
 def test_ghost_selftest_500():
-    for p in (2, 3):
-        for length in (2, 3, 4):
-            rep = ghost_selftest(p, length, 500, seed=0)
-            assert rep["passed_samples"] == rep["samples"] == 500
+    # and p = 5 past length 2 and p = 2 past length 4, beyond the structure polynomials
+    for p, length in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 3), (5, 4), (2, 5)]:
+        rep = ghost_selftest(p, length, 500, seed=0)
+        assert rep["passed_samples"] == rep["samples"] == 500
 
 
 def test_oracle_is_bijective():
