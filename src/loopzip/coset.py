@@ -113,8 +113,13 @@ def pair_matrix(mu: Cocharacter, g_flat, h_flat, one) -> Mat:
 
 
 def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
-    """lift(left) mu(pi) lift(right) in closed form, for flat F_q matrices
-    whose left factor has no zero row.
+    """lift(left) mu(pi) lift(right), for flat F_q matrices whose left factor has no zero row."""
+    return build_product(mu, product_key(mu, left, right, one), one)
+
+
+def product_key(mu: Cocharacter, left, right, one) -> tuple:
+    """Everything `build_product` reads of lift(left) mu(pi) lift(right): for
+    each entry (i, j), row-major, the codes left_ik right_kj, then its window.
 
     The lifts are constant Laurent coefficients for pi = t and Teichmuller
     lifts for pi = p.  Entry (i, j) is sum_k left_ik right_kj pi^(d_k), stored
@@ -129,21 +134,24 @@ def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
     n, d, big = mu.n, mu.weights, one.prec
     mul = one.spec.mul_table
     windows = [(big + min(dk, 0), big + dk, 2 * big + min(dk, 0)) for dk in d]
-    entry = _laurent_entry if isinstance(one, LaurentElt) else _witt_entry
-    rows = []
+    key = []
     for i in range(n):
         l_row = left[i * n:(i + 1) * n]
-        row = []
         for j in range(n):
             prec = 2 * big  # no window above
-            codes = []
-            for k, (a, (w_right, w_left, w_none)) in enumerate(zip(l_row, windows)):
-                b = right[k * n + j]
+            for a, (w_right, w_left, w_none), b in zip(l_row, windows, right[j::n]):
                 prec = min(prec, w_right if b else w_left if a else w_none)
-                codes.append(mul[a][b])
-            row.append(entry(one, d, codes, prec))
-        rows.append(row)
-    return Mat(rows)
+                key.append(mul[a][b])
+            key.append(prec)
+    return tuple(key)
+
+
+def build_product(mu: Cocharacter, key: tuple, one) -> Mat:
+    """The matrix of a `product_key` in the ring of `one`."""
+    entry = _laurent_entry if isinstance(one, LaurentElt) else _witt_entry
+    n, d = mu.n, mu.weights
+    flat = [entry(one, d, key[s:s + n], key[s + n]) for s in range(0, len(key), n + 1)]
+    return Mat([flat[i:i + n] for i in range(0, n * n, n)])
 
 
 def _laurent_entry(one: LaurentElt, d, codes, prec: int) -> LaurentElt:
@@ -224,8 +232,9 @@ def verify_class_bijection(mu: Cocharacter, spec: FieldSpec, prec: int, census: 
     one = LaurentElt.one(spec, prec)
     roundtrip = True
     classes = set()
+    inverses = {g: flat_inverse(spec, mu.n, g) for g in {g for g, _ in census}}
     for rep in census:
-        c = class_of(pair_matrix(mu, rep[0], rep[1], one), mu)
+        c = class_of(lifted_product(mu, inverses[rep[0]], rep[1], one), mu)
         classes.add(c)
         if c != rep:
             roundtrip = False
@@ -315,25 +324,28 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
     }
 
 
+def pair_classes(mu: Cocharacter, spec: FieldSpec, one):
+    """class_of of each pair matrix of G x G in the ring of `one`, run once per distinct
+    `product_key`: the key of (t g, t h), t in T(F_q), is that of (g, h)."""
+    gl, memo = enumerate_gl_flat(spec, mu.n), {}
+    for g in gl:
+        ginv = flat_inverse(spec, mu.n, g)
+        for h in gl:
+            key = product_key(mu, ginv, h, one)
+            if key not in memo:
+                memo[key] = class_of(build_product(mu, key, one), mu)
+            yield memo[key]
+
+
 def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
                        prec: int) -> dict:
     """Mixed-characteristic census compared with the Laurent census."""
-    n = mu.n
-    _check_classified("mixed census", n, spec.q, gl_order(n, spec.q) ** 2, "pairs")
-    gl = enumerate_gl_flat(spec, n)
-
-    def classes(one):
-        # the class of every pair matrix, with each inverse computed once
-        for g in gl:
-            ginv = flat_inverse(spec, n, g)
-            for h in gl:
-                yield class_of(lifted_product(mu, ginv, h, one), mu)
-
+    _check_classified("mixed census", mu.n, spec.q, gl_order(mu.n, spec.q) ** 2, "pairs")
     laurent_classes = set()
     witt_classes = set()
     pointwise = True
-    for ct, cw in zip(classes(LaurentElt.one(spec, prec)),
-                      classes(WittFraction.one(WittCtx.get(spec, length)))):
+    for ct, cw in zip(pair_classes(mu, spec, LaurentElt.one(spec, prec)),
+                      pair_classes(mu, spec, WittFraction.one(WittCtx.get(spec, length)))):
         laurent_classes.add(ct)
         witt_classes.add(cw)
         pointwise &= ct == cw

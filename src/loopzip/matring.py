@@ -28,6 +28,8 @@ in `coset`'s canonical form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import InsufficientPrecision, NotInvertible, SpecMismatch
 from .gf import FieldSpec
 
@@ -156,6 +158,7 @@ def flat_residue(m: Mat) -> tuple:
     return tuple(x.residue_code() for r in m.rows for x in r)
 
 
+@lru_cache(maxsize=None)
 def flat_identity(n: int) -> tuple:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 

@@ -19,6 +19,12 @@ snf_residues, and checked by the exact factorization oracles of
 `laurent_oracle` and `witt_oracle`: a dropped remainder that `class_of` met
 would show there as an overclaim.
 
+The mixed census with `class_of` run on every pair, the loop that
+`coset.pair_classes` replaced by one run per distinct `product_key`; the two
+must agree pair by pair at every configuration the witt suite admits, with
+|G|^2 / (q - 1)^n keys per ring, one per orbit of the diagonal torus T(F_q)
+acting by (g, h) -> (t g, t h).
+
 The K_1 double cosets of a cell of GL_2(F_2) modulo t^P, walked from their
 definition, each of which must lie in one fibre of `class_of`; and the
 GL_3(F_2) mixed census, which the witt suite does not run, through
@@ -33,11 +39,13 @@ import sys
 import time
 from functools import lru_cache, partial
 
-from loopzip.coset import (MIXED_LENGTH, class_census, class_of, default_precision, pair_matrix,
-                           witt_census_report)
+import loopzip.coset as coset
+from loopzip.coset import (MIXED_LENGTH, class_census, class_of, default_precision,
+                           lifted_product, mixed_census_applies, pair_matrix, witt_census_report)
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
-from loopzip.grpdata import Cocharacter, enumerate_gl_flat, random_gl_flat, random_k1_mat
+from loopzip.grpdata import (CLASS_CAP, Cocharacter, enumerate_gl_flat, gl_order, random_gl_flat,
+                             random_k1_mat)
 from loopzip.matring import Mat, flat_identity, flat_inverse, flat_mul
 from loopzip.series import LaurentElt
 from loopzip.witt import WittCtx, WittFraction
@@ -307,6 +315,76 @@ def pipeline_factorization_sweep(cases, kernel_samples: int, share: float, seed:
     return counts
 
 
+# -- the mixed census, one class_of per pair ----------------------------------------
+
+
+def oracle_pair_classes(mu, spec, one):
+    """The class of the pair matrix of each (g, h) in G x G, in the ring of
+    `one`, with class_of run on every pair."""
+    gl = enumerate_gl_flat(spec, mu.n)
+    for g in gl:
+        ginv = flat_inverse(spec, mu.n, g)
+        for h in gl:
+            yield class_of(lifted_product(mu, ginv, h, one), mu)
+
+
+def counted_pair_classes(mu, spec, one) -> tuple:
+    """(the classes `coset.pair_classes` yields, as a list, and the number of
+    class_of calls it made, which is the number of keys it classified)."""
+    real, calls = coset.class_of, []
+
+    def counting(x, nu):
+        calls.append(1)
+        return real(x, nu)
+
+    coset.class_of = counting
+    try:
+        got = list(coset.pair_classes(mu, spec, one))
+    finally:
+        coset.class_of = real
+    return got, len(calls)
+
+
+def census_memo_check(q: int, weights) -> dict:
+    """ring -> (pairs, keys classified, expected keys |G|^2 / (q - 1)^n,
+    pairs whose memoized class differs from the per-pair loop's), in the
+    rings and at the windows of suite witt's mixed census."""
+    spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+    out = {}
+    for ring, prec in (("laurent", default_precision(mu)), ("witt", MIXED_LENGTH)):
+        one = ring_one(spec, ring, prec)
+        got, keys = counted_pair_classes(mu, spec, one)
+        bad = sum(a != b for a, b in zip(got, oracle_pair_classes(mu, spec, one)))
+        pairs = gl_order(mu.n, q) ** 2
+        out[ring] = (len(got), keys, pairs // (q - 1) ** mu.n, bad + abs(len(got) - pairs))
+    return out
+
+
+# (q, weights) of every mixed census that suite witt runs: p in {2, 3}, n <= 2,
+# dominant weights with |d_i| <= 1, and at most CLASS_CAP pairs
+MIXED_CENSUS_CASES = [
+    (q, w) for n in (1, 2) for q in (2, 3, 4, 5, 8, 9, 25)
+    for w in itertools.product((1, 0, -1), repeat=n)
+    if list(w) == sorted(w, reverse=True)
+    and mixed_census_applies(FieldSpec.for_q(q), Cocharacter(w))
+    and gl_order(n, q) ** 2 <= CLASS_CAP
+]
+
+
+def full_census_memo_comparison() -> int:
+    """census_memo_check at every MIXED_CENSUS_CASES entry.  Prints one line
+    per case and returns the number of mismatched pairs plus the
+    number of rings whose key count is not |G|^2 / (q - 1)^n."""
+    total = 0
+    for q, weights in MIXED_CENSUS_CASES:
+        start = time.perf_counter()
+        got = census_memo_check(q, weights)
+        line = "; ".join(f"{ring} {pairs} pairs, {keys} keys (expected {expected}), "
+                         f"{bad} mismatches" for ring, (pairs, keys, expected, bad) in got.items())
+        print(f"mixed census memo, q={q} mu={weights}: {line} ({time.perf_counter() - start:.1f} s)")
+        total += sum(bad + (keys != expected) for _, keys, expected, bad in got.values())
+    return total
+
 
 # -- the K_1 double cosets of a cell of GL_2(F_2), from their definition -------------
 
@@ -397,4 +475,5 @@ if __name__ == "__main__":
               f"{report['witt_classes']} Witt classes, pointwise equal "
               f"{report['pointwise_equal']} ({time.perf_counter() - start:.1f} s)")
         failed += not report["passed"]
+    failed += full_census_memo_comparison()
     sys.exit(1 if flagged + failed + full_pair_comparison() + full_trie_comparison() else 0)

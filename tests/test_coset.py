@@ -40,8 +40,10 @@ from loopzip.witt import WittCtx, WittFraction
 
 from laurent_oracle import mu_matrix
 from coset_oracle import (
+    census_memo_check,
     finite_model_partition,
     lift,
+    MIXED_CENSUS_CASES,
     oracle_canonical_flat,
     oracle_class_census,
     oracle_left,
@@ -609,6 +611,17 @@ def test_witt_census_matches_laurent():
     rep = witt_census_report(MU, F2, 3, 6)
     assert rep["census_equal"] and rep["pointwise_equal"]
     assert rep["laurent_classes"] == rep["witt_classes"] == 9
+
+
+@pytest.mark.parametrize("q, weights", [
+    (q, w) for q, w in MIXED_CENSUS_CASES if q == 2 and len(w) == 2] + [(3, (1, 0))])
+def test_census_classifies_each_key_once_and_matches_the_per_pair_loop(q, weights):
+    # one class_of per orbit of the diagonal torus on G x G: 36 keys on
+    # GL_2(F_2), where the torus is trivial, and 576 of 2,304 pairs on GL_2(F_3);
+    # tests/coset_oracle.py compares every census suite witt admits
+    got = census_memo_check(q, weights)
+    assert {ring: (keys, bad) for ring, (_, keys, _, bad) in got.items()} == {
+        ring: ({2: 36, 3: 576}[q], 0) for ring in ("laurent", "witt")}
 
 
 def test_witt_pair_matrix_reduces_to_inputs():

@@ -58,6 +58,12 @@ def test_permutation_matrices_compose():
     assert flat_mul(F3, 2, swap, swap) == flat_identity(2)
 
 
+def test_flat_identity_is_one_cached_tuple_per_n():
+    hits = flat_identity.cache_info().hits
+    assert flat_identity(3) is flat_identity(3) == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert flat_identity.cache_info().hits > hits
+
+
 def test_fq_inverse_examples():
     ident = flat_identity(2)
     assert flat_inverse(F3, 2, ident) == ident
