@@ -113,13 +113,8 @@ def pair_matrix(mu: Cocharacter, g_flat, h_flat, one) -> Mat:
 
 
 def lifted_product(mu: Cocharacter, left, right, one) -> Mat:
-    """lift(left) mu(pi) lift(right), for flat F_q matrices whose left factor has no zero row."""
-    return build_product(mu, product_key(mu, left, right, one), one)
-
-
-def product_key(mu: Cocharacter, left, right, one) -> tuple:
-    """Everything `build_product` reads of lift(left) mu(pi) lift(right): for
-    each entry (i, j), row-major, the codes left_ik right_kj, then its window.
+    """lift(left) mu(pi) lift(right) in closed form, for flat F_q matrices
+    whose left factor has no zero row.
 
     The lifts are constant Laurent coefficients for pi = t and Teichmuller
     lifts for pi = p.  Entry (i, j) is sum_k left_ik right_kj pi^(d_k), stored
@@ -134,24 +129,20 @@ def product_key(mu: Cocharacter, left, right, one) -> tuple:
     n, d, big = mu.n, mu.weights, one.prec
     mul = one.spec.mul_table
     windows = [(big + min(dk, 0), big + dk, 2 * big + min(dk, 0)) for dk in d]
-    key = []
+    entry = _laurent_entry if isinstance(one, LaurentElt) else _witt_entry
+    rows = []
     for i in range(n):
         l_row = left[i * n:(i + 1) * n]
+        row = []
         for j in range(n):
             prec = 2 * big  # no window above
+            codes = []
             for a, (w_right, w_left, w_none), b in zip(l_row, windows, right[j::n]):
                 prec = min(prec, w_right if b else w_left if a else w_none)
-                key.append(mul[a][b])
-            key.append(prec)
-    return tuple(key)
-
-
-def build_product(mu: Cocharacter, key: tuple, one) -> Mat:
-    """The matrix of a `product_key` in the ring of `one`."""
-    entry = _laurent_entry if isinstance(one, LaurentElt) else _witt_entry
-    n, d = mu.n, mu.weights
-    flat = [entry(one, d, key[s:s + n], key[s + n]) for s in range(0, len(key), n + 1)]
-    return Mat([flat[i:i + n] for i in range(0, n * n, n)])
+                codes.append(mul[a][b])
+            row.append(entry(one, d, codes, prec))
+        rows.append(row)
+    return Mat(rows)
 
 
 def _laurent_entry(one: LaurentElt, d, codes, prec: int) -> LaurentElt:
@@ -324,17 +315,24 @@ def embedding_fiber_report(mu: Cocharacter, spec: FieldSpec) -> dict:
     }
 
 
-def pair_classes(mu: Cocharacter, spec: FieldSpec, one):
-    """class_of of each pair matrix of G x G in the ring of `one`, run once per distinct
-    `product_key`: the key of (t g, t h), t in T(F_q), is that of (g, h)."""
-    gl, memo = enumerate_gl_flat(spec, mu.n), {}
-    for g in gl:
+def torus_transversal(spec: FieldSpec, n: int) -> list:
+    """The g in G(F_q) whose rows each lead with 1: one in each orbit of the
+    diagonal torus T(F_q), which scales row i of g by t_i."""
+    return [g for g in enumerate_gl_flat(spec, n)
+            if all(next(filter(None, g[i:i + n])) == 1 for i in range(0, n * n, n))]
+
+
+def mixed_pair_classes(mu: Cocharacter, spec: FieldSpec, length: int, prec: int):
+    """(Laurent class, Witt class) of the pair matrix of each (g, h), g in
+    `torus_transversal` and h in G, in that order: one pair per orbit of
+    T(F_q) on G x G, since (t g, t h) has the codes (g^(-1))_ik h_kj and the
+    zero pattern of (g, h), so the same pair matrix in either ring."""
+    rings = (LaurentElt.one(spec, prec), WittFraction.one(WittCtx.get(spec, length)))
+    gl = enumerate_gl_flat(spec, mu.n)
+    for g in torus_transversal(spec, mu.n):
         ginv = flat_inverse(spec, mu.n, g)
         for h in gl:
-            key = product_key(mu, ginv, h, one)
-            if key not in memo:
-                memo[key] = class_of(build_product(mu, key, one), mu)
-            yield memo[key]
+            yield tuple(class_of(lifted_product(mu, ginv, h, one), mu) for one in rings)
 
 
 def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
@@ -344,8 +342,7 @@ def witt_census_report(mu: Cocharacter, spec: FieldSpec, length: int,
     laurent_classes = set()
     witt_classes = set()
     pointwise = True
-    for ct, cw in zip(pair_classes(mu, spec, LaurentElt.one(spec, prec)),
-                      pair_classes(mu, spec, WittFraction.one(WittCtx.get(spec, length)))):
+    for ct, cw in mixed_pair_classes(mu, spec, length, prec):
         laurent_classes.add(ct)
         witt_classes.add(cw)
         pointwise &= ct == cw

@@ -19,11 +19,12 @@ snf_residues, and checked by the exact factorization oracles of
 `laurent_oracle` and `witt_oracle`: a dropped remainder that `class_of` met
 would show there as an overclaim.
 
-The mixed census with `class_of` run on every pair, the loop that
-`coset.pair_classes` replaced by one run per distinct `product_key`; the two
-must agree pair by pair at every configuration the witt suite admits, with
-|G|^2 / (q - 1)^n keys per ring, one per orbit of the diagonal torus T(F_q)
-acting by (g, h) -> (t g, t h).
+The mixed census with `class_of` run on every pair of G x G, the loop that
+`coset.mixed_pair_classes` replaced by one pair per orbit of the diagonal
+torus T(F_q) acting by (g, h) -> (t g, t h), |G|^2 / (q - 1)^n pairs per
+ring: each pair's class must equal the census class of its orbit's visited
+pair at every configuration the witt suite admits.  The orbits themselves are
+walked over all of T(F_q), so the transversal is checked against them too.
 
 The K_1 double cosets of a cell of GL_2(F_2) modulo t^P, walked from their
 definition, each of which must lie in one fibre of `class_of`; and the
@@ -41,7 +42,8 @@ from functools import lru_cache, partial
 
 import loopzip.coset as coset
 from loopzip.coset import (MIXED_LENGTH, class_census, class_of, default_precision,
-                           lifted_product, mixed_census_applies, pair_matrix, witt_census_report)
+                           lifted_product, mixed_census_applies, pair_matrix, torus_transversal,
+                           witt_census_report)
 from loopzip.errors import LoopZipError
 from loopzip.gf import FieldSpec
 from loopzip.grpdata import (CLASS_CAP, Cocharacter, enumerate_gl_flat, gl_order, random_gl_flat,
@@ -328,35 +330,63 @@ def oracle_pair_classes(mu, spec, one):
             yield class_of(lifted_product(mu, ginv, h, one), mu)
 
 
-def counted_pair_classes(mu, spec, one) -> tuple:
-    """(the classes `coset.pair_classes` yields, as a list, and the number of
-    class_of calls it made, which is the number of keys it classified)."""
-    real, calls = coset.class_of, []
+def torus_orbit(spec, n: int, g) -> list:
+    """t g for every t = diag(t_1, ..., t_n) in T(F_q): row i of g times t_i."""
+    mul = spec.mul_table
+    return [tuple(mul[t[k // n]][c] for k, c in enumerate(g))
+            for t in itertools.product(range(1, spec.q), repeat=n)]
+
+
+def transversal_check(q: int, n: int) -> tuple:
+    """(pairs the mixed census visits, |G|^2 / (q - 1)^n, elements g of G
+    whose T(F_q)-orbit meets `coset.torus_transversal` other than once).  The
+    census visits (g, h) for g in the transversal and every h, and the orbit
+    of (g, h) under (t g, t h) meets those pairs as often as the orbit of g
+    meets the transversal, since t h lies in G for every t."""
+    spec = FieldSpec.for_q(q)
+    gl, reps = enumerate_gl_flat(spec, n), torus_transversal(spec, n)
+    found = set(reps)
+    off = sum(sum(tg in found for tg in torus_orbit(spec, n, g)) != 1 for g in gl)
+    return len(reps) * len(gl), len(gl) ** 2 // (q - 1) ** n, off
+
+
+def counted_census(mu, spec, length: int, prec: int) -> tuple:
+    """(the (Laurent, Witt) classes `coset.mixed_pair_classes` yields, as a
+    list, and ring -> the number of class_of calls it made in that ring)."""
+    real, calls = coset.class_of, {"laurent": 0, "witt": 0}
 
     def counting(x, nu):
-        calls.append(1)
+        calls["witt" if isinstance(x.rows[0][0], WittFraction) else "laurent"] += 1
         return real(x, nu)
 
     coset.class_of = counting
     try:
-        got = list(coset.pair_classes(mu, spec, one))
+        got = list(coset.mixed_pair_classes(mu, spec, length, prec))
     finally:
         coset.class_of = real
-    return got, len(calls)
+    return got, calls
 
 
-def census_memo_check(q: int, weights) -> dict:
-    """ring -> (pairs, keys classified, expected keys |G|^2 / (q - 1)^n,
-    pairs whose memoized class differs from the per-pair loop's), in the
-    rings and at the windows of suite witt's mixed census."""
+def census_transversal_check(q: int, weights) -> dict:
+    """ring -> (class_of calls of the census, |G|^2 / (q - 1)^n, pairs of
+    G x G whose class from the per-pair loop differs from the census class of
+    the one pair of its torus orbit that the census visits), in the rings and
+    at the windows of suite witt's mixed census."""
     spec, mu = FieldSpec.for_q(q), Cocharacter(weights)
+    n, prec = mu.n, default_precision(mu)
+    gl = enumerate_gl_flat(spec, n)
+    got, calls = counted_census(mu, spec, MIXED_LENGTH, prec)
+    visited = [(g, h) for g in torus_transversal(spec, n) for h in gl]
+    census = dict(zip(visited, got))
     out = {}
-    for ring, prec in (("laurent", default_precision(mu)), ("witt", MIXED_LENGTH)):
-        one = ring_one(spec, ring, prec)
-        got, keys = counted_pair_classes(mu, spec, one)
-        bad = sum(a != b for a, b in zip(got, oracle_pair_classes(mu, spec, one)))
-        pairs = gl_order(mu.n, q) ** 2
-        out[ring] = (len(got), keys, pairs // (q - 1) ** mu.n, bad + abs(len(got) - pairs))
+    for k, (ring, window) in enumerate((("laurent", prec), ("witt", MIXED_LENGTH))):
+        bad = abs(len(got) - len(visited))
+        for (g, h), c in zip(itertools.product(gl, gl),
+                             oracle_pair_classes(mu, spec, ring_one(spec, ring, window))):
+            reps = [pair for pair in zip(torus_orbit(spec, n, g), torus_orbit(spec, n, h))
+                    if pair in census]
+            bad += len(reps) != 1 or census[reps[0]][k] != c
+        out[ring] = (calls[ring], len(gl) ** 2 // (q - 1) ** n, bad)
     return out
 
 
@@ -371,18 +401,19 @@ MIXED_CENSUS_CASES = [
 ]
 
 
-def full_census_memo_comparison() -> int:
-    """census_memo_check at every MIXED_CENSUS_CASES entry.  Prints one line
-    per case and returns the number of mismatched pairs plus the
-    number of rings whose key count is not |G|^2 / (q - 1)^n."""
+def full_census_transversal_comparison() -> int:
+    """census_transversal_check at every MIXED_CENSUS_CASES entry.  Prints one
+    line per case and returns the number of mismatched pairs plus the number
+    of rings whose class_of count is not |G|^2 / (q - 1)^n."""
     total = 0
     for q, weights in MIXED_CENSUS_CASES:
         start = time.perf_counter()
-        got = census_memo_check(q, weights)
-        line = "; ".join(f"{ring} {pairs} pairs, {keys} keys (expected {expected}), "
-                         f"{bad} mismatches" for ring, (pairs, keys, expected, bad) in got.items())
-        print(f"mixed census memo, q={q} mu={weights}: {line} ({time.perf_counter() - start:.1f} s)")
-        total += sum(bad + (keys != expected) for _, keys, expected, bad in got.values())
+        got = census_transversal_check(q, weights)
+        line = "; ".join(f"{ring} {calls} classified (expected {expected}), {bad} mismatches"
+                         for ring, (calls, expected, bad) in got.items())
+        print(f"mixed census transversal, q={q} mu={weights}: {line} "
+              f"({time.perf_counter() - start:.1f} s)")
+        total += sum(bad + (calls != expected) for calls, expected, bad in got.values())
     return total
 
 
@@ -475,5 +506,5 @@ if __name__ == "__main__":
               f"{report['witt_classes']} Witt classes, pointwise equal "
               f"{report['pointwise_equal']} ({time.perf_counter() - start:.1f} s)")
         failed += not report["passed"]
-    failed += full_census_memo_comparison()
+    failed += full_census_transversal_comparison()
     sys.exit(1 if flagged + failed + full_pair_comparison() + full_trie_comparison() else 0)

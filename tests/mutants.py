@@ -93,16 +93,14 @@ MUTANTS = [
     # class_of's one precision guard: a window at d_max is refused
     ("G1", "coset.py", "if known <= top:", "if known < top:",
      ["tests/test_coset.py::test_class_of_refuses_a_pair_matrix_known_only_to_d_max"]),
-    # the mixed census memo: a key must hold every entry the build reads
-    ("C1", "coset.py",
-     "            if key not in memo:\n"
-     "                memo[key] = class_of(build_product(mu, key, one), mu)\n"
-     "            yield memo[key]",
-     "            first_row = key[:mu.n * (mu.n + 1)]\n"
-     "            if first_row not in memo:\n"
-     "                memo[first_row] = class_of(build_product(mu, key, one), mu)\n"
-     "            yield memo[first_row]",
-     ["tests/test_coset.py::test_census_classifies_each_key_once_and_matches_the_per_pair_loop"]),
+    # the census transversal: every row of g leads with 1, so it meets each
+    # torus orbit once; row 0 alone yields too many pairs, and the first
+    # entry in place of each row's lead misses orbits
+    ("T1", "coset.py", "for i in range(0, n * n, n))]", "for i in range(0, n, n))]",
+     ["tests/test_coset.py::test_torus_transversal_meets_each_orbit_once"]),
+    ("T2", "coset.py", "if all(next(filter(None, g[i:i + n])) == 1 for",
+     "if all(g[0] == 1 for",
+     ["tests/test_coset.py::test_torus_transversal_meets_each_orbit_once"]),
     # the residue elimination: a's column k picks up the pivot's unit
     ("R1", "matring.py", "a[k::n] = [by_u[c] for c in a[k::n]]", "pass",
      ["tests/test_matring.py::test_snf_matches_the_full_loop_with_poisoned_skips"]),

@@ -40,7 +40,7 @@ from loopzip.witt import WittCtx, WittFraction
 
 from laurent_oracle import mu_matrix
 from coset_oracle import (
-    census_memo_check,
+    census_transversal_check,
     finite_model_partition,
     lift,
     MIXED_CENSUS_CASES,
@@ -55,6 +55,7 @@ from coset_oracle import (
     pipeline_factorization_sweep,
     PIPELINE_CASES,
     ring_one,
+    transversal_check,
 )
 from orbits_oracle import enumerate_unipotent_flat, enumerate_zip_pairs_flat
 
@@ -613,14 +614,22 @@ def test_witt_census_matches_laurent():
     assert rep["laurent_classes"] == rep["witt_classes"] == 9
 
 
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3)])
+def test_torus_transversal_meets_each_orbit_once(q, n):
+    # |G|^2 / (q - 1)^n pairs, and the orbit of every g under T(F_q) walked in full
+    pairs, expected, off = transversal_check(q, n)
+    assert (pairs, off) == (expected, 0)
+
+
 @pytest.mark.parametrize("q, weights", [
     (q, w) for q, w in MIXED_CENSUS_CASES if q == 2 and len(w) == 2] + [(3, (1, 0))])
 def test_census_classifies_each_key_once_and_matches_the_per_pair_loop(q, weights):
-    # one class_of per orbit of the diagonal torus on G x G: 36 keys on
-    # GL_2(F_2), where the torus is trivial, and 576 of 2,304 pairs on GL_2(F_3);
-    # tests/coset_oracle.py compares every census suite witt admits
-    got = census_memo_check(q, weights)
-    assert {ring: (keys, bad) for ring, (_, keys, _, bad) in got.items()} == {
+    # one class_of per ring for each orbit of the diagonal torus on G x G, the
+    # key its visited pair: 36 on GL_2(F_2), where the torus is trivial, and
+    # 576 of 2,304 pairs on GL_2(F_3); every pair's class from the per-pair
+    # loop is its key's; tests/coset_oracle.py checks every census suite witt admits
+    got = census_transversal_check(q, weights)
+    assert {ring: (calls, bad) for ring, (calls, _, bad) in got.items()} == {
         ring: ({2: 36, 3: 576}[q], 0) for ring in ("laurent", "witt")}
 
 
